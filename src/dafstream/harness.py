@@ -1,11 +1,14 @@
 """Full coding sessions, IDR/FDR metrics, and parameter sweeps.
 
 A session walks the window schedule at a constant data rate (coded packet n
-leaves at n * P / R seconds), pushes every packet through the erasure
-channel, and feeds survivors to the BP decoder after an honest trip through
-the wire header. A native packet decoded by the send time of the last coded
-packet of the last window covering its frame counts as in-time; decoded ever,
-toward the file ratio. Warm-up/cool-down padding is excluded from both.
+leaves at n * P / R seconds) and pushes every packet through the erasure
+channel. It runs in blocks of BLOCK coded packets: the encoder draws the
+block's compositions, the delivered ones cross the wire as datagram bytes,
+and the decoder rebuilds their compositions from the received headers alone
+before peeling them in PacketID order. A native packet decoded by the send
+time of the last coded packet of the last window covering its frame counts
+as in-time; decoded ever, toward the file ratio. Warm-up/cool-down padding
+is excluded from both.
 """
 
 from __future__ import annotations
@@ -19,13 +22,21 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import ChannelModel, transmit_many
-from .errors import ConfigError
-from .ltcode import CodedPacketMeta, DecoderState, draw, robust_soliton, uniform_cdf, xor_payload
-from .protocol import DafHeader, decode_packet, encode_packet
+from .errors import ConfigError, ProtocolError
+# draw, xor_payload, encode_packet and decode_packet are looked up here by
+# the per-layer tracer in bench/tracer.py; sessions use their batch forms.
+from .ltcode import (CodedPacketMeta, DecoderState, InverseCdf, draw, draw_batch,
+                     robust_soliton, uniform_cdf, xor_payload, xor_payloads)
+from .protocol import (DafHeader, Datagrams, decode_datagrams, decode_packet,
+                       encode_datagrams, encode_packet)
 from .sampling import SlopePlan, optimize_slopes, slope_pdf
 from .trace import FrameIndex, VideoTrace, packetize
 from .windowing import (CodingParams, Mode, WindowSchedule, build_schedule,
                         derive_params, wcp_packets)
+
+#: Coded packets per block of a session. Bounds the datagram bytes, XOR rows
+#: and draw bitmaps held at once.
+BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -41,74 +52,154 @@ class Metrics:
 class SessionCodec:
     """Window sampling machinery shared verbatim by encoder and decoder.
 
-    Distributions are derived only from header fields plus the trace and
-    coding parameters both ends hold, so reconstruction is exact.
+    Both ends hold the trace, the coding parameters and the window schedule
+    (by default the one run_session builds). Distributions come only from
+    those plus header fields, so reconstruction is exact; a header that does
+    not name a schedule entry is rejected before anything is drawn.
     """
 
-    def __init__(self, trace: VideoTrace, params: CodingParams):
+    def __init__(self, trace: VideoTrace, params: CodingParams,
+                 schedule: WindowSchedule | None = None):
         self.trace = trace
         self.params = params
         self.index = FrameIndex(trace)
-        self._cdfs: dict[tuple[int, int, float], list[float]] = {}
+        self._frame_cum = np.concatenate(([0], np.cumsum(trace.packets_per_frame)))
+        if schedule is None:
+            schedule = build_schedule(params, trace, slopes=session_slopes(trace, params))
+        self.schedule = schedule
+        entries = schedule.entries
+        self.start = np.array([e.start_packet for e in entries], dtype=np.int64)
+        self.wsize = np.array([e.window_packets for e in entries], dtype=np.int64)
+        self.slope = np.array([e.slope for e in entries], dtype=np.float64)
+        self.cum_sent = np.array([e.cum_sent for e in entries], dtype=np.int64)
+        key = (self.start << 16) | self.wsize
+        self._order = np.argsort(key, kind="stable")
+        self._keys = key[self._order]
+        # draw_batch inputs per entry: (StartP, window table, degree table)
+        self.windows = [(e.start_packet, self._build_cdf(e.start_packet, e.window_packets, e.slope),
+                         robust_soliton(e.window_packets).table) for e in entries]
 
-    def window_cdf(self, start_packet: int, window_packets: int, slope: float) -> list[float]:
-        key = (start_packet, window_packets, slope)
-        got = self._cdfs.get(key)
-        if got is None:
-            got = self._build_cdf(start_packet, window_packets, slope)
-            self._cdfs[key] = got
-        return got
-
-    def _build_cdf(self, start_packet: int, window_packets: int, slope: float) -> list[float]:
+    def _build_cdf(self, start_packet: int, window_packets: int, slope: float) -> InverseCdf:
         if slope == 0.0:
-            return uniform_cdf(window_packets)
+            return InverseCdf(uniform_cdf(window_packets))
+        # packets per group of `step` frames from the window's first frame on
         start_frame = self.index.frame_of(start_packet)
-        step = self.params.step_frames
-        counts = []
-        t = start_frame
-        remaining = window_packets
-        while remaining > 0:
-            group = self.index.packets_in_frames(t, min(step, self.trace.num_frames - t + 1))
-            if group > remaining:
-                raise ValueError("window does not end on a step boundary")
-            counts.append(group)
-            remaining -= group
-            t += step
-        pdf = slope_pdf(counts, slope)
+        T = self.trace.num_frames
+        ends = np.minimum(np.arange(start_frame + self.params.step_frames - 1,
+                                    T + self.params.step_frames, self.params.step_frames), T)
+        before = self._frame_cum[start_frame - 1]
+        cum = self._frame_cum[ends] - before
+        groups = int(np.searchsorted(cum, window_packets)) + 1
+        if groups > len(cum):
+            raise ValueError(f"window of {window_packets} packets runs past the trace")
+        if cum[groups - 1] != window_packets:
+            raise ValueError("window does not end on a step boundary")
+        pdf = slope_pdf(np.diff(cum[:groups], prepend=0), slope)
         cdf = np.cumsum(pdf)
         cdf[-1] = 1.0
-        return cdf.tolist()
+        return InverseCdf(cdf)
+
+    # -- encoder ----------------------------------------------------------
+
+    def encode_block(self, first: int, last: int):
+        """Draw coded packets first..last: (packet ids, 0-based schedule entry
+        of each, CSR indptr, neighbors)."""
+        pids = np.arange(first, last + 1, dtype=np.int64)
+        entry = np.searchsorted(self.cum_sent, pids)
+        indptr, neighbors = draw_batch(pids, entry, self.windows)
+        return pids, entry, indptr, neighbors
+
+    def send(self, first: int, last: int, delivered: np.ndarray,
+             buffer: np.ndarray | None = None) -> bytearray:
+        """Datagram bytes of the packets among first..last that the channel
+        delivers (`delivered` is the session's per-packet mask)."""
+        pids, entry, indptr, neighbors = self.encode_block(first, last)
+        sent = delivered[first - 1:last]
+        payload = None
+        if buffer is not None:
+            degree = np.diff(indptr)[sent]
+            sent_indptr = np.zeros(len(degree) + 1, dtype=np.int64)
+            np.cumsum(degree, out=sent_indptr[1:])
+            sent_neighbors = neighbors[np.repeat(sent, np.diff(indptr))]
+            payload = xor_payloads(sent_indptr, sent_neighbors, buffer)
+        entry = entry[sent]
+        return encode_datagrams(self.start[entry], self.wsize[entry], self.slope[entry],
+                                pids[sent], self.trace.payload_bytes, payload)
+
+    # -- decoder ----------------------------------------------------------
+
+    def receive(self, data) -> tuple[Datagrams, np.ndarray, np.ndarray]:
+        """Decode datagram bytes and rebuild their compositions from the
+        headers: (datagrams, CSR indptr, neighbors)."""
+        rx = decode_datagrams(data, self.trace.payload_bytes)
+        indptr, neighbors = self.compositions(rx.start_packet, rx.window_packets,
+                                              rx.slope_factor, rx.packet_id, rx.payload_bytes)
+        return rx, indptr, neighbors
+
+    def compositions(self, start_packet, window_packets, slope_factor, packet_id,
+                     payload_bytes):
+        """Decoder-side compositions of checked header fields, as CSR arrays.
+
+        (StartP, WSize) must name a schedule entry, SlopeF must be that
+        entry's slope and P the session's payload size; anything else raises
+        ProtocolError before a draw.
+        """
+        start = np.asarray(start_packet, dtype=np.int64)
+        wsize = np.asarray(window_packets, dtype=np.int64)
+        if np.any(np.asarray(payload_bytes) != self.trace.payload_bytes):
+            raise ProtocolError(f"P {payload_bytes} is not the session's "
+                                f"{self.trace.payload_bytes}-byte payload")
+        key = (start << 16) | wsize
+        at = np.minimum(np.searchsorted(self._keys, key), len(self._keys) - 1)
+        unknown = self._keys[at] != key
+        if np.any(unknown):
+            i = int(np.argmax(unknown))
+            raise ProtocolError(f"StartP {start[i]}, WSize {wsize[i]} names no window "
+                                "of the session's schedule")
+        entry = self._order[at]
+        wrong = self.slope[entry] != slope_factor
+        if np.any(wrong):
+            i = int(np.argmax(wrong))
+            raise ProtocolError(f"SlopeF {np.asarray(slope_factor)[i]} is not the slope of "
+                                f"the window at StartP {start[i]}")
+        return draw_batch(packet_id, entry, self.windows)
 
     def meta_from_header(self, header: DafHeader) -> CodedPacketMeta:
-        """Decoder-side reconstruction of a packet's composition."""
-        cdf = self.window_cdf(header.start_packet, header.window_packets,
-                              header.slope_factor)
-        dist = robust_soliton(header.window_packets)
-        return draw(header.packet_id, header.start_packet, cdf, dist,
-                    header.slope_factor)
+        """Decoder-side reconstruction of one packet's composition."""
+        indptr, neighbors = self.compositions(
+            [header.start_packet], [header.window_packets], [header.slope_factor],
+            [header.packet_id], header.payload_bytes)
+        return CodedPacketMeta(packet_id=header.packet_id, degree=int(indptr[1]),
+                               neighbors=tuple(neighbors.tolist()),
+                               start_packet=header.start_packet,
+                               window_packets=header.window_packets,
+                               slope_factor=header.slope_factor)
 
 
 def iter_coded_packets(trace: VideoTrace, params: CodingParams,
                        schedule: WindowSchedule, buffer: np.ndarray | None = None,
                        codec: SessionCodec | None = None):
     """Yield (header, meta, payload) for every coded packet of a session."""
-    codec = codec or SessionCodec(trace, params)
+    codec = codec or SessionCodec(trace, params, schedule)
+    if codec.schedule != schedule:
+        raise ValueError("codec was built for a different schedule")
     P = trace.payload_bytes
-    pid = 0
-    for entry in schedule.entries:
-        if entry.budget == 0:
-            continue
-        cdf = codec.window_cdf(entry.start_packet, entry.window_packets, entry.slope)
-        dist = robust_soliton(entry.window_packets)
-        for _ in range(entry.budget):
-            pid += 1
-            meta = draw(pid, entry.start_packet, cdf, dist, entry.slope)
-            header = DafHeader(start_packet=entry.start_packet,
-                               window_packets=entry.window_packets,
-                               slope_factor=entry.slope, packet_id=pid,
+    total = schedule.entries[-1].cum_sent
+    for first in range(1, total + 1, BLOCK):
+        pids, entry, indptr, neighbors = codec.encode_block(first, min(first + BLOCK - 1, total))
+        payloads = None if buffer is None else xor_payloads(indptr, neighbors, buffer)
+        bounds = indptr.tolist()
+        for i, (pid, e) in enumerate(zip(pids.tolist(), entry.tolist())):
+            header = DafHeader(start_packet=int(codec.start[e]),
+                               window_packets=int(codec.wsize[e]),
+                               slope_factor=float(codec.slope[e]), packet_id=pid,
                                payload_bytes=P)
-            payload = None if buffer is None else xor_payload(meta.neighbors, buffer)
-            yield header, meta, payload
+            meta = CodedPacketMeta(packet_id=pid, degree=bounds[i + 1] - bounds[i],
+                                   neighbors=tuple(neighbors[bounds[i]:bounds[i + 1]].tolist()),
+                                   start_packet=header.start_packet,
+                                   window_packets=header.window_packets,
+                                   slope_factor=header.slope_factor)
+            yield header, meta, None if payloads is None else payloads[i]
 
 
 @lru_cache(maxsize=32)
@@ -164,7 +255,6 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
     if slopes is None:
         slopes = session_slopes(trace, params)
     schedule = build_schedule(params, trace, slopes=slopes)
-    index = FrameIndex(trace)
     k = trace.total_packets
     T = trace.num_frames
     N = params.total_coded
@@ -181,50 +271,39 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
     send_times = np.arange(1, N + 1, dtype=np.float64) * interval
     delivered = transmit_many(eff_channel, np.arange(1, N + 1), send_times)
 
-    codec = SessionCodec(trace, params)
+    codec = SessionCodec(trace, params, schedule)
     decoder = DecoderState(k, pseudo_decoded=wcp,
                            payload_bytes=trace.payload_bytes if buffer is not None else None)
     decode_time = np.full(k + 1, np.inf)
 
-    for header, meta, payload in iter_coded_packets(trace, params, schedule,
-                                                    buffer=buffer, codec=codec):
-        pid = header.packet_id
-        if not delivered[pid - 1]:
+    for first in range(1, N + 1, BLOCK):
+        last = min(first + BLOCK - 1, N)
+        if not delivered[first - 1:last].any():
             continue
-        # honest trip through the wire format
-        datagram = encode_packet(header, payload.tobytes() if payload is not None
-                                 else bytes(trace.payload_bytes))
-        rx_header, rx_payload = decode_packet(datagram)
-        rx_meta = codec.meta_from_header(rx_header)
-        arrival = send_times[pid - 1]
-        released = decoder.ingest(rx_meta,
-                                  np.frombuffer(rx_payload, dtype=np.uint8)
-                                  if buffer is not None else None)
-        for n in released:
-            decode_time[n] = arrival
+        # an honest trip through the wire format: only bytes cross
+        data = codec.send(first, last, delivered, buffer)
+        rx, indptr, neighbors = codec.receive(data)
+        bounds, flat = indptr.tolist(), neighbors.tolist()
+        rows = rx.payload if buffer is not None else None
+        for i, pid in enumerate(rx.packet_id.tolist()):
+            released = decoder.ingest_packet(pid, flat[bounds[i]:bounds[i + 1]],
+                                             None if rows is None else rows[i])
+            if released:
+                decode_time[released] = send_times[pid - 1]
 
-    last_entry = schedule.last_covering_entry(T)
     frame_deadline = np.zeros(T + 1)
-    for t in range(1, T + 1):
-        entry = schedule.entries[last_entry[t] - 1]
-        frame_deadline[t] = entry.cum_sent * interval
+    # a frame no window touches (entry 0) takes the last entry's deadline
+    frame_deadline[1:] = codec.cum_sent[schedule.last_covering_entry(T)[1:] - 1] * interval
 
-    in_time = late = never = 0
-    frame_of = [0] * (k + 1)
-    for t in range(1, T + 1):
-        first = index.first_packet(t)
-        for p in range(first, first + trace.packets_per_frame[t - 1]):
-            frame_of[p] = t
-    for p in range(1, k + 1):
-        if p in wcp:
-            continue
-        dt = decode_time[p]
-        if math.isinf(dt):
-            never += 1
-        elif dt <= frame_deadline[frame_of[p]]:
-            in_time += 1
-        else:
-            late += 1
+    frame_of = np.repeat(np.arange(1, T + 1), trace.packets_per_frame)
+    real = np.ones(k, dtype=bool)
+    real[np.fromiter(wcp, dtype=np.int64, count=len(wcp)) - 1] = False
+    dt = decode_time[1:]
+    decoded = np.isfinite(dt)
+    on_time = decoded & (dt <= frame_deadline[frame_of])
+    in_time = int(np.count_nonzero(real & on_time))
+    late = int(np.count_nonzero(real & decoded & ~on_time))
+    never = int(np.count_nonzero(real & ~decoded))
 
     config = {
         "mode": params.mode.value,

@@ -8,13 +8,13 @@ the neighbors second, so encoder and decoder always agree.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .prng import packet_rng
+from .errors import ProtocolError
+from .prng import XorShift64Star, packet_rng, packet_states, xorshift64star_next
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,7 @@ class DegreeDistribution:
     def __post_init__(self):
         cdf = np.cumsum(self.pmf)
         cdf[-1] = 1.0
-        object.__setattr__(self, "_cdf", cdf.tolist())
-
-    @property
-    def cdf(self) -> list[float]:
-        return self._cdf
+        object.__setattr__(self, "table", InverseCdf(cdf))
 
     def mean_degree(self) -> float:
         return sum((d + 1) * p for d, p in enumerate(self.pmf))
@@ -78,44 +74,207 @@ class CodedPacketMeta:
     slope_factor: float
 
 
+#: At or below this many unfinished packets, the lockstep rounds of
+#: draw_batch stop and each packet finishes alone from its own generator.
+_LOCKSTEP_MIN = 16
+
+#: Packets per pass of draw_batch. A pass searches one joined key array, so
+#: it must touch fewer than 2047 tables (see _Tables); it also bounds the
+#: pass's chosen-neighbor bitmap to _PASS * WSize bytes.
+_PASS = 512
+
+_TWO53 = float(1 << 53)
+_KEY_SPAN = (1 << 53) + 1
+
+
+class InverseCdf:
+    """A cumulative distribution over 0..n-1, inverted by 53-bit deviates.
+
+    The CDF is nondecreasing and ends in 1.0. The deviate u = m * 2**-53 of
+    an integer m falls at index bisect_right(cdf, u), which is exactly the
+    number of integer keys ceil(value * 2**53) <= m: scaling by 2**53 is
+    exact. Keys are clipped to 0..2**53, which keeps them sorted and changes
+    no comparison, since m < 2**53. Only the keys are kept.
+    """
+
+    __slots__ = ("keys",)
+
+    def __init__(self, cdf):
+        scaled = np.ceil(np.asarray(cdf, dtype=np.float64) * _TWO53)
+        self.keys = np.clip(scaled, 0.0, _TWO53).astype(np.uint64)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def search(self, m) -> np.ndarray:
+        """The index each 53-bit deviate m falls at."""
+        return np.searchsorted(self.keys, m, side="right")
+
+
+class _Tables:
+    """Several InverseCdf tables searched by one np.searchsorted call.
+
+    Table t's keys are offset by t * (2**53 + 1), so the joined keys stay
+    sorted and every search lands inside its own table; the offsets fit in
+    64 bits for fewer than 2047 tables.
+    """
+
+    def __init__(self, tables):
+        if len(tables) >= 2047:
+            raise ValueError("too many tables for one joined search")
+        self.tables = tables
+        self.sizes = np.fromiter((len(t) for t in tables), dtype=np.int64, count=len(tables))
+        self.base = np.cumsum(self.sizes) - self.sizes
+        self.offset = np.arange(len(tables), dtype=np.uint64) * np.uint64(_KEY_SPAN)
+        self.keys = np.concatenate([t.keys for t in tables]) + np.repeat(self.offset, self.sizes)
+
+    def search(self, which: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """The index the 53-bit deviate m[i] falls at in table which[i], for every i."""
+        return np.searchsorted(self.keys, self.offset[which] + m, side="right") - self.base[which]
+
+
+def draw_batch(packet_ids, window_of, windows) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the composition of many coded packets at once, as CSR arrays.
+
+    Packet i is drawn from `windows[window_of[i]]`, a tuple (start_packet,
+    window table, degree table) of InverseCdf tables: the window table is
+    the per-packet sampling CDF over the window, the degree table the
+    robust-soliton CDF. Each packet's generator is seeded by its PacketID
+    alone; it draws the degree first, clamped to the window size, then
+    neighbors until that many distinct ones are chosen, so packet i gets
+    the same neighbors whatever else is in the batch. Returns (indptr,
+    neighbors): packet i's sorted native packet numbers are
+    neighbors[indptr[i]:indptr[i + 1]].
+    """
+    packet_ids = np.asarray(packet_ids, dtype=np.int64)
+    window_of = np.asarray(window_of, dtype=np.intp)
+    if len(packet_ids) <= _PASS:
+        return _draw_pass(packet_ids, window_of, windows)
+    indptrs, neighbors = [np.zeros(1, dtype=np.int64)], []
+    for a in range(0, len(packet_ids), _PASS):
+        ip, nb = _draw_pass(packet_ids[a:a + _PASS], window_of[a:a + _PASS], windows)
+        indptrs.append(ip[1:] + indptrs[-1][-1])
+        neighbors.append(nb)
+    return np.concatenate(indptrs), np.concatenate(neighbors)
+
+
+def _finish(rng: XorShift64Star, table: InverseCdf, chosen: set, degree: int) -> set:
+    """Draw window positions into `chosen` until it holds `degree` of them."""
+    size = len(table)
+    while len(chosen) < degree:
+        # each deviate adds at most one position, so none is drawn past the degree
+        chosen.update(table.search(rng.next_u53s(degree - len(chosen))).tolist())
+        if size in chosen:  # fp roundoff at the top end counts as the last position
+            chosen.discard(size)
+            chosen.add(size - 1)
+    return chosen
+
+
+def _draw_alone(packet_ids, window_of, windows):
+    """Draw each packet of a small batch from its own scalar generator."""
+    indptr, neighbors = [0], []
+    for pid, w in zip(packet_ids.tolist(), window_of.tolist()):
+        start, table, degree_table = windows[w]
+        rng = packet_rng(pid)
+        degree = min(int(degree_table.search(rng.next_u53s(1))[0]) + 1, len(table))
+        neighbors.extend(start + j for j in sorted(_finish(rng, table, set(), degree)))
+        indptr.append(len(neighbors))
+    return np.array(indptr, dtype=np.int64), np.array(neighbors, dtype=np.int64)
+
+
+def _draw_pass(packet_ids, window_of, windows):
+    n = len(packet_ids)
+    if n <= _LOCKSTEP_MIN:
+        return _draw_alone(packet_ids, window_of, windows)
+    used, local = np.unique(window_of, return_inverse=True)
+    picked = [windows[w] for w in used]
+    starts = np.array([w[0] for w in picked], dtype=np.int64)
+    cdfs = _Tables([w[1] for w in picked])
+
+    state = packet_states(packet_ids)
+    size = cdfs.sizes[local]
+    degree = _Tables([w[2] for w in picked]).search(local, xorshift64star_next(state)) + 1
+    np.minimum(degree, size, out=degree)
+
+    # chosen[offset[i] + j]: packet i has drawn window position j
+    offset = np.cumsum(size) - size
+    chosen = np.zeros(int(offset[-1] + size[-1]), dtype=bool)
+    which, need, active = local, degree.copy(), np.arange(n)
+    act_size, act_offset = size, offset
+    while len(active) > _LOCKSTEP_MIN:
+        j = cdfs.search(which, xorshift64star_next(state))
+        pos = act_offset + np.minimum(j, act_size - 1)
+        fresh = ~chosen[pos]
+        chosen[pos[fresh]] = True
+        need -= fresh
+        going = need > 0
+        if not going.all():
+            state, which, need, active = state[going], which[going], need[going], active[going]
+            act_size, act_offset = act_size[going], act_offset[going]
+    for i in range(len(active)):  # the few left finish alone
+        lo, hi = int(act_offset[i]), int(act_offset[i] + act_size[i])
+        got = _finish(XorShift64Star(int(state[i])), cdfs.tables[which[i]],
+                      set(np.flatnonzero(chosen[lo:hi]).tolist()), int(degree[active[i]]))
+        chosen[lo + np.fromiter(got, dtype=np.intp, count=len(got))] = True
+
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degree, out=indptr[1:])
+    neighbors = np.flatnonzero(chosen) + np.repeat(starts[local] - offset, degree)
+    return indptr, neighbors
+
+
 def draw(packet_id: int, start_packet: int, window_cdf, dist: DegreeDistribution,
          slope_factor: float = 0.0) -> CodedPacketMeta:
-    """Draw the degree, then the distinct neighbors, from the packet-id seed.
+    """Draw one packet's degree and distinct neighbors from its packet-id seed.
 
     `window_cdf` is the cumulative per-packet sampling distribution over the
-    window (list of floats ending in 1.0). The degree is clamped to the
-    window size. Identical inputs give identical output on both ends.
+    window (floats ending in 1.0). A batch of one of draw_batch.
     """
-    rng = packet_rng(packet_id)
-    deg_cdf = dist.cdf
-    wsize = len(window_cdf)
-    d = bisect_right(deg_cdf, rng.next_float()) + 1
-    if d > wsize:
-        d = wsize
-    chosen = set()
-    while len(chosen) < d:
-        j = bisect_right(window_cdf, rng.next_float())
-        if j >= wsize:  # guard against fp roundoff at the top end
-            j = wsize - 1
-        chosen.add(start_packet + j)
-    return CodedPacketMeta(packet_id=packet_id, degree=d,
-                           neighbors=tuple(sorted(chosen)),
-                           start_packet=start_packet, window_packets=wsize,
+    table = InverseCdf(window_cdf)
+    indptr, neighbors = draw_batch([packet_id], [0], [(start_packet, table, dist.table)])
+    return CodedPacketMeta(packet_id=packet_id, degree=int(indptr[1]),
+                           neighbors=tuple(neighbors.tolist()),
+                           start_packet=start_packet, window_packets=len(table),
                            slope_factor=slope_factor)
 
 
-def uniform_cdf(window_packets: int) -> list[float]:
+def uniform_cdf(window_packets: int) -> np.ndarray:
     cdf = (np.arange(1, window_packets + 1) / window_packets)
     cdf[-1] = 1.0
-    return cdf.tolist()
+    return cdf
+
+
+#: Neighbor rows gathered at once by xor_payloads.
+_XOR_ROWS = 256
+
+
+def xor_payloads(indptr, neighbors, buffer: np.ndarray) -> np.ndarray:
+    """XOR payload of every packet of a CSR batch, one row per packet.
+
+    Packet i XORs the native packets (1-based numbers) in
+    neighbors[indptr[i]:indptr[i + 1]] of a (k, P) uint8 buffer. Rows are
+    gathered about _XOR_ROWS at a time, so memory stays bounded.
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    idx = np.asarray(neighbors, dtype=np.intp) - 1
+    if np.any(idx < 0) or np.any(idx >= buffer.shape[0]):
+        raise ValueError("neighbor outside the native packet buffer")
+    n = len(indptr) - 1
+    if np.any(indptr[1:] <= indptr[:-1]):
+        raise ValueError("every packet needs at least one neighbor")
+    out = np.empty((n, buffer.shape[1]), dtype=np.uint8)
+    a = 0
+    while a < n:
+        b = max(int(np.searchsorted(indptr, indptr[a] + _XOR_ROWS, side="right")) - 1, a + 1)
+        lo = indptr[a]
+        out[a:b] = np.bitwise_xor.reduceat(buffer[idx[lo:indptr[b]]], indptr[a:b] - lo, axis=0)
+        a = b
+    return out
 
 
 def xor_payload(neighbors, buffer: np.ndarray) -> np.ndarray:
     """XOR of the native packets (1-based numbers) in a (k, P) uint8 buffer."""
-    idx = np.asarray(neighbors, dtype=np.intp) - 1
-    if np.any(idx < 0) or np.any(idx >= buffer.shape[0]):
-        raise ValueError("neighbor outside the native packet buffer")
-    return np.bitwise_xor.reduce(buffer[idx], axis=0)
+    return xor_payloads([0, len(neighbors)], neighbors, buffer)[0]
 
 
 class DecoderState:
@@ -158,33 +317,40 @@ class DecoderState:
                 if self._decoded[p] and p not in self.pseudo]
 
     def ingest(self, meta: CodedPacketMeta, payload: np.ndarray | None = None) -> list[int]:
-        """Absorb one coded packet; returns every native packet it released.
+        """Absorb one coded packet; returns every native packet it released."""
+        return self.ingest_packet(meta.packet_id, meta.neighbors, payload)
+
+    def ingest_packet(self, packet_id: int, neighbors, payload: np.ndarray | None = None) -> list[int]:
+        """Absorb the coded packet `packet_id` with the given neighbor numbers.
 
         Duplicate PacketIDs and packets carrying no new information are
-        ignored. Payloads may be omitted in structure-only simulations.
+        ignored. Payloads may be omitted in structure-only simulations. A
+        neighbor outside 1..total_packets raises ProtocolError before the
+        PacketID is recorded, so a later valid packet with it still counts.
         """
-        if meta.packet_id in self._seen:
+        if packet_id in self._seen:
             return []
-        self._seen.add(meta.packet_id)
+        if neighbors and (min(neighbors) < 1 or max(neighbors) > self.total_packets):
+            raise ProtocolError(f"packet {packet_id} names a neighbor outside 1..{self.total_packets}")
+        self._seen.add(packet_id)
 
-        residual = None if payload is None else np.array(payload, dtype=np.uint8)
-        unknown = set()
-        for n in meta.neighbors:
-            if self._decoded[n]:
-                if residual is not None:
-                    known = self._payloads.get(n)
-                    if known is not None:
-                        np.bitwise_xor(residual, known, out=residual)
-            else:
-                unknown.add(n)
+        decoded = self._decoded
+        residual = None
+        unknown = {n for n in neighbors if not decoded[n]}
+        if payload is not None:
+            residual = np.array(payload, dtype=np.uint8)
+            for n in neighbors:
+                known = self._payloads.get(n) if decoded[n] else None
+                if known is not None:
+                    np.bitwise_xor(residual, known, out=residual)
         if not unknown:
             return []
         if len(unknown) == 1:
             return self._cascade(unknown.pop(), residual)
         entry = {"neighbors": unknown, "payload": residual}
-        self._pending[meta.packet_id] = entry
+        self._pending[packet_id] = entry
         for n in unknown:
-            self._waiting.setdefault(n, []).append(meta.packet_id)
+            self._waiting.setdefault(n, []).append(packet_id)
         return []
 
     def _cascade(self, packet: int, payload: np.ndarray | None) -> list[int]:

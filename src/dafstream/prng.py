@@ -46,10 +46,34 @@ class XorShift64Star:
         """Uniform in [0, 1) with 53 bits of precision."""
         return (self.next_u64() >> 11) * _INV_2_53
 
+    def next_u53s(self, n: int) -> np.ndarray:
+        """The next n deviates as 53-bit integers m (next_float() is m * 2**-53)."""
+        return np.array([self.next_u64() >> 11 for _ in range(n)], dtype=np.uint64)
+
 
 def packet_rng(packet_id: int) -> XorShift64Star:
     """The generator both ends use for a given coded packet."""
     return XorShift64Star(packet_id ^ PACKET_SEED_SALT)
+
+
+def packet_states(packet_ids) -> np.ndarray:
+    """Vectorized packet_rng: the seeded xorshift64* state of each packet."""
+    states = np.asarray(packet_ids, dtype=np.uint64) ^ np.uint64(PACKET_SEED_SALT)
+    states[states == 0] = np.uint64(PACKET_SEED_SALT)
+    return states
+
+
+def xorshift64star_next(states: np.ndarray) -> np.ndarray:
+    """Advance every uint64 state in place by one step.
+
+    Returns the top 53 bits of each output (next_u64() >> 11), so the
+    uniform deviate of next_float() is the result times 2**-53.
+    """
+    with np.errstate(over="ignore"):
+        states ^= states >> np.uint64(12)
+        states ^= states << np.uint64(25)
+        states ^= states >> np.uint64(27)
+        return (states * np.uint64(_XS_MULT)) >> np.uint64(11)
 
 
 def splitmix64(x: int) -> int:

@@ -13,9 +13,11 @@ A datagram is the header followed by exactly P payload bytes.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ProtocolError
 
@@ -24,9 +26,50 @@ _HEAD = struct.Struct(">IHf")
 _TAIL = struct.Struct(">H")
 MAX_PACKET_ID = (1 << 24) - 1
 
+#: The header as a packed big-endian record; PacketID is three raw bytes.
+HEADER_DTYPE = np.dtype([("start_packet", ">u4"), ("window_packets", ">u2"),
+                         ("slope_factor", ">f4"), ("packet_id", "u1", (3,)),
+                         ("payload_bytes", ">u2")])
 
-def _to_f32(x: float) -> float:
-    return struct.unpack(">f", struct.pack(">f", x))[0]
+
+def to_f32(x):
+    """x rounded to float32, as SlopeF carries it, returned as float64.
+
+    Works on scalars and arrays alike. Values beyond the float32 range
+    become +-inf, which check_fields rejects.
+    """
+    with np.errstate(over="ignore"):
+        return np.asarray(x, dtype=np.float64).astype(">f4").astype(np.float64)
+
+
+def _reject(bad: np.ndarray, values, message: str):
+    if np.any(bad):
+        value = np.asarray(values)[bad].flat[0]
+        raise ProtocolError(message.format(value))
+
+
+def check_fields(start_packet, window_packets, slope_factor, packet_id, payload_bytes):
+    """Range-check header fields, scalars or equal-length arrays.
+
+    Returns SlopeF at float32 precision (NaN and values outside [-1, 1]
+    after truncation are rejected). Every header, single or batched, is
+    checked here.
+    """
+    start_packet = np.asarray(start_packet)
+    window_packets = np.asarray(window_packets)
+    packet_id = np.asarray(packet_id)
+    payload_bytes = np.asarray(payload_bytes)
+    _reject((start_packet < 1) | (start_packet > 0xFFFFFFFF), start_packet,
+            "StartP {} outside 1..2^32-1")
+    _reject((window_packets < 1) | (window_packets > 0xFFFF), window_packets,
+            "WSize {} outside 1..65535")
+    _reject((packet_id < 0) | (packet_id > MAX_PACKET_ID), packet_id,
+            "PacketID {} outside 0..2^24-1")
+    _reject((payload_bytes < 1) | (payload_bytes > 0xFFFF), payload_bytes,
+            "P {} outside 1..65535")
+    slope = to_f32(slope_factor)
+    _reject(~((slope >= -1.0) & (slope <= 1.0)), slope_factor, "SlopeF {} outside [-1, 1]")
+    return slope
 
 
 @dataclass(frozen=True)
@@ -38,18 +81,9 @@ class DafHeader:
     payload_bytes: int     # P
 
     def __post_init__(self):
-        if not 1 <= self.start_packet <= 0xFFFFFFFF:
-            raise ProtocolError(f"StartP {self.start_packet} outside 1..2^32-1")
-        if not 1 <= self.window_packets <= 0xFFFF:
-            raise ProtocolError(f"WSize {self.window_packets} outside 1..65535")
-        if not 0 <= self.packet_id <= MAX_PACKET_ID:
-            raise ProtocolError(f"PacketID {self.packet_id} outside 0..2^24-1")
-        if not 1 <= self.payload_bytes <= 0xFFFF:
-            raise ProtocolError(f"P {self.payload_bytes} outside 1..65535")
-        slope = _to_f32(float(self.slope_factor))
-        if math.isnan(slope) or not -1.0 <= slope <= 1.0:
-            raise ProtocolError(f"SlopeF {self.slope_factor} outside [-1, 1]")
-        object.__setattr__(self, "slope_factor", slope)
+        slope = check_fields(self.start_packet, self.window_packets, float(self.slope_factor),
+                             self.packet_id, self.payload_bytes)
+        object.__setattr__(self, "slope_factor", float(slope))
 
 
 def encode_header(header: DafHeader) -> bytes:
@@ -84,6 +118,70 @@ def decode_packet(datagram: bytes) -> tuple[DafHeader, bytes]:
         raise ProtocolError(
             f"framing error: {len(payload)} payload bytes, header says {header.payload_bytes}")
     return header, payload
+
+
+class Datagrams(NamedTuple):
+    """Header fields and payloads of a run of datagrams, one row each."""
+
+    start_packet: np.ndarray
+    window_packets: np.ndarray
+    slope_factor: np.ndarray   # float64 holding float32 values
+    packet_id: np.ndarray
+    payload_bytes: int
+    payload: np.ndarray        # (n, P) uint8
+
+
+def _datagram_dtype(payload_bytes: int) -> np.dtype:
+    return np.dtype([("header", HEADER_DTYPE), ("payload", "u1", (payload_bytes,))])
+
+
+def encode_datagrams(start_packet, window_packets, slope_factor, packet_id,
+                     payload_bytes: int, payload: np.ndarray | None = None) -> bytearray:
+    """Encode n datagrams back to back, each the header and P payload bytes.
+
+    Header fields are equal-length arrays; `payload` is (n, P) uint8, or
+    None for all-zero payloads. The records are written straight into the
+    returned buffer.
+    """
+    packet_id = np.asarray(packet_id, dtype=np.int64)
+    slope = check_fields(start_packet, window_packets, slope_factor, packet_id, payload_bytes)
+    dtype = _datagram_dtype(payload_bytes)
+    data = bytearray(len(packet_id) * dtype.itemsize)
+    rec = np.frombuffer(data, dtype=dtype)
+    head = rec["header"]
+    head["start_packet"] = start_packet
+    head["window_packets"] = window_packets
+    head["slope_factor"] = slope
+    head["packet_id"] = packet_id.astype(">u4").view(np.uint8).reshape(-1, 4)[:, 1:]
+    head["payload_bytes"] = payload_bytes
+    if payload is not None:
+        if payload.shape != (len(packet_id), payload_bytes):
+            raise ProtocolError(f"payload rows are {payload.shape}, need ({len(packet_id)}, {payload_bytes})")
+        rec["payload"] = payload
+    return data
+
+
+def decode_datagrams(data, payload_bytes: int) -> Datagrams:
+    """Decode back-to-back datagrams that each carry `payload_bytes` bytes.
+
+    The fields are checked as arrays by the same check_fields as DafHeader;
+    a datagram whose P differs from `payload_bytes` is a framing error.
+    """
+    dtype = _datagram_dtype(payload_bytes)
+    if len(data) % dtype.itemsize:
+        raise ProtocolError(f"framing error: {len(data)} bytes is not a whole number "
+                            f"of {dtype.itemsize}-byte datagrams")
+    rec = np.frombuffer(data, dtype=dtype)
+    head = rec["header"]
+    pid = head["packet_id"].astype(np.int64)
+    packet_id = (pid[:, 0] << 16) | (pid[:, 1] << 8) | pid[:, 2]
+    start = head["start_packet"].astype(np.int64)
+    wsize = head["window_packets"].astype(np.int64)
+    size = head["payload_bytes"].astype(np.int64)
+    slope = check_fields(start, wsize, head["slope_factor"], packet_id, size)
+    _reject(size != payload_bytes, size,
+            f"framing error: header says P={{}}, datagram carries {payload_bytes}")
+    return Datagrams(start, wsize, slope, packet_id, payload_bytes, rec["payload"])
 
 
 #: Committed reference vector; must never change across releases.

@@ -8,11 +8,13 @@ accumulate so the long-run send rate is exactly the configured data rate.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import ConfigError
+from .protocol import to_f32
 from .trace import FrameIndex, VideoTrace
 
 
@@ -151,12 +153,15 @@ class WindowSchedule:
     mode: Mode
     entries: tuple[ScheduleEntry, ...]
 
-    def last_covering_entry(self, num_frames: int) -> list[int]:
-        """For each frame (1-based), the index of the last entry touching it."""
-        last = [0] * (num_frames + 1)
-        for e in self.entries:
-            for t in range(e.start_frame, e.end_frame + 1):
-                last[t] = e.index
+    def last_covering_entry(self, num_frames: int) -> np.ndarray:
+        """For each frame (1-based), the index of the last entry touching it
+        (0 if none does)."""
+        first = np.array([e.start_frame for e in self.entries], dtype=np.int64)
+        span = np.array([e.end_frame for e in self.entries], dtype=np.int64) - first + 1
+        index = np.array([e.index for e in self.entries], dtype=np.int64)
+        frames = np.arange(int(span.sum())) + np.repeat(first - (np.cumsum(span) - span), span)
+        last = np.zeros(num_frames + 1, dtype=np.int64)
+        np.maximum.at(last, frames, np.repeat(index, span))
         return last
 
     def covering_counts(self, num_frames: int) -> list[int]:
@@ -186,15 +191,14 @@ def build_schedule(params: CodingParams, trace: VideoTrace,
     else:
         starts = list(range(1, T - W + 2, step))
 
+    wire_slopes = [] if slopes is None else to_f32(slopes).tolist()
     entries = []
     prev_cum = 0
     for m, f in enumerate(starts, start=1):
         cum = min(math.floor(m * params.coded_per_step), N)
         if m == len(starts):
             cum = N
-        slope = 0.0
-        if slopes is not None and m <= len(slopes):
-            slope = _f32(float(slopes[m - 1]))
+        slope = wire_slopes[m - 1] if m <= len(wire_slopes) else 0.0
 
         if params.mode is Mode.EXPAND:
             block_start = ((f - 1) // W) * W + 1
@@ -239,8 +243,3 @@ def wcp_packets(params: CodingParams, trace: VideoTrace) -> frozenset:
         first = index.first_packet(t)
         pkts.update(range(first, first + trace.packets_per_frame[t - 1]))
     return frozenset(pkts)
-
-
-def _f32(x: float) -> float:
-    import struct
-    return struct.unpack(">f", struct.pack(">f", x))[0]

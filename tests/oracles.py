@@ -2,14 +2,18 @@
 
 Everything here evaluates the ASP objective by direct accumulation of
 per-window sampling distributions and searches by brute-force grids, so it
-shares no solver path with the package's optimizers.
+shares no solver path with the package's optimizers. `draw_oracle` is the
+packet draw exactly as PROTOCOL.md states it, one packet and one deviate at
+a time, for checking the package's batch draw.
 """
 
 import itertools
 import math
+from bisect import bisect_right
 
 import numpy as np
 
+from dafstream.prng import packet_rng
 from dafstream.sampling import slope_pdf
 
 
@@ -241,3 +245,28 @@ def in_time_oracle(trace, schedule, equations, known):
                        if first.get(p, math.inf) <= deadline[t])
         last += count
     return in_time
+
+
+def draw_oracle(packet_id, start_packet, window_cdf, degree_cdf):
+    """(degree, sorted neighbors) of one coded packet, by the rejection loop.
+
+    One generator per packet, seeded from the PacketID; one deviate inverted
+    through the degree CDF (clamped to the window size), then deviates
+    inverted through the window CDF, duplicates rejected, until the degree
+    is reached.
+    """
+    rng = packet_rng(packet_id)
+    wsize = len(window_cdf)
+    degree = min(bisect_right(degree_cdf, rng.next_float()) + 1, wsize)
+    chosen = set()
+    while len(chosen) < degree:
+        j = bisect_right(window_cdf, rng.next_float())
+        chosen.add(start_packet + min(j, wsize - 1))
+    return degree, tuple(sorted(chosen))
+
+
+def degree_cdf(dist):
+    """Cumulative robust-soliton distribution of a DegreeDistribution."""
+    cdf = np.cumsum(dist.pmf)
+    cdf[-1] = 1.0
+    return cdf.tolist()

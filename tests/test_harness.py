@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from dafstream.channel import ChannelModel
-from dafstream.errors import ConfigError
-from dafstream.harness import (CSV_HEADER, Metrics, SessionCodec,
+from dafstream.channel import ChannelModel, transmit_many
+from dafstream.errors import ConfigError, ProtocolError
+from dafstream.harness import (BLOCK, CSV_HEADER, Metrics, SessionCodec,
                                delay_to_frames, iter_coded_packets, report,
-                               rows_to_csv, run_session, summarize, sweep)
+                               rows_to_csv, run_session, session_slopes,
+                               summarize, sweep)
 from dafstream.ltcode import DecoderState
-from dafstream.protocol import decode_packet, encode_packet
+from dafstream.protocol import (DafHeader, decode_packet, encode_datagrams,
+                                encode_packet)
 from dafstream.trace import constant_trace, packetize, random_trace, sinusoidal_trace
 from dafstream.windowing import build_schedule, derive_params, wcp_packets
 
@@ -123,6 +125,84 @@ class TestEncoderDecoderAgreement:
         assert len(decoded) > 0.9 * (t.total_packets - len(wcp))
         for q in decoded:
             assert np.array_equal(dec.decoded_payload(q), buffer[q - 1]), q
+
+
+class TestDecoderSideCompositions:
+    def test_receiver_csr_equals_sender_csr_on_lossy_relay(self, workloads):
+        inp = workloads.build("relay-payload-300", workloads.DEFAULT_SEED)
+        t, p = inp.trace, inp.cells[0].params
+        sched = build_schedule(p, t, slopes=session_slopes(t, p))
+        sender = SessionCodec(t, p, sched)
+        receiver = SessionCodec(t, p)  # its own schedule, tables and caches
+        buffer = packetize(t, inp.payloads)
+        N = p.total_coded
+        delivered = transmit_many(inp.channel, np.arange(1, N + 1),
+                                  np.arange(1, N + 1) * p.send_interval_s(t))
+        assert 0.2 < delivered.mean() < 0.9
+        checked = 0
+        for first in range(1, N + 1, BLOCK):
+            last = min(first + BLOCK - 1, N)
+            pids, _, indptr, neighbors = sender.encode_block(first, last)
+            sent = delivered[first - 1:last]
+            rx, rx_indptr, rx_neighbors = receiver.receive(
+                sender.send(first, last, delivered, buffer))
+            assert rx.packet_id.tolist() == pids[sent].tolist()
+            rows = [neighbors[indptr[i]:indptr[i + 1]] for i in np.flatnonzero(sent)]
+            assert np.array_equal(np.diff(rx_indptr), [len(r) for r in rows])
+            assert np.array_equal(rx_neighbors, np.concatenate(rows) if rows
+                                  else np.zeros(0, dtype=np.int64))
+            for row, got in zip(rows, rx.payload):
+                assert np.array_equal(np.bitwise_xor.reduce(buffer[row - 1]), got)
+            checked += len(rows)
+        assert checked == int(delivered.sum())
+
+
+class TestHostileHeaders:
+    @pytest.fixture(scope="class")
+    def codec(self, workloads):
+        inp = workloads.build("readme-300", workloads.DEFAULT_SEED)
+        cell = next(c for c in inp.cells if c.mode == "DAF")
+        codec = SessionCodec(inp.trace, cell.params)
+        assert inp.trace.total_packets == 2934
+        return codec
+
+    def entry(self, codec):
+        return codec.schedule.entries[40]
+
+    def test_window_past_the_stream(self, codec):
+        with pytest.raises(ProtocolError, match="names no window"):
+            codec.meta_from_header(DafHeader(2934, 50, 0.0, 7, 1024))
+
+    def test_sloped_window_past_the_stream(self, codec):
+        with pytest.raises(ProtocolError, match="names no window"):
+            codec.meta_from_header(DafHeader(2939, 50, 0.5, 7, 1024))
+
+    def test_slope_must_be_the_entrys(self, codec):
+        e = self.entry(codec)
+        assert e.slope != 0.5
+        with pytest.raises(ProtocolError, match="SlopeF"):
+            codec.meta_from_header(DafHeader(e.start_packet, e.window_packets, 0.5, 7, 1024))
+        meta = codec.meta_from_header(DafHeader(e.start_packet, e.window_packets, e.slope, 7, 1024))
+        assert all(e.start_packet <= n < e.start_packet + e.window_packets
+                   for n in meta.neighbors)
+
+    def test_payload_size_must_be_the_sessions(self, codec):
+        e = self.entry(codec)
+        with pytest.raises(ProtocolError, match="P "):
+            codec.meta_from_header(DafHeader(e.start_packet, e.window_packets, e.slope, 7, 512))
+
+    def test_batch_decoder_rejects_before_drawing(self, codec):
+        e = self.entry(codec)
+        good = (e.start_packet, e.window_packets, e.slope)
+        for bad in (good, (2934, 50, 0.0), (2939, 50, 0.5)):
+            data = encode_datagrams([good[0], bad[0]], [good[1], bad[1]],
+                                    [good[2], bad[2]], [6, 7], 1024)
+            if bad is good:
+                rx, indptr, _ = codec.receive(data)
+                assert rx.packet_id.tolist() == [6, 7] and len(indptr) == 3
+            else:
+                with pytest.raises(ProtocolError):
+                    codec.receive(data)
 
 
 class TestSweep:

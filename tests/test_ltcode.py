@@ -3,10 +3,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dafstream.errors import ProtocolError
 from dafstream.ltcode import (CodedPacketMeta, DecoderState,
-                              DegreeDistribution, draw, robust_soliton,
-                              uniform_cdf, xor_payload)
+                              DegreeDistribution, InverseCdf, draw, draw_batch,
+                              robust_soliton, uniform_cdf, xor_payload,
+                              xor_payloads)
+from dafstream.protocol import MAX_PACKET_ID
+from dafstream.sampling import slope_pdf
+
+from oracles import degree_cdf, draw_oracle
 
 
 def degree_one_dist(window):
@@ -110,6 +118,78 @@ class TestDraw:
         assert hits > 1650
 
 
+def slope_cdf(counts, slope):
+    cdf = np.cumsum(slope_pdf(counts, slope))
+    cdf[-1] = 1.0
+    return cdf
+
+
+def assert_matches_oracle(packet_ids, window_of, windows):
+    """`windows` holds (start packet, window CDF array, DegreeDistribution)."""
+    tables = [(start, InverseCdf(cdf), dist.table) for start, cdf, dist in windows]
+    indptr, neighbors = draw_batch(packet_ids, window_of, tables)
+    assert len(indptr) == len(packet_ids) + 1
+    for i, (pid, w) in enumerate(zip(packet_ids, window_of)):
+        start, cdf, dist = windows[w]
+        want = draw_oracle(int(pid), start, cdf.tolist(), degree_cdf(dist))
+        got = neighbors[indptr[i]:indptr[i + 1]]
+        assert (int(indptr[i + 1] - indptr[i]), tuple(got.tolist())) == want, pid
+    return indptr, neighbors
+
+
+@st.composite
+def batches(data):
+    """Windows of 1..400 packets with extreme and random float32 slopes,
+    degree tables of the window's size or larger (degree clamped), and
+    sorted PacketIDs with gaps, up to more than two passes' worth."""
+    windows = []
+    for _ in range(data(st.integers(1, 5))):
+        wsize = data(st.integers(1, 400))
+        cuts = data(st.sets(st.integers(1, wsize - 1), max_size=min(wsize - 1, 6))) if wsize > 1 else set()
+        counts = np.diff([0, *sorted(cuts), wsize])
+        slope = data(st.one_of(st.sampled_from([-1.0, 0.0, 1.0]),
+                               st.floats(-1.0, 1.0, width=32)))
+        degree = robust_soliton(data(st.sampled_from([wsize, wsize + 7, 400])))
+        windows.append((data(st.integers(1, 1 << 31)), slope_cdf(counts, slope), degree))
+    n = data(st.integers(1, 1100))
+    rng = np.random.default_rng(data(st.integers(0, 2**32 - 1)))
+    pids = np.sort(rng.choice(MAX_PACKET_ID + 1, size=n, replace=False))
+    return pids, rng.integers(0, len(windows), size=n), windows
+
+
+class TestDrawBatch:
+    @given(batches())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_rejection_oracle(self, batch):
+        assert_matches_oracle(*batch)
+
+    def test_clamped_degree_draws_whole_window(self):
+        # degrees from a 400-packet table, windows of 3 packets
+        indptr, neighbors = assert_matches_oracle(
+            np.arange(1, 3001), np.zeros(3000, dtype=np.intp),
+            [(10, uniform_cdf(3), robust_soliton(400))])
+        full = np.flatnonzero(np.diff(indptr) == 3)
+        assert len(full) > 0
+        for i in full[:20]:
+            assert neighbors[indptr[i]:indptr[i + 1]].tolist() == [10, 11, 12]
+
+    def test_gapped_ids_span_passes_and_windows(self):
+        windows = [(1 + 50 * w, slope_cdf([20, 30, 50], s), robust_soliton(100))
+                   for w, s in enumerate((-1.0, 0.0, 0.37, 1.0))]
+        pids = np.arange(1, 4000, 3)
+        assert_matches_oracle(pids, pids % 4, windows)
+
+    def test_same_packet_same_neighbors_in_any_batch(self):
+        windows = [(1, InverseCdf(uniform_cdf(40)), robust_soliton(40).table)]
+        whole = draw_batch(np.arange(1, 1001), np.zeros(1000, dtype=np.intp), windows)
+        alone = draw_batch([500], [0], windows)
+        assert whole[1][whole[0][499]:whole[0][500]].tolist() == alone[1].tolist()
+
+    def test_empty_batch(self):
+        indptr, neighbors = draw_batch([], [], [])
+        assert indptr.tolist() == [0] and len(neighbors) == 0
+
+
 class TestXor:
     def make_buffer(self, k=5, P=32, seed=0):
         rng = np.random.default_rng(seed)
@@ -129,6 +209,19 @@ class TestXor:
         buf = self.make_buffer()
         with pytest.raises(ValueError):
             xor_payload([6], buf)
+
+    def test_batch_equals_row_by_row(self):
+        buf = self.make_buffer(k=40, P=8, seed=2)
+        rng = np.random.default_rng(1)
+        degrees = rng.integers(1, 40, size=300)
+        indptr = np.concatenate(([0], np.cumsum(degrees)))
+        neighbors = rng.integers(1, 41, size=int(indptr[-1]))
+        got = xor_payloads(indptr, neighbors, buf)
+        for i in range(300):
+            row = np.zeros(8, dtype=np.uint8)
+            for n in neighbors[indptr[i]:indptr[i + 1]]:
+                row ^= buf[n - 1]
+            assert np.array_equal(got[i], row)
 
     def test_session_round_trip_reencodes_identically(self):
         buf = self.make_buffer(k=5, P=16, seed=3)
@@ -174,6 +267,16 @@ class TestDecoderState:
         assert dec.ingest(m) == [1]
         assert dec.ingest(meta(9, [2])) == []
         assert not dec.is_decoded(2)
+
+    def test_out_of_range_neighbor_rejected_before_recording(self):
+        dec = DecoderState(4)
+        with pytest.raises(ProtocolError):
+            dec.ingest(meta(7, [3, 5]))
+        with pytest.raises(ProtocolError):
+            dec.ingest(meta(7, [0, 2]))
+        assert not dec.is_decoded(2) and not dec.is_decoded(3)
+        # PacketID 7 was not recorded, so its valid copy still counts
+        assert dec.ingest(meta(7, [2])) == [2]
 
     def test_redundant_packet_absorbed(self):
         dec = DecoderState(3)

@@ -1,14 +1,18 @@
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dafstream.errors import ProtocolError
-from dafstream.protocol import (GOLDEN_BYTES, GOLDEN_HEADER, HEADER_LEN,
-                                DafHeader, decode_header, decode_packet,
-                                encode_header, encode_packet)
+from dafstream.harness import session_slopes
+from dafstream.protocol import (GOLDEN_BYTES, GOLDEN_HEADER, HEADER_DTYPE, HEADER_LEN,
+                                DafHeader, decode_datagrams, decode_header,
+                                decode_packet, encode_datagrams, encode_header,
+                                encode_packet, to_f32)
+from dafstream.windowing import build_schedule
 
 valid_headers = st.builds(
     DafHeader,
@@ -93,3 +97,85 @@ class TestErrors:
         raw[6:10] = struct.pack(">f", math.nan)
         with pytest.raises(ProtocolError, match="SlopeF"):
             decode_header(bytes(raw))
+
+
+def struct_f32(x):
+    return struct.unpack(">f", struct.pack(">f", x))[0]
+
+
+class TestFloat32:
+    def test_matches_struct_on_long_schedule(self, workloads):
+        inp = workloads.build("long-daf-1800", workloads.DEFAULT_SEED)
+        params = inp.cells[0].params
+        slopes = session_slopes(inp.trace, params)
+        schedule = build_schedule(params, inp.trace, slopes=slopes)
+        want = [struct_f32(float(a)) for a in slopes]
+        assert to_f32(slopes).tolist() == want
+        assert [e.slope for e in schedule.entries] == want
+        assert len(set(want)) > 100
+
+    def test_matches_struct_at_the_ends(self):
+        f32 = np.float32
+        values = [-1.0, 1.0]
+        for end in (f32(-1.0), f32(1.0)):
+            for toward in (f32(-2.0), f32(0.0), f32(2.0)):
+                values.append(float(np.nextafter(end, toward)))
+        # halfway between 1.0 and its float32 neighbours: ties round to even
+        values += [1.0 + 2.0 ** -24, 1.0 - 2.0 ** -25, -1.0 - 2.0 ** -24]
+        for x in values:
+            assert float(to_f32(x)) == struct_f32(x), x
+
+
+def sample_rows(n=40, P=8, seed=0):
+    rng = np.random.default_rng(seed)
+    return (rng.integers(1, 1 << 32, size=n), rng.integers(1, 1 << 16, size=n),
+            rng.uniform(-1, 1, size=n), rng.integers(0, 1 << 24, size=n),
+            rng.integers(0, 256, size=(n, P), dtype=np.uint8))
+
+
+class TestDatagrams:
+    def test_bytes_equal_packet_by_packet_encoding(self):
+        start, wsize, slope, pid, payload = sample_rows()
+        data = encode_datagrams(start, wsize, slope, pid, 8, payload)
+        expected = b"".join(
+            encode_packet(DafHeader(int(a), int(w), float(s), int(p), 8), row.tobytes())
+            for a, w, s, p, row in zip(start, wsize, slope, pid, payload))
+        assert data == expected
+
+    def test_round_trip(self):
+        start, wsize, slope, pid, payload = sample_rows(P=5)
+        rx = decode_datagrams(encode_datagrams(start, wsize, slope, pid, 5, payload), 5)
+        assert rx.start_packet.tolist() == start.tolist()
+        assert rx.window_packets.tolist() == wsize.tolist()
+        assert rx.slope_factor.tolist() == [struct_f32(x) for x in slope]
+        assert rx.packet_id.tolist() == pid.tolist()
+        assert np.array_equal(rx.payload, payload)
+
+    def test_zero_payloads_and_golden(self):
+        data = encode_datagrams([1], [1], [0.0], [1], 1024)
+        assert data == GOLDEN_BYTES + bytes(1024)
+        assert HEADER_DTYPE.itemsize == HEADER_LEN
+
+    def test_framing_errors(self):
+        data = encode_datagrams([1, 2], [1, 1], [0.0, 0.0], [1, 2], 4)
+        with pytest.raises(ProtocolError, match="framing"):
+            decode_datagrams(data[:-1], 4)
+        with pytest.raises(ProtocolError, match="framing"):
+            decode_datagrams(data, 3)
+        with pytest.raises(ProtocolError, match="framing"):
+            decode_datagrams(GOLDEN_BYTES + bytes(19), 4)  # header says P=1024
+
+    def test_fields_checked_as_arrays(self):
+        ok = bytearray(encode_datagrams([1, 2], [1, 1], [0.0, 0.0], [1, 2], 4))
+        bad = bytearray(ok)
+        bad[19 + 6:19 + 10] = struct.pack(">f", math.nan)
+        with pytest.raises(ProtocolError, match="SlopeF"):
+            decode_datagrams(bytes(bad), 4)
+        bad = bytearray(ok)
+        bad[19 + 4:19 + 6] = bytes(2)
+        with pytest.raises(ProtocolError, match="WSize"):
+            decode_datagrams(bytes(bad), 4)
+        with pytest.raises(ProtocolError, match="StartP"):
+            encode_datagrams([0], [1], [0.0], [1], 4)
+        with pytest.raises(ProtocolError, match="PacketID"):
+            encode_datagrams([1], [1], [0.0], [1 << 24], 4)
