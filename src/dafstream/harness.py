@@ -2,13 +2,13 @@
 
 A session walks the window schedule at a constant data rate (coded packet n
 leaves at n * P / R seconds) and pushes every packet through the erasure
-channel. It runs in blocks of BLOCK coded packets: the encoder draws the
-block's compositions, the delivered ones cross the wire as datagram bytes,
-and the decoder rebuilds their compositions from the received headers alone
-before peeling them in PacketID order. A native packet decoded by the send
-time of the last coded packet of the last window covering its frame counts
-as in-time; decoded ever, toward the file ratio. Warm-up/cool-down padding
-is excluded from both.
+channel. It runs in blocks of BLOCK coded packets: the delivered ones cross
+the wire as datagram bytes (the encoder draws their compositions only to XOR
+real payloads), and the decoder rebuilds their compositions from the
+received headers alone before peeling the block in PacketID order. A native
+packet decoded by the send time of the last coded packet of the last window
+covering its frame counts as in-time; decoded ever, toward the file ratio.
+Warm-up/cool-down padding is excluded from both.
 """
 
 from __future__ import annotations
@@ -29,14 +29,17 @@ from .ltcode import (CodedPacketMeta, DecoderState, InverseCdf, draw, draw_batch
                      robust_soliton, uniform_cdf, xor_payload, xor_payloads)
 from .protocol import (DafHeader, Datagrams, decode_datagrams, decode_packet,
                        encode_datagrams, encode_packet)
-from .sampling import SlopePlan, optimize_slopes, slope_pdf
-from .trace import FrameIndex, VideoTrace, packetize
+from .sampling import SlopePlan, optimize_slopes, slope_density
+from .trace import VideoTrace, packetize
 from .windowing import (CodingParams, Mode, WindowSchedule, build_schedule,
                         derive_params, wcp_packets)
 
 #: Coded packets per block of a session. Bounds the datagram bytes, XOR rows
 #: and draw bitmaps held at once.
 BLOCK = 512
+
+#: Cells per row block of SessionCodec._build_cdf; bounds its temporaries.
+TABLE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -62,8 +65,6 @@ class SessionCodec:
                  schedule: WindowSchedule | None = None):
         self.trace = trace
         self.params = params
-        self.index = FrameIndex(trace)
-        self._frame_cum = np.concatenate(([0], np.cumsum(trace.packets_per_frame)))
         if schedule is None:
             schedule = build_schedule(params, trace, slopes=session_slopes(trace, params))
         self.schedule = schedule
@@ -76,55 +77,76 @@ class SessionCodec:
         self._order = np.argsort(key, kind="stable")
         self._keys = key[self._order]
         # draw_batch inputs per entry: (StartP, window table, degree table)
-        self.windows = [(e.start_packet, self._build_cdf(e.start_packet, e.window_packets, e.slope),
-                         robust_soliton(e.window_packets).table) for e in entries]
+        self.windows = [(start, table, robust_soliton(size).table) for start, size, table
+                        in zip(self.start.tolist(), self.wsize.tolist(), self._build_cdf())]
 
-    def _build_cdf(self, start_packet: int, window_packets: int, slope: float) -> InverseCdf:
-        if slope == 0.0:
-            return InverseCdf(uniform_cdf(window_packets))
-        # packets per group of `step` frames from the window's first frame on
-        start_frame = self.index.frame_of(start_packet)
-        T = self.trace.num_frames
-        ends = np.minimum(np.arange(start_frame + self.params.step_frames - 1,
-                                    T + self.params.step_frames, self.params.step_frames), T)
-        before = self._frame_cum[start_frame - 1]
-        cum = self._frame_cum[ends] - before
-        groups = int(np.searchsorted(cum, window_packets)) + 1
-        if groups > len(cum):
-            raise ValueError(f"window of {window_packets} packets runs past the trace")
-        if cum[groups - 1] != window_packets:
-            raise ValueError("window does not end on a step boundary")
-        pdf = slope_pdf(np.diff(cum[:groups], prepend=0), slope)
-        cdf = np.cumsum(pdf)
-        cdf[-1] = 1.0
-        return InverseCdf(cdf)
+    def _build_cdf(self) -> list[InverseCdf]:
+        """Window table of every schedule entry, built in one pass.
+
+        Entries of slope 0 share one uniform table per WSize. A sloped
+        window is cut into groups of `step` frames from its first frame, and
+        a packet's probability depends on its group's midpoint; windows
+        start and end on group boundaries, so each packet's group midpoint
+        is found once for the whole trace. Sloped tables are built in row
+        blocks of at most TABLE_BLOCK cells, sorted by WSize so rows pad
+        little, and each row is summed in order along its axis, as np.cumsum
+        sums one window.
+        """
+        sizes, slopes = self.wsize.tolist(), self.slope.tolist()
+        uniform = {w: InverseCdf(uniform_cdf(w))
+                   for w, f in zip(sizes, slopes) if f == 0.0}
+        tables = [uniform[w] if f == 0.0 else None for w, f in zip(sizes, slopes)]
+        sloped = np.flatnonzero(self.slope != 0.0)
+        if not len(sloped):
+            return tables
+        if not np.all(np.abs(self.slope[sloped]) <= 1.0):
+            raise ValueError("slope factor outside [-1, 1]")
+        first, size = self.start[sloped], self.wsize[sloped]
+        k, T, step = self.trace.total_packets, self.trace.num_frames, self.params.step_frames
+        if np.any(first + size - 1 > k):
+            raise ValueError("window runs past the trace")
+        # packets through the end of each packet's group, and the group's size
+        last_frame = np.minimum(np.arange(step, T + step, step), T)
+        ends = np.cumsum(self.trace.packets_per_frame)[last_frame - 1]
+        group = np.diff(ends, prepend=0)
+        end = np.repeat(ends, group)
+        if np.any(end[first + size - 2] != first + size - 1) or np.any(
+                (first > 1) & (end[first - 2] != first - 1)):
+            raise ValueError("window does not start and end on step boundaries")
+        mid = end - np.repeat(group, group) / 2.0
+        order = np.argsort(size, kind="stable")
+        rows = max(1, TABLE_BLOCK // int(size.max()))
+        for a in range(0, len(order), rows):
+            pick = order[a:a + rows]
+            start, n = first[pick][:, None], size[pick]
+            packet = np.minimum(start + np.arange(n[-1]), k)
+            # a group's midpoint measured from the window's first packet
+            pdf = slope_density(mid[packet - 1] - (start - 1), n[:, None].astype(np.float64),
+                                self.slope[sloped[pick]][:, None])
+            cdf = np.add.accumulate(pdf, axis=1)
+            cdf[np.arange(len(n)), n - 1] = 1.0
+            for e, table in zip(sloped[pick].tolist(), InverseCdf.rows(cdf, n)):
+                tables[e] = table
+        return tables
 
     # -- encoder ----------------------------------------------------------
-
-    def encode_block(self, first: int, last: int):
-        """Draw coded packets first..last: (packet ids, 0-based schedule entry
-        of each, CSR indptr, neighbors)."""
-        pids = np.arange(first, last + 1, dtype=np.int64)
-        entry = np.searchsorted(self.cum_sent, pids)
-        indptr, neighbors = draw_batch(pids, entry, self.windows)
-        return pids, entry, indptr, neighbors
 
     def send(self, first: int, last: int, delivered: np.ndarray,
              buffer: np.ndarray | None = None) -> bytearray:
         """Datagram bytes of the packets among first..last that the channel
-        delivers (`delivered` is the session's per-packet mask)."""
-        pids, entry, indptr, neighbors = self.encode_block(first, last)
-        sent = delivered[first - 1:last]
+        delivers (`delivered` is the session's per-packet mask).
+
+        Only a payload buffer needs compositions, for the XOR, so only then
+        are the delivered packets drawn; a packet's composition does not
+        depend on the rest of its batch.
+        """
+        pids = first + np.flatnonzero(delivered[first - 1:last])
+        entry = np.searchsorted(self.cum_sent, pids)
         payload = None
         if buffer is not None:
-            degree = np.diff(indptr)[sent]
-            sent_indptr = np.zeros(len(degree) + 1, dtype=np.int64)
-            np.cumsum(degree, out=sent_indptr[1:])
-            sent_neighbors = neighbors[np.repeat(sent, np.diff(indptr))]
-            payload = xor_payloads(sent_indptr, sent_neighbors, buffer)
-        entry = entry[sent]
+            payload = xor_payloads(*draw_batch(pids, entry, self.windows), buffer)
         return encode_datagrams(self.start[entry], self.wsize[entry], self.slope[entry],
-                                pids[sent], self.trace.payload_bytes, payload)
+                                pids, self.trace.payload_bytes, payload)
 
     # -- decoder ----------------------------------------------------------
 
@@ -174,32 +196,6 @@ class SessionCodec:
                                start_packet=header.start_packet,
                                window_packets=header.window_packets,
                                slope_factor=header.slope_factor)
-
-
-def iter_coded_packets(trace: VideoTrace, params: CodingParams,
-                       schedule: WindowSchedule, buffer: np.ndarray | None = None,
-                       codec: SessionCodec | None = None):
-    """Yield (header, meta, payload) for every coded packet of a session."""
-    codec = codec or SessionCodec(trace, params, schedule)
-    if codec.schedule != schedule:
-        raise ValueError("codec was built for a different schedule")
-    P = trace.payload_bytes
-    total = schedule.entries[-1].cum_sent
-    for first in range(1, total + 1, BLOCK):
-        pids, entry, indptr, neighbors = codec.encode_block(first, min(first + BLOCK - 1, total))
-        payloads = None if buffer is None else xor_payloads(indptr, neighbors, buffer)
-        bounds = indptr.tolist()
-        for i, (pid, e) in enumerate(zip(pids.tolist(), entry.tolist())):
-            header = DafHeader(start_packet=int(codec.start[e]),
-                               window_packets=int(codec.wsize[e]),
-                               slope_factor=float(codec.slope[e]), packet_id=pid,
-                               payload_bytes=P)
-            meta = CodedPacketMeta(packet_id=pid, degree=bounds[i + 1] - bounds[i],
-                                   neighbors=tuple(neighbors[bounds[i]:bounds[i + 1]].tolist()),
-                                   start_packet=header.start_packet,
-                                   window_packets=header.window_packets,
-                                   slope_factor=header.slope_factor)
-            yield header, meta, None if payloads is None else payloads[i]
 
 
 @lru_cache(maxsize=32)
@@ -283,13 +279,9 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
         # an honest trip through the wire format: only bytes cross
         data = codec.send(first, last, delivered, buffer)
         rx, indptr, neighbors = codec.receive(data)
-        bounds, flat = indptr.tolist(), neighbors.tolist()
-        rows = rx.payload if buffer is not None else None
-        for i, pid in enumerate(rx.packet_id.tolist()):
-            released = decoder.ingest_packet(pid, flat[bounds[i]:bounds[i + 1]],
-                                             None if rows is None else rows[i])
-            if released:
-                decode_time[released] = send_times[pid - 1]
+        released, by = decoder.ingest_block(rx.packet_id, indptr, neighbors,
+                                            rx.payload if buffer is not None else None)
+        decode_time[released] = send_times[rx.packet_id[by] - 1]
 
     frame_deadline = np.zeros(T + 1)
     # a frame no window touches (entry 0) takes the last entry's deadline

@@ -103,6 +103,16 @@ class InverseCdf:
         scaled = np.ceil(np.asarray(cdf, dtype=np.float64) * _TWO53)
         self.keys = np.clip(scaled, 0.0, _TWO53).astype(np.uint64)
 
+    @classmethod
+    def rows(cls, cdf, sizes) -> list["InverseCdf"]:
+        """One table per row of a 2-D array of CDFs, row r cut to sizes[r]."""
+        tables = []
+        for keys, size in zip(cls(cdf).keys, sizes.tolist()):
+            table = cls.__new__(cls)
+            table.keys = keys[:size]
+            tables.append(table)
+        return tables
+
     def __len__(self) -> int:
         return len(self.keys)
 
@@ -253,7 +263,8 @@ def xor_payloads(indptr, neighbors, buffer: np.ndarray) -> np.ndarray:
 
     Packet i XORs the native packets (1-based numbers) in
     neighbors[indptr[i]:indptr[i + 1]] of a (k, P) uint8 buffer. Rows are
-    gathered about _XOR_ROWS at a time, so memory stays bounded.
+    gathered about _XOR_ROWS at a time, so memory stays bounded, and XORed
+    as the widest unsigned words that tile P bytes.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     idx = np.asarray(neighbors, dtype=np.intp) - 1
@@ -262,14 +273,16 @@ def xor_payloads(indptr, neighbors, buffer: np.ndarray) -> np.ndarray:
     n = len(indptr) - 1
     if np.any(indptr[1:] <= indptr[:-1]):
         raise ValueError("every packet needs at least one neighbor")
-    out = np.empty((n, buffer.shape[1]), dtype=np.uint8)
+    word = next(w for w in (8, 4, 2, 1) if buffer.shape[1] % w == 0)
+    words = np.ascontiguousarray(buffer, dtype=np.uint8).view(f"u{word}")
+    out = np.empty((n, words.shape[1]), dtype=words.dtype)
     a = 0
     while a < n:
         b = max(int(np.searchsorted(indptr, indptr[a] + _XOR_ROWS, side="right")) - 1, a + 1)
         lo = indptr[a]
-        out[a:b] = np.bitwise_xor.reduceat(buffer[idx[lo:indptr[b]]], indptr[a:b] - lo, axis=0)
+        out[a:b] = np.bitwise_xor.reduceat(words[idx[lo:indptr[b]]], indptr[a:b] - lo, axis=0)
         a = b
-    return out
+    return out.view(np.uint8)
 
 
 def xor_payload(neighbors, buffer: np.ndarray) -> np.ndarray:
@@ -278,7 +291,15 @@ def xor_payload(neighbors, buffer: np.ndarray) -> np.ndarray:
 
 
 class DecoderState:
-    """Belief-propagation (peeling) decoder over one session.
+    """Belief-propagation (peeling) decoder over one session, as counters.
+
+    A received coded packet is an equation over its neighbors. While it
+    pends it is two integers: how many of its neighbors are still unknown
+    and the sum of their numbers, so once one is left the sum names it.
+    Each native packet has a list of the equations waiting on it; releasing
+    it updates them (the ripple). A decoder that holds payloads also keeps a
+    residual row per pending equation: its payload XOR every neighbor known
+    so far.
 
     Packets listed in `pseudo_decoded` (the warm-up/cool-down padding) start
     out decoded with all-zero content; they help the ripple but are reported
@@ -290,9 +311,13 @@ class DecoderState:
         self.payload_bytes = payload_bytes
         self.pseudo = frozenset(pseudo_decoded)
         self._decoded = bytearray(total_packets + 1)
-        self._payloads: dict[int, np.ndarray | None] = {}
-        self._pending: dict[int, dict] = {}
-        self._waiting: dict[int, list[int]] = {}
+        self._known = np.frombuffer(self._decoded, dtype=np.uint8)  # same memory
+        self._values = (None if payload_bytes is None
+                        else np.zeros((total_packets + 1, payload_bytes), dtype=np.uint8))
+        self._count: list[int] = []        # per equation: unknown neighbors left
+        self._sum: list[int] = []          # per equation: sum of their numbers
+        self._residual: list = []          # per equation: residual row, or None
+        self._waiting = [[] for _ in range(total_packets + 1)]  # equations per native
         self._seen: set[int] = set()
         for p in self.pseudo:
             if not 1 <= p <= total_packets:
@@ -306,73 +331,120 @@ class DecoderState:
         """Recovered bytes; zeros for pseudo-decoded packets."""
         if not self._decoded[packet]:
             raise KeyError(f"packet {packet} not decoded")
-        got = self._payloads.get(packet)
-        if got is None and self.payload_bytes is not None:
-            return np.zeros(self.payload_bytes, dtype=np.uint8)
-        return got
+        return None if self._values is None else self._values[packet].copy()
 
     def decoded_packets(self) -> list[int]:
         """All decoded packet numbers excluding the pseudo-decoded padding."""
-        return [p for p in range(1, self.total_packets + 1)
-                if self._decoded[p] and p not in self.pseudo]
+        return [p for p in np.flatnonzero(self._known).tolist() if p not in self.pseudo]
 
     def ingest(self, meta: CodedPacketMeta, payload: np.ndarray | None = None) -> list[int]:
         """Absorb one coded packet; returns every native packet it released."""
         return self.ingest_packet(meta.packet_id, meta.neighbors, payload)
 
     def ingest_packet(self, packet_id: int, neighbors, payload: np.ndarray | None = None) -> list[int]:
-        """Absorb the coded packet `packet_id` with the given neighbor numbers.
+        """Absorb the coded packet `packet_id` with the given neighbor numbers:
+        a block of one of ingest_block. Returns the released packets, sorted."""
+        neighbors = np.asarray(neighbors, dtype=np.int64)
+        rows = None if payload is None else np.asarray(payload, dtype=np.uint8)[None]
+        released, _ = self.ingest_block([packet_id], [0, len(neighbors)], neighbors, rows)
+        return released.tolist()
 
+    def _check_block(self, packet_ids, indptr, neighbors, rows):
+        if (packet_ids.ndim != 1 or neighbors.ndim != 1
+                or indptr.shape != (len(packet_ids) + 1,) or indptr[0] != 0
+                or indptr[-1] != len(neighbors) or np.any(indptr[1:] < indptr[:-1])):
+            raise ProtocolError("malformed CSR block")
+        if len(neighbors) and (neighbors.min() < 1 or neighbors.max() > self.total_packets):
+            raise ProtocolError(f"a packet names a neighbor outside 1..{self.total_packets}")
+        # neighbors rise within a packet; where a packet starts they may fall
+        falls = np.diff(neighbors) <= 0
+        starts = indptr[1:-1]
+        falls[starts[(starts > 0) & (starts < len(neighbors))] - 1] = False
+        if np.any(falls):
+            raise ProtocolError("a packet's neighbors are not distinct and ascending")
+        if self._values is not None and (
+                rows is None or rows.shape != (len(packet_ids), self.payload_bytes)):
+            raise ProtocolError(f"need one {self.payload_bytes}-byte payload row per packet")
+
+    def ingest_block(self, packet_ids, indptr, neighbors, rows=None):
+        """Absorb a block of coded packets, in order, given as CSR arrays.
+
+        Packet i has PacketID packet_ids[i], the distinct ascending neighbor
+        numbers neighbors[indptr[i]:indptr[i + 1]] and, if the decoder holds
+        payloads, the payload rows[i] (otherwise rows is not read).
         Duplicate PacketIDs and packets carrying no new information are
-        ignored. Payloads may be omitted in structure-only simulations. A
-        neighbor outside 1..total_packets raises ProtocolError before the
-        PacketID is recorded, so a later valid packet with it still counts.
+        ignored. A malformed block, or one naming a neighbor outside
+        1..total_packets, raises ProtocolError before any of its PacketIDs
+        is recorded, so a later valid packet with one still counts.
+
+        Returns (released, by): every native packet released, in decode
+        order and sorted within each packet, and the block index of the
+        packet whose arrival released it.
         """
-        if packet_id in self._seen:
-            return []
-        if neighbors and (min(neighbors) < 1 or max(neighbors) > self.total_packets):
-            raise ProtocolError(f"packet {packet_id} names a neighbor outside 1..{self.total_packets}")
-        self._seen.add(packet_id)
+        packet_ids, indptr, neighbors = (np.asarray(a, dtype=np.int64)
+                                         for a in (packet_ids, indptr, neighbors))
+        rows = None if rows is None else np.asarray(rows, dtype=np.uint8)
+        self._check_block(packet_ids, indptr, neighbors, rows)
+        n, ids, seen = len(packet_ids), packet_ids.tolist(), self._seen
+        fresh = np.ones(n, dtype=bool)
+        if seen.isdisjoint(ids) and len(set(ids)) == n:
+            seen.update(ids)
+        else:  # only the first sighting of a PacketID counts
+            for i, pid in enumerate(ids):
+                fresh[i] = pid not in seen
+                seen.add(pid)
 
-        decoded = self._decoded
-        residual = None
-        unknown = {n for n in neighbors if not decoded[n]}
-        if payload is not None:
-            residual = np.array(payload, dtype=np.uint8)
-            for n in neighbors:
-                known = self._payloads.get(n) if decoded[n] else None
-                if known is not None:
-                    np.bitwise_xor(residual, known, out=residual)
-        if not unknown:
-            return []
-        if len(unknown) == 1:
-            return self._cascade(unknown.pop(), residual)
-        entry = {"neighbors": unknown, "payload": residual}
-        self._pending[packet_id] = entry
-        for n in unknown:
-            self._waiting.setdefault(n, []).append(packet_id)
-        return []
+        # equation base + i is packet i, over its neighbors unknown by now
+        base, degree = len(self._count), np.diff(indptr)
+        unknown = (self._known[neighbors] == 0) & np.repeat(fresh, degree)
+        count = np.diff(np.concatenate(([0], np.cumsum(unknown)))[indptr])
+        sums = np.diff(np.concatenate(([0], np.cumsum(np.where(unknown, neighbors, 0))))[indptr])
+        self._count += count.tolist()
+        self._sum += sums.tolist()
+        waiting, values = self._waiting, self._values
+        eq = np.repeat(np.arange(base, base + n), degree)[unknown]
+        for nat, e in zip(neighbors[unknown].tolist(), eq.tolist()):
+            waiting[nat].append(e)
+        live = np.flatnonzero(count > 0)
+        residual = [None] * n
+        if values is not None and len(live):
+            # unknown neighbors hold zeros, so XOR in every neighbor
+            live_ptr = np.concatenate(([0], np.cumsum(degree[live])))
+            live_rows = xor_payloads(live_ptr, neighbors[np.repeat(count > 0, degree)], values[1:])
+            live_rows ^= rows[live]
+            for i, row in zip(live.tolist(), live_rows):
+                residual[i] = row
+        self._residual += residual
 
-    def _cascade(self, packet: int, payload: np.ndarray | None) -> list[int]:
-        released = []
-        queue = [(packet, payload)]
-        while queue:
-            n, pl = queue.pop()
-            if self._decoded[n]:
+        cnt, tot, res, decoded = self._count, self._sum, self._residual, self._decoded
+        released, by = [], []
+        for i in range(n):
+            e = base + i
+            if cnt[e] != 1:
                 continue
-            self._decoded[n] = 1
-            if pl is not None:
-                self._payloads[n] = pl
-            released.append(n)
-            for pid in self._waiting.pop(n, []):
-                entry = self._pending.get(pid)
-                if entry is None or n not in entry["neighbors"]:
+            got = []
+            queue = [(tot[e], e)]
+            while queue:
+                nat, f = queue.pop()
+                row, res[f] = res[f], None
+                if decoded[nat]:
                     continue
-                entry["neighbors"].discard(n)
-                if entry["payload"] is not None and pl is not None:
-                    np.bitwise_xor(entry["payload"], pl, out=entry["payload"])
-                if len(entry["neighbors"]) == 1:
-                    del self._pending[pid]
-                    queue.append((entry["neighbors"].pop(), entry["payload"]))
-        released.sort()
-        return released
+                decoded[nat] = 1
+                got.append(nat)
+                if row is not None:
+                    values[nat] = row
+                for g in waiting[nat]:
+                    c = cnt[g] = cnt[g] - 1
+                    tot[g] -= nat
+                    if row is not None and res[g] is not None:
+                        res[g] ^= row
+                    if c == 1 and g <= e:  # g has arrived
+                        queue.append((tot[g], g))
+                waiting[nat] = None  # a known packet is never waited on again
+            got.sort()
+            released += got
+            by += [i] * len(got)
+        if values is not None:  # keep copies of the rows still pending only
+            for e in (base + live).tolist():
+                res[e] = res[e].copy() if cnt[e] > 1 else None
+        return np.array(released, dtype=np.int64), np.array(by, dtype=np.int64)

@@ -34,25 +34,29 @@ def slope_pdf(frame_packets, slope: float) -> np.ndarray:
     so packets of one frame share one probability. slope=0 is uniform,
     slope=1 tilts all the way toward the window's end.
     """
+    s, density = _frame_density(frame_packets, slope)
+    return np.repeat(density, s.astype(int))
+
+
+def slope_frame_probs(frame_packets, slope: float) -> np.ndarray:
+    """Per-frame sampling probabilities (packet probability times frame size)."""
+    s, density = _frame_density(frame_packets, slope)
+    return density * s
+
+
+def _frame_density(frame_packets, slope: float):
     if not -1.0 <= slope <= 1.0:
         raise ValueError(f"slope factor {slope} outside [-1, 1]")
     s = np.asarray(frame_packets, dtype=np.float64)
     if s.ndim != 1 or len(s) == 0 or np.any(s < 1):
         raise ValueError("frame_packets must be a non-empty sequence of counts >= 1")
-    w = s.sum()
-    cum = np.cumsum(s)
-    per_frame = (2.0 * slope / w**2) * (cum - s / 2.0) + (1.0 - slope) / w
-    return np.repeat(per_frame, s.astype(int))
+    return s, slope_density(np.cumsum(s) - s / 2.0, s.sum(), slope)
 
 
-def slope_frame_probs(frame_packets, slope: float) -> np.ndarray:
-    """Per-frame sampling probabilities (packet probability times frame size)."""
-    s = np.asarray(frame_packets, dtype=np.float64)
-    if not -1.0 <= slope <= 1.0:
-        raise ValueError(f"slope factor {slope} outside [-1, 1]")
-    w = s.sum()
-    cum = np.cumsum(s)
-    return ((2.0 * slope / w**2) * (cum - s / 2.0) + (1.0 - slope) / w) * s
+def slope_density(mid, w, slope):
+    """Sampling probability of a packet of a frame whose midpoint lies `mid`
+    packets into a window of `w` packets with tilt `slope` (broadcasts)."""
+    return (2.0 * slope / w**2) * mid + (1.0 - slope) / w
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -108,7 +109,8 @@ def load_trace(source, payload_bytes: int, frame_rate: float = 30.0,
                gop_size: int = 1) -> VideoTrace:
     """Parse a CSV trace ("frame,bytes,type" header, rows numbered from 1).
 
-    `source` may be a path, a text/byte stream, or the raw CSV bytes.
+    `source` may be a path (a str without a newline, or os.PathLike), a
+    text/byte stream, the raw CSV bytes, or CSV text (a str with a newline).
     """
     if payload_bytes < 1:
         raise ValueError("payload_bytes must be >= 1")
@@ -145,12 +147,17 @@ def load_trace(source, payload_bytes: int, frame_rate: float = 30.0,
 
 
 def _as_text(source) -> str:
+    """CSV text of a trace source.
+
+    bytes, and a str holding a newline or only blanks, are the content
+    itself; any other str or os.PathLike names a file; anything else is a
+    file object to read.
+    """
     if isinstance(source, bytes):
         return source.decode("utf-8")
-    if isinstance(source, str):
-        looks_like_content = "\n" in source or "," in source or not source.strip()
-        if looks_like_content:
-            return source
+    if isinstance(source, str) and ("\n" in source or not source.strip()):
+        return source
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
             return fh.read()
     data = source.read()

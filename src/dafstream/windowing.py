@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError
-from .protocol import to_f32
+from .protocol import MAX_PACKET_ID, to_f32
 from .trace import FrameIndex, VideoTrace
 
 
@@ -113,6 +113,9 @@ def derive_params(trace: VideoTrace, mode, delay_frames: int, step_frames: int =
     total = math.floor(num_steps * coded_per_step)
     if total < 1:
         raise ConfigError("configuration sends no coded packets")
+    if total > MAX_PACKET_ID:
+        raise ConfigError(f"configuration sends {total} coded packets; PacketID holds "
+                          f"at most {MAX_PACKET_ID}")
 
     fixed = None
     if mode is Mode.S_LT:

@@ -4,7 +4,11 @@ Everything here evaluates the ASP objective by direct accumulation of
 per-window sampling distributions and searches by brute-force grids, so it
 shares no solver path with the package's optimizers. `draw_oracle` is the
 packet draw exactly as PROTOCOL.md states it, one packet and one deviate at
-a time, for checking the package's batch draw.
+a time, for checking the package's batch draw. `peeling_oracle` is the
+peeling decoder kept as sets of unknown neighbors, one packet at a time, for
+checking the package's counter decoder. `iter_coded_packets` lists every
+coded packet a session's encoder would send, for checks that need all of
+them.
 """
 
 import itertools
@@ -13,7 +17,10 @@ from bisect import bisect_right
 
 import numpy as np
 
+from dafstream.harness import BLOCK, SessionCodec
+from dafstream.ltcode import CodedPacketMeta, draw_batch, xor_payloads
 from dafstream.prng import packet_rng
+from dafstream.protocol import DafHeader
 from dafstream.sampling import slope_pdf
 
 
@@ -270,3 +277,90 @@ def degree_cdf(dist):
     cdf = np.cumsum(dist.pmf)
     cdf[-1] = 1.0
     return cdf.tolist()
+
+
+def peeling_oracle(total_packets, packets, pseudo_decoded=(), payload_bytes=None):
+    """Peel coded packets one at a time, each pending equation a set.
+
+    `packets` holds (packet_id, neighbors, payload or None) in arrival
+    order. A repeated PacketID is ignored; padding in `pseudo_decoded` is
+    known zeros from the start. Returns (released, payloads): the sorted
+    native packets each packet released, and the recovered payload of every
+    released packet (when payloads are given).
+    """
+    known = set(pseudo_decoded)
+    payloads = {}
+    pending = {}     # packet id -> [unknown neighbors, residual payload]
+    waiting = {}     # native packet -> packet ids pending on it
+    seen = set()
+    released = []
+    for pid, neighbors, payload in packets:
+        got = []
+        released.append(got)
+        if pid in seen:
+            continue
+        seen.add(pid)
+        unknown = {n for n in neighbors if n not in known}
+        residual = None
+        if payload is not None:
+            residual = np.array(payload, dtype=np.uint8)
+            for n in neighbors:
+                if n in payloads:
+                    residual ^= payloads[n]
+        if len(unknown) > 1:
+            pending[pid] = [unknown, residual]
+            for n in unknown:
+                waiting.setdefault(n, []).append(pid)
+            continue
+        queue = [(unknown.pop(), residual)] if unknown else []
+        while queue:
+            n, row = queue.pop()
+            if n in known:
+                continue
+            known.add(n)
+            got.append(n)
+            if row is not None:
+                payloads[n] = row
+            for q in waiting.pop(n, []):
+                entry = pending.get(q)
+                if entry is None or n not in entry[0]:
+                    continue
+                entry[0].discard(n)
+                if entry[1] is not None and row is not None:
+                    entry[1] ^= row
+                if len(entry[0]) == 1:
+                    del pending[q]
+                    queue.append((entry[0].pop(), entry[1]))
+        got.sort()
+    return released, payloads
+
+
+def encode_block(codec, first, last):
+    """Draw every coded packet first..last of a session: (packet ids,
+    0-based schedule entry of each, CSR indptr, neighbors)."""
+    pids = np.arange(first, last + 1, dtype=np.int64)
+    entry = np.searchsorted(codec.cum_sent, pids)
+    return (pids, entry, *draw_batch(pids, entry, codec.windows))
+
+
+def iter_coded_packets(trace, params, schedule, buffer=None, codec=None):
+    """Yield (header, meta, payload) for every coded packet of a session."""
+    codec = codec or SessionCodec(trace, params, schedule)
+    if codec.schedule != schedule:
+        raise ValueError("codec was built for a different schedule")
+    total = schedule.entries[-1].cum_sent
+    for first in range(1, total + 1, BLOCK):
+        pids, entry, indptr, neighbors = encode_block(codec, first, min(first + BLOCK - 1, total))
+        payloads = None if buffer is None else xor_payloads(indptr, neighbors, buffer)
+        bounds = indptr.tolist()
+        for i, (pid, e) in enumerate(zip(pids.tolist(), entry.tolist())):
+            header = DafHeader(start_packet=int(codec.start[e]),
+                               window_packets=int(codec.wsize[e]),
+                               slope_factor=float(codec.slope[e]), packet_id=pid,
+                               payload_bytes=trace.payload_bytes)
+            meta = CodedPacketMeta(packet_id=pid, degree=bounds[i + 1] - bounds[i],
+                                   neighbors=tuple(neighbors[bounds[i]:bounds[i + 1]].tolist()),
+                                   start_packet=header.start_packet,
+                                   window_packets=header.window_packets,
+                                   slope_factor=header.slope_factor)
+            yield header, meta, None if payloads is None else payloads[i]

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from dafstream.channel import ChannelModel
-from dafstream.harness import (SessionCodec, delay_to_frames,
-                               iter_coded_packets, run_session,
+from dafstream.harness import (SessionCodec, delay_to_frames, run_session,
                                session_slopes)
 from dafstream.protocol import (GOLDEN_BYTES, GOLDEN_HEADER, DafHeader,
                                 decode_header, encode_header)
@@ -25,7 +24,7 @@ from dafstream.trace import (burst_trace, constant_trace, random_trace,
                              sinusoidal_trace)
 from dafstream.windowing import build_schedule, derive_params, wcp_packets
 
-from oracles import (direct_asp_from_slopes, in_time_oracle,
+from oracles import (direct_asp_from_slopes, in_time_oracle, iter_coded_packets,
                      perframe_grid_oracle, slope_grid_oracle)
 
 SEEDS = range(20)

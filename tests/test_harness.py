@@ -4,14 +4,16 @@ import pytest
 from dafstream.channel import ChannelModel, transmit_many
 from dafstream.errors import ConfigError, ProtocolError
 from dafstream.harness import (BLOCK, CSV_HEADER, Metrics, SessionCodec,
-                               delay_to_frames, iter_coded_packets, report,
-                               rows_to_csv, run_session, session_slopes,
-                               summarize, sweep)
-from dafstream.ltcode import DecoderState
+                               delay_to_frames, report, rows_to_csv, run_session,
+                               session_slopes, summarize, sweep)
+from dafstream.ltcode import DecoderState, InverseCdf, uniform_cdf
 from dafstream.protocol import (DafHeader, decode_packet, encode_datagrams,
                                 encode_packet)
+from dafstream.sampling import slope_pdf
 from dafstream.trace import constant_trace, packetize, random_trace, sinusoidal_trace
 from dafstream.windowing import build_schedule, derive_params, wcp_packets
+
+from oracles import encode_block, iter_coded_packets
 
 
 def lossless():
@@ -142,7 +144,7 @@ class TestDecoderSideCompositions:
         checked = 0
         for first in range(1, N + 1, BLOCK):
             last = min(first + BLOCK - 1, N)
-            pids, _, indptr, neighbors = sender.encode_block(first, last)
+            pids, _, indptr, neighbors = encode_block(sender, first, last)
             sent = delivered[first - 1:last]
             rx, rx_indptr, rx_neighbors = receiver.receive(
                 sender.send(first, last, delivered, buffer))
@@ -155,6 +157,42 @@ class TestDecoderSideCompositions:
                 assert np.array_equal(np.bitwise_xor.reduce(buffer[row - 1]), got)
             checked += len(rows)
         assert checked == int(delivered.sum())
+
+
+class TestWindowTables:
+    @pytest.mark.parametrize("mode,step", [("DAF", 1), ("DAF", 2), ("DAF", 5),
+                                           ("Expand", 2), ("Block", 3)])
+    def test_one_pass_tables_equal_per_window_cumsum(self, mode, step):
+        # each window alone, groups of `step` frames from its first frame, as
+        # the per-entry build did; some slopes are 0 and share uniform tables
+        t = random_trace(60, 1, 9, seed=3, payload_bytes=64)
+        p = derive_params(t, mode, 24, step_frames=step, code_rate=0.7)
+        count = len(build_schedule(p, t).entries)
+        slopes = np.random.default_rng(step).uniform(-1, 1, size=count)
+        slopes[::4] = 0.0
+        slopes[1::7] = 1.0
+        codec = SessionCodec(t, p, build_schedule(p, t, slopes=slopes))
+        s = t.packets_per_frame
+        for e, (start, table, _) in zip(codec.schedule.entries, codec.windows):
+            assert start == e.start_packet
+            if e.slope == 0.0:
+                cdf = uniform_cdf(e.window_packets)
+            else:
+                g = p.step_frames  # Block's step is its window
+                frames = range(e.start_frame, e.end_frame + 1, g)
+                counts = [sum(s[f - 1:min(f + g - 1, e.end_frame)]) for f in frames]
+                assert sum(counts) == e.window_packets
+                cdf = np.cumsum(slope_pdf(counts, e.slope))
+                cdf[-1] = 1.0
+            assert np.array_equal(table.keys, InverseCdf(cdf).keys), e.index
+
+    def test_sloped_window_off_the_step_grid_rejected(self):
+        # S-LT windows hold a fixed packet count, so they end inside a frame
+        t = random_trace(60, 1, 9, seed=3, payload_bytes=64)
+        p = derive_params(t, "S-LT", 24, code_rate=0.7)
+        slopes = np.full(len(build_schedule(p, t).entries), 0.5)
+        with pytest.raises(ValueError, match="step boundar"):
+            SessionCodec(t, p, build_schedule(p, t, slopes=slopes))
 
 
 class TestHostileHeaders:

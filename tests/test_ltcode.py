@@ -1,5 +1,6 @@
 import math
 import random
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from dafstream.ltcode import (CodedPacketMeta, DecoderState,
 from dafstream.protocol import MAX_PACKET_ID
 from dafstream.sampling import slope_pdf
 
-from oracles import degree_cdf, draw_oracle
+from oracles import degree_cdf, draw_oracle, peeling_oracle
 
 
 def degree_one_dist(window):
@@ -336,3 +337,110 @@ class TestDecoderState:
             fraction += done / 16
         assert full / trials >= 0.40
         assert fraction / trials >= 0.78
+
+
+@st.composite
+def decoder_runs(data):
+    """Blocks of coded packets over k natives, as CSR arrays, with repeated
+    PacketIDs, empty and whole-window neighbor sets, padding, and payload
+    rows consistent with one hidden buffer (or none at all)."""
+    k = data(st.integers(1, 40))
+    pseudo = data(st.sets(st.integers(1, k), max_size=k // 3))
+    payload_bytes = data(st.sampled_from([None, 1, 3, 8]))
+    rng = np.random.default_rng(data(st.integers(0, 2**32 - 1)))
+    buffer = rng.integers(0, 256, size=(k + 1, payload_bytes or 1), dtype=np.uint8)
+    buffer[sorted(pseudo)] = 0
+    blocks = []
+    for _ in range(data(st.integers(1, 6))):
+        ids, sets = [], []
+        for _ in range(data(st.integers(0, 12))):
+            ids.append(data(st.integers(1, 60)))
+            sets.append(sorted(data(st.sets(st.integers(1, k), max_size=min(k, 5)))
+                               if data(st.booleans()) else rng.choice(
+                                   np.arange(1, k + 1), size=rng.integers(1, k + 1),
+                                   replace=False).tolist()))
+        indptr = np.concatenate(([0], np.cumsum([len(n) for n in sets]))).astype(np.int64)
+        neighbors = np.array([n for ns in sets for n in ns], dtype=np.int64)
+        rows = None
+        if payload_bytes is not None:
+            rows = np.array([np.bitwise_xor.reduce(buffer[ns], axis=0) if ns
+                             else np.zeros(payload_bytes, np.uint8) for ns in sets],
+                            dtype=np.uint8).reshape(len(sets), payload_bytes)
+        blocks.append((np.array(ids, dtype=np.int64), indptr, neighbors, rows))
+    return k, pseudo, payload_bytes, buffer, blocks
+
+
+def corrupt(draw, k, block):
+    """The block with one hostile change, or None when it has no neighbor."""
+    ids, indptr, neighbors, rows = block
+    if len(neighbors) == 0:
+        return None
+    kind = draw(st.sampled_from(["low", "high", "indptr-end", "indptr-fall",
+                                 "indptr-length", "repeat"]))
+    indptr, neighbors = indptr.copy(), neighbors.copy()
+    if kind == "low":
+        neighbors[-1] = draw(st.integers(-5, 0))
+    elif kind == "high":
+        neighbors[-1] = draw(st.integers(k + 1, k + 1000))
+    elif kind == "indptr-end":
+        indptr[-1] += draw(st.sampled_from([-1, 1]))
+    elif kind == "indptr-fall":
+        i = draw(st.integers(1, len(indptr) - 1))
+        indptr[i] = indptr[i - 1] - 1
+    elif kind == "indptr-length":
+        indptr = indptr[:-1] if draw(st.booleans()) else np.append(indptr, indptr[-1])
+    else:  # a neighbor named twice in one packet
+        i = int(np.searchsorted(indptr, len(neighbors) - 1, side="right")) - 1
+        neighbors = np.insert(neighbors, len(neighbors), neighbors[-1])
+        indptr[i + 1:] += 1
+    return ids, indptr, neighbors, rows
+
+
+class TestCounterDecoderAgainstOracle:
+    @given(decoder_runs(), st.data())
+    @settings(max_examples=300, deadline=timedelta(milliseconds=500))
+    def test_blocks_and_single_packets_match_oracle(self, run, data):
+        k, pseudo, payload_bytes, buffer, blocks = run
+        draw = data.draw
+        by_block = DecoderState(k, pseudo_decoded=pseudo, payload_bytes=payload_bytes)
+        by_packet = DecoderState(k, pseudo_decoded=pseudo, payload_bytes=payload_bytes)
+        packets, per_packet, order = [], [], []
+        for block in blocks:
+            hostile = corrupt(draw, k, block) if draw(st.booleans()) else None
+            if hostile is not None:
+                # rejected whole: no PacketID of it is recorded, nothing decodes
+                with pytest.raises(ProtocolError):
+                    by_block.ingest_block(*hostile)
+            ids, indptr, neighbors, rows = block
+            released, by = by_block.ingest_block(ids, indptr, neighbors, rows)
+            got = [[] for _ in ids]
+            for n, i in zip(released.tolist(), by.tolist()):
+                got[i].append(n)
+            per_packet += got
+            order += released.tolist()
+            for i, pid in enumerate(ids.tolist()):
+                ns = neighbors[indptr[i]:indptr[i + 1]].tolist()
+                payload = None if rows is None else rows[i]
+                meta = CodedPacketMeta(packet_id=pid, degree=len(ns), neighbors=tuple(ns),
+                                       start_packet=1, window_packets=k, slope_factor=0.0)
+                assert by_packet.ingest(meta, payload) == got[i]
+                packets.append((pid, ns, payload))
+        want, payloads = peeling_oracle(k, packets, pseudo, payload_bytes)
+        assert per_packet == want
+        assert order == [n for got in want for n in got]
+        released = sorted(n for got in want for n in got)
+        assert by_packet.decoded_packets() == by_block.decoded_packets() == released
+        if payload_bytes is not None:
+            assert sorted(payloads) == released
+        for n in range(1, k + 1):
+            assert by_block.is_decoded(n) == (n in pseudo or any(n in got for got in want))
+            if by_block.is_decoded(n) and payload_bytes is not None:
+                assert np.array_equal(by_block.decoded_payload(n), buffer[n])
+                assert np.array_equal(by_packet.decoded_payload(n), buffer[n])
+
+    def test_rejected_block_records_no_packet_id(self):
+        dec = DecoderState(4)
+        with pytest.raises(ProtocolError):
+            dec.ingest_block([1, 2], [0, 1, 2], [2, 9])
+        released, by = dec.ingest_block([1, 2], [0, 1, 2], [2, 3])
+        assert released.tolist() == [2, 3] and by.tolist() == [0, 1]

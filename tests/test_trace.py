@@ -56,6 +56,13 @@ class TestLoadTrace:
         t = load_trace(make_csv(["1,0,P"]), payload_bytes=1024)
         assert t.packets_per_frame == (1,)
 
+    def test_path_with_comma_is_a_path(self, tmp_path):
+        path = tmp_path / "clips" / "a,b.csv"
+        path.parent.mkdir()
+        path.write_text(make_csv(["1,1024,I", "2,2048,P"]))
+        for source in (str(path), path):
+            assert load_trace(source, payload_bytes=1024).packets_per_frame == (1, 2)
+
 
 class TestPacketize:
     def test_padding(self):

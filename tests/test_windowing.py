@@ -60,6 +60,14 @@ class TestDeriveParams:
         with pytest.raises(ConfigError, match="exactly one"):
             derive_params(t, "DAF", 10)
 
+    def test_more_coded_packets_than_packet_ids_rejected(self):
+        # four frames of 2**23 packets: k / code rate passes 2**24 - 1 coded
+        # packets, and no per-packet array is built to find out
+        t = VideoTrace(frame_rate=30.0, gop_size=1, payload_bytes=1,
+                       frame_bytes=(1 << 23,) * 4, packets_per_frame=(1 << 23,) * 4)
+        with pytest.raises(ConfigError, match="PacketID"):
+            derive_params(t, "DAF", 3, code_rate=0.9)
+
     def test_slt_fixed_window_is_minimum(self):
         t = random_trace(40, 1, 7, seed=5)
         p = derive_params(t, "S-LT", 12, code_rate=0.8)
