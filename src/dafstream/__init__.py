@@ -11,10 +11,9 @@ from .protocol import (DafHeader, decode_header, decode_packet, encode_header,
 from .sampling import (AspProfile, SlopeCoefficients, asp_from_matrix,
                        asp_from_slopes, optimize_per_frame, optimize_slopes,
                        slope_coeffs, slope_matrix, slope_pdf, uniform_matrix)
-from .trace import (FrameIndex, VideoTrace, burst_trace, constant_trace,
-                    downsample, load_trace, packetize, random_trace,
-                    sinusoidal_trace)
-from .windowing import (CodingParams, Mode, ScheduleEntry, WindowSchedule,
-                        build_schedule, derive_params, wcp_frames, wcp_packets)
+from .trace import (VideoTrace, burst_trace, constant_trace, downsample,
+                    load_trace, packetize, random_trace, sinusoidal_trace)
+from .windowing import (CodingParams, Mode, WindowSchedule, build_schedule,
+                        derive_params, wcp_frames, wcp_packets)
 
 __version__ = "0.1.0"

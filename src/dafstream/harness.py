@@ -68,17 +68,13 @@ class SessionCodec:
         if schedule is None:
             schedule = build_schedule(params, trace, slopes=session_slopes(trace, params))
         self.schedule = schedule
-        entries = schedule.entries
-        self.start = np.array([e.start_packet for e in entries], dtype=np.int64)
-        self.wsize = np.array([e.window_packets for e in entries], dtype=np.int64)
-        self.slope = np.array([e.slope for e in entries], dtype=np.float64)
-        self.cum_sent = np.array([e.cum_sent for e in entries], dtype=np.int64)
-        key = (self.start << 16) | self.wsize
+        key = (schedule.start_packet << 16) | schedule.window_packets
         self._order = np.argsort(key, kind="stable")
         self._keys = key[self._order]
         # draw_batch inputs per entry: (StartP, window table, degree table)
         self.windows = [(start, table, robust_soliton(size).table) for start, size, table
-                        in zip(self.start.tolist(), self.wsize.tolist(), self._build_cdf())]
+                        in zip(schedule.start_packet.tolist(), schedule.window_packets.tolist(),
+                               self._build_cdf())]
 
     def _build_cdf(self) -> list[InverseCdf]:
         """Window table of every schedule entry, built in one pass.
@@ -92,22 +88,25 @@ class SessionCodec:
         little, and each row is summed in order along its axis, as np.cumsum
         sums one window.
         """
-        sizes, slopes = self.wsize.tolist(), self.slope.tolist()
+        sched = self.schedule
+        flat = sched.slope == 0.0
         uniform = {w: InverseCdf(uniform_cdf(w))
-                   for w, f in zip(sizes, slopes) if f == 0.0}
-        tables = [uniform[w] if f == 0.0 else None for w, f in zip(sizes, slopes)]
-        sloped = np.flatnonzero(self.slope != 0.0)
+                   for w in np.unique(sched.window_packets[flat]).tolist()}
+        tables = [uniform[w] if f else None
+                  for w, f in zip(sched.window_packets.tolist(), flat.tolist())]
+        sloped = np.flatnonzero(~flat)
         if not len(sloped):
             return tables
-        if not np.all(np.abs(self.slope[sloped]) <= 1.0):
+        slope = sched.slope[sloped]
+        if not np.all(np.abs(slope) <= 1.0):
             raise ValueError("slope factor outside [-1, 1]")
-        first, size = self.start[sloped], self.wsize[sloped]
+        first, size = sched.start_packet[sloped], sched.window_packets[sloped]
         k, T, step = self.trace.total_packets, self.trace.num_frames, self.params.step_frames
         if np.any(first + size - 1 > k):
             raise ValueError("window runs past the trace")
         # packets through the end of each packet's group, and the group's size
         last_frame = np.minimum(np.arange(step, T + step, step), T)
-        ends = np.cumsum(self.trace.packets_per_frame)[last_frame - 1]
+        ends = self.trace.packet_offsets()[last_frame]
         group = np.diff(ends, prepend=0)
         end = np.repeat(ends, group)
         if np.any(end[first + size - 2] != first + size - 1) or np.any(
@@ -122,7 +121,7 @@ class SessionCodec:
             packet = np.minimum(start + np.arange(n[-1]), k)
             # a group's midpoint measured from the window's first packet
             pdf = slope_density(mid[packet - 1] - (start - 1), n[:, None].astype(np.float64),
-                                self.slope[sloped[pick]][:, None])
+                                slope[pick][:, None])
             cdf = np.add.accumulate(pdf, axis=1)
             cdf[np.arange(len(n)), n - 1] = 1.0
             for e, table in zip(sloped[pick].tolist(), InverseCdf.rows(cdf, n)):
@@ -140,13 +139,14 @@ class SessionCodec:
         are the delivered packets drawn; a packet's composition does not
         depend on the rest of its batch.
         """
+        sched = self.schedule
         pids = first + np.flatnonzero(delivered[first - 1:last])
-        entry = np.searchsorted(self.cum_sent, pids)
+        entry = np.searchsorted(sched.cum_sent, pids)
         payload = None
         if buffer is not None:
             payload = xor_payloads(*draw_batch(pids, entry, self.windows), buffer)
-        return encode_datagrams(self.start[entry], self.wsize[entry], self.slope[entry],
-                                pids, self.trace.payload_bytes, payload)
+        return encode_datagrams(sched.start_packet[entry], sched.window_packets[entry],
+                                sched.slope[entry], pids, self.trace.payload_bytes, payload)
 
     # -- decoder ----------------------------------------------------------
 
@@ -179,7 +179,7 @@ class SessionCodec:
             raise ProtocolError(f"StartP {start[i]}, WSize {wsize[i]} names no window "
                                 "of the session's schedule")
         entry = self._order[at]
-        wrong = self.slope[entry] != slope_factor
+        wrong = self.schedule.slope[entry] != slope_factor
         if np.any(wrong):
             i = int(np.argmax(wrong))
             raise ProtocolError(f"SlopeF {np.asarray(slope_factor)[i]} is not the slope of "
@@ -285,7 +285,7 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
 
     frame_deadline = np.zeros(T + 1)
     # a frame no window touches (entry 0) takes the last entry's deadline
-    frame_deadline[1:] = codec.cum_sent[schedule.last_covering_entry(T)[1:] - 1] * interval
+    frame_deadline[1:] = schedule.cum_sent[schedule.last_covering_entry(T)[1:] - 1] * interval
 
     frame_of = np.repeat(np.arange(1, T + 1), trace.packets_per_frame)
     real = np.ones(k, dtype=bool)

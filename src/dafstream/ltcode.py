@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ProtocolError
-from .prng import XorShift64Star, packet_rng, packet_states, xorshift64star_next
+from .prng import XorShift64Star, packet_states, xorshift64star_next
 
 
 @dataclass(frozen=True)
@@ -158,9 +158,7 @@ def draw_batch(packet_ids, window_of, windows) -> tuple[np.ndarray, np.ndarray]:
     """
     packet_ids = np.asarray(packet_ids, dtype=np.int64)
     window_of = np.asarray(window_of, dtype=np.intp)
-    if len(packet_ids) <= _PASS:
-        return _draw_pass(packet_ids, window_of, windows)
-    indptrs, neighbors = [np.zeros(1, dtype=np.int64)], []
+    indptrs, neighbors = [np.zeros(1, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for a in range(0, len(packet_ids), _PASS):
         ip, nb = _draw_pass(packet_ids[a:a + _PASS], window_of[a:a + _PASS], windows)
         indptrs.append(ip[1:] + indptrs[-1][-1])
@@ -180,22 +178,8 @@ def _finish(rng: XorShift64Star, table: InverseCdf, chosen: set, degree: int) ->
     return chosen
 
 
-def _draw_alone(packet_ids, window_of, windows):
-    """Draw each packet of a small batch from its own scalar generator."""
-    indptr, neighbors = [0], []
-    for pid, w in zip(packet_ids.tolist(), window_of.tolist()):
-        start, table, degree_table = windows[w]
-        rng = packet_rng(pid)
-        degree = min(int(degree_table.search(rng.next_u53s(1))[0]) + 1, len(table))
-        neighbors.extend(start + j for j in sorted(_finish(rng, table, set(), degree)))
-        indptr.append(len(neighbors))
-    return np.array(indptr, dtype=np.int64), np.array(neighbors, dtype=np.int64)
-
-
 def _draw_pass(packet_ids, window_of, windows):
     n = len(packet_ids)
-    if n <= _LOCKSTEP_MIN:
-        return _draw_alone(packet_ids, window_of, windows)
     used, local = np.unique(window_of, return_inverse=True)
     picked = [windows[w] for w in used]
     starts = np.array([w[0] for w in picked], dtype=np.int64)
@@ -338,15 +322,11 @@ class DecoderState:
         return [p for p in np.flatnonzero(self._known).tolist() if p not in self.pseudo]
 
     def ingest(self, meta: CodedPacketMeta, payload: np.ndarray | None = None) -> list[int]:
-        """Absorb one coded packet; returns every native packet it released."""
-        return self.ingest_packet(meta.packet_id, meta.neighbors, payload)
-
-    def ingest_packet(self, packet_id: int, neighbors, payload: np.ndarray | None = None) -> list[int]:
-        """Absorb the coded packet `packet_id` with the given neighbor numbers:
-        a block of one of ingest_block. Returns the released packets, sorted."""
-        neighbors = np.asarray(neighbors, dtype=np.int64)
+        """Absorb one coded packet, a block of one of ingest_block; returns
+        every native packet it released, sorted."""
+        neighbors = np.asarray(meta.neighbors, dtype=np.int64)
         rows = None if payload is None else np.asarray(payload, dtype=np.uint8)[None]
-        released, _ = self.ingest_block([packet_id], [0, len(neighbors)], neighbors, rows)
+        released, _ = self.ingest_block([meta.packet_id], [0, len(neighbors)], neighbors, rows)
         return released.tolist()
 
     def _check_block(self, packet_ids, indptr, neighbors, rows):

@@ -13,7 +13,6 @@ A datagram is the header followed by exactly P payload bytes.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,8 +21,6 @@ import numpy as np
 from .errors import ProtocolError
 
 HEADER_LEN = 15
-_HEAD = struct.Struct(">IHf")
-_TAIL = struct.Struct(">H")
 MAX_PACKET_ID = (1 << 24) - 1
 
 #: The header as a packed big-endian record; PacketID is three raw bytes.
@@ -86,22 +83,41 @@ class DafHeader:
         object.__setattr__(self, "slope_factor", float(slope))
 
 
+def _write_headers(head, start_packet, window_packets, slope_factor, packet_id, payload_bytes):
+    """Check header fields and write them into records of HEADER_DTYPE."""
+    packet_id = np.asarray(packet_id, dtype=np.int64)
+    head["slope_factor"] = check_fields(start_packet, window_packets, slope_factor,
+                                        packet_id, payload_bytes)
+    head["start_packet"] = start_packet
+    head["window_packets"] = window_packets
+    head["packet_id"] = packet_id.astype(">u4").view(np.uint8).reshape(-1, 4)[:, 1:]
+    head["payload_bytes"] = payload_bytes
+
+
+def _read_headers(head):
+    """The checked fields of HEADER_DTYPE records, as arrays: StartP, WSize,
+    SlopeF, PacketID and P."""
+    pid = head["packet_id"].astype(np.int64)
+    packet_id = (pid[:, 0] << 16) | (pid[:, 1] << 8) | pid[:, 2]
+    start = head["start_packet"].astype(np.int64)
+    wsize = head["window_packets"].astype(np.int64)
+    size = head["payload_bytes"].astype(np.int64)
+    slope = check_fields(start, wsize, head["slope_factor"], packet_id, size)
+    return start, wsize, slope, packet_id, size
+
+
 def encode_header(header: DafHeader) -> bytes:
-    buf = _HEAD.pack(header.start_packet, header.window_packets, header.slope_factor)
-    buf += header.packet_id.to_bytes(3, "big")
-    buf += _TAIL.pack(header.payload_bytes)
-    return buf
+    head = np.zeros(1, dtype=HEADER_DTYPE)
+    _write_headers(head, [header.start_packet], [header.window_packets],
+                   [header.slope_factor], [header.packet_id], header.payload_bytes)
+    return head.tobytes()
 
 
 def decode_header(data: bytes) -> DafHeader:
     if len(data) < HEADER_LEN:
         raise ProtocolError(f"truncated header: {len(data)} bytes, need {HEADER_LEN}")
-    start_packet, window_packets, slope = _HEAD.unpack_from(data, 0)
-    packet_id = int.from_bytes(data[10:13], "big")
-    (payload_bytes,) = _TAIL.unpack_from(data, 13)
-    return DafHeader(start_packet=start_packet, window_packets=window_packets,
-                     slope_factor=slope, packet_id=packet_id,
-                     payload_bytes=payload_bytes)
+    fields = _read_headers(np.frombuffer(data, dtype=HEADER_DTYPE, count=1))
+    return DafHeader(*(field.item() for field in fields))
 
 
 def encode_packet(header: DafHeader, payload: bytes) -> bytes:
@@ -143,17 +159,11 @@ def encode_datagrams(start_packet, window_packets, slope_factor, packet_id,
     None for all-zero payloads. The records are written straight into the
     returned buffer.
     """
-    packet_id = np.asarray(packet_id, dtype=np.int64)
-    slope = check_fields(start_packet, window_packets, slope_factor, packet_id, payload_bytes)
     dtype = _datagram_dtype(payload_bytes)
     data = bytearray(len(packet_id) * dtype.itemsize)
     rec = np.frombuffer(data, dtype=dtype)
-    head = rec["header"]
-    head["start_packet"] = start_packet
-    head["window_packets"] = window_packets
-    head["slope_factor"] = slope
-    head["packet_id"] = packet_id.astype(">u4").view(np.uint8).reshape(-1, 4)[:, 1:]
-    head["payload_bytes"] = payload_bytes
+    _write_headers(rec["header"], start_packet, window_packets, slope_factor, packet_id,
+                   payload_bytes)
     if payload is not None:
         if payload.shape != (len(packet_id), payload_bytes):
             raise ProtocolError(f"payload rows are {payload.shape}, need ({len(packet_id)}, {payload_bytes})")
@@ -172,13 +182,7 @@ def decode_datagrams(data, payload_bytes: int) -> Datagrams:
         raise ProtocolError(f"framing error: {len(data)} bytes is not a whole number "
                             f"of {dtype.itemsize}-byte datagrams")
     rec = np.frombuffer(data, dtype=dtype)
-    head = rec["header"]
-    pid = head["packet_id"].astype(np.int64)
-    packet_id = (pid[:, 0] << 16) | (pid[:, 1] << 8) | pid[:, 2]
-    start = head["start_packet"].astype(np.int64)
-    wsize = head["window_packets"].astype(np.int64)
-    size = head["payload_bytes"].astype(np.int64)
-    slope = check_fields(start, wsize, head["slope_factor"], packet_id, size)
+    start, wsize, slope, packet_id, size = _read_headers(rec["header"])
     _reject(size != payload_bytes, size,
             f"framing error: header says P={{}}, datagram carries {payload_bytes}")
     return Datagrams(start, wsize, slope, packet_id, payload_bytes, rec["payload"])

@@ -169,21 +169,27 @@ class SlopeCoefficients:
 
 
 def slope_coeffs(trace: VideoTrace, window: int) -> SlopeCoefficients:
+    """The affine ASP coefficients of every window of `window` frames.
+
+    Frame t (0-based) of window t0 gets d1[t, t0] from the w[t0] packets
+    of the window and the pkt of them in frames t0..t. d2[t] adds 1/w over
+    the windows covering frame t in ascending t0, which fixes the rounding
+    of the sum.
+    """
     _check_window(trace, window)
     s = np.asarray(trace.packets_per_frame, dtype=np.float64)
     T = trace.num_frames
     rows = T - window + 1
-    w = np.array([s[t0:t0 + window].sum() for t0 in range(rows)])
-    cum = np.concatenate([[0.0], np.cumsum(s)])
+    cum = np.concatenate([[0.0], np.cumsum(s)])  # exact: whole packet counts
+    w = cum[window:] - cum[:rows]
+    t0 = np.arange(rows)
+    t = t0 + np.arange(window)[:, None]  # frame at each window offset
+    pkt = cum[t + 1] - cum[t0]
     d1 = np.zeros((T, rows))
+    d1[t, t0] = (2.0 * pkt - s[t]) / w ** 2 - 1.0 / w
     d2 = np.zeros(T)
-    for t in range(T):
-        lo = max(0, t - window + 1)
-        hi = min(t, rows - 1)
-        for t0 in range(lo, hi + 1):
-            pkt = cum[t + 1] - cum[t0]  # packets in frames t0..t of window t0
-            d1[t, t0] = (2.0 * pkt - s[t]) / w[t0] ** 2 - 1.0 / w[t0]
-            d2[t] += 1.0 / w[t0]
+    for i in range(window - 1, -1, -1):  # frame t meets window t - i
+        d2[i:i + rows] += 1.0 / w
     return SlopeCoefficients(d1=d1, d2=d2, window_frames=window,
                              packets_per_frame=trace.packets_per_frame)
 

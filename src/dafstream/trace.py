@@ -1,4 +1,4 @@
-"""Frame-size traces, packetization and frame/packet index maps.
+"""Frame-size traces, packetization and per-frame packet offsets.
 
 A video stream is reduced to a per-frame byte count. Every frame is split
 into fixed-size packets (the last one zero-padded), and all window math in
@@ -11,7 +11,6 @@ import csv
 import io
 import math
 import os
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,42 +66,10 @@ class VideoTrace:
     def duration_s(self) -> float:
         return self.num_frames / self.frame_rate
 
-
-class FrameIndex:
-    """Bidirectional map between 1-based frame numbers and packet numbers."""
-
-    def __init__(self, trace: VideoTrace):
-        self.trace = trace
-        cum = [0]
-        for s in trace.packets_per_frame:
-            cum.append(cum[-1] + s)
-        self._cum = cum  # _cum[t] = packets in frames 1..t
-
-    def first_packet(self, frame: int) -> int:
-        """Packet number of the first packet of a frame (pktno)."""
-        self._check_frame(frame)
-        return self._cum[frame - 1] + 1
-
-    def frame_of(self, packet: int) -> int:
-        """Frame a packet belongs to (frmno)."""
-        if not 1 <= packet <= self._cum[-1]:
-            raise ValueError(f"packet {packet} outside 1..{self._cum[-1]}")
-        return bisect_right(self._cum, packet - 1)
-
-    def packets_in_frames(self, start_frame: int, count: int) -> int:
-        """Total packets in `count` consecutive frames starting at start_frame."""
-        if count < 0:
-            raise ValueError("frame count must be >= 0")
-        if count == 0:
-            self._check_frame(start_frame)
-            return 0
-        self._check_frame(start_frame)
-        self._check_frame(start_frame + count - 1)
-        return self._cum[start_frame + count - 1] - self._cum[start_frame - 1]
-
-    def _check_frame(self, frame: int):
-        if not 1 <= frame <= self.trace.num_frames:
-            raise ValueError(f"frame {frame} outside 1..{self.trace.num_frames}")
+    def packet_offsets(self) -> np.ndarray:
+        """int64 [0, cumsum(packets_per_frame)]: entry t counts the packets
+        in frames 1..t, so frame t holds packets offsets[t-1]+1..offsets[t]."""
+        return np.concatenate(([0], np.cumsum(self.packets_per_frame, dtype=np.int64)))
 
 
 def load_trace(source, payload_bytes: int, frame_rate: float = 30.0,

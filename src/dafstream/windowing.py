@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .protocol import MAX_PACKET_ID, to_f32
-from .trace import FrameIndex, VideoTrace
+from .trace import VideoTrace
 
 
 class Mode(str, Enum):
@@ -118,9 +118,9 @@ def derive_params(trace: VideoTrace, mode, delay_frames: int, step_frames: int =
                           f"at most {MAX_PACKET_ID}")
 
     fixed = None
-    if mode is Mode.S_LT:
-        index = FrameIndex(trace)
-        fixed = min(index.packets_in_frames(t, window) for t in range(1, T - window + 2))
+    if mode is Mode.S_LT:  # the fewest packets any window of `window` frames holds
+        offsets = trace.packet_offsets()
+        fixed = int(np.min(offsets[window:] - offsets[:T - window + 1]))
 
     return CodingParams(mode=mode, data_rate=R, code_rate=k / total,
                         delay_frames=delay_frames, step_frames=step,
@@ -139,40 +139,29 @@ def _block_window(T: int, delay_frames: int, granularity: int) -> int:
         f"no feasible block length <= {upper} divides the {T}-frame trace at granularity {granularity}")
 
 
-@dataclass(frozen=True)
-class ScheduleEntry:
-    index: int            # 1-based entry number
-    start_frame: int
-    end_frame: int        # last frame the window touches
-    start_packet: int     # StartP
-    window_packets: int   # WSize
-    slope: float          # SlopeF, already float32-truncated
-    budget: int           # coded packets sent for this entry
-    cum_sent: int         # running total after this entry
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WindowSchedule:
+    """Every window entry of a session, as columns: entry m is row m-1."""
+
     mode: Mode
-    entries: tuple[ScheduleEntry, ...]
+    start_frame: np.ndarray     # int64, nondecreasing
+    end_frame: np.ndarray       # int64, last frame the window touches
+    start_packet: np.ndarray    # int64, StartP
+    window_packets: np.ndarray  # int64, WSize
+    slope: np.ndarray           # float64, SlopeF already float32-truncated
+    cum_sent: np.ndarray        # int64, coded packets sent through this entry
 
     def last_covering_entry(self, num_frames: int) -> np.ndarray:
         """For each frame (1-based), the index of the last entry touching it
-        (0 if none does)."""
-        first = np.array([e.start_frame for e in self.entries], dtype=np.int64)
-        span = np.array([e.end_frame for e in self.entries], dtype=np.int64) - first + 1
-        index = np.array([e.index for e in self.entries], dtype=np.int64)
-        frames = np.arange(int(span.sum())) + np.repeat(first - (np.cumsum(span) - span), span)
-        last = np.zeros(num_frames + 1, dtype=np.int64)
-        np.maximum.at(last, frames, np.repeat(index, span))
-        return last
+        (0 if none does).
 
-    def covering_counts(self, num_frames: int) -> list[int]:
-        counts = [0] * (num_frames + 1)
-        for e in self.entries:
-            for t in range(e.start_frame, e.end_frame + 1):
-                counts[t] += 1
-        return counts
+        Window ends never fall as starts rise, so the last entry starting
+        at or before a frame is the last one touching it, if any does.
+        """
+        frames = np.arange(num_frames + 1)
+        last = np.searchsorted(self.start_frame, frames, side="right")
+        last[self.end_frame[last - 1] < frames] = 0
+        return last
 
 
 def build_schedule(params: CodingParams, trace: VideoTrace,
@@ -181,51 +170,40 @@ def build_schedule(params: CodingParams, trace: VideoTrace,
 
     `slopes` gives one slope factor per entry (sliding-window order); absent
     entries default to 0 (uniform sampling). Values are truncated to float32
-    exactly as the header carries them.
+    exactly as the header carries them. Entry m sends coded packets up to
+    floor(m * coded_per_step), and the last entry up to the total.
     """
-    index = FrameIndex(trace)
+    offsets = trace.packet_offsets()
     T = trace.num_frames
     W = params.window_frames
     step = params.step_frames
-    N = params.total_coded
 
     if params.mode is Mode.EXPAND:
-        starts = list(range(1, T + 1, step))  # one entry per step across the stream
+        # one entry per step across the stream, each window pinned to its block start
+        first = np.arange(1, T + 1, step, dtype=np.int64)
+        start_frame = (first - 1) // W * W + 1
+        end_frame = np.minimum(first + step - 1, T)
     else:
-        starts = list(range(1, T - W + 2, step))
+        start_frame = np.arange(1, T - W + 2, step, dtype=np.int64)
+        end_frame = start_frame + W - 1
+    start_packet = offsets[start_frame - 1] + 1
+    if params.mode is Mode.S_LT:
+        window_packets = np.full_like(start_frame, params.fixed_window_packets)
+        end_frame = np.searchsorted(offsets, start_packet + window_packets - 2, side="right")
+    else:
+        window_packets = offsets[end_frame] - offsets[start_frame - 1]
 
-    wire_slopes = [] if slopes is None else to_f32(slopes).tolist()
-    entries = []
-    prev_cum = 0
-    for m, f in enumerate(starts, start=1):
-        cum = min(math.floor(m * params.coded_per_step), N)
-        if m == len(starts):
-            cum = N
-        slope = wire_slopes[m - 1] if m <= len(wire_slopes) else 0.0
-
-        if params.mode is Mode.EXPAND:
-            block_start = ((f - 1) // W) * W + 1
-            end_frame = min(f + step - 1, T)
-            start_packet = index.first_packet(block_start)
-            wsize = index.packets_in_frames(block_start, end_frame - block_start + 1)
-            start_frame = block_start
-        elif params.mode is Mode.S_LT:
-            start_frame = f
-            start_packet = index.first_packet(f)
-            wsize = params.fixed_window_packets
-            end_frame = index.frame_of(start_packet + wsize - 1)
-        else:
-            start_frame = f
-            start_packet = index.first_packet(f)
-            wsize = index.packets_in_frames(f, W)
-            end_frame = f + W - 1
-
-        entries.append(ScheduleEntry(index=m, start_frame=start_frame,
-                                     end_frame=end_frame, start_packet=start_packet,
-                                     window_packets=wsize, slope=slope,
-                                     budget=cum - prev_cum, cum_sent=cum))
-        prev_cum = cum
-    return WindowSchedule(mode=params.mode, entries=tuple(entries))
+    n = len(start_frame)
+    slope = np.zeros(n)
+    if slopes is not None:
+        wire = to_f32(slopes)[:n]
+        slope[:len(wire)] = wire
+    cum_sent = np.minimum(np.floor(np.arange(1, n + 1) * params.coded_per_step).astype(np.int64),
+                          params.total_coded)
+    cum_sent[-1] = params.total_coded
+    return WindowSchedule(mode=params.mode, start_frame=start_frame, end_frame=end_frame,
+                          start_packet=start_packet, window_packets=window_packets,
+                          slope=slope, cum_sent=cum_sent)
 
 
 def wcp_frames(params: CodingParams, trace: VideoTrace) -> tuple[frozenset, frozenset]:
@@ -240,9 +218,6 @@ def wcp_frames(params: CodingParams, trace: VideoTrace) -> tuple[frozenset, froz
 def wcp_packets(params: CodingParams, trace: VideoTrace) -> frozenset:
     """Packet numbers inside the warm-up/cool-down periods."""
     warm, cool = wcp_frames(params, trace)
-    index = FrameIndex(trace)
-    pkts = set()
-    for t in warm | cool:
-        first = index.first_packet(t)
-        pkts.update(range(first, first + trace.packets_per_frame[t - 1]))
-    return frozenset(pkts)
+    offsets = trace.packet_offsets()
+    return (frozenset(range(1, offsets[len(warm)] + 1))
+            | frozenset(range(offsets[-1 - len(cool)] + 1, offsets[-1] + 1)))

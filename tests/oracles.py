@@ -8,11 +8,15 @@ a time, for checking the package's batch draw. `peeling_oracle` is the
 peeling decoder kept as sets of unknown neighbors, one packet at a time, for
 checking the package's counter decoder. `iter_coded_packets` lists every
 coded packet a session's encoder would send, for checks that need all of
-them.
+them. `FrameIndex`, `schedule_oracle`, `last_covering_oracle` and
+`slope_coeffs_oracle` are the per-frame and per-entry lookups and loops the
+package's array forms replaced, and `struct_datagram` packs the wire header
+field by field with `struct`.
 """
 
 import itertools
 import math
+import struct
 from bisect import bisect_right
 
 import numpy as np
@@ -20,8 +24,12 @@ import numpy as np
 from dafstream.harness import BLOCK, SessionCodec
 from dafstream.ltcode import CodedPacketMeta, draw_batch, xor_payloads
 from dafstream.prng import packet_rng
-from dafstream.protocol import DafHeader
+from dafstream.protocol import DafHeader, to_f32
 from dafstream.sampling import slope_pdf
+from dafstream.windowing import Mode
+
+#: The columns of a WindowSchedule, as schedule_oracle lists them.
+COLUMNS = ("start_frame", "end_frame", "start_packet", "window_packets", "slope", "cum_sent")
 
 
 def direct_asp_from_slopes(trace, window, slopes):
@@ -242,9 +250,10 @@ def in_time_oracle(trace, schedule, equations, known):
     schedule entry whose window touches it.
     """
     deadline = [0] * (trace.num_frames + 1)
-    for entry in schedule.entries:
-        for t in range(entry.start_frame, entry.end_frame + 1):
-            deadline[t] = max(deadline[t], entry.cum_sent)
+    for first, end, cum in zip(schedule.start_frame.tolist(), schedule.end_frame.tolist(),
+                               schedule.cum_sent.tolist()):
+        for t in range(first, end + 1):
+            deadline[t] = max(deadline[t], cum)
     first = gf2_first_determined(equations, known)
     in_time, last = set(), 0
     for t, count in enumerate(trace.packets_per_frame, start=1):
@@ -339,24 +348,26 @@ def encode_block(codec, first, last):
     """Draw every coded packet first..last of a session: (packet ids,
     0-based schedule entry of each, CSR indptr, neighbors)."""
     pids = np.arange(first, last + 1, dtype=np.int64)
-    entry = np.searchsorted(codec.cum_sent, pids)
+    entry = np.searchsorted(codec.schedule.cum_sent, pids)
     return (pids, entry, *draw_batch(pids, entry, codec.windows))
 
 
 def iter_coded_packets(trace, params, schedule, buffer=None, codec=None):
     """Yield (header, meta, payload) for every coded packet of a session."""
     codec = codec or SessionCodec(trace, params, schedule)
-    if codec.schedule != schedule:
+    if not all(np.array_equal(getattr(codec.schedule, c), getattr(schedule, c))
+               for c in COLUMNS):
         raise ValueError("codec was built for a different schedule")
-    total = schedule.entries[-1].cum_sent
+    sched = codec.schedule
+    total = int(sched.cum_sent[-1])
     for first in range(1, total + 1, BLOCK):
         pids, entry, indptr, neighbors = encode_block(codec, first, min(first + BLOCK - 1, total))
         payloads = None if buffer is None else xor_payloads(indptr, neighbors, buffer)
         bounds = indptr.tolist()
         for i, (pid, e) in enumerate(zip(pids.tolist(), entry.tolist())):
-            header = DafHeader(start_packet=int(codec.start[e]),
-                               window_packets=int(codec.wsize[e]),
-                               slope_factor=float(codec.slope[e]), packet_id=pid,
+            header = DafHeader(start_packet=int(sched.start_packet[e]),
+                               window_packets=int(sched.window_packets[e]),
+                               slope_factor=float(sched.slope[e]), packet_id=pid,
                                payload_bytes=trace.payload_bytes)
             meta = CodedPacketMeta(packet_id=pid, degree=bounds[i + 1] - bounds[i],
                                    neighbors=tuple(neighbors[bounds[i]:bounds[i + 1]].tolist()),
@@ -364,3 +375,118 @@ def iter_coded_packets(trace, params, schedule, buffer=None, codec=None):
                                    window_packets=header.window_packets,
                                    slope_factor=header.slope_factor)
             yield header, meta, None if payloads is None else payloads[i]
+
+
+class FrameIndex:
+    """Bidirectional map between 1-based frame numbers and packet numbers,
+    from a running sum of the trace's packet counts."""
+
+    def __init__(self, trace):
+        self.trace = trace
+        cum = [0]
+        for s in trace.packets_per_frame:
+            cum.append(cum[-1] + s)
+        self._cum = cum  # _cum[t] = packets in frames 1..t
+
+    def first_packet(self, frame: int) -> int:
+        """Packet number of the first packet of a frame (pktno)."""
+        self._check_frame(frame)
+        return self._cum[frame - 1] + 1
+
+    def frame_of(self, packet: int) -> int:
+        """Frame a packet belongs to (frmno)."""
+        if not 1 <= packet <= self._cum[-1]:
+            raise ValueError(f"packet {packet} outside 1..{self._cum[-1]}")
+        return bisect_right(self._cum, packet - 1)
+
+    def packets_in_frames(self, start_frame: int, count: int) -> int:
+        """Total packets in `count` consecutive frames starting at start_frame."""
+        if count < 0:
+            raise ValueError("frame count must be >= 0")
+        if count == 0:
+            self._check_frame(start_frame)
+            return 0
+        self._check_frame(start_frame)
+        self._check_frame(start_frame + count - 1)
+        return self._cum[start_frame + count - 1] - self._cum[start_frame - 1]
+
+    def _check_frame(self, frame: int):
+        if not 1 <= frame <= self.trace.num_frames:
+            raise ValueError(f"frame {frame} outside 1..{self.trace.num_frames}")
+
+
+def schedule_oracle(params, trace, slopes=None):
+    """Every window entry laid out one at a time through FrameIndex, as a
+    dict of per-entry lists keyed by COLUMNS."""
+    index = FrameIndex(trace)
+    T = trace.num_frames
+    W = params.window_frames
+    step = params.step_frames
+    N = params.total_coded
+    if params.mode is Mode.EXPAND:
+        starts = list(range(1, T + 1, step))  # one entry per step across the stream
+    else:
+        starts = list(range(1, T - W + 2, step))
+    wire_slopes = [] if slopes is None else to_f32(slopes).tolist()
+    columns = {c: [] for c in COLUMNS}
+    for m, f in enumerate(starts, start=1):
+        cum = min(math.floor(m * params.coded_per_step), N)
+        if m == len(starts):
+            cum = N
+        slope = wire_slopes[m - 1] if m <= len(wire_slopes) else 0.0
+        if params.mode is Mode.EXPAND:
+            start_frame = ((f - 1) // W) * W + 1
+            end_frame = min(f + step - 1, T)
+            start_packet = index.first_packet(start_frame)
+            wsize = index.packets_in_frames(start_frame, end_frame - start_frame + 1)
+        elif params.mode is Mode.S_LT:
+            start_frame = f
+            start_packet = index.first_packet(f)
+            wsize = params.fixed_window_packets
+            end_frame = index.frame_of(start_packet + wsize - 1)
+        else:
+            start_frame = f
+            start_packet = index.first_packet(f)
+            wsize = index.packets_in_frames(f, W)
+            end_frame = f + W - 1
+        for c, v in zip(COLUMNS, (start_frame, end_frame, start_packet, wsize, slope, cum)):
+            columns[c].append(v)
+    return columns
+
+
+def last_covering_oracle(schedule, num_frames):
+    """For each frame (1-based), the 1-based index of the last entry whose
+    window touches it (0 if none does), by scattering every entry's frames."""
+    first = schedule.start_frame
+    span = schedule.end_frame - first + 1
+    index = np.arange(1, len(first) + 1)
+    frames = np.arange(int(span.sum())) + np.repeat(first - (np.cumsum(span) - span), span)
+    last = np.zeros(num_frames + 1, dtype=np.int64)
+    np.maximum.at(last, frames, np.repeat(index, span))
+    return last
+
+
+def slope_coeffs_oracle(trace, window):
+    """(d1, d2) of sampling.slope_coeffs, one frame and one window at a time."""
+    s = np.asarray(trace.packets_per_frame, dtype=np.float64)
+    T = trace.num_frames
+    rows = T - window + 1
+    w = np.array([s[t0:t0 + window].sum() for t0 in range(rows)])
+    cum = np.concatenate([[0.0], np.cumsum(s)])
+    d1 = np.zeros((T, rows))
+    d2 = np.zeros(T)
+    for t in range(T):
+        lo = max(0, t - window + 1)
+        hi = min(t, rows - 1)
+        for t0 in range(lo, hi + 1):
+            pkt = cum[t + 1] - cum[t0]  # packets in frames t0..t of window t0
+            d1[t, t0] = (2.0 * pkt - s[t]) / w[t0] ** 2 - 1.0 / w[t0]
+            d2[t] += 1.0 / w[t0]
+    return d1, d2
+
+
+def struct_datagram(start_packet, window_packets, slope_factor, packet_id,
+                    payload_bytes, payload=b""):
+    """A datagram packed field by field as PROTOCOL.md lays it out."""
+    return (struct.pack(">IHf", start_packet, window_packets, slope_factor)
+            + packet_id.to_bytes(3, "big") + struct.pack(">H", payload_bytes) + bytes(payload))

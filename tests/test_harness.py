@@ -167,30 +167,34 @@ class TestWindowTables:
         # the per-entry build did; some slopes are 0 and share uniform tables
         t = random_trace(60, 1, 9, seed=3, payload_bytes=64)
         p = derive_params(t, mode, 24, step_frames=step, code_rate=0.7)
-        count = len(build_schedule(p, t).entries)
+        count = len(build_schedule(p, t).start_frame)
         slopes = np.random.default_rng(step).uniform(-1, 1, size=count)
         slopes[::4] = 0.0
         slopes[1::7] = 1.0
         codec = SessionCodec(t, p, build_schedule(p, t, slopes=slopes))
         s = t.packets_per_frame
-        for e, (start, table, _) in zip(codec.schedule.entries, codec.windows):
-            assert start == e.start_packet
-            if e.slope == 0.0:
-                cdf = uniform_cdf(e.window_packets)
+        sched = codec.schedule
+        for index, (first, end, start_packet, wsize, slope, (start, table, _)) in enumerate(
+                zip(sched.start_frame.tolist(), sched.end_frame.tolist(),
+                    sched.start_packet.tolist(), sched.window_packets.tolist(),
+                    sched.slope.tolist(), codec.windows), start=1):
+            assert start == start_packet
+            if slope == 0.0:
+                cdf = uniform_cdf(wsize)
             else:
                 g = p.step_frames  # Block's step is its window
-                frames = range(e.start_frame, e.end_frame + 1, g)
-                counts = [sum(s[f - 1:min(f + g - 1, e.end_frame)]) for f in frames]
-                assert sum(counts) == e.window_packets
-                cdf = np.cumsum(slope_pdf(counts, e.slope))
+                frames = range(first, end + 1, g)
+                counts = [sum(s[f - 1:min(f + g - 1, end)]) for f in frames]
+                assert sum(counts) == wsize
+                cdf = np.cumsum(slope_pdf(counts, slope))
                 cdf[-1] = 1.0
-            assert np.array_equal(table.keys, InverseCdf(cdf).keys), e.index
+            assert np.array_equal(table.keys, InverseCdf(cdf).keys), index
 
     def test_sloped_window_off_the_step_grid_rejected(self):
         # S-LT windows hold a fixed packet count, so they end inside a frame
         t = random_trace(60, 1, 9, seed=3, payload_bytes=64)
         p = derive_params(t, "S-LT", 24, code_rate=0.7)
-        slopes = np.full(len(build_schedule(p, t).entries), 0.5)
+        slopes = np.full(len(build_schedule(p, t).start_frame), 0.5)
         with pytest.raises(ValueError, match="step boundar"):
             SessionCodec(t, p, build_schedule(p, t, slopes=slopes))
 
@@ -205,7 +209,9 @@ class TestHostileHeaders:
         return codec
 
     def entry(self, codec):
-        return codec.schedule.entries[40]
+        """(StartP, WSize, SlopeF) of entry 41."""
+        s = codec.schedule
+        return int(s.start_packet[40]), int(s.window_packets[40]), float(s.slope[40])
 
     def test_window_past_the_stream(self, codec):
         with pytest.raises(ProtocolError, match="names no window"):
@@ -216,22 +222,20 @@ class TestHostileHeaders:
             codec.meta_from_header(DafHeader(2939, 50, 0.5, 7, 1024))
 
     def test_slope_must_be_the_entrys(self, codec):
-        e = self.entry(codec)
-        assert e.slope != 0.5
+        start, wsize, slope = self.entry(codec)
+        assert slope != 0.5
         with pytest.raises(ProtocolError, match="SlopeF"):
-            codec.meta_from_header(DafHeader(e.start_packet, e.window_packets, 0.5, 7, 1024))
-        meta = codec.meta_from_header(DafHeader(e.start_packet, e.window_packets, e.slope, 7, 1024))
-        assert all(e.start_packet <= n < e.start_packet + e.window_packets
-                   for n in meta.neighbors)
+            codec.meta_from_header(DafHeader(start, wsize, 0.5, 7, 1024))
+        meta = codec.meta_from_header(DafHeader(start, wsize, slope, 7, 1024))
+        assert all(start <= n < start + wsize for n in meta.neighbors)
 
     def test_payload_size_must_be_the_sessions(self, codec):
-        e = self.entry(codec)
+        start, wsize, slope = self.entry(codec)
         with pytest.raises(ProtocolError, match="P "):
-            codec.meta_from_header(DafHeader(e.start_packet, e.window_packets, e.slope, 7, 512))
+            codec.meta_from_header(DafHeader(start, wsize, slope, 7, 512))
 
     def test_batch_decoder_rejects_before_drawing(self, codec):
-        e = self.entry(codec)
-        good = (e.start_packet, e.window_packets, e.slope)
+        good = self.entry(codec)
         for bad in (good, (2934, 50, 0.0), (2939, 50, 0.5)):
             data = encode_datagrams([good[0], bad[0]], [good[1], bad[1]],
                                     [good[2], bad[2]], [6, 7], 1024)

@@ -9,7 +9,7 @@ from dafstream.trace import (VideoTrace, burst_trace, constant_trace,
                              downsample, random_trace)
 
 from oracles import (direct_asp_from_slopes, perframe_grid_oracle,
-                     slope_grid_oracle, stable_objective)
+                     slope_coeffs_oracle, slope_grid_oracle, stable_objective)
 
 
 def packets_trace(s, payload=64, fps=30):
@@ -90,6 +90,24 @@ class TestAspFromMatrix:
 
 
 class TestSlopeCoefficients:
+    def test_arrays_equal_frame_by_frame_loop(self, workloads):
+        # the bench traces at their DAF window, one downsampled to step 2,
+        # and short random traces with every window up to their length
+        cases = []
+        for name in ("readme-300", "long-daf-1800", "relay-payload-300"):
+            inp = workloads.build(name, workloads.DEFAULT_SEED)
+            W = next(c.params.window_frames for c in inp.cells if c.mode == "DAF")
+            cases.append((inp.trace, W))
+        cases.append((downsample(cases[0][0], 2), cases[0][1] // 2))
+        for seed in range(4):
+            t = random_trace(11, 1, 9, seed=seed)
+            cases += [(t, W) for W in range(1, 12)]
+        for t, W in cases:
+            co = slope_coeffs(t, W)
+            d1, d2 = slope_coeffs_oracle(t, W)
+            assert np.array_equal(co.d1, d1), (t.num_frames, W)
+            assert np.array_equal(co.d2, d2), (t.num_frames, W)
+
     def test_unit_frames_window_two(self):
         t = packets_trace([1] * 8)
         co = slope_coeffs(t, 2)

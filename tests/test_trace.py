@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dafstream.errors import TraceParseError
-from dafstream.trace import (FrameIndex, VideoTrace, burst_trace,
-                             constant_trace, downsample, load_trace,
-                             packetize, random_trace)
+from dafstream.trace import (VideoTrace, burst_trace, constant_trace,
+                             downsample, load_trace, packetize, random_trace)
+
+from oracles import FrameIndex
 
 
 def make_csv(rows, header="frame,bytes,type"):
@@ -125,6 +126,10 @@ class TestFrameIndex:
         for f in range(1, 20):
             assert (idx.first_packet(f + 1) - idx.first_packet(f)
                     == t.packets_per_frame[f - 1])
+        offsets = t.packet_offsets()
+        assert offsets.dtype == np.int64
+        assert offsets.tolist() == [idx.first_packet(f) - 1 for f in range(1, 21)] + [
+            t.total_packets]
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=25, deadline=None)

@@ -1,10 +1,14 @@
+import numpy as np
 import pytest
 
 from dafstream.errors import ConfigError
-from dafstream.trace import (FrameIndex, VideoTrace, constant_trace,
-                             random_trace, sinusoidal_trace)
+from dafstream.harness import session_slopes
+from dafstream.trace import (VideoTrace, constant_trace, random_trace,
+                             sinusoidal_trace)
 from dafstream.windowing import (Mode, build_schedule, derive_params,
                                  wcp_frames, wcp_packets)
+
+from oracles import COLUMNS, FrameIndex, last_covering_oracle, schedule_oracle
 
 
 def uniform_trace(num_frames, packets=1, payload=64, fps=30, gop=1):
@@ -78,24 +82,30 @@ class TestDeriveParams:
         assert p.fixed_window_packets == expected
 
 
+def rows(sched):
+    """(start frame, StartP, WSize, budget) of every entry."""
+    return list(zip(sched.start_frame.tolist(), sched.start_packet.tolist(),
+                    sched.window_packets.tolist(), np.diff(sched.cum_sent, prepend=0).tolist()))
+
+
 class TestSchedule:
     def test_uniform_trace_entries(self):
         t = uniform_trace(6)
         p = derive_params(t, "DAF-L", 4, step_frames=2, code_rate=1.0)
         assert p.window_frames == 2
         sched = build_schedule(p, t)
-        assert [e.start_frame for e in sched.entries] == [1, 3, 5]
-        assert [e.start_packet for e in sched.entries] == [1, 3, 5]
-        assert [e.window_packets for e in sched.entries] == [2, 2, 2]
+        assert sched.start_frame.tolist() == [1, 3, 5]
+        assert sched.start_packet.tolist() == [1, 3, 5]
+        assert sched.window_packets.tolist() == [2, 2, 2]
 
     def test_expanding_mode_pins_start(self):
         t = uniform_trace(8, packets=2)
         p = derive_params(t, "Expand", 5, step_frames=1, code_rate=1.0)
         assert p.window_frames == 4
         sched = build_schedule(p, t)
-        assert len(sched.entries) == 8
-        starts = [e.start_packet for e in sched.entries]
-        sizes = [e.window_packets for e in sched.entries]
+        assert len(sched.start_frame) == 8
+        starts = sched.start_packet.tolist()
+        sizes = sched.window_packets.tolist()
         assert starts == [1, 1, 1, 1, 9, 9, 9, 9]
         assert sizes == [2, 4, 6, 8, 2, 4, 6, 8]
 
@@ -109,38 +119,44 @@ class TestSchedule:
         assert p.fixed_window_packets == 24
         sched = build_schedule(p, t)
         idx = FrameIndex(t)
-        for e in sched.entries:
-            assert e.window_packets == 24
-            assert e.start_packet == idx.first_packet(e.start_frame)
+        for start_frame, end_frame, start_packet, wsize in zip(
+                sched.start_frame.tolist(), sched.end_frame.tolist(),
+                sched.start_packet.tolist(), sched.window_packets.tolist()):
+            assert wsize == 24
+            assert start_packet == idx.first_packet(start_frame)
             # replay by hand: the window holds whole frames until 24 packets
-            total, f = 0, e.start_frame
+            total, f = 0, start_frame
             while f <= t.num_frames and total + t.packets_per_frame[f - 1] <= 24:
                 total += t.packets_per_frame[f - 1]
                 f += 1
-            assert e.end_frame >= f - 1
-            assert e.start_packet + 23 <= t.total_packets
+            assert end_frame >= f - 1
+            assert start_packet + 23 <= t.total_packets
 
     def test_running_total_equals_total_coded(self):
         for mode in ("DAF-L", "S-LT", "Block", "Expand"):
             t = random_trace(60, 1, 6, seed=11)
             p = derive_params(t, mode, 12, code_rate=0.8)
             sched = build_schedule(p, t)
-            assert sched.entries[-1].cum_sent == p.total_coded
-            assert sum(e.budget for e in sched.entries) == p.total_coded
+            assert sched.cum_sent[-1] == p.total_coded
+            assert np.diff(sched.cum_sent, prepend=0).sum() == p.total_coded
 
     def test_fractional_budgets_accumulate_by_floor(self):
         t = uniform_trace(60, packets=3)
         p = derive_params(t, "DAF-L", 12, code_rate=0.77)
         sched = build_schedule(p, t)
-        for e in sched.entries[:-1]:
-            assert e.cum_sent == int(e.index * p.coded_per_step)
-            assert e.budget >= 0
+        budget = np.diff(sched.cum_sent, prepend=0)
+        for index, cum in enumerate(sched.cum_sent[:-1].tolist(), start=1):
+            assert cum == int(index * p.coded_per_step)
+            assert budget[index - 1] >= 0
 
     def test_coverage_counts(self):
         t = random_trace(60, 1, 5, seed=2)
         p = derive_params(t, "DAF-L", 12, step_frames=2, code_rate=0.8)
         sched = build_schedule(p, t)
-        counts = sched.covering_counts(t.num_frames)
+        counts = [0] * (t.num_frames + 1)
+        for first, end in zip(sched.start_frame.tolist(), sched.end_frame.tolist()):
+            for f in range(first, end + 1):
+                counts[f] += 1
         warm, cool = wcp_frames(p, t)
         full = p.window_frames // p.step_frames
         for f in range(1, t.num_frames + 1):
@@ -156,19 +172,62 @@ class TestSchedule:
         assert block.window_frames == sliding.window_frames == 12
         bs = build_schedule(block, t)
         ss = build_schedule(sliding, t)
-        for a, b in zip(bs.entries, ss.entries):
-            assert (a.start_frame, a.start_packet, a.window_packets, a.budget) \
-                == (b.start_frame, b.start_packet, b.window_packets, b.budget)
+        for a, b in zip(rows(bs), rows(ss)):
+            assert a == b
 
     def test_slopes_are_float32_truncated(self):
         t = uniform_trace(12)
         p = derive_params(t, "DAF", 4, step_frames=1, code_rate=1.0)
         value = 0.1234567890123  # not representable in float32
         sched = build_schedule(p, t, slopes=[value] * len(
-            build_schedule(p, t).entries))
+            build_schedule(p, t).start_frame))
         import struct
         expected = struct.unpack(">f", struct.pack(">f", value))[0]
-        assert sched.entries[0].slope == expected
+        assert sched.slope[0] == expected
+
+
+def assert_matches_oracle(sched, params, trace, slopes):
+    want = schedule_oracle(params, trace, slopes)
+    for c in COLUMNS:
+        column = getattr(sched, c)
+        assert column.dtype == (np.float64 if c == "slope" else np.int64), c
+        assert column.tolist() == want[c], c
+    T = trace.num_frames
+    assert np.array_equal(sched.last_covering_entry(T), last_covering_oracle(sched, T))
+
+
+class TestColumnarSchedule:
+    def test_bench_cells(self, workloads):
+        cells = 0
+        for name in ("readme-300", "long-daf-1800", "relay-payload-300"):
+            inp = workloads.build(name, workloads.DEFAULT_SEED)
+            for cell in inp.cells:
+                slopes = session_slopes(inp.trace, cell.params)
+                sched = build_schedule(cell.params, inp.trace, slopes=slopes)
+                assert_matches_oracle(sched, cell.params, inp.trace, slopes)
+                cells += 1
+        assert cells == 8
+
+    def test_mode_step_delay_grid(self):
+        # fixed-size S-LT windows leave some frames that no entry touches
+        rng = np.random.default_rng(4)
+        checked = 0
+        for seed in range(2):
+            t = random_trace(120, 1, 9, seed=seed)
+            for mode in Mode:
+                for step in (1, 2, 5):
+                    for delay in (12, 24, 40):
+                        try:
+                            p = derive_params(t, mode, delay, step_frames=step, code_rate=0.8)
+                        except ConfigError:
+                            continue
+                        count = len(build_schedule(p, t).start_frame)
+                        # a short slope list leaves the last entries at 0
+                        slopes = rng.uniform(-1, 1, size=int(rng.integers(count // 2, count + 1)))
+                        for given in (None, slopes):
+                            assert_matches_oracle(build_schedule(p, t, slopes=given), p, t, given)
+                        checked += 1
+        assert checked >= 60
 
 
 class TestWcp:
