@@ -9,7 +9,7 @@ import numpy as np
 
 from . import protocol
 from .config import (channel_from_config, load_config, params_from_config,
-                     sweep_grid_from_config, trace_from_config)
+                     step_from_config, sweep_grid_from_config, trace_from_config)
 from .errors import DafError
 from .harness import report, run_session, sweep
 from .sampling import (asp_from_slopes, optimize_per_frame, optimize_slopes,
@@ -74,9 +74,8 @@ def _cmd_sweep(args) -> int:
     trace = trace_from_config(cfg)
     channel = channel_from_config(cfg)
     modes, rates, delays = sweep_grid_from_config(cfg)
-    step = int(cfg.get("dt_frames", "1"))
-    rows = sweep(trace, modes, rates, delays, [channel],
-                 repetitions=args.reps, base_seed=args.seed, step_frames=step)
+    rows = sweep(trace, modes, rates, delays, [channel], repetitions=args.reps,
+                 base_seed=args.seed, step_frames=step_from_config(cfg))
     csv_text, summary = report(rows, csv_path=args.out)
     if not args.out:
         sys.stdout.write(csv_text)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from .channel import ChannelModel
 from .errors import ConfigError
+from .harness import delay_to_frames
 from .trace import (VideoTrace, burst_trace, constant_trace, load_trace,
                     sinusoidal_trace)
 from .windowing import CodingParams, derive_params
@@ -103,30 +104,33 @@ def channel_from_config(cfg: dict[str, str]) -> ChannelModel:
 def params_from_config(cfg: dict[str, str], trace: VideoTrace) -> CodingParams:
     if ("code_rate" in cfg) == ("data_rate_kbps" in cfg):
         raise ConfigError("give exactly one of code_rate or data_rate_kbps")
-    delay_s = _get(cfg, "delay_s", float)
-    delay_frames = int(delay_s * trace.frame_rate + 1e-9)
+    delay_frames = delay_to_frames(_get(cfg, "delay_s", float), trace.frame_rate)
     kwargs = {}
     if "code_rate" in cfg:
         kwargs["code_rate"] = _get(cfg, "code_rate", float)
     else:
         kwargs["data_rate"] = _get(cfg, "data_rate_kbps", float) * 1000.0 / 8.0
     return derive_params(trace, cfg.get("mode", "DAF"), delay_frames,
-                         step_frames=_get(cfg, "dt_frames", int, 1), **kwargs)
+                         step_frames=step_from_config(cfg), **kwargs)
 
 
-def _parse_list(raw: str, cast):
-    items = [v.strip() for v in raw.split(",") if v.strip()]
+def step_from_config(cfg: dict[str, str]) -> int:
+    """The window step in frames (`dt_frames`, 1 by default)."""
+    return _get(cfg, "dt_frames", int, 1)
+
+
+def _grid_axis(cfg, key: str, run_key: str, cast, default=None) -> list:
+    """The comma-separated values of `key`, else the one value of `run_key`."""
+    if key not in cfg:
+        return [_get(cfg, run_key, cast, default)]
+    items = _get(cfg, key, lambda raw: [cast(v.strip()) for v in raw.split(",") if v.strip()])
     if not items:
-        raise ConfigError(f"empty list {raw!r}")
-    return [cast(v) for v in items]
+        raise ConfigError(f"config key {key!r}: empty list")
+    return items
 
 
 def sweep_grid_from_config(cfg: dict[str, str]):
     """(modes, code_rates, delays_s) lists; singletons fall back to run keys."""
-    modes = _parse_list(cfg["sweep.modes"], str) if "sweep.modes" in cfg \
-        else [cfg.get("mode", "DAF")]
-    rates = _parse_list(cfg["sweep.code_rates"], float) if "sweep.code_rates" in cfg \
-        else [float(cfg["code_rate"])]
-    delays = _parse_list(cfg["sweep.delays_s"], float) if "sweep.delays_s" in cfg \
-        else [float(cfg["delay_s"])]
-    return modes, rates, delays
+    return (_grid_axis(cfg, "sweep.modes", "mode", str, "DAF"),
+            _grid_axis(cfg, "sweep.code_rates", "code_rate", float),
+            _grid_axis(cfg, "sweep.delays_s", "delay_s", float))

@@ -22,6 +22,7 @@ from .errors import ProtocolError
 
 HEADER_LEN = 15
 MAX_PACKET_ID = (1 << 24) - 1
+MAX_WSIZE = 0xFFFF
 
 #: The header as a packed big-endian record; PacketID is three raw bytes.
 HEADER_DTYPE = np.dtype([("start_packet", ">u4"), ("window_packets", ">u2"),
@@ -58,7 +59,7 @@ def check_fields(start_packet, window_packets, slope_factor, packet_id, payload_
     payload_bytes = np.asarray(payload_bytes)
     _reject((start_packet < 1) | (start_packet > 0xFFFFFFFF), start_packet,
             "StartP {} outside 1..2^32-1")
-    _reject((window_packets < 1) | (window_packets > 0xFFFF), window_packets,
+    _reject((window_packets < 1) | (window_packets > MAX_WSIZE), window_packets,
             "WSize {} outside 1..65535")
     _reject((packet_id < 0) | (packet_id > MAX_PACKET_ID), packet_id,
             "PacketID {} outside 0..2^24-1")

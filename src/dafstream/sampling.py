@@ -34,23 +34,13 @@ def slope_pdf(frame_packets, slope: float) -> np.ndarray:
     so packets of one frame share one probability. slope=0 is uniform,
     slope=1 tilts all the way toward the window's end.
     """
-    s, density = _frame_density(frame_packets, slope)
-    return np.repeat(density, s.astype(int))
-
-
-def slope_frame_probs(frame_packets, slope: float) -> np.ndarray:
-    """Per-frame sampling probabilities (packet probability times frame size)."""
-    s, density = _frame_density(frame_packets, slope)
-    return density * s
-
-
-def _frame_density(frame_packets, slope: float):
     if not -1.0 <= slope <= 1.0:
         raise ValueError(f"slope factor {slope} outside [-1, 1]")
     s = np.asarray(frame_packets, dtype=np.float64)
     if s.ndim != 1 or len(s) == 0 or np.any(s < 1):
         raise ValueError("frame_packets must be a non-empty sequence of counts >= 1")
-    return s, slope_density(np.cumsum(s) - s / 2.0, s.sum(), slope)
+    density = slope_density(np.cumsum(s) - s / 2.0, s.sum(), slope)
+    return np.repeat(density, s.astype(int))
 
 
 def slope_density(mid, w, slope):
@@ -115,26 +105,51 @@ def uniform_matrix(trace: VideoTrace, window: int) -> np.ndarray:
     return np.full((rows, window), 1.0 / window)
 
 
+def _window_grid(trace: VideoTrace, window: int):
+    """The (windows x `window`) grid of window t0 and offset i.
+
+    Returns the packet count s of every frame, the frame t = t0 + i of each
+    entry, the packet count w of each window (a column) and the packets pkt
+    of frames t0..t; the counts are whole numbers, so every sum is exact.
+    """
+    s = np.asarray(trace.packets_per_frame, dtype=np.float64)
+    cum = np.concatenate([[0.0], np.cumsum(s)])
+    t0 = np.arange(trace.num_frames - window + 1)[:, None]
+    t = t0 + np.arange(window)
+    return s, t, cum[t0 + window] - cum[t0], cum[t + 1] - cum[t0]
+
+
 def slope_matrix(trace: VideoTrace, window: int, slopes) -> np.ndarray:
     """Sampling matrix induced by one slope factor per window."""
     _check_window(trace, window)
-    s = np.asarray(trace.packets_per_frame, dtype=np.float64)
     rows = trace.num_frames - window + 1
     slopes = np.asarray(slopes, dtype=np.float64)
     if slopes.shape != (rows,):
         raise ValueError(f"expected {rows} slope factors, got {slopes.shape}")
-    A = np.empty((rows, window))
-    for t0 in range(rows):
-        A[t0] = slope_frame_probs(s[t0:t0 + window], slopes[t0])
-    return A
+    if not np.all(np.abs(slopes) <= 1.0):  # NaN fails too
+        raise ValueError("slope factors must lie in [-1, 1]")
+    s, t, w, pkt = _window_grid(trace, window)
+    return slope_density(pkt - s[t] / 2.0, w, slopes[:, None]) * s[t]
+
+
+def band_sum(A, num_frames: int) -> np.ndarray:
+    """Sum a (windows x W) matrix along its band: entry (t0, i) adds to frame t0 + i.
+
+    Each frame adds its terms in ascending window order t0, which fixes the
+    rounding of the sum.
+    """
+    rows, window = A.shape
+    P = np.zeros(num_frames)
+    for i in range(window - 1, -1, -1):  # frame t meets window t - i
+        P[i:i + rows] += A[:, i]
+    return P
 
 
 def asp_from_matrix(A, trace: VideoTrace, window: int) -> AspProfile:
     """Accumulate a sampling matrix into the per-frame ASP."""
     _check_window(trace, window)
     A = np.asarray(A, dtype=np.float64)
-    T = trace.num_frames
-    rows = T - window + 1
+    rows = trace.num_frames - window + 1
     if A.shape != (rows, window):
         raise ValueError(f"matrix shape {A.shape} does not match {rows} windows x {window} frames")
     if np.any(A < -ROW_SUM_TOL):
@@ -142,10 +157,7 @@ def asp_from_matrix(A, trace: VideoTrace, window: int) -> AspProfile:
     if np.any(np.abs(A.sum(axis=1) - 1.0) > ROW_SUM_TOL):
         raise ValueError("every window's probabilities must sum to 1")
     s = np.asarray(trace.packets_per_frame, dtype=np.float64)
-    P = np.zeros(T)
-    for t0 in range(rows):
-        P[t0:t0 + window] += A[t0]
-    P /= s
+    P = band_sum(A, trace.num_frames) / s
     return AspProfile(values=tuple(P), window_frames=window,
                       packets_per_frame=trace.packets_per_frame)
 
@@ -172,24 +184,14 @@ def slope_coeffs(trace: VideoTrace, window: int) -> SlopeCoefficients:
     """The affine ASP coefficients of every window of `window` frames.
 
     Frame t (0-based) of window t0 gets d1[t, t0] from the w[t0] packets
-    of the window and the pkt of them in frames t0..t. d2[t] adds 1/w over
-    the windows covering frame t in ascending t0, which fixes the rounding
-    of the sum.
+    of the window and the pkt of them in frames t0..t, and d2[t] is the
+    band sum of 1/w over the windows covering frame t.
     """
     _check_window(trace, window)
-    s = np.asarray(trace.packets_per_frame, dtype=np.float64)
-    T = trace.num_frames
-    rows = T - window + 1
-    cum = np.concatenate([[0.0], np.cumsum(s)])  # exact: whole packet counts
-    w = cum[window:] - cum[:rows]
-    t0 = np.arange(rows)
-    t = t0 + np.arange(window)[:, None]  # frame at each window offset
-    pkt = cum[t + 1] - cum[t0]
-    d1 = np.zeros((T, rows))
-    d1[t, t0] = (2.0 * pkt - s[t]) / w ** 2 - 1.0 / w
-    d2 = np.zeros(T)
-    for i in range(window - 1, -1, -1):  # frame t meets window t - i
-        d2[i:i + rows] += 1.0 / w
+    s, t, w, pkt = _window_grid(trace, window)
+    d1 = np.zeros((trace.num_frames, len(w)))
+    d1[t, t - np.arange(window)] = (2.0 * pkt - s[t]) / w ** 2 - 1.0 / w
+    d2 = band_sum(np.broadcast_to(1.0 / w, t.shape), trace.num_frames)
     return SlopeCoefficients(d1=d1, d2=d2, window_frames=window,
                              packets_per_frame=trace.packets_per_frame)
 
@@ -203,16 +205,15 @@ def asp_from_slopes(coeffs: SlopeCoefficients, slopes) -> AspProfile:
                       packets_per_frame=coeffs.packets_per_frame)
 
 
+@dataclass(eq=False)
 class PerFramePlan:
     """Result of the per-frame optimization on the (possibly downsampled) domain."""
 
-    def __init__(self, matrix: np.ndarray, trace: VideoTrace, window: int,
-                 step: int, iterations: int):
-        self.matrix = matrix
-        self.domain_trace = trace    # downsampled when step > 1
-        self.window = window         # in domain frames
-        self.step = step             # original step factor
-        self.iterations = iterations
+    matrix: np.ndarray
+    domain_trace: VideoTrace   # downsampled when step > 1
+    window: int                # in domain frames
+    step: int                  # original step factor
+    iterations: int
 
     def asp(self) -> AspProfile:
         return asp_from_matrix(self.matrix, self.domain_trace, self.window)
@@ -222,16 +223,15 @@ class PerFramePlan:
         return self.asp().objective()
 
 
+@dataclass(eq=False)
 class SlopePlan:
     """Result of the slope-only optimization; one factor per window entry."""
 
-    def __init__(self, slopes: np.ndarray, trace: VideoTrace, window: int,
-                 step: int, iterations: int):
-        self.slopes = slopes
-        self.domain_trace = trace
-        self.window = window
-        self.step = step
-        self.iterations = iterations
+    slopes: np.ndarray
+    domain_trace: VideoTrace
+    window: int
+    step: int
+    iterations: int
 
     def asp(self) -> AspProfile:
         return asp_from_slopes(slope_coeffs(self.domain_trace, self.window), self.slopes)
@@ -262,39 +262,28 @@ def optimize_per_frame(trace: VideoTrace, window: int, step: int = 1,
     deterministic (fixed iteration order, no randomness).
     """
     ds, w = _optimizer_domain(trace, window, step)
-    s = np.asarray(ds.packets_per_frame, dtype=np.float64)
+    s, t, _, _ = _window_grid(ds, w)
     T = ds.num_frames
-    rows = T - w + 1
-    n = rows * w
+    stable = slice(w - 1, T - w + 1)
+    # The uncentered map from the matrix to the stable ASP has Gram matrix
+    # diag(w / s^2), and centering is a projection, so this step is at most 1/L.
+    lr = np.min(s[stable]) ** 2 / (2.0 * w)
 
-    # E maps flattened matrix entries to stable-range ASP values.
-    stable = np.arange(w - 1, T - w + 1)
-    m = len(stable)
-    E = np.zeros((m, n))
-    for t0 in range(rows):
-        for i in range(w):
-            t = t0 + i
-            if w - 1 <= t <= T - w:
-                E[t - (w - 1), t0 * w + i] = 1.0 / s[t]
-    Ec = E - E.mean(axis=0, keepdims=True)
+    def residual(X):
+        P = band_sum(X, T)[stable] / s[stable]
+        return P - P.mean()
 
-    sigma = np.linalg.svd(Ec, compute_uv=False)
-    lip = 2.0 * sigma[0] ** 2
-    if lip <= 0:
-        # nothing to optimize; any feasible matrix is optimal
-        x = np.vstack([slope_frame_probs(s[t0:t0 + w], 0.0) for t0 in range(rows)])
-        return PerFramePlan(x, ds, w, step, 0)
-    lr = 1.0 / lip
-
-    def objective(xf):
-        r = Ec @ xf
+    def objective(X):
+        r = residual(X)
         return float(r @ r)
 
-    def gradient(xf):
-        return 2.0 * (Ec.T @ (Ec @ xf))
+    def gradient(X):
+        v = np.zeros(T)
+        v[stable] = 2.0 * residual(X) / s[stable]
+        return v[t]
 
     # start from uniform packet sampling (slope 0) so the objective can only improve
-    x = np.vstack([slope_frame_probs(s[t0:t0 + w], 0.0) for t0 in range(rows)]).ravel()
+    x = slope_matrix(ds, w, np.zeros(len(t)))
     y = x.copy()
     t_acc = 1.0
     j_prev = objective(x)
@@ -302,12 +291,12 @@ def optimize_per_frame(trace: VideoTrace, window: int, step: int = 1,
     stall = 0
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        x_new = _project_rows(y - lr * gradient(y), rows, w)
+        x_new = _project_rows(y - lr * gradient(y))
         j_new = objective(x_new)
         if j_new > j_prev:  # restart the momentum when it overshoots
             y = x.copy()
             t_acc = 1.0
-            x_new = _project_rows(y - lr * gradient(y), rows, w)
+            x_new = _project_rows(y - lr * gradient(y))
             j_new = objective(x_new)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
         y = x_new + ((t_acc - 1.0) / t_next) * (x_new - x)
@@ -325,19 +314,19 @@ def optimize_per_frame(trace: VideoTrace, window: int, step: int = 1,
         raise SolverError(
             f"per-frame optimizer did not converge in {max_iter} iterations "
             f"(last objective {j_prev:.3e})")
-    return PerFramePlan(x.reshape(rows, w), ds, w, step, iterations)
+    return PerFramePlan(x, ds, w, step, iterations)
 
 
-def _project_rows(x: np.ndarray, rows: int, w: int) -> np.ndarray:
+def _project_rows(X: np.ndarray) -> np.ndarray:
     """Euclidean projection of every row onto the probability simplex."""
-    X = x.reshape(rows, w)
+    rows, w = X.shape
     U = -np.sort(-X, axis=1)
     css = np.cumsum(U, axis=1) - 1.0
     ind = np.arange(1, w + 1, dtype=np.float64)
     cond = U - css / ind > 0
     rho = w - 1 - np.argmax(cond[:, ::-1], axis=1)
     theta = css[np.arange(rows), rho] / (rho + 1.0)
-    return np.maximum(X - theta[:, None], 0.0).ravel()
+    return np.maximum(X - theta[:, None], 0.0)
 
 
 def optimize_slopes(trace: VideoTrace, window: int, step: int = 1,

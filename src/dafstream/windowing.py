@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError
-from .protocol import MAX_PACKET_ID, to_f32
+from .protocol import MAX_PACKET_ID, MAX_WSIZE, to_f32
 from .trace import VideoTrace
 
 
@@ -72,7 +72,8 @@ def derive_params(trace: VideoTrace, mode, delay_frames: int, step_frames: int =
     """Choose the maximal feasible window and fill in all derived quantities.
 
     Exactly one of code_rate / data_rate must be given; the other is derived
-    through code_rate = k / N.
+    through code_rate = k / N. A window wider than the header's WSize field
+    holds is a ConfigError.
     """
     mode = Mode.parse(mode) if not isinstance(mode, Mode) else mode
     if (code_rate is None) == (data_rate is None):
@@ -122,11 +123,15 @@ def derive_params(trace: VideoTrace, mode, delay_frames: int, step_frames: int =
         offsets = trace.packet_offsets()
         fixed = int(np.min(offsets[window:] - offsets[:T - window + 1]))
 
-    return CodingParams(mode=mode, data_rate=R, code_rate=k / total,
-                        delay_frames=delay_frames, step_frames=step,
-                        window_frames=window, coded_per_step=coded_per_step,
-                        num_steps=num_steps, total_coded=total,
-                        fixed_window_packets=fixed)
+    params = CodingParams(mode=mode, data_rate=R, code_rate=k / total,
+                          delay_frames=delay_frames, step_frames=step,
+                          window_frames=window, coded_per_step=coded_per_step,
+                          num_steps=num_steps, total_coded=total,
+                          fixed_window_packets=fixed)
+    widest = int(build_schedule(params, trace).window_packets.max())
+    if widest > MAX_WSIZE:
+        raise ConfigError(f"widest window holds {widest} packets, over WSize's {MAX_WSIZE}")
+    return params
 
 
 def _block_window(T: int, delay_frames: int, granularity: int) -> int:

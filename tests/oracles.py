@@ -8,10 +8,10 @@ a time, for checking the package's batch draw. `peeling_oracle` is the
 peeling decoder kept as sets of unknown neighbors, one packet at a time, for
 checking the package's counter decoder. `iter_coded_packets` lists every
 coded packet a session's encoder would send, for checks that need all of
-them. `FrameIndex`, `schedule_oracle`, `last_covering_oracle` and
-`slope_coeffs_oracle` are the per-frame and per-entry lookups and loops the
-package's array forms replaced, and `struct_datagram` packs the wire header
-field by field with `struct`.
+them. `FrameIndex`, `schedule_oracle`, `last_covering_oracle`,
+`slope_coeffs_oracle` and `slope_matrix_oracle` are the per-frame and
+per-entry lookups and loops the package's array forms replaced, and
+`struct_datagram` packs the wire header field by field with `struct`.
 """
 
 import itertools
@@ -189,12 +189,13 @@ def slope_full_grid(trace, window, points=11, chunk=200_000):
     lo, hi = window - 1, T - window + 1
     best = np.inf
     best_combo = None
-    combos = itertools.product(range(points), repeat=rows)
-    while True:
-        block = list(itertools.islice(combos, chunk))
-        if not block:
-            break
-        idx = np.array(block)
+    # combination n is the rows base-`points` digits of n, the most significant
+    # first: itertools.product(range(points), repeat=rows) order
+    radix = points ** np.arange(rows - 1, -1, -1, dtype=np.int64)
+    total = points ** rows
+    for start in range(0, total, chunk):
+        n = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        idx = n[:, None] // radix % points
         P = np.zeros((len(idx), hi - lo))
         for j in range(rows):
             P += tables[j, idx[:, j], lo:hi]
@@ -483,6 +484,19 @@ def slope_coeffs_oracle(trace, window):
             d1[t, t0] = (2.0 * pkt - s[t]) / w[t0] ** 2 - 1.0 / w[t0]
             d2[t] += 1.0 / w[t0]
     return d1, d2
+
+
+def slope_matrix_oracle(trace, window, slopes):
+    """sampling.slope_matrix, one window at a time: each frame's packet
+    probability from slope_pdf times the frame's packet count."""
+    s = np.asarray(trace.packets_per_frame)
+    rows = len(s) - window + 1
+    A = np.empty((rows, window))
+    for t0 in range(rows):
+        frames = s[t0:t0 + window]
+        first = np.cumsum(frames) - frames  # each frame's first packet in the window
+        A[t0] = slope_pdf(frames, slopes[t0])[first] * frames
+    return A
 
 
 def struct_datagram(start_packet, window_packets, slope_factor, packet_id,

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from dafstream.cli import main
@@ -6,6 +8,7 @@ from dafstream.config import (channel_from_config, parse_config,
                               trace_from_config)
 from dafstream.errors import ConfigError
 
+DATA = Path(__file__).parent / "data"
 GOOD = """
 # demo configuration
 trace.kind = burst
@@ -59,6 +62,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="trace.path"):
             trace_from_config({"trace.kind": "csv"})
 
+    def test_sweep_grid_needs_code_rate(self):
+        cfg = parse_config(GOOD.replace("code_rate = 0.8", "data_rate_kbps = 3166"))
+        with pytest.raises(ConfigError, match="'code_rate'"):
+            sweep_grid_from_config(cfg)
+
+    def test_sweep_grid_bad_list_value(self):
+        cfg = parse_config(GOOD + "sweep.code_rates = 0.8, fast\n")
+        with pytest.raises(ConfigError, match="'sweep.code_rates': cannot parse"):
+            sweep_grid_from_config(cfg)
+
+    def test_delay_rounds_down_to_whole_frames(self):
+        # 1.83 s at 30 fps is 54.9 frames
+        cfg = parse_config(GOOD.replace("delay_s = 0.5", "delay_s = 1.83"))
+        assert params_from_config(cfg, trace_from_config(cfg)).delay_frames == 54
+
     def test_sweep_grid_lists(self):
         cfg = parse_config(GOOD + "sweep.modes = DAF, Block\n"
                            "sweep.code_rates = 0.8,0.9\n")
@@ -96,6 +114,27 @@ class TestCli:
         assert len(lines) == 2
         assert "IDR" in capsys.readouterr().out
 
+    def test_sweep_without_code_rate_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "rate.cfg"
+        path.write_text(GOOD.replace("code_rate = 0.8", "data_rate_kbps = 3166"))
+        assert main(["sweep", "-c", str(path), "--reps", "1"]) == 2
+        assert "error: missing config key 'code_rate'" in capsys.readouterr().err
+
+    def test_bad_dt_frames_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "step.cfg"
+        path.write_text(GOOD.replace("dt_frames = 1", "dt_frames = one"))
+        for argv in (["run", "-c", str(path)], ["sweep", "-c", str(path), "--reps", "1"]):
+            assert main(argv) == 2
+            assert "error: config key 'dt_frames': cannot parse 'one'" in capsys.readouterr().err
+
+    def test_optimize_matches_golden_csv(self, tmp_path, capsys):
+        # the README example config; the CSV and the three stderr variance
+        # lines are compared byte for byte
+        out = tmp_path / "asp.csv"
+        assert main(["optimize", "-c", str(DATA / "readme.cfg"), "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "readme_optimize.csv").read_bytes()
+        assert capsys.readouterr().err == (DATA / "readme_optimize.stderr").read_text()
+
     def test_optimize_command(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "asp.csv"
         assert main(["optimize", "-c", cfg_path, "--out", str(out)]) == 0
@@ -122,3 +161,12 @@ class TestCli:
                         "trace.bytes_per_frame = 1000\nmode = DAF\n"
                         "delay_s = 0.03\ncode_rate = 0.8\n")
         assert main(["run", "-c", str(path)]) == 2
+
+    def test_window_wider_than_wsize_exit_code(self, tmp_path, capsys):
+        # 11-frame windows of 7,000 16-byte packets each
+        path = tmp_path / "wide.cfg"
+        path.write_text("trace.kind = constant\ntrace.frames = 12\ntrace.packet_bytes = 16\n"
+                        "trace.bytes_per_frame = 112000\nmode = DAF-L\n"
+                        "delay_s = 0.4\ncode_rate = 0.9\n")
+        assert main(["run", "-c", str(path)]) == 2
+        assert "widest window holds 77000 packets" in capsys.readouterr().err

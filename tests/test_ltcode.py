@@ -66,8 +66,9 @@ class TestRobustSoliton:
         dist = robust_soliton(64)
         cdf = uniform_cdf(64)
         n = 20_000
-        degrees = [draw(pid, 1, cdf, dist).degree for pid in range(1, n + 1)]
-        sample_mean = sum(degrees) / n
+        indptr, _ = draw_batch(np.arange(1, n + 1), np.zeros(n, dtype=np.intp),
+                               [(1, InverseCdf(cdf), dist.table)])
+        sample_mean = int(indptr[-1]) / n
         # crude 4-sigma band using the analytic second moment
         second = sum((d + 1) ** 2 * p for d, p in enumerate(dist.pmf))
         sigma = math.sqrt((second - dist.mean_degree() ** 2) / n)
@@ -103,9 +104,9 @@ class TestDraw:
         w, n = 16, 100_000
         dist = degree_one_dist(w)
         cdf = uniform_cdf(w)
-        counts = np.zeros(w, dtype=int)
-        for pid in range(1, n + 1):
-            counts[draw(pid, 1, cdf, dist).neighbors[0] - 1] += 1
+        _, neighbors = draw_batch(np.arange(1, n + 1), np.zeros(n, dtype=np.intp),
+                                  [(1, InverseCdf(cdf), dist.table)])
+        counts = np.bincount(neighbors - 1, minlength=w)
         p = 1.0 / w
         bound = 3 * math.sqrt(n * p * (1 - p))
         assert np.all(np.abs(counts - n * p) <= bound)

@@ -1,19 +1,46 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from dafstream.sampling import (asp_from_matrix, asp_from_slopes,
+from dafstream.sampling import (asp_from_matrix, asp_from_slopes, band_sum,
                                 optimize_per_frame, optimize_slopes,
                                 slope_coeffs, slope_matrix, slope_pdf,
                                 uniform_matrix)
 from dafstream.trace import (VideoTrace, burst_trace, constant_trace,
-                             downsample, random_trace)
+                             downsample, random_trace, sinusoidal_trace)
 
-from oracles import (direct_asp_from_slopes, perframe_grid_oracle,
-                     slope_coeffs_oracle, slope_grid_oracle, stable_objective)
+from oracles import (direct_asp_from_matrix, direct_asp_from_slopes,
+                     perframe_grid_oracle, slope_coeffs_oracle,
+                     slope_grid_oracle, slope_matrix_oracle, stable_objective)
 
 
 def packets_trace(s, payload=64, fps=30):
     return VideoTrace.from_frame_bytes([v * payload for v in s], fps, payload)
+
+
+def window_cases(workloads):
+    """The bench traces at their DAF window, one downsampled to step 2, and
+    short random traces with every window up to their length."""
+    cases = []
+    for name in ("readme-300", "long-daf-1800", "relay-payload-300"):
+        inp = workloads.build(name, workloads.DEFAULT_SEED)
+        W = next(c.params.window_frames for c in inp.cells if c.mode == "DAF")
+        cases.append((inp.trace, W))
+    cases.append((downsample(cases[0][0], 2), cases[0][1] // 2))
+    for seed in range(4):
+        t = random_trace(11, 1, 9, seed=seed)
+        cases += [(t, W) for W in range(1, 12)]
+    return cases
+
+
+def random_slopes(rng, rows):
+    """Slopes in [-1, 1] with both ends and 0 among them."""
+    slopes = rng.uniform(-1.0, 1.0, size=rows)
+    slopes[::3] = 0.0
+    slopes[1::7] = 1.0
+    slopes[2::7] = -1.0
+    return slopes
 
 
 class TestSlopePdf:
@@ -54,7 +81,31 @@ class TestSlopePdf:
         assert pdf[2] == pdf[3] == pdf[4]
 
 
+class TestSlopeMatrix:
+    def test_equals_per_window_slope_pdf(self, workloads):
+        rng = np.random.default_rng(3)
+        for t, W in window_cases(workloads):
+            slopes = random_slopes(rng, t.num_frames - W + 1)
+            A = slope_matrix(t, W, slopes)
+            assert np.array_equal(A, slope_matrix_oracle(t, W, slopes)), (t.num_frames, W)
+
+    def test_out_of_range_slope(self):
+        t = packets_trace([1, 2, 3, 4])
+        for bad in (1.5, -1.0001, np.nan):
+            with pytest.raises(ValueError, match="slope"):
+                slope_matrix(t, 2, [0.0, bad, 0.0])
+
+
 class TestAspFromMatrix:
+    def test_band_sum_equals_direct_accumulation(self, workloads):
+        rng = np.random.default_rng(5)
+        for t, W in window_cases(workloads):
+            A = slope_matrix(t, W, random_slopes(rng, t.num_frames - W + 1))
+            direct = direct_asp_from_matrix(A, t, W)
+            s = np.asarray(t.packets_per_frame, dtype=np.float64)
+            assert np.array_equal(band_sum(A, t.num_frames) / s, direct), (t.num_frames, W)
+            assert np.array_equal(asp_from_matrix(A, t, W).values, direct), (t.num_frames, W)
+
     def test_uniform_rows_constant_trace(self):
         t = packets_trace([3] * 12)
         prof = asp_from_matrix(uniform_matrix(t, 4), t, 4)
@@ -91,18 +142,7 @@ class TestAspFromMatrix:
 
 class TestSlopeCoefficients:
     def test_arrays_equal_frame_by_frame_loop(self, workloads):
-        # the bench traces at their DAF window, one downsampled to step 2,
-        # and short random traces with every window up to their length
-        cases = []
-        for name in ("readme-300", "long-daf-1800", "relay-payload-300"):
-            inp = workloads.build(name, workloads.DEFAULT_SEED)
-            W = next(c.params.window_frames for c in inp.cells if c.mode == "DAF")
-            cases.append((inp.trace, W))
-        cases.append((downsample(cases[0][0], 2), cases[0][1] // 2))
-        for seed in range(4):
-            t = random_trace(11, 1, 9, seed=seed)
-            cases += [(t, W) for W in range(1, 12)]
-        for t, W in cases:
+        for t, W in window_cases(workloads):
             co = slope_coeffs(t, W)
             d1, d2 = slope_coeffs_oracle(t, W)
             assert np.array_equal(co.d1, d1), (t.num_frames, W)
@@ -186,6 +226,23 @@ class TestOptimizePerFrame:
         t = packets_trace([1] * 5)
         with pytest.raises(ValueError, match="frames"):
             optimize_per_frame(t, 3)
+
+    def test_long_trace_in_bounded_memory(self):
+        # 1,800 frames at W=23: 1,778 windows of 23 frames, with no operator
+        # matrix over all of them
+        t = sinusoidal_trace(1800, 9500, 5500, 100, first_frame_bytes=25000)
+        tracemalloc.start()
+        try:
+            plan = optimize_per_frame(t, 23)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+        assert np.all(plan.matrix >= -1e-12)
+        assert np.allclose(plan.matrix.sum(axis=1), 1.0, atol=1e-9)
+        co = slope_coeffs(t, 23)
+        uniform = asp_from_slopes(co, np.zeros(co.num_windows))
+        assert plan.asp().stable_variance() < uniform.stable_variance()
 
     def test_downsampled_domain(self):
         t = random_trace(40, 1, 5, seed=2, payload_bytes=64)

@@ -72,6 +72,17 @@ class TestDeriveParams:
         with pytest.raises(ConfigError, match="PacketID"):
             derive_params(t, "DAF", 3, code_rate=0.9)
 
+    def test_window_wider_than_wsize_rejected(self):
+        # 5-frame windows: 5 x 13,107 = 65,535 packets fit WSize, 5 x 13,108 do not
+        fits = constant_trace(6, 13107 * 16, payload_bytes=16)
+        assert derive_params(fits, "DAF-L", 6, code_rate=0.9).window_frames == 5
+        wide = constant_trace(6, 13108 * 16, payload_bytes=16)
+        with pytest.raises(ConfigError, match="widest window holds 65540 packets"):
+            derive_params(wide, "DAF-L", 6, code_rate=0.9)
+        with pytest.raises(ConfigError, match="widest window holds 77000 packets"):
+            derive_params(constant_trace(12, 7000 * 16, payload_bytes=16), "DAF-L", 12,
+                          code_rate=0.9)
+
     def test_slt_fixed_window_is_minimum(self):
         t = random_trace(40, 1, 7, seed=5)
         p = derive_params(t, "S-LT", 12, code_rate=0.8)
