@@ -46,8 +46,12 @@ def parse_config(text: str) -> dict[str, str]:
 
 
 def load_config(path: str) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc.strerror or exc}") from None
+    return parse_config(text)
 
 
 def _get(cfg, key, cast, default=None):
@@ -70,18 +74,21 @@ def trace_from_config(cfg: dict[str, str]) -> VideoTrace:
         path = cfg.get("trace.path")
         if not path:
             raise ConfigError("trace.kind=csv needs trace.path")
-        return load_trace(path, P, frame_rate=fps, gop_size=gop)
+        try:
+            return load_trace(path, P, frame_rate=fps, gop_size=gop)
+        except OSError as exc:
+            raise ConfigError(f"cannot read trace.path {path!r}: {exc.strerror or exc}") from None
     frames = _get(cfg, "trace.frames", int)
     if kind == "constant":
         return constant_trace(frames, _get(cfg, "trace.bytes_per_frame", int),
                               frame_rate=fps, payload_bytes=P, gop_size=gop)
     if kind == "sinusoidal":
-        first = cfg.get("trace.first_frame_bytes")
+        first = "trace.first_frame_bytes"
         return sinusoidal_trace(frames, _get(cfg, "trace.mean_bytes", int),
                                 _get(cfg, "trace.amp_bytes", int),
                                 _get(cfg, "trace.period_frames", int),
                                 frame_rate=fps, payload_bytes=P, gop_size=gop,
-                                first_frame_bytes=int(first) if first else None)
+                                first_frame_bytes=_get(cfg, first, int) if cfg.get(first) else None)
     if kind == "burst":
         return burst_trace(frames, _get(cfg, "trace.low_bytes", int),
                            _get(cfg, "trace.high_bytes", int),

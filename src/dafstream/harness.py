@@ -238,19 +238,16 @@ class SessionResult:
 
 
 def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
-                seed: int, payloads=None, slopes=None) -> SessionResult:
+                seed: int, payloads=None) -> SessionResult:
     """Encode, transmit and decode one full session.
 
     `payloads` may carry real frame bytes; without them the session is
-    structure-only (all-zero packets), which decodes identically. `slopes`
-    overrides the per-entry slope factors (defaults: optimized for DAF,
-    zero elsewhere).
+    structure-only (all-zero packets), which decodes identically. Only DAF
+    optimizes its slope factors; every other mode's are zero.
     """
     if trace.payload_bytes > 0xFFFF:
         raise ConfigError("payload size does not fit the wire header")
-    if slopes is None:
-        slopes = session_slopes(trace, params)
-    schedule = build_schedule(params, trace, slopes=slopes)
+    schedule = build_schedule(params, trace, slopes=session_slopes(trace, params))
     k = trace.total_packets
     T = trace.num_frames
     N = params.total_coded

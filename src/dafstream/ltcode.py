@@ -281,9 +281,11 @@ class DecoderState:
     pends it is two integers: how many of its neighbors are still unknown
     and the sum of their numbers, so once one is left the sum names it.
     Each native packet has a list of the equations waiting on it; releasing
-    it updates them (the ripple). A decoder that holds payloads also keeps a
-    residual row per pending equation: its payload XOR every neighbor known
-    so far.
+    it updates them (the ripple). A decoder that holds payloads also keeps,
+    per pending equation, a copy of its payload row and of its neighbor
+    numbers. A packet released through an equation is recovered once, at
+    release: that row XOR the decoded rows of the equation's neighbors
+    (the released packet's own row is still zero then).
 
     Packets listed in `pseudo_decoded` (the warm-up/cool-down padding) start
     out decoded with all-zero content; they help the ripple but are reported
@@ -300,7 +302,7 @@ class DecoderState:
                         else np.zeros((total_packets + 1, payload_bytes), dtype=np.uint8))
         self._count: list[int] = []        # per equation: unknown neighbors left
         self._sum: list[int] = []          # per equation: sum of their numbers
-        self._residual: list = []          # per equation: residual row, or None
+        self._kept: list = []              # per equation: (payload row, neighbors), or None
         self._waiting = [[] for _ in range(total_packets + 1)]  # equations per native
         self._seen: set[int] = set()
         for p in self.pseudo:
@@ -385,18 +387,14 @@ class DecoderState:
         eq = np.repeat(np.arange(base, base + n), degree)[unknown]
         for nat, e in zip(neighbors[unknown].tolist(), eq.tolist()):
             waiting[nat].append(e)
-        live = np.flatnonzero(count > 0)
-        residual = [None] * n
-        if values is not None and len(live):
-            # unknown neighbors hold zeros, so XOR in every neighbor
-            live_ptr = np.concatenate(([0], np.cumsum(degree[live])))
-            live_rows = xor_payloads(live_ptr, neighbors[np.repeat(count > 0, degree)], values[1:])
-            live_rows ^= rows[live]
-            for i, row in zip(live.tolist(), live_rows):
-                residual[i] = row
-        self._residual += residual
+        kept = self._kept
+        kept += [None] * n
+        if values is not None:  # copies, so the caller may reuse its arrays
+            nbrs, ptr = neighbors.copy(), indptr.tolist()
+            for i in np.flatnonzero(count > 0).tolist():
+                kept[base + i] = (rows[i].copy(), nbrs[ptr[i]:ptr[i + 1]])
 
-        cnt, tot, res, decoded = self._count, self._sum, self._residual, self._decoded
+        cnt, tot, decoded = self._count, self._sum, self._decoded
         released, by = [], []
         for i in range(n):
             e = base + i
@@ -406,25 +404,23 @@ class DecoderState:
             queue = [(tot[e], e)]
             while queue:
                 nat, f = queue.pop()
-                row, res[f] = res[f], None
+                own, kept[f] = kept[f], None
                 if decoded[nat]:
                     continue
                 decoded[nat] = 1
                 got.append(nat)
-                if row is not None:
-                    values[nat] = row
+                if own is not None:  # nat's own row is still zero
+                    row, nbrs = own
+                    values[nat] = np.bitwise_xor.reduce(values[nbrs], axis=0) ^ row
                 for g in waiting[nat]:
                     c = cnt[g] = cnt[g] - 1
                     tot[g] -= nat
-                    if row is not None and res[g] is not None:
-                        res[g] ^= row
                     if c == 1 and g <= e:  # g has arrived
                         queue.append((tot[g], g))
+                    elif c == 0:  # solved before its turn came
+                        kept[g] = None
                 waiting[nat] = None  # a known packet is never waited on again
             got.sort()
             released += got
             by += [i] * len(got)
-        if values is not None:  # keep copies of the rows still pending only
-            for e in (base + live).tolist():
-                res[e] = res[e].copy() if cnt[e] > 1 else None
         return np.array(released, dtype=np.int64), np.array(by, dtype=np.int64)

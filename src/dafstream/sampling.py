@@ -340,9 +340,9 @@ def optimize_slopes(trace: VideoTrace, window: int, step: int = 1,
     coeffs = slope_coeffs(ds, w)
     T = ds.num_frames
     stable = slice(w - 1, T - w + 1)
-    D = coeffs.d1[stable]
+    Dc = coeffs.d1[stable]  # centered in place: coeffs is this solve's own
+    Dc -= Dc.mean(axis=0, keepdims=True)
     e = coeffs.d2[stable]
-    Dc = D - D.mean(axis=0, keepdims=True)
     ec = e - e.mean()
 
     H = Dc.T @ Dc

@@ -63,9 +63,6 @@ class VideoTrace:
     def total_packets(self) -> int:
         return sum(self.packets_per_frame)
 
-    def duration_s(self) -> float:
-        return self.num_frames / self.frame_rate
-
     def packet_offsets(self) -> np.ndarray:
         """int64 [0, cumsum(packets_per_frame)]: entry t counts the packets
         in frames 1..t, so frame t holds packets offsets[t-1]+1..offsets[t]."""

@@ -33,10 +33,6 @@ class Mode(str, Enum):
         raise ConfigError(f"unknown mode {name!r}; expected one of {[m.value for m in cls]}")
 
 
-#: Modes whose windows slide over frame-based windows of W frames.
-SLIDING_MODES = (Mode.DAF, Mode.DAF_L, Mode.S_LT)
-
-
 @dataclass(frozen=True)
 class CodingParams:
     """Derived coding parameters for one session."""

@@ -10,7 +10,8 @@ checking the package's counter decoder. `iter_coded_packets` lists every
 coded packet a session's encoder would send, for checks that need all of
 them. `FrameIndex`, `schedule_oracle`, `last_covering_oracle`,
 `slope_coeffs_oracle` and `slope_matrix_oracle` are the per-frame and
-per-entry lookups and loops the package's array forms replaced, and
+per-entry lookups and loops the package's array forms replaced,
+`slope_solve_oracle` is the slope solve before it centered in place, and
 `struct_datagram` packs the wire header field by field with `struct`.
 """
 
@@ -25,7 +26,8 @@ from dafstream.harness import BLOCK, SessionCodec
 from dafstream.ltcode import CodedPacketMeta, draw_batch, xor_payloads
 from dafstream.prng import packet_rng
 from dafstream.protocol import DafHeader, to_f32
-from dafstream.sampling import slope_pdf
+from dafstream.errors import SolverError
+from dafstream.sampling import SlopePlan, _optimizer_domain, slope_coeffs, slope_pdf
 from dafstream.windowing import Mode
 
 #: The columns of a WindowSchedule, as schedule_oracle lists them.
@@ -484,6 +486,53 @@ def slope_coeffs_oracle(trace, window):
             d1[t, t0] = (2.0 * pkt - s[t]) / w[t0] ** 2 - 1.0 / w[t0]
             d2[t] += 1.0 / w[t0]
     return d1, d2
+
+
+def slope_solve_oracle(trace, window, step=1, tol=1e-10, max_iter=100_000):
+    """sampling.optimize_slopes with the centered stable slice of d1 formed
+    as a new array; the package centers it in place."""
+    ds, w = _optimizer_domain(trace, window, step)
+    coeffs = slope_coeffs(ds, w)
+    T = ds.num_frames
+    stable = slice(w - 1, T - w + 1)
+    D = coeffs.d1[stable]
+    e = coeffs.d2[stable]
+    Dc = D - D.mean(axis=0, keepdims=True)
+    ec = e - e.mean()
+
+    H = Dc.T @ Dc
+    b = Dc.T @ ec
+    c0 = float(ec @ ec)
+    rows = coeffs.num_windows
+    a = np.zeros(rows)
+    r = np.zeros(rows)  # H @ a, maintained incrementally
+    diag = np.diag(H).copy()
+
+    def objective():
+        return float(a @ r + 2.0 * (b @ a) + c0)
+
+    j_prev = objective()
+    sweeps = 0
+    for sweeps in range(1, max_iter + 1):
+        for j in range(rows):
+            if diag[j] < 1e-30:
+                continue
+            target = a[j] - (r[j] + b[j]) / diag[j]
+            new = min(1.0, max(-1.0, target))
+            delta = new - a[j]
+            if delta != 0.0:
+                a[j] = new
+                r += H[:, j] * delta
+        j_new = objective()
+        if abs(j_prev - j_new) < tol:
+            j_prev = j_new
+            break
+        j_prev = j_new
+    else:
+        raise SolverError(
+            f"slope optimizer did not converge in {max_iter} sweeps "
+            f"(last objective {j_prev:.3e})")
+    return SlopePlan(a, ds, w, step, sweeps)
 
 
 def slope_matrix_oracle(trace, window, slopes):

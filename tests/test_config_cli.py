@@ -170,3 +170,26 @@ class TestCli:
                         "delay_s = 0.4\ncode_rate = 0.9\n")
         assert main(["run", "-c", str(path)]) == 2
         assert "widest window holds 77000 packets" in capsys.readouterr().err
+
+    def test_unparsable_first_frame_bytes_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "sine.cfg"
+        path.write_text("trace.kind = sinusoidal\ntrace.frames = 60\ntrace.mean_bytes = 9500\n"
+                        "trace.amp_bytes = 5500\ntrace.period_frames = 30\n"
+                        "trace.first_frame_bytes = big\nmode = DAF-L\n"
+                        "delay_s = 0.5\ncode_rate = 0.8\n")
+        assert main(["run", "-c", str(path)]) == 2
+        assert ("error: config key 'trace.first_frame_bytes': cannot parse 'big'"
+                in capsys.readouterr().err)
+
+    def test_missing_config_file_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "absent.cfg"
+        assert main(["run", "-c", str(path)]) == 2
+        assert f"error: cannot read config file {str(path)!r}" in capsys.readouterr().err
+
+    def test_missing_trace_csv_exit_code(self, tmp_path, capsys):
+        csv_path = tmp_path / "absent.csv"
+        path = tmp_path / "csv.cfg"
+        path.write_text(f"trace.kind = csv\ntrace.path = {csv_path}\nmode = DAF-L\n"
+                        "delay_s = 0.5\ncode_rate = 0.8\n")
+        assert main(["run", "-c", str(path)]) == 2
+        assert f"error: cannot read trace.path {str(csv_path)!r}" in capsys.readouterr().err

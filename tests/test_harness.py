@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,36 @@ class TestDecoderSideCompositions:
                 assert np.array_equal(np.bitwise_xor.reduce(buffer[row - 1]), got)
             checked += len(rows)
         assert checked == int(delivered.sum())
+
+
+class TestPayloadRecovery:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("mode", ["DAF", "DAF-L"])
+    def test_relay_workload_payloads_decode_exactly(self, workloads, mode, seed):
+        # run_session's block loop, keeping the decoder to read its bytes
+        inp = workloads.build("relay-payload-300", workloads.DEFAULT_SEED)
+        t = inp.trace
+        p = next(c.params for c in inp.cells if c.mode == mode)
+        wcp = wcp_packets(p, t)
+        buffer = packetize(t, inp.payloads)
+        buffer[np.array(sorted(wcp)) - 1] = 0
+        N = p.total_coded
+        delivered = transmit_many(replace(inp.channel, seed=inp.channel.seed + seed),
+                                  np.arange(1, N + 1),
+                                  np.arange(1, N + 1, dtype=np.float64) * p.send_interval_s(t))
+        codec = SessionCodec(t, p)
+        dec = DecoderState(t.total_packets, pseudo_decoded=wcp, payload_bytes=t.payload_bytes)
+        for first in range(1, N + 1, BLOCK):
+            last = min(first + BLOCK - 1, N)
+            if delivered[first - 1:last].any():
+                rx, indptr, neighbors = codec.receive(codec.send(first, last, delivered, buffer))
+                dec.ingest_block(rx.packet_id, indptr, neighbors, rx.payload)
+        decoded = dec.decoded_packets()
+        result = run_session(t, p, inp.channel, seed, payloads=inp.payloads)
+        assert decoded == np.flatnonzero(np.isfinite(result.decode_time)).tolist()
+        assert len(decoded) > 0.5 * (t.total_packets - len(wcp))
+        for q in decoded + sorted(wcp):
+            assert np.array_equal(dec.decoded_payload(q), buffer[q - 1]), q
 
 
 class TestWindowTables:

@@ -12,7 +12,8 @@ from dafstream.trace import (VideoTrace, burst_trace, constant_trace,
 
 from oracles import (direct_asp_from_matrix, direct_asp_from_slopes,
                      perframe_grid_oracle, slope_coeffs_oracle,
-                     slope_grid_oracle, slope_matrix_oracle, stable_objective)
+                     slope_grid_oracle, slope_matrix_oracle, slope_solve_oracle,
+                     stable_objective)
 
 
 def packets_trace(s, payload=64, fps=30):
@@ -294,6 +295,30 @@ class TestOptimizeSlopes:
         a = optimize_slopes(t, 4).slopes
         b = optimize_slopes(t, 4).slopes
         assert np.array_equal(a, b)
+
+    def test_matches_solve_oracle(self, workloads):
+        # the bench traces at their DAF window, then random traces, one at step 2
+        cases = [(t, W, 1) for t, W in window_cases(workloads)[:3]]
+        for seed in range(3):
+            t = random_trace(40, 1, 9, seed=seed)
+            cases += [(t, 2, 1), (t, 5, 1), (t, 9, 1), (t, 8, 2)]
+        for t, W, step in cases:
+            plan = optimize_slopes(t, W, step)
+            oracle = slope_solve_oracle(t, W, step)
+            assert np.array_equal(plan.slopes, oracle.slopes), (t.num_frames, W, step)
+            assert plan.iterations == oracle.iterations
+
+    def test_long_trace_memory(self):
+        # 900 frames at W=23: d1 and H are dense, but the stable slice of d1
+        # is centered in place rather than copied
+        t = sinusoidal_trace(900, 9500, 5500, 100, first_frame_bytes=25000)
+        tracemalloc.start()
+        try:
+            optimize_slopes(t, 23)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14 * 2**20
 
 
 class TestObjectiveOrdering:
