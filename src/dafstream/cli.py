@@ -25,9 +25,8 @@ def _cmd_optimize(args) -> int:
     slope_plan = optimize_slopes(trace, W, dt)
     frame_plan = optimize_per_frame(trace, W, dt)
     coeffs = slope_coeffs(slope_plan.domain_trace, slope_plan.window)
-    uniform = asp_from_slopes(coeffs, np.zeros(coeffs.num_windows))
-
-    profiles = {"P_uniform": uniform, "P_slope": slope_plan.asp(),
+    profiles = {"P_uniform": asp_from_slopes(coeffs, np.zeros(coeffs.num_windows)),
+                "P_slope": asp_from_slopes(coeffs, slope_plan.slopes),
                 "P_perframe": frame_plan.asp()}
     lines = ["frame," + ",".join(profiles)]
     columns = [p.normalized() for p in profiles.values()]

@@ -349,25 +349,32 @@ def optimize_slopes(trace: VideoTrace, window: int, step: int = 1,
     b = Dc.T @ ec
     c0 = float(ec @ ec)
     rows = coeffs.num_windows
-    a = np.zeros(rows)
+    # the sweep's scalars are Python floats: the same IEEE double arithmetic
+    # as numpy float64 scalars, without their per-operation overhead
+    a = [0.0] * rows
     r = np.zeros(rows)  # H @ a, maintained incrementally
-    diag = np.diag(H).copy()
+    r_at = r.item
+    step_r = np.empty(rows)
+    # syrk mirrors the triangle of Dc.T @ Dc, so row j is column j bit for bit
+    coords = list(zip(H, b.tolist(), np.diag(H).tolist()))
 
     def objective():
-        return float(a @ r + 2.0 * (b @ a) + c0)
+        x = np.array(a)
+        return float(x @ r + 2.0 * (b @ x) + c0)
 
     j_prev = objective()
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
-        for j in range(rows):
-            if diag[j] < 1e-30:
+        for j, (h_j, b_j, d_j) in enumerate(coords):
+            if d_j < 1e-30:
                 continue
-            target = a[j] - (r[j] + b[j]) / diag[j]
+            a_j = a[j]
+            target = a_j - (r_at(j) + b_j) / d_j
             new = min(1.0, max(-1.0, target))
-            delta = new - a[j]
+            delta = new - a_j
             if delta != 0.0:
                 a[j] = new
-                r += H[:, j] * delta
+                r += np.multiply(h_j, delta, out=step_r)
         j_new = objective()
         if abs(j_prev - j_new) < tol:
             j_prev = j_new
@@ -377,4 +384,4 @@ def optimize_slopes(trace: VideoTrace, window: int, step: int = 1,
         raise SolverError(
             f"slope optimizer did not converge in {max_iter} sweeps "
             f"(last objective {j_prev:.3e})")
-    return SlopePlan(a, ds, w, step, sweeps)
+    return SlopePlan(np.array(a), ds, w, step, sweeps)

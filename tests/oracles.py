@@ -11,7 +11,8 @@ coded packet a session's encoder would send, for checks that need all of
 them. `FrameIndex`, `schedule_oracle`, `last_covering_oracle`,
 `slope_coeffs_oracle` and `slope_matrix_oracle` are the per-frame and
 per-entry lookups and loops the package's array forms replaced,
-`slope_solve_oracle` is the slope solve before it centered in place, and
+`slope_solve_oracle` is the slope solve before it centered in place and
+read rows of H with Python floats (`centered_gram` is its H), and
 `struct_datagram` packs the wire header field by field with `struct`.
 """
 
@@ -488,9 +489,20 @@ def slope_coeffs_oracle(trace, window):
     return d1, d2
 
 
+def centered_gram(trace, window, step=1):
+    """H = Dc.T @ Dc of the slope solve, with Dc formed as in slope_solve_oracle."""
+    ds, w = _optimizer_domain(trace, window, step)
+    D = slope_coeffs(ds, w).d1[w - 1:ds.num_frames - w + 1]
+    Dc = D - D.mean(axis=0, keepdims=True)
+    return Dc.T @ Dc
+
+
 def slope_solve_oracle(trace, window, step=1, tol=1e-10, max_iter=100_000):
     """sampling.optimize_slopes with the centered stable slice of d1 formed
-    as a new array; the package centers it in place."""
+    as a new array; the package centers it in place. It reads column j of H
+    and keeps its scalars as numpy float64, so it is also the reference for
+    the package's sweep, which reads row j of the symmetric H and keeps its
+    scalars as Python floats."""
     ds, w = _optimizer_domain(trace, window, step)
     coeffs = slope_coeffs(ds, w)
     T = ds.num_frames

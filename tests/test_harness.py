@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dafstream.channel import ChannelModel, transmit_many
 from dafstream.errors import ConfigError, ProtocolError
@@ -9,8 +11,8 @@ from dafstream.harness import (BLOCK, CSV_HEADER, Metrics, SessionCodec,
                                delay_to_frames, report, rows_to_csv, run_session,
                                session_slopes, summarize, sweep)
 from dafstream.ltcode import DecoderState, InverseCdf, uniform_cdf
-from dafstream.protocol import (DafHeader, decode_packet, encode_datagrams,
-                                encode_packet)
+from dafstream.protocol import (HEADER_LEN, DafHeader, decode_packet,
+                                encode_datagrams, encode_packet)
 from dafstream.sampling import slope_pdf
 from dafstream.trace import constant_trace, packetize, random_trace, sinusoidal_trace
 from dafstream.windowing import build_schedule, derive_params, wcp_packets
@@ -277,6 +279,29 @@ class TestHostileHeaders:
             else:
                 with pytest.raises(ProtocolError):
                     codec.receive(data)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_datagrams_give_compositions_or_protocol_error(self, codec, data):
+        # one to four consecutive honest datagrams, some header bytes
+        # overwritten, then cut anywhere
+        size = HEADER_LEN + codec.trace.payload_bytes
+        n = data.draw(st.integers(1, 4))
+        first = data.draw(st.integers(1, codec.params.total_coded - n + 1))
+        wire = codec.send(first, first + n - 1, np.ones(codec.params.total_coded, dtype=bool))
+        for _ in range(data.draw(st.integers(0, 6))):
+            row = data.draw(st.integers(0, n - 1))
+            byte = data.draw(st.integers(0, HEADER_LEN - 1))
+            wire[row * size + byte] = data.draw(st.integers(0, 255))
+        cut = data.draw(st.one_of(st.just(len(wire)), st.integers(0, len(wire))))
+        try:
+            rx, indptr, neighbors = codec.receive(bytes(wire[:cut]))
+        except ProtocolError:
+            return
+        assert len(indptr) == len(rx.packet_id) + 1
+        lo = np.repeat(rx.start_packet, np.diff(indptr))
+        hi = lo + np.repeat(rx.window_packets, np.diff(indptr))
+        assert np.all((lo <= neighbors) & (neighbors < hi))
 
 
 class TestSweep:

@@ -187,3 +187,34 @@ class TestDatagrams:
             encode_datagrams([0], [1], [0.0], [1], 4)
         with pytest.raises(ProtocolError, match="PacketID"):
             encode_datagrams([1], [1], [0.0], [1 << 24], 4)
+
+
+@st.composite
+def datagram_bytes(draw):
+    """Arbitrary bytes for decode_datagrams: any length, or whole records
+    whose P field is, by chance or by choice, the decoder's payload size."""
+    P = draw(st.integers(1, 16))
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=4 * (HEADER_LEN + P))), P
+    records = []
+    for _ in range(draw(st.integers(0, 4))):
+        head = bytearray(draw(st.binary(min_size=HEADER_LEN, max_size=HEADER_LEN)))
+        if draw(st.booleans()):
+            head[-2:] = P.to_bytes(2, "big")
+        records.append(bytes(head) + draw(st.binary(min_size=P, max_size=P)))
+    return b"".join(records), P
+
+
+class TestUntrustedBytes:
+    @given(datagram_bytes())
+    @settings(max_examples=500, deadline=None)
+    def test_decode_gives_datagrams_or_protocol_error(self, case):
+        data, P = case
+        try:
+            rx = decode_datagrams(data, P)
+        except ProtocolError:
+            return
+        # what decodes is in range and encodes back to the same bytes
+        assert rx.payload.shape == (len(data) // (HEADER_LEN + P), P)
+        assert bytes(encode_datagrams(rx.start_packet, rx.window_packets, rx.slope_factor,
+                                      rx.packet_id, P, rx.payload)) == data

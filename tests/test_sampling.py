@@ -10,10 +10,10 @@ from dafstream.sampling import (asp_from_matrix, asp_from_slopes, band_sum,
 from dafstream.trace import (VideoTrace, burst_trace, constant_trace,
                              downsample, random_trace, sinusoidal_trace)
 
-from oracles import (direct_asp_from_matrix, direct_asp_from_slopes,
-                     perframe_grid_oracle, slope_coeffs_oracle,
-                     slope_grid_oracle, slope_matrix_oracle, slope_solve_oracle,
-                     stable_objective)
+from oracles import (centered_gram, direct_asp_from_matrix,
+                     direct_asp_from_slopes, perframe_grid_oracle,
+                     slope_coeffs_oracle, slope_grid_oracle,
+                     slope_matrix_oracle, slope_solve_oracle, stable_objective)
 
 
 def packets_trace(s, payload=64, fps=30):
@@ -307,6 +307,9 @@ class TestOptimizeSlopes:
             oracle = slope_solve_oracle(t, W, step)
             assert np.array_equal(plan.slopes, oracle.slopes), (t.num_frames, W, step)
             assert plan.iterations == oracle.iterations
+            # the package's sweep reads row j for column j
+            H = centered_gram(t, W, step)
+            assert np.array_equal(H, H.T), (t.num_frames, W, step)
 
     def test_long_trace_memory(self):
         # 900 frames at W=23: d1 and H are dense, but the stable slice of d1
