@@ -2,10 +2,12 @@
 
 A session walks the window schedule at a constant data rate (coded packet n
 leaves at n * P / R seconds) and pushes every packet through the erasure
-channel. It runs in blocks of BLOCK coded packets: the delivered ones cross
-the wire as datagram bytes (the encoder draws their compositions only to XOR
-real payloads), and the decoder rebuilds their compositions from the
-received headers alone before peeling the block in PacketID order. A native
+channel. It runs in blocks of consecutive coded packets whose datagrams fit
+in BLOCK_BYTES (session_blocks): the delivered ones cross the wire as
+datagram bytes (the encoder draws their compositions only to XOR real
+payloads), and the decoder rebuilds their compositions from the received
+headers alone before peeling the block in PacketID order. A block's bytes
+are freed before the next block is sent. A native
 packet decoded by the send time of the last coded packet of the last window
 covering its frame counts as in-time; decoded ever, toward the file ratio.
 Warm-up/cool-down padding is excluded from both.
@@ -27,16 +29,17 @@ from .errors import ConfigError, ProtocolError
 # the per-layer tracer in bench/tracer.py; sessions use their batch forms.
 from .ltcode import (CodedPacketMeta, DecoderState, InverseCdf, draw, draw_batch,
                      robust_soliton, uniform_cdf, xor_payload, xor_payloads)
-from .protocol import (DafHeader, Datagrams, decode_datagrams, decode_packet,
+from .protocol import (HEADER_LEN, DafHeader, Datagrams, decode_datagrams, decode_packet,
                        encode_datagrams, encode_packet)
 from .sampling import SlopePlan, optimize_slopes, slope_density
 from .trace import VideoTrace, packetize
 from .windowing import (CodingParams, Mode, WindowSchedule, build_schedule,
                         derive_params, wcp_packets)
 
-#: Coded packets per block of a session. Bounds the datagram bytes, XOR rows
-#: and draw bitmaps held at once.
-BLOCK = 512
+#: Datagram bytes per block of a session (at least one datagram). Bounds the
+#: wire bytes and payload rows held at once; a composition depends only on
+#: its PacketID and window, so the block size changes no result.
+BLOCK_BYTES = 1 << 21
 
 #: Cells per row block of SessionCodec._build_cdf; bounds its temporaries.
 TABLE_BLOCK = 1 << 14
@@ -198,6 +201,14 @@ class SessionCodec:
                                slope_factor=header.slope_factor)
 
 
+def session_blocks(total_coded: int, payload_bytes: int):
+    """Yield the (first, last) PacketIDs of each block of a session, tiling
+    1..total_coded with as many datagrams as fit in BLOCK_BYTES, at least one."""
+    size = max(1, BLOCK_BYTES // (HEADER_LEN + payload_bytes))
+    for first in range(1, total_coded + 1, size):
+        yield first, min(first + size - 1, total_coded)
+
+
 @lru_cache(maxsize=32)
 def cached_slope_plan(trace: VideoTrace, window: int, step: int) -> SlopePlan:
     return optimize_slopes(trace, window, step)
@@ -269,8 +280,7 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
                            payload_bytes=trace.payload_bytes if buffer is not None else None)
     decode_time = np.full(k + 1, np.inf)
 
-    for first in range(1, N + 1, BLOCK):
-        last = min(first + BLOCK - 1, N)
+    for first, last in session_blocks(N, trace.payload_bytes):
         if not delivered[first - 1:last].any():
             continue
         # an honest trip through the wire format: only bytes cross
@@ -279,6 +289,7 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
         released, by = decoder.ingest_block(rx.packet_id, indptr, neighbors,
                                             rx.payload if buffer is not None else None)
         decode_time[released] = send_times[rx.packet_id[by] - 1]
+        del data, rx, indptr, neighbors  # rx views data; free both before the next send
 
     frame_deadline = np.zeros(T + 1)
     # a frame no window touches (entry 0) takes the last entry's deadline

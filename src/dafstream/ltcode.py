@@ -78,10 +78,14 @@ class CodedPacketMeta:
 #: draw_batch stop and each packet finishes alone from its own generator.
 _LOCKSTEP_MIN = 16
 
-#: Packets per pass of draw_batch. A pass searches one joined key array, so
-#: it must touch fewer than 2047 tables (see _Tables); it also bounds the
-#: pass's chosen-neighbor bitmap to _PASS * WSize bytes.
-_PASS = 512
+#: Most packets per pass of draw_batch. A pass searches one joined key
+#: array, so it must touch fewer than 2047 tables (see _Tables).
+_PASS_PACKETS = 2046
+
+#: Most cells per pass of draw_batch, the sum of WSize over its packets (a
+#: pass holds at least one packet). Bounds the pass's chosen-neighbor bitmap
+#: to _PASS_CELLS bytes and its joined keys to _PASS_CELLS words.
+_PASS_CELLS = 1 << 21
 
 _TWO53 = float(1 << 53)
 _KEY_SPAN = (1 << 53) + 1
@@ -158,11 +162,19 @@ def draw_batch(packet_ids, window_of, windows) -> tuple[np.ndarray, np.ndarray]:
     """
     packet_ids = np.asarray(packet_ids, dtype=np.int64)
     window_of = np.asarray(window_of, dtype=np.intp)
+    used, local = np.unique(window_of, return_inverse=True)
+    wsize = np.fromiter((len(windows[w][1]) for w in used.tolist()), dtype=np.int64,
+                        count=len(used))
+    cells = np.concatenate(([0], np.cumsum(wsize[local])))  # of the packets before i
     indptrs, neighbors = [np.zeros(1, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for a in range(0, len(packet_ids), _PASS):
-        ip, nb = _draw_pass(packet_ids[a:a + _PASS], window_of[a:a + _PASS], windows)
+    a, n = 0, len(packet_ids)
+    while a < n:
+        b = int(np.searchsorted(cells, cells[a] + _PASS_CELLS, side="right")) - 1
+        b = min(a + _PASS_PACKETS, max(a + 1, b))
+        ip, nb = _draw_pass(packet_ids[a:b], window_of[a:b], windows)
         indptrs.append(ip[1:] + indptrs[-1][-1])
         neighbors.append(nb)
+        a = b
     return np.concatenate(indptrs), np.concatenate(neighbors)
 
 

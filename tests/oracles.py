@@ -23,7 +23,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from dafstream.harness import BLOCK, SessionCodec
+from dafstream.harness import SessionCodec, session_blocks
 from dafstream.ltcode import CodedPacketMeta, draw_batch, xor_payloads
 from dafstream.prng import packet_rng
 from dafstream.protocol import DafHeader, to_f32
@@ -364,8 +364,8 @@ def iter_coded_packets(trace, params, schedule, buffer=None, codec=None):
         raise ValueError("codec was built for a different schedule")
     sched = codec.schedule
     total = int(sched.cum_sent[-1])
-    for first in range(1, total + 1, BLOCK):
-        pids, entry, indptr, neighbors = encode_block(codec, first, min(first + BLOCK - 1, total))
+    for first, last in session_blocks(total, trace.payload_bytes):
+        pids, entry, indptr, neighbors = encode_block(codec, first, last)
         payloads = None if buffer is None else xor_payloads(indptr, neighbors, buffer)
         bounds = indptr.tolist()
         for i, (pid, e) in enumerate(zip(pids.tolist(), entry.tolist())):

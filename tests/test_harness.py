@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from dafstream.channel import ChannelModel, transmit_many
 from dafstream.errors import ConfigError, ProtocolError
-from dafstream.harness import (BLOCK, CSV_HEADER, Metrics, SessionCodec,
-                               delay_to_frames, report, rows_to_csv, run_session,
-                               session_slopes, summarize, sweep)
+from dafstream import harness
+from dafstream.harness import (CSV_HEADER, Metrics, SessionCodec, delay_to_frames, report,
+                               rows_to_csv, run_session, session_blocks, session_slopes,
+                               summarize, sweep)
 from dafstream.ltcode import DecoderState, InverseCdf, uniform_cdf
 from dafstream.protocol import (HEADER_LEN, DafHeader, decode_packet,
                                 encode_datagrams, encode_packet)
@@ -146,8 +147,7 @@ class TestDecoderSideCompositions:
                                   np.arange(1, N + 1) * p.send_interval_s(t))
         assert 0.2 < delivered.mean() < 0.9
         checked = 0
-        for first in range(1, N + 1, BLOCK):
-            last = min(first + BLOCK - 1, N)
+        for first, last in session_blocks(N, t.payload_bytes):
             pids, _, indptr, neighbors = encode_block(sender, first, last)
             sent = delivered[first - 1:last]
             rx, rx_indptr, rx_neighbors = receiver.receive(
@@ -180,8 +180,7 @@ class TestPayloadRecovery:
                                   np.arange(1, N + 1, dtype=np.float64) * p.send_interval_s(t))
         codec = SessionCodec(t, p)
         dec = DecoderState(t.total_packets, pseudo_decoded=wcp, payload_bytes=t.payload_bytes)
-        for first in range(1, N + 1, BLOCK):
-            last = min(first + BLOCK - 1, N)
+        for first, last in session_blocks(N, t.payload_bytes):
             if delivered[first - 1:last].any():
                 rx, indptr, neighbors = codec.receive(codec.send(first, last, delivered, buffer))
                 dec.ingest_block(rx.packet_id, indptr, neighbors, rx.payload)
@@ -191,6 +190,34 @@ class TestPayloadRecovery:
         assert len(decoded) > 0.5 * (t.total_packets - len(wcp))
         for q in decoded + sorted(wcp):
             assert np.array_equal(dec.decoded_payload(q), buffer[q - 1]), q
+
+
+class TestSessionBlocks:
+    @pytest.mark.parametrize("payload_bytes", [1, 1024, 0xFFFF])
+    @pytest.mark.parametrize("total", [1, 2017, 2018, 2019, 100_000])
+    def test_blocks_tile_the_session_within_the_byte_budget(self, payload_bytes, total):
+        blocks = list(session_blocks(total, payload_bytes))
+        assert blocks[0][0] == 1 and blocks[-1][1] == total
+        assert all(b[0] == a[1] + 1 for a, b in zip(blocks, blocks[1:]))
+        for first, last in blocks:
+            assert last >= first
+            assert (last - first + 1) * (HEADER_LEN + payload_bytes) <= harness.BLOCK_BYTES
+
+    def test_block_size_follows_the_budget(self, monkeypatch):
+        # 2,018 datagrams of 1,039 bytes fill 2 MiB; a budget below one datagram still holds one
+        assert next(session_blocks(10_000, 1024)) == (1, 2018)
+        monkeypatch.setattr(harness, "BLOCK_BYTES", 10)
+        assert list(session_blocks(3, 1024)) == [(1, 1), (2, 2), (3, 3)]
+
+    @pytest.mark.parametrize("name", ["readme-300", "relay-payload-300"])
+    def test_block_size_changes_no_result(self, workloads, monkeypatch, name):
+        inp = workloads.build(name, workloads.DEFAULT_SEED)
+        p = next(c.params for c in inp.cells if c.mode == "DAF")
+        want = run_session(inp.trace, p, inp.channel, 3, payloads=inp.payloads)
+        # 37 datagrams per block, so blocks fall nowhere near the default's bounds
+        monkeypatch.setattr(harness, "BLOCK_BYTES", 37 * (HEADER_LEN + inp.trace.payload_bytes))
+        got = run_session(inp.trace, p, inp.channel, 3, payloads=inp.payloads)
+        assert got.canonical_bytes() == want.canonical_bytes()
 
 
 class TestWindowTables:

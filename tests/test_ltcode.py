@@ -1,12 +1,15 @@
 import math
 import random
+import tracemalloc
 from datetime import timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dafstream import ltcode
 from dafstream.errors import ProtocolError
 from dafstream.ltcode import (CodedPacketMeta, DecoderState,
                               DegreeDistribution, InverseCdf, draw, draw_batch,
@@ -143,7 +146,7 @@ def assert_matches_oracle(packet_ids, window_of, windows):
 def batches(data):
     """Windows of 1..400 packets with extreme and random float32 slopes,
     degree tables of the window's size or larger (degree clamped), and
-    sorted PacketIDs with gaps, up to more than two passes' worth."""
+    sorted PacketIDs with gaps."""
     windows = []
     for _ in range(data(st.integers(1, 5))):
         wsize = data(st.integers(1, 400))
@@ -160,10 +163,12 @@ def batches(data):
 
 
 class TestDrawBatch:
-    @given(batches())
+    @given(batches(), st.sampled_from([1, 400, 5_000, ltcode._PASS_CELLS]))
     @settings(max_examples=25, deadline=None)
-    def test_matches_rejection_oracle(self, batch):
-        assert_matches_oracle(*batch)
+    def test_matches_rejection_oracle(self, batch, pass_cells):
+        # small cell caps cut the batch into many passes, down to one packet each
+        with mock.patch.object(ltcode, "_PASS_CELLS", pass_cells):
+            assert_matches_oracle(*batch)
 
     def test_clamped_degree_draws_whole_window(self):
         # degrees from a 400-packet table, windows of 3 packets
@@ -178,8 +183,34 @@ class TestDrawBatch:
     def test_gapped_ids_span_passes_and_windows(self):
         windows = [(1 + 50 * w, slope_cdf([20, 30, 50], s), robust_soliton(100))
                    for w, s in enumerate((-1.0, 0.0, 0.37, 1.0))]
-        pids = np.arange(1, 4000, 3)
+        pids = np.arange(1, 7000, 3)  # 2,333 packets: two passes by count
         assert_matches_oracle(pids, pids % 4, windows)
+
+    def test_more_windows_than_one_joined_search_holds(self):
+        # 2,100 distinct windows in one batch; a pass must touch fewer than 2,047
+        sizes = [1 + w % 9 for w in range(2100)]
+        windows = [(1 + 3 * w, uniform_cdf(n), robust_soliton(n)) for w, n in enumerate(sizes)]
+        pids = np.arange(1, 4201)
+        assert_matches_oracle(pids, (pids * 11) % 2100, windows)
+
+    def test_pass_memory_is_bounded_by_cells(self):
+        # 2,000 packets of one 60,000-packet window: the chosen-neighbor bitmaps
+        # of one 2,000-packet pass alone would be 120 MB
+        cdf, degrees = uniform_cdf(60_000), robust_soliton(4)
+        windows = [(1, InverseCdf(cdf), degrees.table)]
+        tracemalloc.start()
+        try:
+            indptr, neighbors = draw_batch(np.arange(1, 2001), np.zeros(2000, dtype=np.intp),
+                                           windows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+        assert len(indptr) == 2001 and np.all(np.diff(indptr) >= 1)
+        for pid in (1, 1000, 2000):
+            got = neighbors[indptr[pid - 1]:indptr[pid]].tolist()
+            assert (len(got), tuple(got)) == draw_oracle(pid, 1, cdf.tolist(),
+                                                         degree_cdf(degrees))
 
     def test_same_packet_same_neighbors_in_any_batch(self):
         windows = [(1, InverseCdf(uniform_cdf(40)), robust_soliton(40).table)]
