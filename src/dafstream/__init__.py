@@ -1,6 +1,6 @@
 """Delay-aware sliding-window fountain coding for trace-driven streaming."""
 
-from .channel import ChannelModel, transmit, transmit_many
+from .channel import ChannelModel, transmit_many
 from .errors import (ConfigError, DafError, ProtocolError, SolverError,
                      TraceParseError)
 from .harness import (Metrics, SessionResult, report, run_session, sweep)
@@ -9,8 +9,8 @@ from .ltcode import (CodedPacketMeta, DecoderState, DegreeDistribution, draw,
 from .protocol import (DafHeader, decode_header, decode_packet, encode_header,
                        encode_packet)
 from .sampling import (AspProfile, SlopeCoefficients, asp_from_matrix,
-                       asp_from_slopes, optimize_per_frame, optimize_slopes,
-                       slope_coeffs, slope_matrix, slope_pdf, uniform_matrix)
+                       optimize_per_frame, optimize_slopes, slope_coeffs,
+                       slope_matrix)
 from .trace import (VideoTrace, burst_trace, constant_trace, downsample,
                     load_trace, packetize, random_trace, sinusoidal_trace)
 from .windowing import (CodingParams, Mode, WindowSchedule, build_schedule,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .prng import counter_uniform, counter_uniforms
+from .prng import counter_uniforms
 
 KINDS = ("single", "chain", "mobile-relay")
 
@@ -60,20 +60,9 @@ class ChannelModel:
                 f":duty={self.duty:g}")
 
 
-def _gate_open(model: ChannelModel, send_time_s: float) -> bool:
-    phase = send_time_s % model.period_s
-    return phase < model.duty * model.period_s
-
-
-def transmit(model: ChannelModel, packet_index: int, send_time_s: float) -> bool:
-    """Whether the packet survives the channel."""
-    if model.kind == "mobile-relay" and not _gate_open(model, send_time_s):
-        return False
-    return counter_uniform(model.seed, packet_index) < model.delivery_prob()
-
-
 def transmit_many(model: ChannelModel, packet_indices, send_times_s) -> np.ndarray:
-    """Vectorized transmit(); identical outcomes, any order."""
+    """Whether each packet, sent at its time, survives the channel; each
+    outcome depends on the packet's index and time alone, never on order."""
     idx = np.asarray(packet_indices)
     delivered = counter_uniforms(model.seed, idx) < model.delivery_prob()
     if model.kind == "mobile-relay":

@@ -12,8 +12,7 @@ from .config import (channel_from_config, load_config, params_from_config,
                      step_from_config, sweep_grid_from_config, trace_from_config)
 from .errors import DafError
 from .harness import report, run_session, sweep
-from .sampling import (asp_from_slopes, optimize_per_frame, optimize_slopes,
-                       slope_coeffs)
+from .sampling import asp_from_matrix, optimize_per_frame, optimize_slopes, slope_matrix
 
 
 def _cmd_optimize(args) -> int:
@@ -24,9 +23,10 @@ def _cmd_optimize(args) -> int:
 
     slope_plan = optimize_slopes(trace, W, dt)
     frame_plan = optimize_per_frame(trace, W, dt)
-    coeffs = slope_coeffs(slope_plan.domain_trace, slope_plan.window)
-    profiles = {"P_uniform": asp_from_slopes(coeffs, np.zeros(coeffs.num_windows)),
-                "P_slope": asp_from_slopes(coeffs, slope_plan.slopes),
+    ds, w = slope_plan.domain_trace, slope_plan.window
+    uniform = slope_matrix(ds, w, np.zeros_like(slope_plan.slopes))
+    profiles = {"P_uniform": asp_from_matrix(uniform, ds, w),
+                "P_slope": slope_plan.asp(),
                 "P_perframe": frame_plan.asp()}
     lines = ["frame," + ",".join(profiles)]
     columns = [p.normalized() for p in profiles.values()]

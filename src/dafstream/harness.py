@@ -32,7 +32,7 @@ from .ltcode import (CodedPacketMeta, DecoderState, InverseCdf, draw, draw_batch
 from .protocol import (HEADER_LEN, DafHeader, Datagrams, decode_datagrams, decode_packet,
                        encode_datagrams, encode_packet)
 from .sampling import SlopePlan, optimize_slopes, slope_density
-from .trace import VideoTrace, packetize
+from .trace import VideoTrace, downsample, packetize
 from .windowing import (CodingParams, Mode, WindowSchedule, build_schedule,
                         derive_params, wcp_packets)
 
@@ -104,12 +104,11 @@ class SessionCodec:
         if not np.all(np.abs(slope) <= 1.0):
             raise ValueError("slope factor outside [-1, 1]")
         first, size = sched.start_packet[sloped], sched.window_packets[sloped]
-        k, T, step = self.trace.total_packets, self.trace.num_frames, self.params.step_frames
+        k, step = self.trace.total_packets, self.params.step_frames
         if np.any(first + size - 1 > k):
             raise ValueError("window runs past the trace")
         # packets through the end of each packet's group, and the group's size
-        last_frame = np.minimum(np.arange(step, T + step, step), T)
-        ends = self.trace.packet_offsets()[last_frame]
+        ends = downsample(self.trace, step).packet_offsets()[1:]
         group = np.diff(ends, prepend=0)
         end = np.repeat(ends, group)
         if np.any(end[first + size - 2] != first + size - 1) or np.any(
@@ -126,7 +125,6 @@ class SessionCodec:
             pdf = slope_density(mid[packet - 1] - (start - 1), n[:, None].astype(np.float64),
                                 slope[pick][:, None])
             cdf = np.add.accumulate(pdf, axis=1)
-            cdf[np.arange(len(n)), n - 1] = 1.0
             for e, table in zip(sloped[pick].tolist(), InverseCdf.rows(cdf, n)):
                 tables[e] = table
         return tables
@@ -292,7 +290,8 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
         del data, rx, indptr, neighbors  # rx views data; free both before the next send
 
     frame_deadline = np.zeros(T + 1)
-    # a frame no window touches (entry 0) takes the last entry's deadline
+    # a padding frame no window touches (entry 0) takes the last entry's
+    # deadline; derive_params rejects a schedule leaving any other frame out
     frame_deadline[1:] = schedule.cum_sent[schedule.last_covering_entry(T)[1:] - 1] * interval
 
     frame_of = np.repeat(np.arange(1, T + 1), trace.packets_per_frame)

@@ -17,35 +17,36 @@ from .errors import ProtocolError
 from .prng import XorShift64Star, packet_states, xorshift64star_next
 
 
+#: The robust-soliton c and delta. PROTOCOL.md fixes them: a decoder redraws
+#: every degree from this table, so packets drawn with others are unreadable.
+SOLITON_C = 0.4
+SOLITON_DELTA = 0.02
+
+
 @dataclass(frozen=True)
 class DegreeDistribution:
     """Robust-soliton degree distribution over 1..window_packets."""
 
     window_packets: int
-    c: float
-    delta: float
     pmf: tuple[float, ...]
 
     def __post_init__(self):
-        cdf = np.cumsum(self.pmf)
-        cdf[-1] = 1.0
-        object.__setattr__(self, "table", InverseCdf(cdf))
+        object.__setattr__(self, "table", InverseCdf(np.cumsum(self.pmf)))
 
     def mean_degree(self) -> float:
         return sum((d + 1) * p for d, p in enumerate(self.pmf))
 
 
 @lru_cache(maxsize=4096)
-def robust_soliton(window_packets: int, c: float = 0.4, delta: float = 0.02) -> DegreeDistribution:
+def robust_soliton(window_packets: int) -> DegreeDistribution:
     """Ideal soliton plus the spike term, normalized.
 
-    The spike sits at ceil(k/R) where R = c * ln(k/delta) * sqrt(k).
+    The spike sits at ceil(k/R) where R = c * ln(k/delta) * sqrt(k), with
+    c = SOLITON_C and delta = SOLITON_DELTA.
     """
-    k = window_packets
+    k, c, delta = window_packets, SOLITON_C, SOLITON_DELTA
     if k < 1:
         raise ValueError("window must hold at least one packet")
-    if c <= 0 or not 0 < delta < 1:
-        raise ValueError(f"invalid robust-soliton parameters c={c}, delta={delta}")
     rho = np.zeros(k + 1)
     rho[1] = 1.0 / k
     for d in range(2, k + 1):
@@ -59,7 +60,7 @@ def robust_soliton(window_packets: int, c: float = 0.4, delta: float = 0.02) -> 
         tau[spike] = ripple * math.log(ripple / delta) / k
     mu = rho[1:] + tau[1:]
     mu /= mu.sum()
-    return DegreeDistribution(window_packets=k, c=c, delta=delta, pmf=tuple(mu))
+    return DegreeDistribution(window_packets=k, pmf=tuple(mu))
 
 
 @dataclass(frozen=True)
@@ -94,11 +95,13 @@ _KEY_SPAN = (1 << 53) + 1
 class InverseCdf:
     """A cumulative distribution over 0..n-1, inverted by 53-bit deviates.
 
-    The CDF is nondecreasing and ends in 1.0. The deviate u = m * 2**-53 of
-    an integer m falls at index bisect_right(cdf, u), which is exactly the
-    number of integer keys ceil(value * 2**53) <= m: scaling by 2**53 is
-    exact. Keys are clipped to 0..2**53, which keeps them sorted and changes
-    no comparison, since m < 2**53. Only the keys are kept.
+    The CDF is nondecreasing. The deviate u = m * 2**-53 of an integer m
+    falls at index bisect_right(cdf, u), which is exactly the number of
+    integer keys ceil(value * 2**53) <= m: scaling by 2**53 is exact. Keys
+    are clipped to 0..2**53, which keeps them sorted and changes no
+    comparison, since m < 2**53. The last key is 2**53 (the CDF's last entry
+    counts as exactly 1, whatever its float sum), so every deviate falls
+    inside the table. Only the keys are kept.
     """
 
     __slots__ = ("keys",)
@@ -106,12 +109,15 @@ class InverseCdf:
     def __init__(self, cdf):
         scaled = np.ceil(np.asarray(cdf, dtype=np.float64) * _TWO53)
         self.keys = np.clip(scaled, 0.0, _TWO53).astype(np.uint64)
+        self.keys[..., -1] = 1 << 53
 
     @classmethod
     def rows(cls, cdf, sizes) -> list["InverseCdf"]:
         """One table per row of a 2-D array of CDFs, row r cut to sizes[r]."""
+        all_keys = cls(cdf).keys
+        all_keys[np.arange(len(sizes)), sizes - 1] = 1 << 53
         tables = []
-        for keys, size in zip(cls(cdf).keys, sizes.tolist()):
+        for keys, size in zip(all_keys, sizes.tolist()):
             table = cls.__new__(cls)
             table.keys = keys[:size]
             tables.append(table)
@@ -180,13 +186,9 @@ def draw_batch(packet_ids, window_of, windows) -> tuple[np.ndarray, np.ndarray]:
 
 def _finish(rng: XorShift64Star, table: InverseCdf, chosen: set, degree: int) -> set:
     """Draw window positions into `chosen` until it holds `degree` of them."""
-    size = len(table)
     while len(chosen) < degree:
         # each deviate adds at most one position, so none is drawn past the degree
         chosen.update(table.search(rng.next_u53s(degree - len(chosen))).tolist())
-        if size in chosen:  # fp roundoff at the top end counts as the last position
-            chosen.discard(size)
-            chosen.add(size - 1)
     return chosen
 
 
@@ -209,7 +211,7 @@ def _draw_pass(packet_ids, window_of, windows):
     act_size, act_offset = size, offset
     while len(active) > _LOCKSTEP_MIN:
         j = cdfs.search(which, xorshift64star_next(state))
-        pos = act_offset + np.minimum(j, act_size - 1)
+        pos = act_offset + j
         fresh = ~chosen[pos]
         chosen[pos[fresh]] = True
         need -= fresh
@@ -234,7 +236,7 @@ def draw(packet_id: int, start_packet: int, window_cdf, dist: DegreeDistribution
     """Draw one packet's degree and distinct neighbors from its packet-id seed.
 
     `window_cdf` is the cumulative per-packet sampling distribution over the
-    window (floats ending in 1.0). A batch of one of draw_batch.
+    window (floats; the last counts as 1). A batch of one of draw_batch.
     """
     table = InverseCdf(window_cdf)
     indptr, neighbors = draw_batch([packet_id], [0], [(start_packet, table, dist.table)])
@@ -245,9 +247,7 @@ def draw(packet_id: int, start_packet: int, window_cdf, dist: DegreeDistribution
 
 
 def uniform_cdf(window_packets: int) -> np.ndarray:
-    cdf = (np.arange(1, window_packets + 1) / window_packets)
-    cdf[-1] = 1.0
-    return cdf
+    return np.arange(1, window_packets + 1) / window_packets
 
 
 #: Neighbor rows gathered at once by xor_payloads.

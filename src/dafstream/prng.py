@@ -42,22 +42,15 @@ class XorShift64Star:
         self.state = x
         return (x * _XS_MULT) & MASK64
 
-    def next_float(self) -> float:
-        """Uniform in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) * _INV_2_53
-
     def next_u53s(self, n: int) -> np.ndarray:
-        """The next n deviates as 53-bit integers m (next_float() is m * 2**-53)."""
+        """The next n deviates as 53-bit integers m; the uniform deviate is
+        m * 2**-53."""
         return np.array([self.next_u64() >> 11 for _ in range(n)], dtype=np.uint64)
 
 
-def packet_rng(packet_id: int) -> XorShift64Star:
-    """The generator both ends use for a given coded packet."""
-    return XorShift64Star(packet_id ^ PACKET_SEED_SALT)
-
-
 def packet_states(packet_ids) -> np.ndarray:
-    """Vectorized packet_rng: the seeded xorshift64* state of each packet."""
+    """The seeded xorshift64* state both ends use for each coded packet:
+    XorShift64Star(packet_id ^ PACKET_SEED_SALT)."""
     states = np.asarray(packet_ids, dtype=np.uint64) ^ np.uint64(PACKET_SEED_SALT)
     states[states == 0] = np.uint64(PACKET_SEED_SALT)
     return states
@@ -67,7 +60,7 @@ def xorshift64star_next(states: np.ndarray) -> np.ndarray:
     """Advance every uint64 state in place by one step.
 
     Returns the top 53 bits of each output (next_u64() >> 11), so the
-    uniform deviate of next_float() is the result times 2**-53.
+    uniform deviate is the result times 2**-53.
     """
     with np.errstate(over="ignore"):
         states ^= states >> np.uint64(12)
@@ -76,22 +69,9 @@ def xorshift64star_next(states: np.ndarray) -> np.ndarray:
         return (states * np.uint64(_XS_MULT)) >> np.uint64(11)
 
 
-def splitmix64(x: int) -> int:
-    """Finalizer of the splitmix64 stream; a 64-bit mixing function."""
-    z = (x + _SM_GAMMA) & MASK64
-    z = ((z ^ (z >> 30)) * _SM_MIX1) & MASK64
-    z = ((z ^ (z >> 27)) * _SM_MIX2) & MASK64
-    return z ^ (z >> 31)
-
-
-def counter_uniform(seed: int, index: int) -> float:
-    """Uniform in [0, 1) determined solely by (seed, index)."""
-    z = splitmix64((seed + index * _SM_GAMMA) & MASK64)
-    return (z >> 11) * _INV_2_53
-
-
 def counter_uniforms(seed: int, indices: np.ndarray) -> np.ndarray:
-    """Vectorized counter_uniform; bit-identical to the scalar version."""
+    """Uniform in [0, 1) for each index, determined solely by (seed, index):
+    the splitmix64 finalizer of seed + index * gamma, top 53 bits."""
     idx = np.asarray(indices, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = (np.uint64(seed) + idx * np.uint64(_SM_GAMMA)) + np.uint64(_SM_GAMMA)

@@ -34,9 +34,10 @@ def to_f32(x):
     """x rounded to float32, as SlopeF carries it, returned as float64.
 
     Works on scalars and arrays alike. Values beyond the float32 range
-    become +-inf, which check_fields rejects.
+    become +-inf, and a NaN (a signaling one from received bytes too) stays
+    NaN; check_fields rejects both.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return np.asarray(x, dtype=np.float64).astype(">f4").astype(np.float64)
 
 

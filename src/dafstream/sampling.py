@@ -24,28 +24,23 @@ from .trace import VideoTrace, downsample
 
 ROW_SUM_TOL = 1e-9
 
-
-def slope_pdf(frame_packets, slope: float) -> np.ndarray:
-    """Per-packet sampling probabilities for one window.
-
-    `frame_packets` holds the packet count of each frame in the window, in
-    order. The underlying density over [0, w] is linear with tilt `slope`
-    in [-1, 1]; each packet gets the average density over its unit interval,
-    so packets of one frame share one probability. slope=0 is uniform,
-    slope=1 tilts all the way toward the window's end.
-    """
-    if not -1.0 <= slope <= 1.0:
-        raise ValueError(f"slope factor {slope} outside [-1, 1]")
-    s = np.asarray(frame_packets, dtype=np.float64)
-    if s.ndim != 1 or len(s) == 0 or np.any(s < 1):
-        raise ValueError("frame_packets must be a non-empty sequence of counts >= 1")
-    density = slope_density(np.cumsum(s) - s / 2.0, s.sum(), slope)
-    return np.repeat(density, s.astype(int))
+#: Stopping rules of the two optimizers: the per-frame one stops after 10
+#: iterations in a row that change the objective by under _FRAME_TOL times
+#: its start (at least 1), the slope one after a sweep that changes it by
+#: under _SLOPE_TOL; either raises SolverError past its iteration cap.
+_FRAME_TOL, _FRAME_MAX_ITER = 1e-13, 200_000
+_SLOPE_TOL, _SLOPE_MAX_SWEEPS = 1e-10, 100_000
 
 
 def slope_density(mid, w, slope):
     """Sampling probability of a packet of a frame whose midpoint lies `mid`
-    packets into a window of `w` packets with tilt `slope` (broadcasts)."""
+    packets into a window of `w` packets with tilt `slope` (broadcasts).
+
+    The density over [0, w] is linear with tilt `slope` in [-1, 1]; each
+    packet gets its average over the packet's unit interval, so the packets
+    of one frame share one probability. slope=0 is uniform, slope=1 tilts
+    all the way toward the window's end.
+    """
     return (2.0 * slope / w**2) * mid + (1.0 - slope) / w
 
 
@@ -76,10 +71,10 @@ class AspProfile:
         """Full profile scaled so the stable range averages to 1."""
         return np.asarray(self.values) / self.stable_values().mean()
 
-    def stable_variance(self, normalized: bool = True) -> float:
+    def stable_variance(self) -> float:
+        """Variance of the stable range, normalized to a mean of 1."""
         v = self.stable_values()
-        if normalized:
-            v = v / v.mean()
+        v = v / v.mean()
         return float(np.mean((v - v.mean()) ** 2))
 
     def objective(self) -> float:
@@ -96,13 +91,6 @@ class AspProfile:
 def _check_window(trace: VideoTrace, window: int):
     if not 1 <= window <= trace.num_frames:
         raise ValueError(f"window of {window} frames invalid for a {trace.num_frames}-frame trace")
-
-
-def uniform_matrix(trace: VideoTrace, window: int) -> np.ndarray:
-    """Sampling matrix assigning every frame of every window probability 1/W."""
-    _check_window(trace, window)
-    rows = trace.num_frames - window + 1
-    return np.full((rows, window), 1.0 / window)
 
 
 def _window_grid(trace: VideoTrace, window: int):
@@ -164,20 +152,15 @@ def asp_from_matrix(A, trace: VideoTrace, window: int) -> AspProfile:
 
 @dataclass(frozen=True)
 class SlopeCoefficients:
-    """Affine decomposition of the ASP as a function of the slope vector.
+    """Affine decomposition of the ASP as a function of the slope vector,
+    the slope solve's inputs.
 
     P(t) = d1[t] . slopes + d2[t], where d1[t, i] is nonzero only for the
     windows covering frame t. Depends on the trace and window only.
     """
 
-    d1: np.ndarray   # shape (T, num_windows)
+    d1: np.ndarray   # shape (T, windows)
     d2: np.ndarray   # shape (T,)
-    window_frames: int
-    packets_per_frame: tuple[int, ...]
-
-    @property
-    def num_windows(self) -> int:
-        return self.d1.shape[1]
 
 
 def slope_coeffs(trace: VideoTrace, window: int) -> SlopeCoefficients:
@@ -192,17 +175,7 @@ def slope_coeffs(trace: VideoTrace, window: int) -> SlopeCoefficients:
     d1 = np.zeros((trace.num_frames, len(w)))
     d1[t, t - np.arange(window)] = (2.0 * pkt - s[t]) / w ** 2 - 1.0 / w
     d2 = band_sum(np.broadcast_to(1.0 / w, t.shape), trace.num_frames)
-    return SlopeCoefficients(d1=d1, d2=d2, window_frames=window,
-                             packets_per_frame=trace.packets_per_frame)
-
-
-def asp_from_slopes(coeffs: SlopeCoefficients, slopes) -> AspProfile:
-    slopes = np.asarray(slopes, dtype=np.float64)
-    if slopes.shape != (coeffs.num_windows,):
-        raise ValueError(f"expected {coeffs.num_windows} slopes, got {slopes.shape}")
-    P = coeffs.d1 @ slopes + coeffs.d2
-    return AspProfile(values=tuple(P), window_frames=coeffs.window_frames,
-                      packets_per_frame=coeffs.packets_per_frame)
+    return SlopeCoefficients(d1=d1, d2=d2)
 
 
 @dataclass(eq=False)
@@ -234,7 +207,8 @@ class SlopePlan:
     iterations: int
 
     def asp(self) -> AspProfile:
-        return asp_from_slopes(slope_coeffs(self.domain_trace, self.window), self.slopes)
+        A = slope_matrix(self.domain_trace, self.window, self.slopes)
+        return asp_from_matrix(A, self.domain_trace, self.window)
 
     @property
     def objective(self) -> float:
@@ -254,8 +228,7 @@ def _optimizer_domain(trace: VideoTrace, window: int, step: int):
     return ds, w
 
 
-def optimize_per_frame(trace: VideoTrace, window: int, step: int = 1,
-                       tol: float = 1e-13, max_iter: int = 200_000) -> PerFramePlan:
+def optimize_per_frame(trace: VideoTrace, window: int, step: int = 1) -> PerFramePlan:
     """Flatten the ASP by optimizing every frame's probability in every window.
 
     Accelerated projected gradient on the simplex-constrained least squares;
@@ -290,7 +263,7 @@ def optimize_per_frame(trace: VideoTrace, window: int, step: int = 1,
     scale = max(1.0, j_prev)
     stall = 0
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _FRAME_MAX_ITER + 1):
         x_new = _project_rows(y - lr * gradient(y))
         j_new = objective(x_new)
         if j_new > j_prev:  # restart the momentum when it overshoots
@@ -302,7 +275,7 @@ def optimize_per_frame(trace: VideoTrace, window: int, step: int = 1,
         y = x_new + ((t_acc - 1.0) / t_next) * (x_new - x)
         x = x_new
         t_acc = t_next
-        if abs(j_prev - j_new) < tol * scale:
+        if abs(j_prev - j_new) < _FRAME_TOL * scale:
             stall += 1
             if stall >= 10:
                 j_prev = j_new
@@ -312,7 +285,7 @@ def optimize_per_frame(trace: VideoTrace, window: int, step: int = 1,
         j_prev = j_new
     else:
         raise SolverError(
-            f"per-frame optimizer did not converge in {max_iter} iterations "
+            f"per-frame optimizer did not converge in {_FRAME_MAX_ITER} iterations "
             f"(last objective {j_prev:.3e})")
     return PerFramePlan(x, ds, w, step, iterations)
 
@@ -329,12 +302,11 @@ def _project_rows(X: np.ndarray) -> np.ndarray:
     return np.maximum(X - theta[:, None], 0.0)
 
 
-def optimize_slopes(trace: VideoTrace, window: int, step: int = 1,
-                    tol: float = 1e-10, max_iter: int = 100_000) -> SlopePlan:
+def optimize_slopes(trace: VideoTrace, window: int, step: int = 1) -> SlopePlan:
     """Flatten the ASP with one slope factor per window.
 
     Exact cyclic coordinate minimization with clipping to [-1, 1], iterated
-    until the objective change per sweep falls below `tol`.
+    until the objective change per sweep falls below _SLOPE_TOL.
     """
     ds, w = _optimizer_domain(trace, window, step)
     coeffs = slope_coeffs(ds, w)
@@ -348,7 +320,7 @@ def optimize_slopes(trace: VideoTrace, window: int, step: int = 1,
     H = Dc.T @ Dc
     b = Dc.T @ ec
     c0 = float(ec @ ec)
-    rows = coeffs.num_windows
+    rows = len(b)
     # the sweep's scalars are Python floats: the same IEEE double arithmetic
     # as numpy float64 scalars, without their per-operation overhead
     a = [0.0] * rows
@@ -364,7 +336,7 @@ def optimize_slopes(trace: VideoTrace, window: int, step: int = 1,
 
     j_prev = objective()
     sweeps = 0
-    for sweeps in range(1, max_iter + 1):
+    for sweeps in range(1, _SLOPE_MAX_SWEEPS + 1):
         for j, (h_j, b_j, d_j) in enumerate(coords):
             if d_j < 1e-30:
                 continue
@@ -376,12 +348,12 @@ def optimize_slopes(trace: VideoTrace, window: int, step: int = 1,
                 a[j] = new
                 r += np.multiply(h_j, delta, out=step_r)
         j_new = objective()
-        if abs(j_prev - j_new) < tol:
+        if abs(j_prev - j_new) < _SLOPE_TOL:
             j_prev = j_new
             break
         j_prev = j_new
     else:
         raise SolverError(
-            f"slope optimizer did not converge in {max_iter} sweeps "
+            f"slope optimizer did not converge in {_SLOPE_MAX_SWEEPS} sweeps "
             f"(last objective {j_prev:.3e})")
     return SlopePlan(np.array(a), ds, w, step, sweeps)

@@ -167,14 +167,12 @@ def downsample(trace: VideoTrace, factor: int) -> VideoTrace:
         raise ValueError(f"factor {factor} does not divide {trace.num_frames} frames")
     if factor % trace.gop_size != 0:
         raise ValueError(f"factor {factor} is not a multiple of the GOP size {trace.gop_size}")
-    nb = []
-    ns = []
-    for i in range(0, trace.num_frames, factor):
-        nb.append(sum(trace.frame_bytes[i:i + factor]))
-        ns.append(sum(trace.packets_per_frame[i:i + factor]))
+    ends = np.arange(0, trace.num_frames + 1, factor)  # superframe bounds, in frames
+    nb = np.diff(np.concatenate(([0], np.cumsum(trace.frame_bytes, dtype=np.int64)))[ends])
+    ns = np.diff(trace.packet_offsets()[ends])
     return VideoTrace(frame_rate=trace.frame_rate / factor, gop_size=1,
                       payload_bytes=trace.payload_bytes,
-                      frame_bytes=tuple(nb), packets_per_frame=tuple(ns))
+                      frame_bytes=tuple(nb.tolist()), packets_per_frame=tuple(ns.tolist()))
 
 
 # --- synthetic traces (no real video in the repo) ---

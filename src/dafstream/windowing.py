@@ -69,7 +69,8 @@ def derive_params(trace: VideoTrace, mode, delay_frames: int, step_frames: int =
 
     Exactly one of code_rate / data_rate must be given; the other is derived
     through code_rate = k / N. A window wider than the header's WSize field
-    holds is a ConfigError.
+    holds, or a schedule leaving a frame outside the padding in no window, is
+    a ConfigError.
     """
     mode = Mode.parse(mode) if not isinstance(mode, Mode) else mode
     if (code_rate is None) == (data_rate is None):
@@ -124,9 +125,15 @@ def derive_params(trace: VideoTrace, mode, delay_frames: int, step_frames: int =
                           window_frames=window, coded_per_step=coded_per_step,
                           num_steps=num_steps, total_coded=total,
                           fixed_window_packets=fixed)
-    widest = int(build_schedule(params, trace).window_packets.max())
+    schedule = build_schedule(params, trace)
+    widest = int(schedule.window_packets.max())
     if widest > MAX_WSIZE:
         raise ConfigError(f"widest window holds {widest} packets, over WSize's {MAX_WSIZE}")
+    warm, cool = wcp_frames(params, trace)
+    outside = np.flatnonzero(schedule.last_covering_entry(T)[len(warm) + 1:T - len(cool) + 1] == 0)
+    if len(outside):
+        raise ConfigError(f"{len(outside)} frames outside the padding lie in no window "
+                          f"(the first is frame {len(warm) + 1 + int(outside[0])})")
     return params
 
 

@@ -14,6 +14,9 @@ per-entry lookups and loops the package's array forms replaced,
 `slope_solve_oracle` is the slope solve before it centered in place and
 read rows of H with Python floats (`centered_gram` is its H), and
 `struct_datagram` packs the wire header field by field with `struct`.
+`transmit` (over `counter_uniform` and `splitmix64`), `packet_rng`,
+`slope_pdf` and `uniform_matrix` are the scalar and per-window forms of
+the channel, the packet generator and the sampling matrices.
 """
 
 import itertools
@@ -25,14 +28,82 @@ import numpy as np
 
 from dafstream.harness import SessionCodec, session_blocks
 from dafstream.ltcode import CodedPacketMeta, draw_batch, xor_payloads
-from dafstream.prng import packet_rng
+from dafstream.prng import MASK64, PACKET_SEED_SALT, XorShift64Star
 from dafstream.protocol import DafHeader, to_f32
 from dafstream.errors import SolverError
-from dafstream.sampling import SlopePlan, _optimizer_domain, slope_coeffs, slope_pdf
+from dafstream.sampling import (SlopePlan, _check_window, _optimizer_domain, slope_coeffs,
+                                slope_density)
 from dafstream.windowing import Mode
 
 #: The columns of a WindowSchedule, as schedule_oracle lists them.
 COLUMNS = ("start_frame", "end_frame", "start_packet", "window_packets", "slope", "cum_sent")
+
+_INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
+_SM_GAMMA = 0x9E3779B97F4A7C15
+_SM_MIX1 = 0xBF58476D1CE4E5B9
+_SM_MIX2 = 0x94D049BB133111EB
+
+
+class PacketRng(XorShift64Star):
+    """The packet generator with PROTOCOL.md's float deviates."""
+
+    __slots__ = ()
+
+    def next_float(self) -> float:
+        """Uniform in [0, 1) with 53 bits of precision."""
+        return (self.next_u64() >> 11) * _INV_2_53
+
+
+def packet_rng(packet_id):
+    """The generator both ends use for a given coded packet, one deviate at
+    a time (prng.packet_states is its array form)."""
+    return PacketRng(packet_id ^ PACKET_SEED_SALT)
+
+
+def splitmix64(x):
+    """Finalizer of the splitmix64 stream; a 64-bit mixing function."""
+    z = (x + _SM_GAMMA) & MASK64
+    z = ((z ^ (z >> 30)) * _SM_MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * _SM_MIX2) & MASK64
+    return z ^ (z >> 31)
+
+
+def counter_uniform(seed, index):
+    """prng.counter_uniforms for one index, with Python integers."""
+    z = splitmix64((seed + index * _SM_GAMMA) & MASK64)
+    return (z >> 11) * _INV_2_53
+
+
+def transmit(model, packet_index, send_time_s):
+    """channel.transmit_many for one packet, as PROTOCOL.md states it."""
+    if model.kind == "mobile-relay" and not _gate_open(model, send_time_s):
+        return False
+    return counter_uniform(model.seed, packet_index) < model.delivery_prob()
+
+
+def _gate_open(model, send_time_s):
+    phase = send_time_s % model.period_s
+    return phase < model.duty * model.period_s
+
+
+def slope_pdf(frame_packets, slope):
+    """Per-packet sampling probabilities of one window, from its frames'
+    packet counts in order (sampling.slope_density at each frame's midpoint,
+    repeated over the frame's packets)."""
+    if not -1.0 <= slope <= 1.0:
+        raise ValueError(f"slope factor {slope} outside [-1, 1]")
+    s = np.asarray(frame_packets, dtype=np.float64)
+    if s.ndim != 1 or len(s) == 0 or np.any(s < 1):
+        raise ValueError("frame_packets must be a non-empty sequence of counts >= 1")
+    density = slope_density(np.cumsum(s) - s / 2.0, s.sum(), slope)
+    return np.repeat(density, s.astype(int))
+
+
+def uniform_matrix(trace, window):
+    """Sampling matrix assigning every frame of every window probability 1/W."""
+    _check_window(trace, window)
+    rows = trace.num_frames - window + 1
+    return np.full((rows, window), 1.0 / window)
 
 
 def direct_asp_from_slopes(trace, window, slopes):
@@ -515,7 +586,7 @@ def slope_solve_oracle(trace, window, step=1, tol=1e-10, max_iter=100_000):
     H = Dc.T @ Dc
     b = Dc.T @ ec
     c0 = float(ec @ ec)
-    rows = coeffs.num_windows
+    rows = coeffs.d1.shape[1]
     a = np.zeros(rows)
     r = np.zeros(rows)  # H @ a, maintained incrementally
     diag = np.diag(H).copy()

@@ -18,8 +18,8 @@ from dafstream.harness import (SessionCodec, delay_to_frames, run_session,
                                session_slopes)
 from dafstream.protocol import (GOLDEN_BYTES, GOLDEN_HEADER, DafHeader,
                                 decode_header, encode_header)
-from dafstream.sampling import (asp_from_slopes, optimize_per_frame,
-                                optimize_slopes, slope_coeffs)
+from dafstream.sampling import (asp_from_matrix, optimize_per_frame,
+                                optimize_slopes, slope_coeffs, slope_matrix)
 from dafstream.trace import (burst_trace, constant_trace, random_trace,
                              sinusoidal_trace)
 from dafstream.windowing import build_schedule, derive_params, wcp_packets
@@ -62,8 +62,9 @@ def test_criterion_01_asp_flattening():
     window, step = 20, 5
     frame_plan = optimize_per_frame(trace, window, step)
     slope_plan = optimize_slopes(trace, window, step)
-    coeffs = slope_coeffs(slope_plan.domain_trace, slope_plan.window)
-    var_uniform = asp_from_slopes(coeffs, np.zeros(coeffs.num_windows)).stable_variance()
+    ds, w = slope_plan.domain_trace, slope_plan.window
+    uniform = slope_matrix(ds, w, np.zeros_like(slope_plan.slopes))
+    var_uniform = asp_from_matrix(uniform, ds, w).stable_variance()
     var_slope = slope_plan.asp().stable_variance()
     var_frame = frame_plan.asp().stable_variance()
     elapsed = time.monotonic() - start
@@ -106,8 +107,8 @@ def test_criterion_03_affine_form_equivalence():
         trace = random_trace(T, 1, 7, seed=int(rng.integers(1 << 30)),
                              payload_bytes=64)
         coeffs = slope_coeffs(trace, W)
-        a = rng.uniform(-1, 1, size=coeffs.num_windows)
-        affine = np.asarray(asp_from_slopes(coeffs, a).values)
+        a = rng.uniform(-1, 1, size=T - W + 1)
+        affine = coeffs.d1 @ a + coeffs.d2
         direct = direct_asp_from_slopes(trace, W, a)
         worst = max(worst, float(np.abs(affine - direct).max()))
     assert worst <= 1e-9
@@ -119,10 +120,9 @@ def test_criterion_04_mass_conservation():
     for seed in range(20):
         trace = random_trace(16, 1, 6, seed=seed, payload_bytes=64)
         W = 4
-        coeffs = slope_coeffs(trace, W)
-        windows = coeffs.num_windows
+        windows = trace.num_frames - W + 1
         profiles = [
-            asp_from_slopes(coeffs, np.zeros(windows)),
+            asp_from_matrix(slope_matrix(trace, W, np.zeros(windows)), trace, W),
             optimize_slopes(trace, W).asp(),
             optimize_per_frame(trace, W).asp(),
         ]

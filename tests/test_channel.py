@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from dafstream.channel import ChannelModel, transmit, transmit_many
+from dafstream.channel import ChannelModel, transmit_many
 from dafstream.errors import ConfigError
-from dafstream.prng import counter_uniform, counter_uniforms
+from dafstream.prng import counter_uniforms
+
+from oracles import counter_uniform, transmit
 
 
 class TestValidation:

@@ -14,11 +14,10 @@ from dafstream.harness import (CSV_HEADER, Metrics, SessionCodec, delay_to_frame
 from dafstream.ltcode import DecoderState, InverseCdf, uniform_cdf
 from dafstream.protocol import (HEADER_LEN, DafHeader, decode_packet,
                                 encode_datagrams, encode_packet)
-from dafstream.sampling import slope_pdf
 from dafstream.trace import constant_trace, packetize, random_trace, sinusoidal_trace
 from dafstream.windowing import build_schedule, derive_params, wcp_packets
 
-from oracles import encode_block, iter_coded_packets
+from oracles import encode_block, iter_coded_packets, slope_pdf
 
 
 def lossless():
@@ -248,7 +247,6 @@ class TestWindowTables:
                 counts = [sum(s[f - 1:min(f + g - 1, end)]) for f in frames]
                 assert sum(counts) == wsize
                 cdf = np.cumsum(slope_pdf(counts, slope))
-                cdf[-1] = 1.0
             assert np.array_equal(table.keys, InverseCdf(cdf).keys), index
 
     def test_sloped_window_off_the_step_grid_rejected(self):

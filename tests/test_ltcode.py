@@ -16,14 +16,12 @@ from dafstream.ltcode import (CodedPacketMeta, DecoderState,
                               robust_soliton, uniform_cdf, xor_payload,
                               xor_payloads)
 from dafstream.protocol import MAX_PACKET_ID
-from dafstream.sampling import slope_pdf
 
-from oracles import degree_cdf, draw_oracle, peeling_oracle
+from oracles import degree_cdf, draw_oracle, peeling_oracle, slope_pdf
 
 
 def degree_one_dist(window):
-    return DegreeDistribution(window_packets=window, c=0.4, delta=0.02,
-                              pmf=(1.0,) + (0.0,) * (window - 1))
+    return DegreeDistribution(window_packets=window, pmf=(1.0,) + (0.0,) * (window - 1))
 
 
 class TestRobustSoliton:
@@ -34,14 +32,11 @@ class TestRobustSoliton:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             robust_soliton(0)
-        with pytest.raises(ValueError):
-            robust_soliton(10, c=0.0)
-        with pytest.raises(ValueError):
-            robust_soliton(10, delta=1.0)
 
     def test_normalization_and_spike(self):
-        k, c, delta = 10, 0.4, 0.02
-        dist = robust_soliton(k, c, delta)
+        k, c, delta = 10, 0.4, 0.02  # PROTOCOL.md's constants
+        assert (ltcode.SOLITON_C, ltcode.SOLITON_DELTA) == (c, delta)
+        dist = robust_soliton(k)
         pmf = np.array(dist.pmf)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(pmf >= 0)
@@ -123,10 +118,32 @@ class TestDraw:
         assert hits > 1650
 
 
+class TestInverseCdf:
+    # the float sum of robust_soliton(3)'s pmf is 1 - 2**-53, so its last
+    # scaled key would be 2**53 - 1, which the largest deviate passes
+    K = 3
+
+    def test_last_entry_counts_as_one(self):
+        cdf = np.cumsum(robust_soliton(self.K).pmf)
+        assert cdf[-1] < 1.0
+        table = InverseCdf(cdf)
+        assert table.search(np.uint64(2**53 - 1)) == self.K - 1
+        assert table.search(np.uint64(0)) == 0
+        assert int(table.keys[-1]) == 2**53
+
+    def test_padded_rows_end_at_their_size(self):
+        short = np.cumsum(robust_soliton(self.K).pmf)
+        cdf = np.array([[*short, 1.5, 2.0], np.cumsum(robust_soliton(5).pmf)])
+        tables = InverseCdf.rows(cdf, np.array([self.K, 5]))
+        assert [len(t) for t in tables] == [self.K, 5]
+        for table, size in zip(tables, (self.K, 5)):
+            assert table.search(np.uint64(2**53 - 1)) == size - 1
+            assert int(table.keys[-1]) == 2**53
+
+
 def slope_cdf(counts, slope):
-    cdf = np.cumsum(slope_pdf(counts, slope))
-    cdf[-1] = 1.0
-    return cdf
+    """A window CDF as its float sum, whose last entry may fall short of 1."""
+    return np.cumsum(slope_pdf(counts, slope))
 
 
 def assert_matches_oracle(packet_ids, window_of, windows):

@@ -102,6 +102,9 @@ class TestErrors:
         raw[6:10] = struct.pack(">f", math.nan)
         with pytest.raises(ProtocolError, match="SlopeF"):
             decode_header(bytes(raw))
+        raw[6:10] = bytes.fromhex("7f800001")  # a signaling NaN: no RuntimeWarning either
+        with pytest.raises(ProtocolError, match="SlopeF"):
+            decode_header(bytes(raw))
 
 
 def struct_f32(x):

@@ -3,21 +3,27 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dafstream.sampling import (asp_from_matrix, asp_from_slopes, band_sum,
-                                optimize_per_frame, optimize_slopes,
-                                slope_coeffs, slope_matrix, slope_pdf,
-                                uniform_matrix)
+from dafstream import sampling
+from dafstream.errors import SolverError
+from dafstream.sampling import (asp_from_matrix, band_sum, optimize_per_frame,
+                                optimize_slopes, slope_coeffs, slope_matrix)
 from dafstream.trace import (VideoTrace, burst_trace, constant_trace,
                              downsample, random_trace, sinusoidal_trace)
 
 from oracles import (centered_gram, direct_asp_from_matrix,
                      direct_asp_from_slopes, perframe_grid_oracle,
                      slope_coeffs_oracle, slope_grid_oracle,
-                     slope_matrix_oracle, slope_solve_oracle, stable_objective)
+                     slope_matrix_oracle, slope_pdf, slope_solve_oracle,
+                     stable_objective, uniform_matrix)
 
 
 def packets_trace(s, payload=64, fps=30):
     return VideoTrace.from_frame_bytes([v * payload for v in s], fps, payload)
+
+
+def uniform_asp(t, W):
+    """The ASP of uniform packet sampling (every slope 0)."""
+    return asp_from_matrix(slope_matrix(t, W, np.zeros(t.num_frames - W + 1)), t, W)
 
 
 def window_cases(workloads):
@@ -160,9 +166,7 @@ class TestSlopeCoefficients:
     def test_zero_slopes_reproduce_uniform_packet_matrix(self):
         t = random_trace(15, 1, 5, seed=3)
         co = slope_coeffs(t, 4)
-        via_affine = asp_from_slopes(co, np.zeros(co.num_windows))
-        via_matrix = asp_from_matrix(slope_matrix(t, 4, np.zeros(12)), t, 4)
-        assert np.allclose(via_affine.values, via_matrix.values, atol=1e-12)
+        assert np.allclose(co.d2, uniform_asp(t, 4).values, atol=1e-12)
 
     def test_affine_equals_direct_accumulation(self):
         rng = np.random.default_rng(7)
@@ -170,26 +174,24 @@ class TestSlopeCoefficients:
             t = random_trace(12, 1, 6, seed=int(rng.integers(1 << 30)))
             W = int(rng.integers(2, 5))
             co = slope_coeffs(t, W)
-            a = rng.uniform(-1, 1, size=co.num_windows)
-            affine = np.asarray(asp_from_slopes(co, a).values)
+            a = rng.uniform(-1, 1, size=t.num_frames - W + 1)
             direct = direct_asp_from_slopes(t, W, a)
-            assert np.allclose(affine, direct, atol=1e-9)
+            assert np.allclose(co.d1 @ a + co.d2, direct, atol=1e-9)
 
     def test_single_slope_is_local(self):
         t = random_trace(14, 1, 4, seed=9)
         co = slope_coeffs(t, 3)
-        a = np.zeros(co.num_windows)
+        a = np.zeros(t.num_frames - 2)
         a[5] = 0.8  # window over frames 6..8
-        base = np.asarray(asp_from_slopes(co, np.zeros_like(a)).values)
-        bumped = np.asarray(asp_from_slopes(co, a).values)
-        changed = np.nonzero(np.abs(bumped - base) > 1e-15)[0]
+        changed = np.nonzero(np.abs(co.d1 @ a) > 1e-15)[0]
         assert set(changed) <= {5, 6, 7}
 
     def test_dimension_mismatch(self):
         t = packets_trace([1] * 6)
         co = slope_coeffs(t, 2)
-        with pytest.raises(ValueError, match="slopes"):
-            asp_from_slopes(co, np.zeros(3))
+        assert co.d1.shape == (6, 5) and co.d2.shape == (6,)
+        with pytest.raises(ValueError, match="slope factors"):
+            slope_matrix(t, 2, np.zeros(3))  # every slope ASP checks the count
 
 
 class TestOptimizePerFrame:
@@ -207,9 +209,7 @@ class TestOptimizePerFrame:
     def test_beats_uniform_on_fluctuating_trace(self):
         t = burst_trace(60, 2 * 64, 7 * 64, 20, payload_bytes=64)
         plan = optimize_per_frame(t, 6)
-        co = slope_coeffs(t, 6)
-        uniform = asp_from_slopes(co, np.zeros(co.num_windows))
-        assert plan.asp().stable_variance() < uniform.stable_variance()
+        assert plan.asp().stable_variance() < uniform_asp(t, 6).stable_variance()
 
     def test_rows_are_distributions(self):
         t = random_trace(16, 1, 5, seed=13)
@@ -241,9 +241,12 @@ class TestOptimizePerFrame:
         assert peak <= 16 * 2**20
         assert np.all(plan.matrix >= -1e-12)
         assert np.allclose(plan.matrix.sum(axis=1), 1.0, atol=1e-9)
-        co = slope_coeffs(t, 23)
-        uniform = asp_from_slopes(co, np.zeros(co.num_windows))
-        assert plan.asp().stable_variance() < uniform.stable_variance()
+        assert plan.asp().stable_variance() < uniform_asp(t, 23).stable_variance()
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_FRAME_MAX_ITER", 1)
+        with pytest.raises(SolverError, match="did not converge in 1 iterations"):
+            optimize_per_frame(burst_trace(60, 2 * 64, 7 * 64, 20, payload_bytes=64), 6)
 
     def test_downsampled_domain(self):
         t = random_trace(40, 1, 5, seed=2, payload_bytes=64)
@@ -311,6 +314,21 @@ class TestOptimizeSlopes:
             H = centered_gram(t, W, step)
             assert np.array_equal(H, H.T), (t.num_frames, W, step)
 
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_SLOPE_MAX_SWEEPS", 1)
+        with pytest.raises(SolverError, match="did not converge in 1 sweeps"):
+            optimize_slopes(burst_trace(30, 64, 10 * 64, 10, payload_bytes=64), 3)
+
+    def test_asp_is_the_affine_map(self, workloads):
+        # SlopePlan.asp() band-sums slope_matrix; the solve minimized d1 @ a + d2
+        cases = [(t, W, 1) for t, W in window_cases(workloads)[:3]]
+        cases.append((random_trace(40, 1, 9, seed=0), 8, 2))
+        for t, W, step in cases:
+            plan = optimize_slopes(t, W, step)
+            co = slope_coeffs(plan.domain_trace, plan.window)
+            affine = co.d1 @ plan.slopes + co.d2
+            assert np.allclose(plan.asp().values, affine, rtol=0, atol=1e-12), (t.num_frames, W)
+
     def test_long_trace_memory(self):
         # 900 frames at W=23: d1 and H are dense, but the stable slice of d1
         # is centered in place rather than copied
@@ -330,8 +348,7 @@ class TestObjectiveOrdering:
         for seed in rng.integers(0, 1 << 30, size=5):
             t = random_trace(14, 1, 6, seed=int(seed))
             W = 3
-            co = slope_coeffs(t, W)
-            j_uniform = asp_from_slopes(co, np.zeros(co.num_windows)).objective()
+            j_uniform = uniform_asp(t, W).objective()
             j_slope = optimize_slopes(t, W).objective
             j_frame = optimize_per_frame(t, W).objective
             assert j_frame <= j_slope + 1e-9
@@ -341,8 +358,7 @@ class TestObjectiveOrdering:
         t = random_trace(20, 1, 6, seed=17)
         W = 4
         expected = t.num_frames - W + 1
-        co = slope_coeffs(t, W)
-        uniform = asp_from_slopes(co, np.zeros(co.num_windows))
+        uniform = uniform_asp(t, W)
         slope = optimize_slopes(t, W).asp()
         frame = optimize_per_frame(t, W).asp()
         for prof in (uniform, slope, frame):

@@ -176,7 +176,13 @@ class TestDownsample:
     @settings(max_examples=20, deadline=None)
     def test_mass_invariant(self, factor, seed):
         t = random_trace(30, 1, 9, seed=seed)
-        assert downsample(t, factor).total_packets == t.total_packets
+        d = downsample(t, factor)
+        assert d.total_packets == t.total_packets
+        for i in range(d.num_frames):  # superframe i sums its factor frames
+            group = slice(i * factor, (i + 1) * factor)
+            assert d.packets_per_frame[i] == sum(t.packets_per_frame[group])
+            assert d.frame_bytes[i] == sum(t.frame_bytes[group])
+        assert all(type(v) is int for v in d.frame_bytes + d.packets_per_frame)
 
 
 class TestSyntheticTraces:

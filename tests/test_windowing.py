@@ -83,6 +83,18 @@ class TestDeriveParams:
             derive_params(constant_trace(12, 7000 * 16, payload_bytes=16), "DAF-L", 12,
                           code_rate=0.9)
 
+    def test_frame_in_no_window_rejected(self):
+        # fixed-size S-LT windows 5 frames apart skip frames no padding excuses
+        t = random_trace(120, 1, 9, seed=0)
+        with pytest.raises(ConfigError, match="72 frames outside the padding lie in no window"):
+            derive_params(t, "S-LT", 12, step_frames=5, code_rate=0.8)
+        # at step 1 only cool-down padding is left out, which is allowed
+        p = derive_params(t, "S-LT", 12, step_frames=1, code_rate=0.8)
+        warm, cool = wcp_frames(p, t)
+        last = build_schedule(p, t).last_covering_entry(120)
+        assert np.all(last[len(warm) + 1:121 - len(cool)] > 0)
+        assert not np.all(last[1:] > 0)
+
     def test_slt_fixed_window_is_minimum(self):
         t = random_trace(40, 1, 7, seed=5)
         p = derive_params(t, "S-LT", 12, code_rate=0.8)
