@@ -2,12 +2,14 @@
 
 A session walks the window schedule at a constant data rate (coded packet n
 leaves at n * P / R seconds) and pushes every packet through the erasure
-channel. It runs in blocks of consecutive coded packets whose datagrams fit
+channel. What does not depend on the seed (the schedule, the window tables,
+the compositions of all N coded packets, the deadlines) is a SessionPlan,
+built by the first session on a CodingParams object and kept on it. Each
+session then runs in blocks of consecutive coded packets whose datagrams fit
 in BLOCK_BYTES (session_blocks): the delivered ones cross the wire as
-datagram bytes (the encoder draws their compositions only to XOR real
-payloads), and the decoder rebuilds their compositions from the received
-headers alone before peeling the block in PacketID order. A block's bytes
-are freed before the next block is sent. A native
+datagram bytes, the decoder checks every header and looks up its packet's
+composition in the plan by PacketID, and peels the block in PacketID order.
+A block's bytes are freed before the next block is sent. A native
 packet decoded by the send time of the last coded packet of the last window
 covering its frame counts as in-time; decoded ever, toward the file ratio.
 Warm-up/cool-down padding is excluded from both.
@@ -29,8 +31,8 @@ from .errors import ConfigError, ProtocolError
 # the per-layer tracer in bench/tracer.py; sessions use their batch forms.
 from .ltcode import (CodedPacketMeta, DecoderState, InverseCdf, draw, draw_batch,
                      robust_soliton, uniform_cdf, xor_payload, xor_payloads)
-from .protocol import (HEADER_LEN, DafHeader, Datagrams, decode_datagrams, decode_packet,
-                       encode_datagrams, encode_packet)
+from .protocol import (HEADER_LEN, DafHeader, Datagrams, datagram_records, decode_datagrams,
+                       decode_packet, encode_datagrams, encode_packet)
 from .sampling import SlopePlan, optimize_slopes, slope_density
 from .trace import VideoTrace, downsample, packetize
 from .windowing import (CodingParams, Mode, WindowSchedule, build_schedule,
@@ -58,28 +60,35 @@ class Metrics:
 class SessionCodec:
     """Window sampling machinery shared verbatim by encoder and decoder.
 
-    Both ends hold the trace, the coding parameters and the window schedule
-    (by default the one run_session builds). Distributions come only from
-    those plus header fields, so reconstruction is exact; a header that does
-    not name a schedule entry is rejected before anything is drawn.
+    Both ends hold the trace, the step and the window schedule (by default
+    the one run_session builds). A coded packet's composition depends only
+    on its PacketID and the entry that sends it, so the codec draws all N
+    compositions once, when it is built, as read-only CSR arrays `indptr`
+    and `neighbors` (row PacketID - 1). The encoder gathers rows to XOR
+    payloads; the decoder checks each header against the schedule and then
+    gathers the row its PacketID names, drawing nothing.
     """
 
     def __init__(self, trace: VideoTrace, params: CodingParams,
                  schedule: WindowSchedule | None = None):
         self.trace = trace
-        self.params = params
         if schedule is None:
             schedule = build_schedule(params, trace, slopes=session_slopes(trace, params))
         self.schedule = schedule
+        self.total_coded = int(schedule.cum_sent[-1])
         key = (schedule.start_packet << 16) | schedule.window_packets
         self._order = np.argsort(key, kind="stable")
         self._keys = key[self._order]
         # draw_batch inputs per entry: (StartP, window table, degree table)
         self.windows = [(start, table, robust_soliton(size).table) for start, size, table
                         in zip(schedule.start_packet.tolist(), schedule.window_packets.tolist(),
-                               self._build_cdf())]
+                               self._build_cdf(params.step_frames))]
+        pids = np.arange(1, self.total_coded + 1)
+        self.indptr, self.neighbors = draw_batch(pids, np.searchsorted(schedule.cum_sent, pids),
+                                                 self.windows)
+        self.indptr.flags.writeable = self.neighbors.flags.writeable = False
 
-    def _build_cdf(self) -> list[InverseCdf]:
+    def _build_cdf(self, step: int) -> list[InverseCdf]:
         """Window table of every schedule entry, built in one pass.
 
         Entries of slope 0 share one uniform table per WSize. A sloped
@@ -104,7 +113,7 @@ class SessionCodec:
         if not np.all(np.abs(slope) <= 1.0):
             raise ValueError("slope factor outside [-1, 1]")
         first, size = sched.start_packet[sloped], sched.window_packets[sloped]
-        k, step = self.trace.total_packets, self.params.step_frames
+        k = self.trace.total_packets
         if np.any(first + size - 1 > k):
             raise ValueError("window runs past the trace")
         # packets through the end of each packet's group, and the group's size
@@ -129,6 +138,14 @@ class SessionCodec:
                 tables[e] = table
         return tables
 
+    def _rows(self, packet_id: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """CSR rows of the compositions of PacketIDs in 1..N, in their order."""
+        lo = self.indptr[packet_id - 1]
+        degree = self.indptr[packet_id] - lo
+        indptr = np.zeros(len(packet_id) + 1, dtype=np.int64)
+        np.cumsum(degree, out=indptr[1:])
+        return indptr, self.neighbors[np.arange(indptr[-1]) + np.repeat(lo - indptr[:-1], degree)]
+
     # -- encoder ----------------------------------------------------------
 
     def send(self, first: int, last: int, delivered: np.ndarray,
@@ -136,24 +153,24 @@ class SessionCodec:
         """Datagram bytes of the packets among first..last that the channel
         delivers (`delivered` is the session's per-packet mask).
 
-        Only a payload buffer needs compositions, for the XOR, so only then
-        are the delivered packets drawn; a packet's composition does not
-        depend on the rest of its batch.
+        With a payload buffer, each packet's XOR is written straight into
+        its datagram's payload bytes; without one, the payloads are zeros.
         """
         sched = self.schedule
         pids = first + np.flatnonzero(delivered[first - 1:last])
         entry = np.searchsorted(sched.cum_sent, pids)
-        payload = None
+        size = self.trace.payload_bytes
+        data = encode_datagrams(sched.start_packet[entry], sched.window_packets[entry],
+                                sched.slope[entry], pids, size)
         if buffer is not None:
-            payload = xor_payloads(*draw_batch(pids, entry, self.windows), buffer)
-        return encode_datagrams(sched.start_packet[entry], sched.window_packets[entry],
-                                sched.slope[entry], pids, self.trace.payload_bytes, payload)
+            xor_payloads(*self._rows(pids), buffer, out=datagram_records(data, size)["payload"])
+        return data
 
     # -- decoder ----------------------------------------------------------
 
     def receive(self, data) -> tuple[Datagrams, np.ndarray, np.ndarray]:
-        """Decode datagram bytes and rebuild their compositions from the
-        headers: (datagrams, CSR indptr, neighbors)."""
+        """Decode datagram bytes and look up their compositions by the
+        checked headers: (datagrams, CSR indptr, neighbors)."""
         rx = decode_datagrams(data, self.trace.payload_bytes)
         indptr, neighbors = self.compositions(rx.start_packet, rx.window_packets,
                                               rx.slope_factor, rx.packet_id, rx.payload_bytes)
@@ -164,11 +181,12 @@ class SessionCodec:
         """Decoder-side compositions of checked header fields, as CSR arrays.
 
         (StartP, WSize) must name a schedule entry, SlopeF must be that
-        entry's slope and P the session's payload size; anything else raises
-        ProtocolError before a draw.
+        entry's slope, PacketID a packet in 1..N that the entry sends and P
+        the session's payload size; anything else raises ProtocolError.
         """
         start = np.asarray(start_packet, dtype=np.int64)
         wsize = np.asarray(window_packets, dtype=np.int64)
+        pid = np.asarray(packet_id, dtype=np.int64)
         if np.any(np.asarray(payload_bytes) != self.trace.payload_bytes):
             raise ProtocolError(f"P {payload_bytes} is not the session's "
                                 f"{self.trace.payload_bytes}-byte payload")
@@ -185,10 +203,19 @@ class SessionCodec:
             i = int(np.argmax(wrong))
             raise ProtocolError(f"SlopeF {np.asarray(slope_factor)[i]} is not the slope of "
                                 f"the window at StartP {start[i]}")
-        return draw_batch(packet_id, entry, self.windows)
+        outside = (pid < 1) | (pid > self.total_coded)
+        if np.any(outside):
+            raise ProtocolError(f"PacketID {pid[outside][0]} outside the session's "
+                                f"1..{self.total_coded}")
+        stray = np.searchsorted(self.schedule.cum_sent, pid) != entry
+        if np.any(stray):
+            i = int(np.argmax(stray))
+            raise ProtocolError(f"PacketID {pid[i]} is not sent through the window at "
+                                f"StartP {start[i]}, WSize {wsize[i]}")
+        return self._rows(pid)
 
     def meta_from_header(self, header: DafHeader) -> CodedPacketMeta:
-        """Decoder-side reconstruction of one packet's composition."""
+        """Decoder-side composition of one packet."""
         indptr, neighbors = self.compositions(
             [header.start_packet], [header.window_packets], [header.slope_factor],
             [header.packet_id], header.payload_bytes)
@@ -246,35 +273,86 @@ class SessionResult:
         return head + self.decode_time.tobytes() + self.frame_deadline.tobytes()
 
 
+class SessionPlan:
+    """The seed-invariant part of a session on one trace and CodingParams.
+
+    It holds the codec (schedule, window tables and all N compositions),
+    the padding packets, the send times, the frame deadlines and each
+    packet's deadline; only the channel's delivery mask and the decode
+    depend on the seed. Its arrays are read-only, since SessionResults
+    share them. It keeps no reference to the params it was built from.
+    """
+
+    def __init__(self, trace: VideoTrace, params: CodingParams):
+        if trace.payload_bytes > 0xFFFF:
+            raise ConfigError("payload size does not fit the wire header")
+        schedule = build_schedule(params, trace, slopes=session_slopes(trace, params))
+        self.codec = SessionCodec(trace, params, schedule)
+        T, k = trace.num_frames, trace.total_packets
+        interval = params.send_interval_s(trace)
+        self.wcp = wcp_packets(params, trace)
+        self.padding = np.fromiter(self.wcp, dtype=np.int64, count=len(self.wcp)) - 1
+        self.send_times = np.arange(1, self.codec.total_coded + 1, dtype=np.float64) * interval
+        # a padding frame no window touches (entry 0) takes the last entry's
+        # deadline; derive_params rejects a schedule leaving any other frame out
+        last = schedule.last_covering_entry(T)[1:] - 1
+        self.frame_deadline = np.zeros(T + 1)
+        self.frame_deadline[1:] = schedule.cum_sent[last] * interval
+        self.packet_deadline = self.frame_deadline[np.repeat(np.arange(1, T + 1),
+                                                             trace.packets_per_frame)]
+        self.real = np.ones(k, dtype=bool)
+        self.real[self.padding] = False
+        for a in (self.padding, self.send_times, self.frame_deadline, self.packet_deadline,
+                  self.real):
+            a.flags.writeable = False
+        self.config = {
+            "mode": params.mode.value,
+            "window_frames": params.window_frames,
+            "step_frames": params.step_frames,
+            "delay_frames": params.delay_frames,
+            "data_rate": params.data_rate,
+            "code_rate": params.code_rate,
+            "total_coded": params.total_coded,
+            "native_packets": k,
+            "frames": T,
+            "payload_bytes": trace.payload_bytes,
+        }
+
+
+def session_plan(trace: VideoTrace, params: CodingParams) -> SessionPlan:
+    """The plan of `params` on `trace`, built by the first session that asks.
+
+    It is kept on the params object itself, for the last trace asked for, so
+    it lives as long as that object: an equal params object from another
+    derive_params call builds its own.
+    """
+    plan = params.__dict__.get("_session_plan")
+    if plan is None or plan.codec.trace is not trace:
+        plan = SessionPlan(trace, params)
+        object.__setattr__(params, "_session_plan", plan)  # CodingParams is frozen
+    return plan
+
+
 def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
                 seed: int, payloads=None) -> SessionResult:
     """Encode, transmit and decode one full session.
 
     `payloads` may carry real frame bytes; without them the session is
     structure-only (all-zero packets), which decodes identically. Only DAF
-    optimizes its slope factors; every other mode's are zero.
+    optimizes its slope factors; every other mode's are zero. The
+    seed-invariant work is done once per params object (session_plan).
     """
-    if trace.payload_bytes > 0xFFFF:
-        raise ConfigError("payload size does not fit the wire header")
-    schedule = build_schedule(params, trace, slopes=session_slopes(trace, params))
-    k = trace.total_packets
-    T = trace.num_frames
-    N = params.total_coded
-    interval = params.send_interval_s(trace)
-
-    wcp = wcp_packets(params, trace)
+    plan = session_plan(trace, params)
+    codec, k, N = plan.codec, trace.total_packets, plan.codec.total_coded
     buffer = None
     if payloads is not None:
         buffer = packetize(trace, payloads)
-        for p in wcp:  # padding periods carry no data
-            buffer[p - 1] = 0
+        buffer[plan.padding] = 0  # padding periods carry no data
 
     eff_channel = replace(channel, seed=channel.seed + seed)
-    send_times = np.arange(1, N + 1, dtype=np.float64) * interval
-    delivered = transmit_many(eff_channel, np.arange(1, N + 1), send_times)
+    delivered = transmit_many(eff_channel, np.arange(1, N + 1), plan.send_times)
 
-    codec = SessionCodec(trace, params, schedule)
-    decoder = DecoderState(k, pseudo_decoded=wcp,
+    decoder = DecoderState(k, pseudo_decoded=plan.wcp,
                            payload_bytes=trace.payload_bytes if buffer is not None else None)
     decode_time = np.full(k + 1, np.inf)
 
@@ -286,40 +364,18 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
         rx, indptr, neighbors = codec.receive(data)
         released, by = decoder.ingest_block(rx.packet_id, indptr, neighbors,
                                             rx.payload if buffer is not None else None)
-        decode_time[released] = send_times[rx.packet_id[by] - 1]
+        decode_time[released] = plan.send_times[rx.packet_id[by] - 1]
         del data, rx, indptr, neighbors  # rx views data; free both before the next send
 
-    frame_deadline = np.zeros(T + 1)
-    # a padding frame no window touches (entry 0) takes the last entry's
-    # deadline; derive_params rejects a schedule leaving any other frame out
-    frame_deadline[1:] = schedule.cum_sent[schedule.last_covering_entry(T)[1:] - 1] * interval
-
-    frame_of = np.repeat(np.arange(1, T + 1), trace.packets_per_frame)
-    real = np.ones(k, dtype=bool)
-    real[np.fromiter(wcp, dtype=np.int64, count=len(wcp)) - 1] = False
     dt = decode_time[1:]
     decoded = np.isfinite(dt)
-    on_time = decoded & (dt <= frame_deadline[frame_of])
-    in_time = int(np.count_nonzero(real & on_time))
-    late = int(np.count_nonzero(real & decoded & ~on_time))
-    never = int(np.count_nonzero(real & ~decoded))
-
-    config = {
-        "mode": params.mode.value,
-        "window_frames": params.window_frames,
-        "step_frames": params.step_frames,
-        "delay_frames": params.delay_frames,
-        "data_rate": params.data_rate,
-        "code_rate": params.code_rate,
-        "total_coded": params.total_coded,
-        "native_packets": k,
-        "frames": T,
-        "payload_bytes": trace.payload_bytes,
-        "channel": channel.describe(),
-    }
-    return SessionResult(seed=seed, config=config, decode_time=decode_time,
-                         frame_deadline=frame_deadline, wcp=wcp,
-                         in_time=in_time, late=late, never=never)
+    on_time = decoded & (dt <= plan.packet_deadline)
+    real = plan.real
+    return SessionResult(seed=seed, config=dict(plan.config, channel=channel.describe()),
+                         decode_time=decode_time, frame_deadline=plan.frame_deadline,
+                         wcp=plan.wcp, in_time=int(np.count_nonzero(real & on_time)),
+                         late=int(np.count_nonzero(real & decoded & ~on_time)),
+                         never=int(np.count_nonzero(real & ~decoded)))
 
 
 @dataclass(frozen=True)

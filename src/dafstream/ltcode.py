@@ -17,7 +17,7 @@ from .errors import ProtocolError
 from .prng import XorShift64Star, packet_states, xorshift64star_next
 
 
-#: The robust-soliton c and delta. PROTOCOL.md fixes them: a decoder redraws
+#: The robust-soliton c and delta. PROTOCOL.md fixes them: both ends draw
 #: every degree from this table, so packets drawn with others are unreadable.
 SOLITON_C = 0.4
 SOLITON_DELTA = 0.02
@@ -254,13 +254,15 @@ def uniform_cdf(window_packets: int) -> np.ndarray:
 _XOR_ROWS = 256
 
 
-def xor_payloads(indptr, neighbors, buffer: np.ndarray) -> np.ndarray:
+def xor_payloads(indptr, neighbors, buffer: np.ndarray, out: np.ndarray | None = None):
     """XOR payload of every packet of a CSR batch, one row per packet.
 
     Packet i XORs the native packets (1-based numbers) in
     neighbors[indptr[i]:indptr[i + 1]] of a (k, P) uint8 buffer. Rows are
     gathered about _XOR_ROWS at a time, so memory stays bounded, and XORed
-    as the widest unsigned words that tile P bytes.
+    as the widest unsigned words that tile P bytes. The rows are written
+    into `out`, an (n, P) uint8 array that may be a strided view (a new one
+    if None), which is returned.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     idx = np.asarray(neighbors, dtype=np.intp) - 1
@@ -269,16 +271,20 @@ def xor_payloads(indptr, neighbors, buffer: np.ndarray) -> np.ndarray:
     n = len(indptr) - 1
     if np.any(indptr[1:] <= indptr[:-1]):
         raise ValueError("every packet needs at least one neighbor")
+    if out is None:
+        out = np.empty((n, buffer.shape[1]), dtype=np.uint8)
+    elif out.shape != (n, buffer.shape[1]) or out.dtype != np.uint8:
+        raise ValueError(f"out is {out.dtype} {out.shape}, need uint8 ({n}, {buffer.shape[1]})")
     word = next(w for w in (8, 4, 2, 1) if buffer.shape[1] % w == 0)
     words = np.ascontiguousarray(buffer, dtype=np.uint8).view(f"u{word}")
-    out = np.empty((n, words.shape[1]), dtype=words.dtype)
     a = 0
     while a < n:
         b = max(int(np.searchsorted(indptr, indptr[a] + _XOR_ROWS, side="right")) - 1, a + 1)
         lo = indptr[a]
-        out[a:b] = np.bitwise_xor.reduceat(words[idx[lo:indptr[b]]], indptr[a:b] - lo, axis=0)
+        rows = np.bitwise_xor.reduceat(words[idx[lo:indptr[b]]], indptr[a:b] - lo, axis=0)
+        out[a:b] = rows.view(np.uint8)
         a = b
-    return out.view(np.uint8)
+    return out
 
 
 def xor_payload(neighbors, buffer: np.ndarray) -> np.ndarray:

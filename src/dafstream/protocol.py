@@ -173,17 +173,23 @@ def encode_datagrams(start_packet, window_packets, slope_factor, packet_id,
     return data
 
 
+def datagram_records(data, payload_bytes: int) -> np.ndarray:
+    """Back-to-back datagrams of `payload_bytes` bytes each, as records
+    ("header", "payload") viewing `data`; writable if `data` is."""
+    dtype = _datagram_dtype(payload_bytes)
+    if len(data) % dtype.itemsize:
+        raise ProtocolError(f"framing error: {len(data)} bytes is not a whole number "
+                            f"of {dtype.itemsize}-byte datagrams")
+    return np.frombuffer(data, dtype=dtype)
+
+
 def decode_datagrams(data, payload_bytes: int) -> Datagrams:
     """Decode back-to-back datagrams that each carry `payload_bytes` bytes.
 
     The fields are checked as arrays by the same check_fields as DafHeader;
     a datagram whose P differs from `payload_bytes` is a framing error.
     """
-    dtype = _datagram_dtype(payload_bytes)
-    if len(data) % dtype.itemsize:
-        raise ProtocolError(f"framing error: {len(data)} bytes is not a whole number "
-                            f"of {dtype.itemsize}-byte datagrams")
-    rec = np.frombuffer(data, dtype=dtype)
+    rec = datagram_records(data, payload_bytes)
     start, wsize, slope, packet_id, size = _read_headers(rec["header"])
     _reject(size != payload_bytes, size,
             f"framing error: header says P={{}}, datagram carries {payload_bytes}")

@@ -4,10 +4,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, os.path.dirname(__file__))
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# Hypothesis draws the same examples on every run, so a run of the suite
+# is repeatable; per-test @settings inherit this from the loaded profile.
+settings.register_profile("repeatable", derandomize=True)
+settings.load_profile("repeatable")
 
 
 @pytest.fixture(scope="session")

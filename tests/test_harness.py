@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -7,11 +10,11 @@ from hypothesis import strategies as st
 
 from dafstream.channel import ChannelModel, transmit_many
 from dafstream.errors import ConfigError, ProtocolError
-from dafstream import harness
+from dafstream import harness, ltcode
 from dafstream.harness import (CSV_HEADER, Metrics, SessionCodec, delay_to_frames, report,
-                               rows_to_csv, run_session, session_blocks, session_slopes,
-                               summarize, sweep)
-from dafstream.ltcode import DecoderState, InverseCdf, uniform_cdf
+                               rows_to_csv, run_session, session_blocks, session_plan,
+                               session_slopes, summarize, sweep)
+from dafstream.ltcode import DecoderState, InverseCdf, uniform_cdf, xor_payloads
 from dafstream.protocol import (HEADER_LEN, DafHeader, decode_packet,
                                 encode_datagrams, encode_packet)
 from dafstream.trace import constant_trace, packetize, random_trace, sinusoidal_trace
@@ -162,6 +165,136 @@ class TestDecoderSideCompositions:
         assert checked == int(delivered.sum())
 
 
+class TestSend:
+    @pytest.fixture(scope="class")
+    def relay(self, workloads):
+        inp = workloads.build("relay-payload-300", workloads.DEFAULT_SEED)
+        t, p = inp.trace, inp.cells[0].params
+        N = p.total_coded
+        delivered = transmit_many(inp.channel, np.arange(1, N + 1),
+                                  np.arange(1, N + 1) * p.send_interval_s(t))
+        return SessionCodec(t, p), packetize(t, inp.payloads), delivered
+
+    def test_datagrams_equal_drawing_and_xoring_each_block(self, relay):
+        # what send wrote before it read the plan: draw, XOR, then encode
+        codec, buffer, delivered = relay
+        t, N = codec.trace, codec.total_coded
+        delivered = delivered.copy()
+        delivered[:next(session_blocks(N, t.payload_bytes))[1]] = True  # one whole block
+        assert 0.2 < delivered.mean() < 0.9
+        sched = codec.schedule
+        for first, last in session_blocks(N, t.payload_bytes):
+            pids, entry, indptr, neighbors = encode_block(codec, first, last)
+            sent = np.flatnonzero(delivered[first - 1:last])
+            rows = [neighbors[indptr[i]:indptr[i + 1]] for i in sent]
+            sent_indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows])))
+            payload = (xor_payloads(sent_indptr, np.concatenate(rows), buffer) if rows
+                       else np.zeros((0, t.payload_bytes), dtype=np.uint8))
+            want = encode_datagrams(sched.start_packet[entry[sent]],
+                                    sched.window_packets[entry[sent]], sched.slope[entry[sent]],
+                                    pids[sent], t.payload_bytes, payload)
+            assert codec.send(first, last, delivered, buffer) == want
+
+    def test_a_block_is_held_once(self, relay):
+        # the XOR goes straight into the datagrams; no (n, P) copy is made
+        codec, buffer, _ = relay
+        first, last = next(session_blocks(codec.total_coded, codec.trace.payload_bytes))
+        everything = np.ones(codec.total_coded, dtype=bool)
+        codec.send(first, last, everything, buffer)
+        tracemalloc.start()
+        try:
+            data = codec.send(first, last, everything, buffer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = HEADER_LEN + codec.trace.payload_bytes
+        assert len(data) == harness.BLOCK_BYTES // size * size  # a full block
+        assert peak < 1.5 * len(data)
+
+
+class TestSessionPlan:
+    def cell(self):
+        t = sinusoidal_trace(90, 8000, 4000, 30, frame_rate=30)
+        return t, lambda: derive_params(t, "DAF", 15, code_rate=0.8)
+
+    def test_second_session_draws_and_builds_nothing(self, monkeypatch):
+        t, params = self.cell()
+        p = params()
+        ch = ChannelModel(kind="single", loss_rate=0.1)
+        run_session(t, p, ch, 0)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(harness, "draw_batch", counted("draw_batch", harness.draw_batch))
+        monkeypatch.setattr(SessionCodec, "_build_cdf",
+                            counted("_build_cdf", SessionCodec._build_cdf))
+        monkeypatch.setattr(harness, "build_schedule",
+                            counted("build_schedule", harness.build_schedule))
+        for seed in (1, 2):
+            run_session(t, p, ch, seed)
+        assert calls == []
+        run_session(t, params(), ch, 1)  # a new params object draws again
+        assert calls == ["build_schedule", "_build_cdf", "draw_batch"]
+
+    def test_equal_params_objects_build_their_own_plans(self):
+        t, params = self.cell()
+        p, q = params(), params()
+        assert p == q and p is not q
+        assert session_plan(t, p) is not session_plan(t, q)
+        assert session_plan(t, p) is session_plan(t, p)
+
+    def test_another_trace_gets_another_plan(self):
+        t, params = self.cell()
+        p = params()
+        plan = session_plan(t, p)
+        twin = sinusoidal_trace(90, 8000, 4000, 30, frame_rate=30)
+        assert session_plan(twin, p) is not plan
+        assert session_plan(twin, p).codec.trace is twin
+
+    def test_plan_dies_with_its_params(self):
+        # no reference cycle: reference counting alone frees the plan
+        t, params = self.cell()
+        p = params()
+        result = run_session(t, p, ChannelModel(kind="single", loss_rate=0.1), 0)
+        plan = weakref.ref(session_plan(t, p))
+        gc.disable()
+        try:
+            assert plan() is not None
+            del p
+            assert plan() is None
+        finally:
+            gc.enable()
+        assert result.frame_deadline[-1] > 0  # results outlive the plan
+
+    @pytest.mark.parametrize("name", ["readme-300", "long-daf-1800", "relay-payload-300"])
+    def test_shared_params_give_the_bytes_of_fresh_params(self, workloads, name):
+        inp = workloads.build(name, workloads.DEFAULT_SEED)
+        shared = workloads.params_for(inp.spec, inp.trace, "DAF")
+        for seed in range(workloads.SESSION_SEEDS):
+            fresh = workloads.params_for(inp.spec, inp.trace, "DAF")
+            want = run_session(inp.trace, fresh, inp.channel, seed, payloads=inp.payloads)
+            got = run_session(inp.trace, shared, inp.channel, seed, payloads=inp.payloads)
+            assert got.canonical_bytes() == want.canonical_bytes(), seed
+
+    def test_shared_arrays_are_read_only(self):
+        t, params = self.cell()
+        p = params()
+        ch = ChannelModel(kind="single", loss_rate=0.1)
+        first, second = run_session(t, p, ch, 0), run_session(t, p, ch, 1)
+        assert first.frame_deadline is second.frame_deadline
+        plan = session_plan(t, p)
+        for shared in (first.frame_deadline, plan.codec.indptr, plan.codec.neighbors,
+                       plan.send_times, plan.packet_deadline, plan.real):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[1] = 0
+        first.decode_time[1] = -1.0  # each session's own
+        assert second.decode_time[1] != -1.0
+
+
 class TestPayloadRecovery:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("mode", ["DAF", "DAF-L"])
@@ -272,6 +405,11 @@ class TestHostileHeaders:
         s = codec.schedule
         return int(s.start_packet[40]), int(s.window_packets[40]), float(s.slope[40])
 
+    def sent(self, codec):
+        """The PacketIDs entry 41 sends."""
+        s = codec.schedule
+        return list(range(int(s.cum_sent[39]) + 1, int(s.cum_sent[40]) + 1))
+
     def test_window_past_the_stream(self, codec):
         with pytest.raises(ProtocolError, match="names no window"):
             codec.meta_from_header(DafHeader(2934, 50, 0.0, 7, 1024))
@@ -282,10 +420,11 @@ class TestHostileHeaders:
 
     def test_slope_must_be_the_entrys(self, codec):
         start, wsize, slope = self.entry(codec)
+        pid = self.sent(codec)[0]
         assert slope != 0.5
         with pytest.raises(ProtocolError, match="SlopeF"):
-            codec.meta_from_header(DafHeader(start, wsize, 0.5, 7, 1024))
-        meta = codec.meta_from_header(DafHeader(start, wsize, slope, 7, 1024))
+            codec.meta_from_header(DafHeader(start, wsize, 0.5, pid, 1024))
+        meta = codec.meta_from_header(DafHeader(start, wsize, slope, pid, 1024))
         assert all(start <= n < start + wsize for n in meta.neighbors)
 
     def test_payload_size_must_be_the_sessions(self, codec):
@@ -295,15 +434,50 @@ class TestHostileHeaders:
 
     def test_batch_decoder_rejects_before_drawing(self, codec):
         good = self.entry(codec)
+        pids = self.sent(codec)[:2]
         for bad in (good, (2934, 50, 0.0), (2939, 50, 0.5)):
             data = encode_datagrams([good[0], bad[0]], [good[1], bad[1]],
-                                    [good[2], bad[2]], [6, 7], 1024)
+                                    [good[2], bad[2]], pids, 1024)
             if bad is good:
                 rx, indptr, _ = codec.receive(data)
-                assert rx.packet_id.tolist() == [6, 7] and len(indptr) == 3
+                assert rx.packet_id.tolist() == pids and len(indptr) == 3
             else:
                 with pytest.raises(ProtocolError):
                     codec.receive(data)
+
+    def test_packet_id_must_be_sent_by_the_named_window(self, codec):
+        start, wsize, slope = self.entry(codec)
+        assert 7 not in self.sent(codec)
+        with pytest.raises(ProtocolError, match="PacketID 7 is not sent"):
+            codec.meta_from_header(DafHeader(start, wsize, slope, 7, 1024))
+
+    def test_packet_id_outside_the_session(self, codec):
+        start, wsize, slope = self.entry(codec)
+        for pid in (0, codec.total_coded + 1):
+            with pytest.raises(ProtocolError, match=f"PacketID {pid} outside"):
+                codec.meta_from_header(DafHeader(start, wsize, slope, pid, 1024))
+
+    def test_receive_draws_nothing(self, codec, monkeypatch):
+        # the widest slope-1 window would be the costliest to draw from
+        s = codec.schedule
+        widest = int(np.argmax(np.where(s.slope == 1.0, s.window_packets, 0)))
+        assert s.slope[widest] == 1.0
+        start, wsize = int(s.start_packet[widest]), int(s.window_packets[widest])
+        honest = int(s.cum_sent[widest])
+
+        def refuse(*args):
+            raise AssertionError("the decoder drew a composition")
+        monkeypatch.setattr(harness, "draw_batch", refuse)
+        monkeypatch.setattr(ltcode, "draw_batch", refuse)
+        monkeypatch.setattr(ltcode, "_draw_pass", refuse)
+        rx, indptr, neighbors = codec.receive(
+            encode_datagrams([start], [wsize], [1.0], [honest], 1024))
+        assert rx.packet_id.tolist() == [honest]
+        assert np.array_equal(neighbors, codec.neighbors[codec.indptr[honest - 1]:
+                                                         codec.indptr[honest]])
+        for pid in (honest + 1, codec.total_coded + 1, 0):
+            with pytest.raises(ProtocolError, match="PacketID"):
+                codec.receive(encode_datagrams([start], [wsize], [1.0], [pid], 1024))
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -312,8 +486,8 @@ class TestHostileHeaders:
         # overwritten, then cut anywhere
         size = HEADER_LEN + codec.trace.payload_bytes
         n = data.draw(st.integers(1, 4))
-        first = data.draw(st.integers(1, codec.params.total_coded - n + 1))
-        wire = codec.send(first, first + n - 1, np.ones(codec.params.total_coded, dtype=bool))
+        first = data.draw(st.integers(1, codec.total_coded - n + 1))
+        wire = codec.send(first, first + n - 1, np.ones(codec.total_coded, dtype=bool))
         for _ in range(data.draw(st.integers(0, 6))):
             row = data.draw(st.integers(0, n - 1))
             byte = data.draw(st.integers(0, HEADER_LEN - 1))

@@ -273,6 +273,18 @@ class TestXor:
                 row ^= buf[n - 1]
             assert np.array_equal(got[i], row)
 
+    def test_out_may_be_a_strided_view(self):
+        buf = self.make_buffer(k=40, P=16, seed=4)
+        indptr = np.arange(0, 3 * 301, 3)
+        neighbors = np.random.default_rng(2).integers(1, 41, size=3 * 300)
+        records = np.zeros((300, 3 + 16), dtype=np.uint8)  # rows 19 bytes apart
+        got = xor_payloads(indptr, neighbors, buf, out=records[:, 3:])
+        assert got.base is records or got.base is records.base
+        assert np.array_equal(records[:, 3:], xor_payloads(indptr, neighbors, buf))
+        assert not records[:, :3].any()
+        with pytest.raises(ValueError, match="out is"):
+            xor_payloads(indptr, neighbors, buf, out=records[:, 2:])
+
     def test_session_round_trip_reencodes_identically(self):
         buf = self.make_buffer(k=5, P=16, seed=3)
         dist = robust_soliton(5)
