@@ -2,13 +2,13 @@
 
 A session walks the window schedule at a constant data rate (coded packet n
 leaves at n * P / R seconds) and pushes every packet through the erasure
-channel. What does not depend on the seed (the schedule, the window tables,
-the compositions of all N coded packets, the deadlines) is a SessionPlan,
-built by the first session on a CodingParams object and kept on it. Each
-session then runs in blocks of consecutive coded packets whose datagrams fit
-in BLOCK_BYTES (session_blocks): the delivered ones cross the wire as
-datagram bytes, the decoder checks every header and looks up its packet's
-composition in the plan by PacketID, and peels the block in PacketID order.
+channel. What does not depend on the seed (the schedule, the compositions
+of all N coded packets, the peeling tables built from them, the deadlines)
+is a SessionPlan, built by the first session on a CodingParams object and
+kept on it. Each session then runs in blocks of consecutive coded packets
+whose datagrams fit in BLOCK_BYTES (session_blocks): the delivered ones
+cross the wire as datagram bytes, the receiver checks every header, and the
+decoder peels the block's PacketIDs in order on the plan's tables.
 A block's bytes are freed before the next block is sent. A native
 packet decoded by the send time of the last coded packet of the last window
 covering its frame counts as in-time; decoded ever, toward the file ratio.
@@ -29,8 +29,8 @@ from .channel import ChannelModel, transmit_many
 from .errors import ConfigError, ProtocolError
 # draw, xor_payload, encode_packet and decode_packet are looked up here by
 # the per-layer tracer in bench/tracer.py; sessions use their batch forms.
-from .ltcode import (CodedPacketMeta, DecoderState, InverseCdf, draw, draw_batch,
-                     robust_soliton, uniform_cdf, xor_payload, xor_payloads)
+from .ltcode import (CodedPacketMeta, DecoderState, InverseCdf, PeelingTables, draw,
+                     draw_batch, robust_soliton, uniform_cdf, xor_payload, xor_payloads)
 from .protocol import (HEADER_LEN, DafHeader, Datagrams, datagram_records, decode_datagrams,
                        decode_packet, encode_datagrams, encode_packet)
 from .sampling import SlopePlan, optimize_slopes, slope_density
@@ -64,9 +64,9 @@ class SessionCodec:
     the one run_session builds). A coded packet's composition depends only
     on its PacketID and the entry that sends it, so the codec draws all N
     compositions once, when it is built, as read-only CSR arrays `indptr`
-    and `neighbors` (row PacketID - 1). The encoder gathers rows to XOR
-    payloads; the decoder checks each header against the schedule and then
-    gathers the row its PacketID names, drawing nothing.
+    and `neighbors` (row PacketID - 1), and keeps no window table after
+    that draw. The encoder gathers rows to XOR payloads; the receiver checks
+    each header against the schedule and draws nothing.
     """
 
     def __init__(self, trace: VideoTrace, params: CodingParams,
@@ -79,13 +79,14 @@ class SessionCodec:
         key = (schedule.start_packet << 16) | schedule.window_packets
         self._order = np.argsort(key, kind="stable")
         self._keys = key[self._order]
-        # draw_batch inputs per entry: (StartP, window table, degree table)
-        self.windows = [(start, table, robust_soliton(size).table) for start, size, table
-                        in zip(schedule.start_packet.tolist(), schedule.window_packets.tolist(),
-                               self._build_cdf(params.step_frames))]
+        # draw_batch inputs per entry: (StartP, window table, degree table);
+        # no session reads the tables after this one draw
+        windows = [(start, table, robust_soliton(size).table) for start, size, table
+                   in zip(schedule.start_packet.tolist(), schedule.window_packets.tolist(),
+                          self._build_cdf(params.step_frames))]
         pids = np.arange(1, self.total_coded + 1)
         self.indptr, self.neighbors = draw_batch(pids, np.searchsorted(schedule.cum_sent, pids),
-                                                 self.windows)
+                                                 windows)
         self.indptr.flags.writeable = self.neighbors.flags.writeable = False
 
     def _build_cdf(self, step: int) -> list[InverseCdf]:
@@ -138,14 +139,6 @@ class SessionCodec:
                 tables[e] = table
         return tables
 
-    def _rows(self, packet_id: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """CSR rows of the compositions of PacketIDs in 1..N, in their order."""
-        lo = self.indptr[packet_id - 1]
-        degree = self.indptr[packet_id] - lo
-        indptr = np.zeros(len(packet_id) + 1, dtype=np.int64)
-        np.cumsum(degree, out=indptr[1:])
-        return indptr, self.neighbors[np.arange(indptr[-1]) + np.repeat(lo - indptr[:-1], degree)]
-
     # -- encoder ----------------------------------------------------------
 
     def send(self, first: int, last: int, delivered: np.ndarray,
@@ -162,23 +155,28 @@ class SessionCodec:
         size = self.trace.payload_bytes
         data = encode_datagrams(sched.start_packet[entry], sched.window_packets[entry],
                                 sched.slope[entry], pids, size)
-        if buffer is not None:
-            xor_payloads(*self._rows(pids), buffer, out=datagram_records(data, size)["payload"])
+        if buffer is not None:  # the CSR rows of pids
+            lo = self.indptr[pids - 1]
+            degree = self.indptr[pids] - lo
+            indptr = np.zeros(len(pids) + 1, dtype=np.int64)
+            np.cumsum(degree, out=indptr[1:])
+            neighbors = self.neighbors[np.arange(indptr[-1]) + np.repeat(lo - indptr[:-1], degree)]
+            xor_payloads(indptr, neighbors, buffer, out=datagram_records(data, size)["payload"])
         return data
 
     # -- decoder ----------------------------------------------------------
 
-    def receive(self, data) -> tuple[Datagrams, np.ndarray, np.ndarray]:
-        """Decode datagram bytes and look up their compositions by the
-        checked headers: (datagrams, CSR indptr, neighbors)."""
+    def receive(self, data) -> Datagrams:
+        """Decode datagram bytes and check every header; the decoder reads
+        the packets' compositions from the plan by their PacketIDs."""
         rx = decode_datagrams(data, self.trace.payload_bytes)
-        indptr, neighbors = self.compositions(rx.start_packet, rx.window_packets,
-                                              rx.slope_factor, rx.packet_id, rx.payload_bytes)
-        return rx, indptr, neighbors
+        self.check_headers(rx.start_packet, rx.window_packets, rx.slope_factor, rx.packet_id,
+                           rx.payload_bytes)
+        return rx
 
-    def compositions(self, start_packet, window_packets, slope_factor, packet_id,
-                     payload_bytes):
-        """Decoder-side compositions of checked header fields, as CSR arrays.
+    def check_headers(self, start_packet, window_packets, slope_factor, packet_id,
+                      payload_bytes):
+        """Check header fields against the schedule.
 
         (StartP, WSize) must name a schedule entry, SlopeF must be that
         entry's slope, PacketID a packet in 1..N that the entry sends and P
@@ -212,14 +210,14 @@ class SessionCodec:
             i = int(np.argmax(stray))
             raise ProtocolError(f"PacketID {pid[i]} is not sent through the window at "
                                 f"StartP {start[i]}, WSize {wsize[i]}")
-        return self._rows(pid)
 
     def meta_from_header(self, header: DafHeader) -> CodedPacketMeta:
         """Decoder-side composition of one packet."""
-        indptr, neighbors = self.compositions(
-            [header.start_packet], [header.window_packets], [header.slope_factor],
-            [header.packet_id], header.payload_bytes)
-        return CodedPacketMeta(packet_id=header.packet_id, degree=int(indptr[1]),
+        pid = header.packet_id
+        self.check_headers([header.start_packet], [header.window_packets],
+                           [header.slope_factor], [pid], header.payload_bytes)
+        neighbors = self.neighbors[self.indptr[pid - 1]:self.indptr[pid]]
+        return CodedPacketMeta(packet_id=pid, degree=len(neighbors),
                                neighbors=tuple(neighbors.tolist()),
                                start_packet=header.start_packet,
                                window_packets=header.window_packets,
@@ -276,8 +274,8 @@ class SessionResult:
 class SessionPlan:
     """The seed-invariant part of a session on one trace and CodingParams.
 
-    It holds the codec (schedule, window tables and all N compositions),
-    the padding packets, the send times, the frame deadlines and each
+    It holds the codec (schedule and all N compositions), the peeling
+    tables, the padding packets, the send times, the frame deadlines and each
     packet's deadline; only the channel's delivery mask and the decode
     depend on the seed. Its arrays are read-only, since SessionResults
     share them. It keeps no reference to the params it was built from.
@@ -291,6 +289,7 @@ class SessionPlan:
         T, k = trace.num_frames, trace.total_packets
         interval = params.send_interval_s(trace)
         self.wcp = wcp_packets(params, trace)
+        self.peeling = PeelingTables(k, self.codec.indptr, self.codec.neighbors, self.wcp)
         self.padding = np.fromiter(self.wcp, dtype=np.int64, count=len(self.wcp)) - 1
         self.send_times = np.arange(1, self.codec.total_coded + 1, dtype=np.float64) * interval
         # a padding frame no window touches (entry 0) takes the last entry's
@@ -352,7 +351,7 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
     eff_channel = replace(channel, seed=channel.seed + seed)
     delivered = transmit_many(eff_channel, np.arange(1, N + 1), plan.send_times)
 
-    decoder = DecoderState(k, pseudo_decoded=plan.wcp,
+    decoder = DecoderState(plan.peeling,
                            payload_bytes=trace.payload_bytes if buffer is not None else None)
     decode_time = np.full(k + 1, np.inf)
 
@@ -361,11 +360,11 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
             continue
         # an honest trip through the wire format: only bytes cross
         data = codec.send(first, last, delivered, buffer)
-        rx, indptr, neighbors = codec.receive(data)
-        released, by = decoder.ingest_block(rx.packet_id, indptr, neighbors,
+        rx = codec.receive(data)
+        released, by = decoder.ingest_block(rx.packet_id,
                                             rx.payload if buffer is not None else None)
         decode_time[released] = plan.send_times[rx.packet_id[by] - 1]
-        del data, rx, indptr, neighbors  # rx views data; free both before the next send
+        del data, rx  # rx views data; free both before the next send
 
     dt = decode_time[1:]
     decoded = np.isfinite(dt)

@@ -292,41 +292,73 @@ def xor_payload(neighbors, buffer: np.ndarray) -> np.ndarray:
     return xor_payloads([0, len(neighbors)], neighbors, buffer)[0]
 
 
-class DecoderState:
-    """Belief-propagation (peeling) decoder over one session, as counters.
-
-    A received coded packet is an equation over its neighbors. While it
-    pends it is two integers: how many of its neighbors are still unknown
-    and the sum of their numbers, so once one is left the sum names it.
-    Each native packet has a list of the equations waiting on it; releasing
-    it updates them (the ripple). A decoder that holds payloads also keeps,
-    per pending equation, a copy of its payload row and of its neighbor
-    numbers. A packet released through an equation is recovered once, at
-    release: that row XOR the decoded rows of the equation's neighbors
-    (the released packet's own row is still zero then).
-
-    Packets listed in `pseudo_decoded` (the warm-up/cool-down padding) start
-    out decoded with all-zero content; they help the ripple but are reported
-    separately from real decodes.
+class PeelingTables:
+    """The seed-invariant half of the peeling decoder, built once per set of
+    compositions: coded packet PacketID (row PacketID - 1 of the CSR arrays
+    indptr, neighbors) is an equation over its native packets, and those in
+    `pseudo_decoded` (the warm-up/cool-down padding) are known zeros. Its
+    read-only arrays: `incidence[start[n]:start[n + 1]]`, the rows holding
+    native n, ascending (none for padding); `count` and `total`, each row's
+    non-padding neighbors and their sum; and `known` (bytes), the decoded
+    flag of packets 0..k before any arrival.
     """
 
-    def __init__(self, total_packets: int, pseudo_decoded=(), payload_bytes: int | None = None):
-        self.total_packets = total_packets
-        self.payload_bytes = payload_bytes
+    def __init__(self, total_packets: int, indptr, neighbors, pseudo_decoded=()):
+        k = total_packets
+        self.total_packets, self.total_coded = k, len(indptr) - 1
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.neighbors = np.asarray(neighbors, dtype=np.int64)
         self.pseudo = frozenset(pseudo_decoded)
-        self._decoded = bytearray(total_packets + 1)
+        known = np.zeros(k + 1, dtype=np.uint8)
+        for p in self.pseudo:
+            if not 1 <= p <= k:
+                raise ValueError(f"pseudo-decoded packet {p} outside 1..{k}")
+            known[p] = 1
+        self.known = known.tobytes()
+        live = known[self.neighbors] == 0
+        # a stable sort on the narrowest type that holds k (a radix sort up
+        # to 16 bits) keeps each native's equations ascending
+        native = self.neighbors[live].astype(np.min_scalar_type(k))
+        row = np.repeat(np.arange(self.total_coded, dtype=np.int32), np.diff(self.indptr))[live]
+        self.incidence = row[np.argsort(native, kind="stable")]
+        self.start = np.zeros(k + 2, dtype=np.int64)
+        np.cumsum(np.bincount(native, minlength=k + 1), out=self.start[1:])
+        self.count = np.bincount(row, minlength=self.total_coded).astype(np.int32)
+        # float sums of integers far below 2**53 are exact
+        self.total = np.bincount(row, weights=native, minlength=self.total_coded).astype(np.int64)
+        for a in (self.indptr, self.neighbors, self.incidence, self.start, self.count, self.total):
+            a.flags.writeable = False
+
+
+class DecoderState:
+    """Belief-propagation (peeling) decoder: the per-seed half of a session,
+    on the PeelingTables of its compositions.
+
+    An equation is two integers, its count of unknown neighbors and their
+    sum, so once one is left the sum names it; both start from the tables,
+    copied to Python lists. Releasing a native packet walks its incidence,
+    read in place, and decrements every equation holding it, arrived or not
+    (the ripple), so an equation arrives with its count up to date: 0 is
+    redundant, 1 releases at once, more waits until the ripple brings it to
+    1. With payloads, each waiting equation keeps its row, and a packet
+    released through an equation is recovered once: that row XOR the decoded
+    rows of its neighbors (the released packet's own row is still zero).
+    Padding starts out decoded, as zeros, and is not reported as decoded.
+    """
+
+    def __init__(self, tables: PeelingTables, payload_bytes: int | None = None):
+        self.tables = tables
+        self.payload_bytes = payload_bytes
+        self._decoded = bytearray(tables.known)
         self._known = np.frombuffer(self._decoded, dtype=np.uint8)  # same memory
         self._values = (None if payload_bytes is None
-                        else np.zeros((total_packets + 1, payload_bytes), dtype=np.uint8))
-        self._count: list[int] = []        # per equation: unknown neighbors left
-        self._sum: list[int] = []          # per equation: sum of their numbers
-        self._kept: list = []              # per equation: (payload row, neighbors), or None
-        self._waiting = [[] for _ in range(total_packets + 1)]  # equations per native
-        self._seen: set[int] = set()
-        for p in self.pseudo:
-            if not 1 <= p <= total_packets:
-                raise ValueError(f"pseudo-decoded packet {p} outside 1..{total_packets}")
-            self._decoded[p] = 1
+                        else np.zeros((tables.total_packets + 1, payload_bytes), dtype=np.uint8))
+        self._arrived = bytearray(tables.total_coded)
+        self._count = tables.count.tolist()    # per equation: unknown neighbors left
+        self._sum = tables.total.tolist()      # per equation: sum of their numbers
+        self._incidence = memoryview(tables.incidence)  # walked in place, never copied
+        self._start = tables.start.tolist()
+        self._kept = [None] * tables.total_coded  # per waiting equation: its payload row
 
     def is_decoded(self, packet: int) -> bool:
         return bool(self._decoded[packet])
@@ -339,105 +371,72 @@ class DecoderState:
 
     def decoded_packets(self) -> list[int]:
         """All decoded packet numbers excluding the pseudo-decoded padding."""
-        return [p for p in np.flatnonzero(self._known).tolist() if p not in self.pseudo]
+        return [p for p in np.flatnonzero(self._known).tolist() if p not in self.tables.pseudo]
 
-    def ingest(self, meta: CodedPacketMeta, payload: np.ndarray | None = None) -> list[int]:
+    def ingest(self, packet_id: int, payload: np.ndarray | None = None) -> list[int]:
         """Absorb one coded packet, a block of one of ingest_block; returns
         every native packet it released, sorted."""
-        neighbors = np.asarray(meta.neighbors, dtype=np.int64)
         rows = None if payload is None else np.asarray(payload, dtype=np.uint8)[None]
-        released, _ = self.ingest_block([meta.packet_id], [0, len(neighbors)], neighbors, rows)
-        return released.tolist()
+        return self.ingest_block([packet_id], rows)[0].tolist()
 
-    def _check_block(self, packet_ids, indptr, neighbors, rows):
-        if (packet_ids.ndim != 1 or neighbors.ndim != 1
-                or indptr.shape != (len(packet_ids) + 1,) or indptr[0] != 0
-                or indptr[-1] != len(neighbors) or np.any(indptr[1:] < indptr[:-1])):
-            raise ProtocolError("malformed CSR block")
-        if len(neighbors) and (neighbors.min() < 1 or neighbors.max() > self.total_packets):
-            raise ProtocolError(f"a packet names a neighbor outside 1..{self.total_packets}")
-        # neighbors rise within a packet; where a packet starts they may fall
-        falls = np.diff(neighbors) <= 0
-        starts = indptr[1:-1]
-        falls[starts[(starts > 0) & (starts < len(neighbors))] - 1] = False
-        if np.any(falls):
-            raise ProtocolError("a packet's neighbors are not distinct and ascending")
-        if self._values is not None and (
-                rows is None or rows.shape != (len(packet_ids), self.payload_bytes)):
-            raise ProtocolError(f"need one {self.payload_bytes}-byte payload row per packet")
+    def ingest_block(self, packet_ids, rows=None):
+        """Absorb a block of coded packets, in order.
 
-    def ingest_block(self, packet_ids, indptr, neighbors, rows=None):
-        """Absorb a block of coded packets, in order, given as CSR arrays.
-
-        Packet i has PacketID packet_ids[i], the distinct ascending neighbor
-        numbers neighbors[indptr[i]:indptr[i + 1]] and, if the decoder holds
-        payloads, the payload rows[i] (otherwise rows is not read).
-        Duplicate PacketIDs and packets carrying no new information are
-        ignored. A malformed block, or one naming a neighbor outside
-        1..total_packets, raises ProtocolError before any of its PacketIDs
-        is recorded, so a later valid packet with one still counts.
+        Packet i has PacketID packet_ids[i] and, if the decoder holds
+        payloads, the payload rows[i] (otherwise rows is not read); its
+        composition is the tables'. Repeated PacketIDs and packets carrying
+        no new information are ignored. A PacketID outside 1..N, or payload
+        rows that are not one of the decoder's size per packet, raise
+        ProtocolError before any PacketID of the block is recorded.
 
         Returns (released, by): every native packet released, in decode
         order and sorted within each packet, and the block index of the
         packet whose arrival released it.
         """
-        packet_ids, indptr, neighbors = (np.asarray(a, dtype=np.int64)
-                                         for a in (packet_ids, indptr, neighbors))
-        rows = None if rows is None else np.asarray(rows, dtype=np.uint8)
-        self._check_block(packet_ids, indptr, neighbors, rows)
-        n, ids, seen = len(packet_ids), packet_ids.tolist(), self._seen
-        fresh = np.ones(n, dtype=bool)
-        if seen.isdisjoint(ids) and len(set(ids)) == n:
-            seen.update(ids)
-        else:  # only the first sighting of a PacketID counts
-            for i, pid in enumerate(ids):
-                fresh[i] = pid not in seen
-                seen.add(pid)
+        ids = np.asarray(packet_ids, dtype=np.int64)
+        N = self.tables.total_coded
+        if ids.ndim != 1 or (len(ids) and (ids.min() < 1 or ids.max() > N)):
+            raise ProtocolError(f"a PacketID outside the session's 1..{N}")
+        values = self._values
+        if values is not None:
+            rows = None if rows is None else np.asarray(rows, dtype=np.uint8)
+            if rows is None or rows.shape != (len(ids), self.payload_bytes):
+                raise ProtocolError(f"need one {self.payload_bytes}-byte payload row per packet")
+            ptr, nbrs = self.tables.indptr.tolist(), self.tables.neighbors
 
-        # equation base + i is packet i, over its neighbors unknown by now
-        base, degree = len(self._count), np.diff(indptr)
-        unknown = (self._known[neighbors] == 0) & np.repeat(fresh, degree)
-        count = np.diff(np.concatenate(([0], np.cumsum(unknown)))[indptr])
-        sums = np.diff(np.concatenate(([0], np.cumsum(np.where(unknown, neighbors, 0))))[indptr])
-        self._count += count.tolist()
-        self._sum += sums.tolist()
-        waiting, values = self._waiting, self._values
-        eq = np.repeat(np.arange(base, base + n), degree)[unknown]
-        for nat, e in zip(neighbors[unknown].tolist(), eq.tolist()):
-            waiting[nat].append(e)
-        kept = self._kept
-        kept += [None] * n
-        if values is not None:  # copies, so the caller may reuse its arrays
-            nbrs, ptr = neighbors.copy(), indptr.tolist()
-            for i in np.flatnonzero(count > 0).tolist():
-                kept[base + i] = (rows[i].copy(), nbrs[ptr[i]:ptr[i + 1]])
-
-        cnt, tot, decoded = self._count, self._sum, self._decoded
+        cnt, tot, inc, start = self._count, self._sum, self._incidence, self._start
+        arrived, decoded, kept = self._arrived, self._decoded, self._kept
         released, by = [], []
-        for i in range(n):
-            e = base + i
-            if cnt[e] != 1:
+        for i, e in enumerate((ids - 1).tolist()):
+            if arrived[e]:
+                continue
+            arrived[e] = 1
+            c = cnt[e]
+            if c and values is not None:  # a copy, so the caller may reuse its rows
+                kept[e] = rows[i].copy()
+            if c != 1:
                 continue
             got = []
-            queue = [(tot[e], e)]
+            queue = [e]
             while queue:
-                nat, f = queue.pop()
-                own, kept[f] = kept[f], None
-                if decoded[nat]:
+                f = queue.pop()
+                if not cnt[f]:  # its last unknown was released since it was queued
                     continue
+                nat = tot[f]
                 decoded[nat] = 1
                 got.append(nat)
+                own = kept[f]
                 if own is not None:  # nat's own row is still zero
-                    row, nbrs = own
-                    values[nat] = np.bitwise_xor.reduce(values[nbrs], axis=0) ^ row
-                for g in waiting[nat]:
+                    values[nat] = np.bitwise_xor.reduce(values[nbrs[ptr[f]:ptr[f + 1]]],
+                                                        axis=0) ^ own
+                for g in inc[start[nat]:start[nat + 1]]:  # f among them
                     c = cnt[g] = cnt[g] - 1
                     tot[g] -= nat
-                    if c == 1 and g <= e:  # g has arrived
-                        queue.append((tot[g], g))
-                    elif c == 0:  # solved before its turn came
+                    if c == 1:
+                        if arrived[g]:
+                            queue.append(g)
+                    elif not c:  # solved, or redundant when it arrives
                         kept[g] = None
-                waiting[nat] = None  # a known packet is never waited on again
             got.sort()
             released += got
             by += [i] * len(got)

@@ -6,8 +6,11 @@ shares no solver path with the package's optimizers. `draw_oracle` is the
 packet draw exactly as PROTOCOL.md states it, one packet and one deviate at
 a time, for checking the package's batch draw. `peeling_oracle` is the
 peeling decoder kept as sets of unknown neighbors, one packet at a time, for
-checking the package's counter decoder. `iter_coded_packets` lists every
-coded packet a session's encoder would send, for checks that need all of
+checking the package's counter decoder; `minmax_decode_times` gives the
+arrival that releases each packet as a min-max fixpoint, solved in time
+order rather than arrival order, for checking whole sessions. `iter_coded_packets` lists every coded
+packet a session's encoder would send (from `window_tables`, the draw
+inputs a codec keeps only while it draws), for checks that need all of
 them. `FrameIndex`, `schedule_oracle`, `last_covering_oracle`,
 `slope_coeffs_oracle` and `slope_matrix_oracle` are the per-frame and
 per-entry lookups and loops the package's array forms replaced,
@@ -19,6 +22,7 @@ read rows of H with Python floats (`centered_gram` is its H), and
 the channel, the packet generator and the sampling matrices.
 """
 
+import heapq
 import itertools
 import math
 import struct
@@ -27,7 +31,7 @@ from bisect import bisect_right
 import numpy as np
 
 from dafstream.harness import SessionCodec, session_blocks
-from dafstream.ltcode import CodedPacketMeta, draw_batch, xor_payloads
+from dafstream.ltcode import CodedPacketMeta, draw_batch, robust_soliton, xor_payloads
 from dafstream.prng import MASK64, PACKET_SEED_SALT, XorShift64Star
 from dafstream.protocol import DafHeader, to_f32
 from dafstream.errors import SolverError
@@ -419,12 +423,65 @@ def peeling_oracle(total_packets, packets, pseudo_decoded=(), payload_bytes=None
     return released, payloads
 
 
-def encode_block(codec, first, last):
-    """Draw every coded packet first..last of a session: (packet ids,
-    0-based schedule entry of each, CSR indptr, neighbors)."""
+def minmax_decode_times(equations, known=()):
+    """The PacketID of the arrival at which peeling releases each packet.
+
+    `equations` holds the (packet_id, neighbors) of the delivered coded
+    packets; packets in `known` (the padding) have time 0. The time of a
+    packet n is the least fixpoint of
+
+        t[n] = min over equations e holding n of
+               max(PacketID(e), max over e's other neighbors m of t[m]),
+
+    that is, the least cost of a chain of degree-one reductions releasing
+    n. It is found by Knuth's generalization of Dijkstra's algorithm (Knuth,
+    "A generalization of Dijkstra's algorithm", IPL 6(1), 1977): packets are
+    fixed in time order, and an equation left with one unfixed neighbor
+    offers it max(its PacketID, the time just fixed). Packets no chain
+    releases are absent.
+    """
+    equations = [(pid, set(ns)) for pid, ns in equations]
+    fixed = dict.fromkeys(known, 0)
+    holding = {}
+    heap = []
+    for i, (pid, ns) in enumerate(equations):
+        ns.difference_update(fixed)
+        for n in ns:
+            holding.setdefault(n, []).append(i)
+        if len(ns) == 1:
+            heap.append((pid, next(iter(ns))))
+    heapq.heapify(heap)
+    while heap:
+        t, n = heapq.heappop(heap)
+        if n in fixed:
+            continue
+        fixed[n] = t
+        for i in holding.get(n, ()):
+            pid, ns = equations[i]
+            ns.discard(n)
+            if len(ns) == 1:  # every other neighbor was fixed at t or before
+                heapq.heappush(heap, (max(pid, t), next(iter(ns))))
+    for n in known:
+        del fixed[n]
+    return fixed
+
+
+def window_tables(codec, step):
+    """draw_batch's (StartP, window table, degree table) of every entry of a
+    codec's schedule; `step` is the params' step_frames."""
+    sched = codec.schedule
+    return [(start, table, robust_soliton(size).table) for start, size, table
+            in zip(sched.start_packet.tolist(), sched.window_packets.tolist(),
+                   codec._build_cdf(step))]
+
+
+def encode_block(codec, windows, first, last):
+    """Draw every coded packet first..last of a session from its
+    window_tables: (packet ids, 0-based schedule entry of each, CSR indptr,
+    neighbors)."""
     pids = np.arange(first, last + 1, dtype=np.int64)
     entry = np.searchsorted(codec.schedule.cum_sent, pids)
-    return (pids, entry, *draw_batch(pids, entry, codec.windows))
+    return (pids, entry, *draw_batch(pids, entry, windows))
 
 
 def iter_coded_packets(trace, params, schedule, buffer=None, codec=None):
@@ -435,8 +492,9 @@ def iter_coded_packets(trace, params, schedule, buffer=None, codec=None):
         raise ValueError("codec was built for a different schedule")
     sched = codec.schedule
     total = int(sched.cum_sent[-1])
+    windows = window_tables(codec, params.step_frames)
     for first, last in session_blocks(total, trace.payload_bytes):
-        pids, entry, indptr, neighbors = encode_block(codec, first, last)
+        pids, entry, indptr, neighbors = encode_block(codec, windows, first, last)
         payloads = None if buffer is None else xor_payloads(indptr, neighbors, buffer)
         bounds = indptr.tolist()
         for i, (pid, e) in enumerate(zip(pids.tolist(), entry.tolist())):

@@ -14,13 +14,14 @@ from dafstream import harness, ltcode
 from dafstream.harness import (CSV_HEADER, Metrics, SessionCodec, delay_to_frames, report,
                                rows_to_csv, run_session, session_blocks, session_plan,
                                session_slopes, summarize, sweep)
-from dafstream.ltcode import DecoderState, InverseCdf, uniform_cdf, xor_payloads
+from dafstream.ltcode import DecoderState, InverseCdf, PeelingTables, uniform_cdf, xor_payloads
 from dafstream.protocol import (HEADER_LEN, DafHeader, decode_packet,
                                 encode_datagrams, encode_packet)
 from dafstream.trace import constant_trace, packetize, random_trace, sinusoidal_trace
 from dafstream.windowing import build_schedule, derive_params, wcp_packets
 
-from oracles import encode_block, iter_coded_packets, slope_pdf
+from oracles import (encode_block, iter_coded_packets, minmax_decode_times, slope_pdf,
+                     window_tables)
 
 
 def lossless():
@@ -124,12 +125,13 @@ class TestEncoderDecoderAgreement:
         for q in wcp:
             buffer[q - 1] = 0
         codec = SessionCodec(t, p)
-        dec = DecoderState(t.total_packets, pseudo_decoded=wcp, payload_bytes=64)
+        dec = DecoderState(PeelingTables(t.total_packets, codec.indptr, codec.neighbors, wcp),
+                           payload_bytes=64)
         for header, meta, payload in iter_coded_packets(t, p, sched,
                                                         buffer=buffer, codec=codec):
             h2, pl2 = decode_packet(encode_packet(header, payload.tobytes()))
-            dec.ingest(codec.meta_from_header(h2),
-                       np.frombuffer(pl2, dtype=np.uint8))
+            assert codec.meta_from_header(h2) == meta
+            dec.ingest(h2.packet_id, np.frombuffer(pl2, dtype=np.uint8))
         decoded = dec.decoded_packets()
         assert len(decoded) > 0.9 * (t.total_packets - len(wcp))
         for q in decoded:
@@ -148,18 +150,18 @@ class TestDecoderSideCompositions:
         delivered = transmit_many(inp.channel, np.arange(1, N + 1),
                                   np.arange(1, N + 1) * p.send_interval_s(t))
         assert 0.2 < delivered.mean() < 0.9
+        windows = window_tables(sender, p.step_frames)
         checked = 0
         for first, last in session_blocks(N, t.payload_bytes):
-            pids, _, indptr, neighbors = encode_block(sender, first, last)
+            pids, _, indptr, neighbors = encode_block(sender, windows, first, last)
             sent = delivered[first - 1:last]
-            rx, rx_indptr, rx_neighbors = receiver.receive(
-                sender.send(first, last, delivered, buffer))
+            rx = receiver.receive(sender.send(first, last, delivered, buffer))
             assert rx.packet_id.tolist() == pids[sent].tolist()
             rows = [neighbors[indptr[i]:indptr[i + 1]] for i in np.flatnonzero(sent)]
-            assert np.array_equal(np.diff(rx_indptr), [len(r) for r in rows])
-            assert np.array_equal(rx_neighbors, np.concatenate(rows) if rows
-                                  else np.zeros(0, dtype=np.int64))
-            for row, got in zip(rows, rx.payload):
+            for pid, row, got in zip(rx.packet_id.tolist(), rows, rx.payload):
+                # the receiver reads by PacketID the composition the sender drew
+                assert np.array_equal(receiver.neighbors[receiver.indptr[pid - 1]:
+                                                         receiver.indptr[pid]], row)
                 assert np.array_equal(np.bitwise_xor.reduce(buffer[row - 1]), got)
             checked += len(rows)
         assert checked == int(delivered.sum())
@@ -173,18 +175,19 @@ class TestSend:
         N = p.total_coded
         delivered = transmit_many(inp.channel, np.arange(1, N + 1),
                                   np.arange(1, N + 1) * p.send_interval_s(t))
-        return SessionCodec(t, p), packetize(t, inp.payloads), delivered
+        codec = SessionCodec(t, p)
+        return codec, packetize(t, inp.payloads), delivered, window_tables(codec, p.step_frames)
 
     def test_datagrams_equal_drawing_and_xoring_each_block(self, relay):
         # what send wrote before it read the plan: draw, XOR, then encode
-        codec, buffer, delivered = relay
+        codec, buffer, delivered, windows = relay
         t, N = codec.trace, codec.total_coded
         delivered = delivered.copy()
         delivered[:next(session_blocks(N, t.payload_bytes))[1]] = True  # one whole block
         assert 0.2 < delivered.mean() < 0.9
         sched = codec.schedule
         for first, last in session_blocks(N, t.payload_bytes):
-            pids, entry, indptr, neighbors = encode_block(codec, first, last)
+            pids, entry, indptr, neighbors = encode_block(codec, windows, first, last)
             sent = np.flatnonzero(delivered[first - 1:last])
             rows = [neighbors[indptr[i]:indptr[i + 1]] for i in sent]
             sent_indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows])))
@@ -197,7 +200,7 @@ class TestSend:
 
     def test_a_block_is_held_once(self, relay):
         # the XOR goes straight into the datagrams; no (n, P) copy is made
-        codec, buffer, _ = relay
+        codec, buffer, _, _ = relay
         first, last = next(session_blocks(codec.total_coded, codec.trace.payload_bytes))
         everything = np.ones(codec.total_coded, dtype=bool)
         codec.send(first, last, everything, buffer)
@@ -234,11 +237,19 @@ class TestSessionPlan:
                             counted("_build_cdf", SessionCodec._build_cdf))
         monkeypatch.setattr(harness, "build_schedule",
                             counted("build_schedule", harness.build_schedule))
+        monkeypatch.setattr(harness, "PeelingTables",
+                            counted("PeelingTables", harness.PeelingTables))
         for seed in (1, 2):
             run_session(t, p, ch, seed)
         assert calls == []
         run_session(t, params(), ch, 1)  # a new params object draws again
-        assert calls == ["build_schedule", "_build_cdf", "draw_batch"]
+        assert calls == ["build_schedule", "_build_cdf", "draw_batch", "PeelingTables"]
+
+    def test_window_tables_are_dropped_after_the_draw(self):
+        # no session reads them again; the CSR compositions are a third of their size
+        t, params = self.cell()
+        codec = session_plan(t, params()).codec
+        assert not hasattr(codec, "windows") and len(codec.neighbors) > 0
 
     def test_equal_params_objects_build_their_own_plans(self):
         t, params = self.cell()
@@ -287,10 +298,14 @@ class TestSessionPlan:
         first, second = run_session(t, p, ch, 0), run_session(t, p, ch, 1)
         assert first.frame_deadline is second.frame_deadline
         plan = session_plan(t, p)
+        peeling = plan.peeling
         for shared in (first.frame_deadline, plan.codec.indptr, plan.codec.neighbors,
-                       plan.send_times, plan.packet_deadline, plan.real):
+                       plan.send_times, plan.packet_deadline, plan.real, peeling.indptr,
+                       peeling.neighbors, peeling.incidence, peeling.start, peeling.count,
+                       peeling.total):
             with pytest.raises(ValueError, match="read-only"):
                 shared[1] = 0
+        assert isinstance(peeling.known, bytes)  # each decoder copies it
         first.decode_time[1] = -1.0  # each session's own
         assert second.decode_time[1] != -1.0
 
@@ -311,17 +326,43 @@ class TestPayloadRecovery:
                                   np.arange(1, N + 1),
                                   np.arange(1, N + 1, dtype=np.float64) * p.send_interval_s(t))
         codec = SessionCodec(t, p)
-        dec = DecoderState(t.total_packets, pseudo_decoded=wcp, payload_bytes=t.payload_bytes)
+        dec = DecoderState(PeelingTables(t.total_packets, codec.indptr, codec.neighbors, wcp),
+                           payload_bytes=t.payload_bytes)
         for first, last in session_blocks(N, t.payload_bytes):
             if delivered[first - 1:last].any():
-                rx, indptr, neighbors = codec.receive(codec.send(first, last, delivered, buffer))
-                dec.ingest_block(rx.packet_id, indptr, neighbors, rx.payload)
+                rx = codec.receive(codec.send(first, last, delivered, buffer))
+                dec.ingest_block(rx.packet_id, rx.payload)
         decoded = dec.decoded_packets()
         result = run_session(t, p, inp.channel, seed, payloads=inp.payloads)
         assert decoded == np.flatnonzero(np.isfinite(result.decode_time)).tolist()
         assert len(decoded) > 0.5 * (t.total_packets - len(wcp))
         for q in decoded + sorted(wcp):
             assert np.array_equal(dec.decoded_payload(q), buffer[q - 1]), q
+
+
+class TestDecodeTimesAgainstFixpoint:
+    @pytest.mark.parametrize("name", ["readme-300", "long-daf-1800", "relay-payload-300"])
+    def test_decode_times_are_the_minmax_fixpoint(self, workloads, name):
+        # each packet decodes at the send time of the arrival that closes its
+        # cheapest chain of degree-one reductions
+        inp = workloads.build(name, workloads.DEFAULT_SEED)
+        t = inp.trace
+        p = next(c.params for c in inp.cells if c.mode == "DAF")
+        plan = session_plan(t, p)
+        indptr, neighbors = plan.codec.indptr.tolist(), plan.codec.neighbors.tolist()
+        N = plan.codec.total_coded
+        for seed in range(3):
+            result = run_session(t, p, inp.channel, seed, payloads=inp.payloads)
+            delivered = transmit_many(replace(inp.channel, seed=inp.channel.seed + seed),
+                                      np.arange(1, N + 1), plan.send_times)
+            arrival = minmax_decode_times(
+                [(pid, neighbors[indptr[pid - 1]:indptr[pid]])
+                 for pid in (np.flatnonzero(delivered) + 1).tolist()], plan.wcp)
+            want = np.full(t.total_packets + 1, np.inf)
+            for n, pid in arrival.items():
+                want[n] = plan.send_times[pid - 1]
+            assert 0 < len(arrival) < t.total_packets - len(plan.wcp) + 1
+            assert np.array_equal(result.decode_time, want), seed
 
 
 class TestSessionBlocks:
@@ -370,7 +411,7 @@ class TestWindowTables:
         for index, (first, end, start_packet, wsize, slope, (start, table, _)) in enumerate(
                 zip(sched.start_frame.tolist(), sched.end_frame.tolist(),
                     sched.start_packet.tolist(), sched.window_packets.tolist(),
-                    sched.slope.tolist(), codec.windows), start=1):
+                    sched.slope.tolist(), window_tables(codec, p.step_frames)), start=1):
             assert start == start_packet
             if slope == 0.0:
                 cdf = uniform_cdf(wsize)
@@ -439,8 +480,8 @@ class TestHostileHeaders:
             data = encode_datagrams([good[0], bad[0]], [good[1], bad[1]],
                                     [good[2], bad[2]], pids, 1024)
             if bad is good:
-                rx, indptr, _ = codec.receive(data)
-                assert rx.packet_id.tolist() == pids and len(indptr) == 3
+                rx = codec.receive(data)
+                assert rx.packet_id.tolist() == pids
             else:
                 with pytest.raises(ProtocolError):
                     codec.receive(data)
@@ -470,11 +511,11 @@ class TestHostileHeaders:
         monkeypatch.setattr(harness, "draw_batch", refuse)
         monkeypatch.setattr(ltcode, "draw_batch", refuse)
         monkeypatch.setattr(ltcode, "_draw_pass", refuse)
-        rx, indptr, neighbors = codec.receive(
-            encode_datagrams([start], [wsize], [1.0], [honest], 1024))
+        rx = codec.receive(encode_datagrams([start], [wsize], [1.0], [honest], 1024))
         assert rx.packet_id.tolist() == [honest]
-        assert np.array_equal(neighbors, codec.neighbors[codec.indptr[honest - 1]:
-                                                         codec.indptr[honest]])
+        meta = codec.meta_from_header(DafHeader(start, wsize, 1.0, honest, 1024))
+        assert meta.neighbors == tuple(codec.neighbors[codec.indptr[honest - 1]:
+                                                       codec.indptr[honest]].tolist())
         for pid in (honest + 1, codec.total_coded + 1, 0):
             with pytest.raises(ProtocolError, match="PacketID"):
                 codec.receive(encode_datagrams([start], [wsize], [1.0], [pid], 1024))
@@ -494,13 +535,14 @@ class TestHostileHeaders:
             wire[row * size + byte] = data.draw(st.integers(0, 255))
         cut = data.draw(st.one_of(st.just(len(wire)), st.integers(0, len(wire))))
         try:
-            rx, indptr, neighbors = codec.receive(bytes(wire[:cut]))
+            rx = codec.receive(bytes(wire[:cut]))
         except ProtocolError:
             return
-        assert len(indptr) == len(rx.packet_id) + 1
-        lo = np.repeat(rx.start_packet, np.diff(indptr))
-        hi = lo + np.repeat(rx.window_packets, np.diff(indptr))
-        assert np.all((lo <= neighbors) & (neighbors < hi))
+        # an accepted header names the window its PacketID's composition lies in
+        for start, wsize, pid in zip(rx.start_packet.tolist(), rx.window_packets.tolist(),
+                                     rx.packet_id.tolist()):
+            row = codec.neighbors[codec.indptr[pid - 1]:codec.indptr[pid]]
+            assert len(row) and np.all((start <= row) & (row < start + wsize))
 
 
 class TestSweep:

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from dafstream import ltcode
 from dafstream.errors import ProtocolError
-from dafstream.ltcode import (CodedPacketMeta, DecoderState,
-                              DegreeDistribution, InverseCdf, draw, draw_batch,
-                              robust_soliton, uniform_cdf, xor_payload,
-                              xor_payloads)
+from dafstream.ltcode import (DecoderState, DegreeDistribution, InverseCdf,
+                              PeelingTables, draw, draw_batch, robust_soliton,
+                              uniform_cdf, xor_payload, xor_payloads)
 from dafstream.protocol import MAX_PACKET_ID
 
 from oracles import degree_cdf, draw_oracle, peeling_oracle, slope_pdf
@@ -291,9 +290,9 @@ class TestXor:
         cdf = uniform_cdf(5)
         metas = [draw(pid, 1, cdf, dist) for pid in range(1, 16)]
         payloads = [xor_payload(m.neighbors, buf) for m in metas]
-        dec = DecoderState(5, payload_bytes=16)
+        dec = decoder(5, [m.neighbors for m in metas], payload_bytes=16)
         for m, pl in zip(metas, payloads):
-            dec.ingest(m, pl)
+            dec.ingest(m.packet_id, pl)
         assert dec.decoded_packets() == [1, 2, 3, 4, 5]
         recovered = np.vstack([dec.decoded_payload(p) for p in range(1, 6)])
         assert np.array_equal(recovered, buf)
@@ -301,84 +300,124 @@ class TestXor:
             assert np.array_equal(xor_payload(m.neighbors, recovered), pl)
 
 
-def meta(pid, neighbors, start=1, wsize=8):
-    return CodedPacketMeta(packet_id=pid, degree=len(neighbors),
-                           neighbors=tuple(sorted(neighbors)),
-                           start_packet=start, window_packets=wsize,
-                           slope_factor=0.0)
+def decoder(k, compositions, pseudo=(), payload_bytes=None):
+    """A decoder over k native packets whose coded packet i (PacketID i)
+    has the neighbors compositions[i - 1]."""
+    indptr = np.concatenate(([0], np.cumsum([len(c) for c in compositions]))).astype(np.int64)
+    neighbors = np.array([n for c in compositions for n in sorted(c)], dtype=np.int64)
+    return DecoderState(PeelingTables(k, indptr, neighbors, pseudo), payload_bytes)
+
+
+class TestPeelingTables:
+    def test_incidence_counts_and_sums_leave_padding_out(self):
+        # equations (rows) 0..3 over natives 1..5, with 2 and 4 padding
+        tables = PeelingTables(5, [0, 2, 2, 5, 6], [1, 2, 1, 3, 4, 5], pseudo_decoded=(2, 4))
+        got = {n: tables.incidence[tables.start[n]:tables.start[n + 1]].tolist()
+               for n in range(1, 6)}
+        assert got == {1: [0, 2], 2: [], 3: [2], 4: [], 5: [3]}
+        assert tables.count.tolist() == [1, 0, 2, 1]
+        assert tables.total.tolist() == [1, 0, 4, 5]
+        assert tables.known == bytes([0, 0, 1, 0, 1, 0])
+        assert tables.incidence.dtype == np.int32
+
+    def test_each_natives_equations_ascend_on_wide_sessions(self):
+        # k past 16 bits sorts on uint32, below on uint16; both stay stable
+        for k in (300, 70_000):
+            rng = np.random.default_rng(k)
+            sets = [np.unique(rng.integers(1, k + 1, size=rng.integers(1, 9)))
+                    for _ in range(2_000)]
+            indptr = np.concatenate(([0], np.cumsum([len(s) for s in sets])))
+            tables = PeelingTables(k, indptr, np.concatenate(sets))
+            want = {}
+            for i, s in enumerate(sets):
+                for n in s.tolist():
+                    want.setdefault(n, []).append(i)
+            inc, start = tables.incidence.tolist(), tables.start.tolist()
+            assert {n: inc[start[n]:start[n + 1]] for n in range(1, k + 1)
+                    if start[n] < start[n + 1]} == want
+
+    def test_padding_outside_the_session_rejected(self):
+        with pytest.raises(ValueError, match="pseudo-decoded packet 5"):
+            PeelingTables(4, [0, 1], [1], pseudo_decoded=(5,))
 
 
 class TestDecoderState:
     def test_degree_one_release(self):
-        dec = DecoderState(4)
-        assert dec.ingest(meta(1, [2])) == [2]
+        dec = decoder(4, [[2]])
+        assert dec.ingest(1) == [2]
         assert dec.is_decoded(2)
 
     def test_pair_resolves_in_either_order(self):
-        for order in ([meta(1, [1, 2]), meta(2, [1])],
-                      [meta(2, [1]), meta(1, [1, 2])]):
-            dec = DecoderState(2)
+        for order in ([1, 2], [2, 1]):
+            dec = decoder(2, [[1, 2], [1]])
             released = []
-            for m in order:
-                released += dec.ingest(m)
+            for pid in order:
+                released += dec.ingest(pid)
             assert sorted(released) == [1, 2]
 
     def test_duplicate_packet_id_ignored(self):
-        dec = DecoderState(3)
-        m = meta(9, [1])
-        assert dec.ingest(m) == [1]
-        assert dec.ingest(meta(9, [2])) == []
-        assert not dec.is_decoded(2)
+        # the table fixes each PacketID's composition, so a repeat is the same
+        # equation again, in one block or across blocks
+        dec = decoder(3, [[1], [2, 3]])
+        assert dec.ingest(1) == [1]
+        assert dec.ingest(1) == []
+        released, by = dec.ingest_block([2, 2, 1])
+        assert released.tolist() == [] and not dec.is_decoded(2)
 
-    def test_out_of_range_neighbor_rejected_before_recording(self):
-        dec = DecoderState(4)
-        with pytest.raises(ProtocolError):
-            dec.ingest(meta(7, [3, 5]))
-        with pytest.raises(ProtocolError):
-            dec.ingest(meta(7, [0, 2]))
+    def test_out_of_range_packet_id_rejected_before_recording(self):
+        dec = decoder(4, [[2], [3]], payload_bytes=2)
+        for bad in ([1, 3], [0, 1], [-1], [[1]]):
+            with pytest.raises(ProtocolError, match="PacketID"):
+                dec.ingest_block(bad, np.zeros((2, 2), np.uint8))
+        for rows in (None, np.zeros((1, 2), np.uint8), np.zeros((2, 3), np.uint8),
+                     np.zeros(4, np.uint8)):
+            with pytest.raises(ProtocolError, match="payload row"):
+                dec.ingest_block([1, 2], rows)
         assert not dec.is_decoded(2) and not dec.is_decoded(3)
-        # PacketID 7 was not recorded, so its valid copy still counts
-        assert dec.ingest(meta(7, [2])) == [2]
+        # neither PacketID was recorded, so their valid copies still count
+        released, by = dec.ingest_block([1, 2], np.array([[5, 6], [7, 8]], np.uint8))
+        assert released.tolist() == [2, 3] and by.tolist() == [0, 1]
+        assert dec.decoded_payload(3).tolist() == [7, 8]
 
     def test_redundant_packet_absorbed(self):
-        dec = DecoderState(3)
-        dec.ingest(meta(1, [1]))
-        dec.ingest(meta(2, [2]))
-        assert dec.ingest(meta(3, [1, 2])) == []
+        dec = decoder(3, [[1], [2], [1, 2]])
+        dec.ingest(1)
+        dec.ingest(2)
+        assert dec.ingest(3) == []
 
     def test_order_insensitive_for_fixed_set(self):
         dist = robust_soliton(12)
         cdf = uniform_cdf(12)
-        metas = [draw(pid, 1, cdf, dist) for pid in range(1, 19)]
+        compositions = [draw(pid, 1, cdf, dist).neighbors for pid in range(1, 19)]
+        pids = list(range(1, 19))
         reference = None
         rng = random.Random(5)
         for _ in range(8):
-            rng.shuffle(metas)
-            dec = DecoderState(12)
-            for m in metas:
-                dec.ingest(m)
+            rng.shuffle(pids)
+            dec = decoder(12, compositions)
+            for pid in pids:
+                dec.ingest(pid)
             decoded = tuple(dec.decoded_packets())
             if reference is None:
                 reference = decoded
             assert decoded == reference
 
     def test_pseudo_decoded_excluded_from_results(self):
-        dec = DecoderState(6, pseudo_decoded=(1, 2), payload_bytes=4)
+        dec = decoder(6, [[1, 2, 5]], pseudo=(1, 2), payload_bytes=4)
         assert dec.is_decoded(1)
         assert dec.decoded_packets() == []
         # padding packets count as known zeros when stripping
-        got = dec.ingest(meta(1, [1, 2, 5]),
-                         np.array([9, 9, 9, 9], dtype=np.uint8))
+        got = dec.ingest(1, np.array([9, 9, 9, 9], dtype=np.uint8))
         assert got == [5]
         assert np.array_equal(dec.decoded_payload(5),
                               np.array([9, 9, 9, 9], dtype=np.uint8))
         assert np.array_equal(dec.decoded_payload(1), np.zeros(4, np.uint8))
 
     def test_cascade_through_pending(self):
-        dec = DecoderState(3)
-        assert dec.ingest(meta(1, [1, 2])) == []
-        assert dec.ingest(meta(2, [2, 3])) == []
-        assert sorted(dec.ingest(meta(3, [3]))) == [1, 2, 3]
+        dec = decoder(3, [[1, 2], [2, 3], [3]])
+        assert dec.ingest(1) == []
+        assert dec.ingest(2) == []
+        assert sorted(dec.ingest(3)) == [1, 2, 3]
 
     def test_monte_carlo_no_loss_baseline(self):
         # frozen floor from a 1000-trial oracle run (full-decode rate 0.474,
@@ -389,10 +428,10 @@ class TestDecoderState:
         fraction = 0.0
         trials = 300
         for trial in range(trials):
-            dec = DecoderState(16)
             base = trial * 1000 + 1
-            for i in range(24):
-                dec.ingest(draw(base + i, 1, cdf, dist))
+            dec = decoder(16, [draw(base + i, 1, cdf, dist).neighbors for i in range(24)])
+            for pid in range(1, 25):
+                dec.ingest(pid)
             done = len(dec.decoded_packets())
             full += done == 16
             fraction += done / 16
@@ -402,90 +441,89 @@ class TestDecoderState:
 
 @st.composite
 def decoder_runs(data):
-    """Blocks of coded packets over k natives, as CSR arrays, with repeated
-    PacketIDs, empty and whole-window neighbor sets, padding, and payload
-    rows consistent with one hidden buffer (or none at all)."""
+    """A composition table over k natives and PacketIDs 1..N (N <= 60), with
+    empty and whole-window neighbor sets and padding, then blocks of
+    PacketIDs with repeats and out-of-order arrivals, and payload rows
+    consistent with one hidden buffer (or none at all)."""
     k = data(st.integers(1, 40))
     pseudo = data(st.sets(st.integers(1, k), max_size=k // 3))
     payload_bytes = data(st.sampled_from([None, 1, 3, 8]))
     rng = np.random.default_rng(data(st.integers(0, 2**32 - 1)))
     buffer = rng.integers(0, 256, size=(k + 1, payload_bytes or 1), dtype=np.uint8)
     buffer[sorted(pseudo)] = 0
+    table = []
+    for _ in range(data(st.integers(1, 60))):
+        kind = data(st.sampled_from(["few", "random", "whole"]))
+        if kind == "few":
+            table.append(sorted(data(st.sets(st.integers(1, k), max_size=min(k, 5)))))
+        elif kind == "random":
+            table.append(sorted(rng.choice(np.arange(1, k + 1), size=rng.integers(1, k + 1),
+                                           replace=False).tolist()))
+        else:
+            table.append(list(range(1, k + 1)))
     blocks = []
     for _ in range(data(st.integers(1, 6))):
-        ids, sets = [], []
-        for _ in range(data(st.integers(0, 12))):
-            ids.append(data(st.integers(1, 60)))
-            sets.append(sorted(data(st.sets(st.integers(1, k), max_size=min(k, 5)))
-                               if data(st.booleans()) else rng.choice(
-                                   np.arange(1, k + 1), size=rng.integers(1, k + 1),
-                                   replace=False).tolist()))
-        indptr = np.concatenate(([0], np.cumsum([len(n) for n in sets]))).astype(np.int64)
-        neighbors = np.array([n for ns in sets for n in ns], dtype=np.int64)
+        ids = data(st.lists(st.integers(1, len(table)), max_size=12))
         rows = None
         if payload_bytes is not None:
-            rows = np.array([np.bitwise_xor.reduce(buffer[ns], axis=0) if ns
-                             else np.zeros(payload_bytes, np.uint8) for ns in sets],
-                            dtype=np.uint8).reshape(len(sets), payload_bytes)
-        blocks.append((np.array(ids, dtype=np.int64), indptr, neighbors, rows))
-    return k, pseudo, payload_bytes, buffer, blocks
+            rows = np.zeros((len(ids), payload_bytes), dtype=np.uint8)
+            for i, pid in enumerate(ids):
+                rows[i] = np.bitwise_xor.reduce(buffer[table[pid - 1]], axis=0)  # 0 if empty
+        blocks.append((np.array(ids, dtype=np.int64), rows))
+    return k, pseudo, payload_bytes, buffer, table, blocks
 
 
-def corrupt(draw, k, block):
-    """The block with one hostile change, or None when it has no neighbor."""
-    ids, indptr, neighbors, rows = block
-    if len(neighbors) == 0:
+def corrupt(draw, total_coded, payload_bytes, block):
+    """The block with one hostile change, or None when it can carry none."""
+    ids, rows = block
+    kinds = (["low", "high"] if len(ids) else []) + (
+        ["no-rows", "row-count", "row-width"] if payload_bytes is not None else [])
+    if not kinds:
         return None
-    kind = draw(st.sampled_from(["low", "high", "indptr-end", "indptr-fall",
-                                 "indptr-length", "repeat"]))
-    indptr, neighbors = indptr.copy(), neighbors.copy()
+    kind = draw(st.sampled_from(kinds))
+    ids = ids.copy()
     if kind == "low":
-        neighbors[-1] = draw(st.integers(-5, 0))
+        ids[draw(st.integers(0, len(ids) - 1))] = draw(st.integers(-5, 0))
     elif kind == "high":
-        neighbors[-1] = draw(st.integers(k + 1, k + 1000))
-    elif kind == "indptr-end":
-        indptr[-1] += draw(st.sampled_from([-1, 1]))
-    elif kind == "indptr-fall":
-        i = draw(st.integers(1, len(indptr) - 1))
-        indptr[i] = indptr[i - 1] - 1
-    elif kind == "indptr-length":
-        indptr = indptr[:-1] if draw(st.booleans()) else np.append(indptr, indptr[-1])
-    else:  # a neighbor named twice in one packet
-        i = int(np.searchsorted(indptr, len(neighbors) - 1, side="right")) - 1
-        neighbors = np.insert(neighbors, len(neighbors), neighbors[-1])
-        indptr[i + 1:] += 1
-    return ids, indptr, neighbors, rows
+        ids[draw(st.integers(0, len(ids) - 1))] = draw(st.integers(total_coded + 1,
+                                                                   total_coded + 1000))
+    elif kind == "no-rows":
+        rows = None
+    elif kind == "row-count":
+        n = len(ids) + (draw(st.sampled_from([-1, 1])) if len(ids) else 1)
+        rows = np.zeros((n, payload_bytes), dtype=np.uint8)
+    else:
+        rows = np.zeros((len(ids), payload_bytes + 1), dtype=np.uint8)
+    return ids, rows
 
 
 class TestCounterDecoderAgainstOracle:
     @given(decoder_runs(), st.data())
     @settings(max_examples=300, deadline=timedelta(milliseconds=500))
     def test_blocks_and_single_packets_match_oracle(self, run, data):
-        k, pseudo, payload_bytes, buffer, blocks = run
+        k, pseudo, payload_bytes, buffer, table, blocks = run
         draw = data.draw
-        by_block = DecoderState(k, pseudo_decoded=pseudo, payload_bytes=payload_bytes)
-        by_packet = DecoderState(k, pseudo_decoded=pseudo, payload_bytes=payload_bytes)
+        by_block = decoder(k, table, pseudo, payload_bytes)
+        by_packet = decoder(k, table, pseudo, payload_bytes)
         packets, per_packet, order = [], [], []
         for block in blocks:
-            hostile = corrupt(draw, k, block) if draw(st.booleans()) else None
+            hostile = (corrupt(draw, len(table), payload_bytes, block)
+                       if draw(st.booleans()) else None)
             if hostile is not None:
                 # rejected whole: no PacketID of it is recorded, nothing decodes
                 with pytest.raises(ProtocolError):
                     by_block.ingest_block(*hostile)
-            ids, indptr, neighbors, rows = block
-            released, by = by_block.ingest_block(ids, indptr, neighbors, rows)
+            ids, rows = block
+            released, by = by_block.ingest_block(ids, rows)
             got = [[] for _ in ids]
             for n, i in zip(released.tolist(), by.tolist()):
                 got[i].append(n)
             per_packet += got
             order += released.tolist()
             for i, pid in enumerate(ids.tolist()):
-                ns = neighbors[indptr[i]:indptr[i + 1]].tolist()
                 payload = None if rows is None else rows[i]
-                meta = CodedPacketMeta(packet_id=pid, degree=len(ns), neighbors=tuple(ns),
-                                       start_packet=1, window_packets=k, slope_factor=0.0)
-                assert by_packet.ingest(meta, payload) == got[i]
-                packets.append((pid, ns, payload))
+                assert by_packet.ingest(pid, payload) == got[i]
+                packets.append((pid, table[pid - 1], payload))
         want, payloads = peeling_oracle(k, packets, pseudo, payload_bytes)
         assert per_packet == want
         assert order == [n for got in want for n in got]
@@ -500,8 +538,8 @@ class TestCounterDecoderAgainstOracle:
                 assert np.array_equal(by_packet.decoded_payload(n), buffer[n])
 
     def test_rejected_block_records_no_packet_id(self):
-        dec = DecoderState(4)
+        dec = decoder(4, [[2], [3]])
         with pytest.raises(ProtocolError):
-            dec.ingest_block([1, 2], [0, 1, 2], [2, 9])
-        released, by = dec.ingest_block([1, 2], [0, 1, 2], [2, 3])
+            dec.ingest_block([1, 2, 3])  # PacketID 3 is outside 1..2
+        released, by = dec.ingest_block([1, 2])
         assert released.tolist() == [2, 3] and by.tolist() == [0, 1]
