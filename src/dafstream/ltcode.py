@@ -340,10 +340,10 @@ class DecoderState:
     read in place, and decrements every equation holding it, arrived or not
     (the ripple), so an equation arrives with its count up to date: 0 is
     redundant, 1 releases at once, more waits until the ripple brings it to
-    1. With payloads, each waiting equation keeps its row, and a packet
-    released through an equation is recovered once: that row XOR the decoded
-    rows of its neighbors (the released packet's own row is still zero).
-    Padding starts out decoded, as zeros, and is not reported as decoded.
+    1. With payloads, a value is a Python int (bytes read little-endian; 0
+    while unknown and on padding); a waiting equation keeps its row as bytes,
+    and a packet released through it is that row XOR its neighbors' values
+    (its own still 0). Padding starts out decoded and is not reported.
     """
 
     def __init__(self, tables: PeelingTables, payload_bytes: int | None = None):
@@ -351,14 +351,13 @@ class DecoderState:
         self.payload_bytes = payload_bytes
         self._decoded = bytearray(tables.known)
         self._known = np.frombuffer(self._decoded, dtype=np.uint8)  # same memory
-        self._values = (None if payload_bytes is None
-                        else np.zeros((tables.total_packets + 1, payload_bytes), dtype=np.uint8))
+        self._values = None if payload_bytes is None else [0] * (tables.total_packets + 1)
         self._arrived = bytearray(tables.total_coded)
         self._count = tables.count.tolist()    # per equation: unknown neighbors left
         self._sum = tables.total.tolist()      # per equation: sum of their numbers
         self._incidence = memoryview(tables.incidence)  # walked in place, never copied
         self._start = tables.start.tolist()
-        self._kept = [None] * tables.total_coded  # per waiting equation: its payload row
+        self._kept = {}  # per waiting equation: its payload row, as bytes
 
     def is_decoded(self, packet: int) -> bool:
         return bool(self._decoded[packet])
@@ -367,7 +366,9 @@ class DecoderState:
         """Recovered bytes; zeros for pseudo-decoded packets."""
         if not self._decoded[packet]:
             raise KeyError(f"packet {packet} not decoded")
-        return None if self._values is None else self._values[packet].copy()
+        values = self._values
+        return None if values is None else np.frombuffer(  # fresh, the caller's to write
+            bytearray(values[packet].to_bytes(self.payload_bytes, "little")), dtype=np.uint8)
 
     def decoded_packets(self) -> list[int]:
         """All decoded packet numbers excluding the pseudo-decoded padding."""
@@ -402,7 +403,7 @@ class DecoderState:
             rows = None if rows is None else np.asarray(rows, dtype=np.uint8)
             if rows is None or rows.shape != (len(ids), self.payload_bytes):
                 raise ProtocolError(f"need one {self.payload_bytes}-byte payload row per packet")
-            ptr, nbrs = self.tables.indptr.tolist(), self.tables.neighbors
+            ptr, nbrs = memoryview(self.tables.indptr), memoryview(self.tables.neighbors)
 
         cnt, tot, inc, start = self._count, self._sum, self._incidence, self._start
         arrived, decoded, kept = self._arrived, self._decoded, self._kept
@@ -413,7 +414,7 @@ class DecoderState:
             arrived[e] = 1
             c = cnt[e]
             if c and values is not None:  # a copy, so the caller may reuse its rows
-                kept[e] = rows[i].copy()
+                kept[e] = rows[i].tobytes()
             if c != 1:
                 continue
             got = []
@@ -425,19 +426,18 @@ class DecoderState:
                 nat = tot[f]
                 decoded[nat] = 1
                 got.append(nat)
-                own = kept[f]
-                if own is not None:  # nat's own row is still zero
-                    values[nat] = np.bitwise_xor.reduce(values[nbrs[ptr[f]:ptr[f + 1]]],
-                                                        axis=0) ^ own
+                if values is not None:  # nat's own value is still 0
+                    v = int.from_bytes(kept.pop(f), "little")
+                    for m in nbrs[ptr[f]:ptr[f + 1]]:
+                        v ^= values[m]
+                    values[nat] = v
                 for g in inc[start[nat]:start[nat + 1]]:  # f among them
                     c = cnt[g] = cnt[g] - 1
                     tot[g] -= nat
-                    if c == 1:
-                        if arrived[g]:
-                            queue.append(g)
-                    elif not c:  # solved, or redundant when it arrives
-                        kept[g] = None
+                    if c == 1 and arrived[g]:
+                        queue.append(g)
             got.sort()
             released += got
             by += [i] * len(got)
+        self._kept = {g: row for g, row in kept.items() if cnt[g]}  # drop those solved by others
         return np.array(released, dtype=np.int64), np.array(by, dtype=np.int64)

@@ -327,8 +327,10 @@ def optimize_slopes(trace: VideoTrace, window: int, step: int = 1) -> SlopePlan:
     r = np.zeros(rows)  # H @ a, maintained incrementally
     r_at = r.item
     step_r = np.empty(rows)
-    # syrk mirrors the triangle of Dc.T @ Dc, so row j is column j bit for bit
-    coords = list(zip(H, b.tolist(), np.diag(H).tolist()))
+    # syrk mirrors the triangle of Dc.T @ Dc, so row j is column j bit for bit;
+    # a coordinate with no curvature never moves
+    coords = [(j, h_j, b_j, d_j) for j, (h_j, b_j, d_j)
+              in enumerate(zip(H, b.tolist(), np.diag(H).tolist())) if not d_j < 1e-30]
 
     def objective():
         x = np.array(a)
@@ -337,16 +339,14 @@ def optimize_slopes(trace: VideoTrace, window: int, step: int = 1) -> SlopePlan:
     j_prev = objective()
     sweeps = 0
     for sweeps in range(1, _SLOPE_MAX_SWEEPS + 1):
-        for j, (h_j, b_j, d_j) in enumerate(coords):
-            if d_j < 1e-30:
-                continue
+        for j, h_j, b_j, d_j in coords:
             a_j = a[j]
-            target = a_j - (r_at(j) + b_j) / d_j
-            new = min(1.0, max(-1.0, target))
-            delta = new - a_j
-            if delta != 0.0:
+            t = a_j - (r_at(j) + b_j) / d_j
+            new = 1.0 if t > 1.0 else (-1.0 if t < -1.0 else t)
+            if new != a_j:
                 a[j] = new
-                r += np.multiply(h_j, delta, out=step_r)
+                np.multiply(h_j, new - a_j, step_r)
+                np.add(r, step_r, r)
         j_new = objective()
         if abs(j_prev - j_new) < _SLOPE_TOL:
             j_prev = j_new

@@ -428,13 +428,16 @@ def minmax_decode_times(equations, known=()):
 
     `equations` holds the (packet_id, neighbors) of the delivered coded
     packets; packets in `known` (the padding) have time 0. The time of a
-    packet n is the least fixpoint of
+    packet n is the greatest fixpoint of
 
         t[n] = min over equations e holding n of
                max(PacketID(e), max over e's other neighbors m of t[m]),
 
-    that is, the least cost of a chain of degree-one reductions releasing
-    n. It is found by Knuth's generalization of Dijkstra's algorithm (Knuth,
+    the limit of iterating from t = inf off `known`, that is, the least
+    cost of a chain of degree-one reductions releasing n. (Equations 5 and
+    6 over the same two packets also satisfy it with t = 5 on both, a
+    smaller fixpoint, yet no chain releases either.) It is found by Knuth's
+    generalization of Dijkstra's algorithm (Knuth,
     "A generalization of Dijkstra's algorithm", IPL 6(1), 1977): packets are
     fixed in time order, and an equation left with one unfixed neighbor
     offers it max(its PacketID, the time just fixed). Packets no chain

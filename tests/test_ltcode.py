@@ -14,7 +14,7 @@ from dafstream.errors import ProtocolError
 from dafstream.ltcode import (DecoderState, DegreeDistribution, InverseCdf,
                               PeelingTables, draw, draw_batch, robust_soliton,
                               uniform_cdf, xor_payload, xor_payloads)
-from dafstream.protocol import MAX_PACKET_ID
+from dafstream.protocol import HEADER_LEN, MAX_PACKET_ID, datagram_records
 
 from oracles import degree_cdf, draw_oracle, peeling_oracle, slope_pdf
 
@@ -412,6 +412,48 @@ class TestDecoderState:
         assert np.array_equal(dec.decoded_payload(5),
                               np.array([9, 9, 9, 9], dtype=np.uint8))
         assert np.array_equal(dec.decoded_payload(1), np.zeros(4, np.uint8))
+
+    def test_kept_row_survives_the_caller_zeroing_its_rows(self):
+        x = np.array([[0, 0, 0], [1, 2, 3], [4, 5, 6]], np.uint8)  # row n is packet n
+        dec = decoder(2, [[1, 2], [2]], payload_bytes=3)
+        rows = (x[1] ^ x[2])[None]
+        assert dec.ingest_block([1], rows)[0].tolist() == []  # waits for packet 2
+        rows[:] = 0
+        assert dec.ingest_block([2], x[2][None])[0].tolist() == [1, 2]
+        assert dec.decoded_payload(1).tolist() == [1, 2, 3]
+
+    def test_decoded_payload_is_the_callers_own_copy(self):
+        dec = decoder(2, [[1]], payload_bytes=5)
+        dec.ingest(1, np.arange(1, 6, dtype=np.uint8))
+        got = dec.decoded_payload(1)
+        assert got.dtype == np.uint8 and got.shape == (5,) and got.flags.writeable
+        got[:] = 0xFF
+        assert dec.decoded_payload(1).tolist() == [1, 2, 3, 4, 5]
+
+    def test_odd_payload_size_from_strided_datagram_records(self):
+        # P = 1023 is not a multiple of 8; rows view the datagrams' payload field
+        P, k = 1023, 6
+        buf = np.random.default_rng(7).integers(0, 256, size=(k + 1, P), dtype=np.uint8)
+        buf[4] = 0  # padding
+        compositions = [[1, 2, 4], [2], [2, 3], [3, 5, 6], [5], [1, 6], [4, 6]]
+        rows = datagram_records(bytearray(len(compositions) * (HEADER_LEN + P)), P)["payload"]
+        assert not rows.flags.c_contiguous
+        for i, c in enumerate(compositions):
+            rows[i] = np.bitwise_xor.reduce(buf[c], axis=0)
+        dec = decoder(k, compositions, pseudo=(4,), payload_bytes=P)
+        dec.ingest_block(np.arange(1, len(compositions) + 1), rows)
+        assert dec.decoded_packets() == [1, 2, 3, 5, 6]
+        for n in range(1, k + 1):
+            assert np.array_equal(dec.decoded_payload(n), buf[n]), n
+
+    def test_padding_decodes_as_zeros(self):
+        dec = decoder(4, [[1, 2], [2, 3, 4]], pseudo=(1, 3), payload_bytes=5)
+        for n in (1, 3):
+            assert dec.decoded_payload(n).tolist() == [0] * 5
+        x2 = int.to_bytes(0x0102030405, 5, byteorder="little")
+        assert dec.ingest(1, np.frombuffer(x2, np.uint8)) == [2]
+        assert dec.decoded_payload(2).tobytes() == x2
+        assert dec.decoded_payload(3).tolist() == [0] * 5
 
     def test_cascade_through_pending(self):
         dec = decoder(3, [[1, 2], [2, 3], [3]])
