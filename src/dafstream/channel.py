@@ -36,7 +36,7 @@ class ChannelModel:
             raise ConfigError("hop count must be >= 1")
         if not 0.0 < self.duty <= 1.0:
             raise ConfigError(f"duty cycle {self.duty} outside (0, 1]")
-        if self.kind == "mobile-relay" and self.period_s <= 0:
+        if self.kind == "mobile-relay" and not self.period_s > 0:  # NaN fails too
             raise ConfigError("mobile-relay channel needs a positive period_s")
 
     @property

@@ -7,6 +7,8 @@ fail before any work starts.
 
 from __future__ import annotations
 
+import math
+
 from .channel import ChannelModel
 from .errors import ConfigError
 from .harness import delay_to_frames
@@ -60,12 +62,23 @@ def _get(cfg, key, cast, default=None):
             raise ConfigError(f"missing config key {key!r}")
         return default
     try:
-        return cast(cfg[key])
+        value = cast(cfg[key])
     except ValueError:
         raise ConfigError(f"config key {key!r}: cannot parse {cfg[key]!r}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config key {key!r}: {cfg[key]!r} is not a finite number")
+    return value
 
 
 def trace_from_config(cfg: dict[str, str]) -> VideoTrace:
+    """The trace a config describes; a value its builder rejects is a ConfigError."""
+    try:
+        return _build_trace(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"trace: {exc}") from None
+
+
+def _build_trace(cfg: dict[str, str]) -> VideoTrace:
     kind = cfg.get("trace.kind", "csv")
     fps = _get(cfg, "trace.fps", float, 30.0)
     gop = _get(cfg, "trace.gop", int, 1)
@@ -130,7 +143,7 @@ def _grid_axis(cfg, key: str, run_key: str, cast, default=None) -> list:
     """The comma-separated values of `key`, else the one value of `run_key`."""
     if key not in cfg:
         return [_get(cfg, run_key, cast, default)]
-    items = _get(cfg, key, lambda raw: [cast(v.strip()) for v in raw.split(",") if v.strip()])
+    items = [_get({key: v.strip()}, key, cast) for v in cfg[key].split(",") if v.strip()]
     if not items:
         raise ConfigError(f"config key {key!r}: empty list")
     return items

@@ -4,11 +4,11 @@ A session walks the window schedule at a constant data rate (coded packet n
 leaves at n * P / R seconds) and pushes every packet through the erasure
 channel. What does not depend on the seed (the schedule, the compositions
 of all N coded packets, the peeling tables built from them, the deadlines)
-is a SessionPlan, built by the first session on a CodingParams object and
+is a SessionCodec, built by the first session on a CodingParams object and
 kept on it. Each session then runs in blocks of consecutive coded packets
 whose datagrams fit in BLOCK_BYTES (session_blocks): the delivered ones
 cross the wire as datagram bytes, the receiver checks every header, and the
-decoder peels the block's PacketIDs in order on the plan's tables.
+decoder peels the block's PacketIDs in order on the codec's tables.
 A block's bytes are freed before the next block is sent. A native
 packet decoded by the send time of the last coded packet of the last window
 covering its frame counts as in-time; decoded ever, toward the file ratio.
@@ -33,7 +33,7 @@ from .ltcode import (CodedPacketMeta, DecoderState, InverseCdf, PeelingTables, d
                      draw_batch, robust_soliton, uniform_cdf, xor_payload, xor_payloads)
 from .protocol import (HEADER_LEN, DafHeader, Datagrams, datagram_records, decode_datagrams,
                        decode_packet, encode_datagrams, encode_packet)
-from .sampling import SlopePlan, optimize_slopes, slope_density
+from .sampling import SamplingPlan, optimize_slopes, slope_density
 from .trace import VideoTrace, downsample, packetize
 from .windowing import (CodingParams, Mode, WindowSchedule, build_schedule,
                         derive_params, wcp_packets)
@@ -58,36 +58,66 @@ class Metrics:
 
 
 class SessionCodec:
-    """Window sampling machinery shared verbatim by encoder and decoder.
+    """The seed-invariant part of a session on one trace and CodingParams,
+    shared verbatim by encoder and decoder.
 
     Both ends hold the trace, the step and the window schedule (by default
     the one run_session builds). A coded packet's composition depends only
-    on its PacketID and the entry that sends it, so the codec draws all N
-    compositions once, when it is built, as read-only CSR arrays `indptr`
-    and `neighbors` (row PacketID - 1), and keeps no window table after
-    that draw. The encoder gathers rows to XOR payloads; the receiver checks
-    each header against the schedule and draws nothing.
+    on its PacketID and the entry that sends it, `entry[PacketID - 1]`, so
+    the codec draws all N compositions once, when it is built, as CSR
+    arrays `indptr` and `neighbors` (row PacketID - 1), and keeps no window
+    table after that draw. It also holds the peeling tables, the padding
+    packets (`wcp`, and `real` marking the others), the send times, the
+    frame deadlines and each packet's deadline; only the channel's delivery
+    mask and the decode depend on the seed. Its arrays are read-only, since
+    SessionResults share them, and it keeps no reference to the params.
     """
 
     def __init__(self, trace: VideoTrace, params: CodingParams,
                  schedule: WindowSchedule | None = None):
-        self.trace = trace
+        if trace.payload_bytes > 0xFFFF:
+            raise ConfigError("payload size does not fit the wire header")
         if schedule is None:
             schedule = build_schedule(params, trace, slopes=session_slopes(trace, params))
-        self.schedule = schedule
+        self.trace, self.schedule = trace, schedule
         self.total_coded = int(schedule.cum_sent[-1])
-        key = (schedule.start_packet << 16) | schedule.window_packets
-        self._order = np.argsort(key, kind="stable")
-        self._keys = key[self._order]
-        # draw_batch inputs per entry: (StartP, window table, degree table);
-        # no session reads the tables after this one draw
+        pids = np.arange(1, self.total_coded + 1)
+        self.entry = np.searchsorted(schedule.cum_sent, pids)
+        # draw_batch inputs per entry: (StartP, window table, degree table),
+        # freed as soon as the one draw is done
         windows = [(start, table, robust_soliton(size).table) for start, size, table
                    in zip(schedule.start_packet.tolist(), schedule.window_packets.tolist(),
                           self._build_cdf(params.step_frames))]
-        pids = np.arange(1, self.total_coded + 1)
-        self.indptr, self.neighbors = draw_batch(pids, np.searchsorted(schedule.cum_sent, pids),
-                                                 windows)
-        self.indptr.flags.writeable = self.neighbors.flags.writeable = False
+        self.indptr, self.neighbors = draw_batch(pids, self.entry, windows)
+        del windows
+        T, k = trace.num_frames, trace.total_packets
+        interval = params.send_interval_s(trace)
+        self.wcp = wcp_packets(params, trace)
+        self.peeling = PeelingTables(k, self.indptr, self.neighbors, self.wcp)
+        self.real = np.frombuffer(self.peeling.known, dtype=np.uint8)[1:] == 0
+        self.send_times = pids * interval
+        # a padding frame no window touches (entry 0) takes the last entry's
+        # deadline; derive_params rejects a schedule leaving any other frame out
+        last = schedule.last_covering_entry(T)[1:] - 1
+        self.frame_deadline = np.zeros(T + 1)
+        self.frame_deadline[1:] = schedule.cum_sent[last] * interval
+        self.packet_deadline = self.frame_deadline[np.repeat(np.arange(1, T + 1),
+                                                             trace.packets_per_frame)]
+        for a in (self.entry, self.indptr, self.neighbors, self.real, self.send_times,
+                  self.frame_deadline, self.packet_deadline):
+            a.flags.writeable = False
+        self.config = {
+            "mode": params.mode.value,
+            "window_frames": params.window_frames,
+            "step_frames": params.step_frames,
+            "delay_frames": params.delay_frames,
+            "data_rate": params.data_rate,
+            "code_rate": params.code_rate,
+            "total_coded": params.total_coded,
+            "native_packets": k,
+            "frames": T,
+            "payload_bytes": trace.payload_bytes,
+        }
 
     def _build_cdf(self, step: int) -> list[InverseCdf]:
         """Window table of every schedule entry, built in one pass.
@@ -151,7 +181,7 @@ class SessionCodec:
         """
         sched = self.schedule
         pids = first + np.flatnonzero(delivered[first - 1:last])
-        entry = np.searchsorted(sched.cum_sent, pids)
+        entry = self.entry[pids - 1]
         size = self.trace.payload_bytes
         data = encode_datagrams(sched.start_packet[entry], sched.window_packets[entry],
                                 sched.slope[entry], pids, size)
@@ -168,7 +198,7 @@ class SessionCodec:
 
     def receive(self, data) -> Datagrams:
         """Decode datagram bytes and check every header; the decoder reads
-        the packets' compositions from the plan by their PacketIDs."""
+        the packets' compositions from the codec by their PacketIDs."""
         rx = decode_datagrams(data, self.trace.payload_bytes)
         self.check_headers(rx.start_packet, rx.window_packets, rx.slope_factor, rx.packet_id,
                            rx.payload_bytes)
@@ -178,9 +208,9 @@ class SessionCodec:
                       payload_bytes):
         """Check header fields against the schedule.
 
-        (StartP, WSize) must name a schedule entry, SlopeF must be that
-        entry's slope, PacketID a packet in 1..N that the entry sends and P
-        the session's payload size; anything else raises ProtocolError.
+        P must be the session's payload size, PacketID a packet in 1..N, and
+        (StartP, WSize, SlopeF) the fields of the entry that sends it;
+        anything else raises ProtocolError.
         """
         start = np.asarray(start_packet, dtype=np.int64)
         wsize = np.asarray(window_packets, dtype=np.int64)
@@ -188,28 +218,21 @@ class SessionCodec:
         if np.any(np.asarray(payload_bytes) != self.trace.payload_bytes):
             raise ProtocolError(f"P {payload_bytes} is not the session's "
                                 f"{self.trace.payload_bytes}-byte payload")
-        key = (start << 16) | wsize
-        at = np.minimum(np.searchsorted(self._keys, key), len(self._keys) - 1)
-        unknown = self._keys[at] != key
-        if np.any(unknown):
-            i = int(np.argmax(unknown))
-            raise ProtocolError(f"StartP {start[i]}, WSize {wsize[i]} names no window "
-                                "of the session's schedule")
-        entry = self._order[at]
-        wrong = self.schedule.slope[entry] != slope_factor
-        if np.any(wrong):
-            i = int(np.argmax(wrong))
-            raise ProtocolError(f"SlopeF {np.asarray(slope_factor)[i]} is not the slope of "
-                                f"the window at StartP {start[i]}")
         outside = (pid < 1) | (pid > self.total_coded)
         if np.any(outside):
             raise ProtocolError(f"PacketID {pid[outside][0]} outside the session's "
                                 f"1..{self.total_coded}")
-        stray = np.searchsorted(self.schedule.cum_sent, pid) != entry
+        sched, entry = self.schedule, self.entry[pid - 1]
+        stray = (sched.start_packet[entry] != start) | (sched.window_packets[entry] != wsize)
         if np.any(stray):
             i = int(np.argmax(stray))
             raise ProtocolError(f"PacketID {pid[i]} is not sent through the window at "
                                 f"StartP {start[i]}, WSize {wsize[i]}")
+        wrong = sched.slope[entry] != slope_factor
+        if np.any(wrong):
+            i = int(np.argmax(wrong))
+            raise ProtocolError(f"SlopeF {np.asarray(slope_factor)[i]} is not the slope of "
+                                f"the window at StartP {start[i]}")
 
     def meta_from_header(self, header: DafHeader) -> CodedPacketMeta:
         """Decoder-side composition of one packet."""
@@ -233,7 +256,7 @@ def session_blocks(total_coded: int, payload_bytes: int):
 
 
 @lru_cache(maxsize=32)
-def cached_slope_plan(trace: VideoTrace, window: int, step: int) -> SlopePlan:
+def cached_slope_plan(trace: VideoTrace, window: int, step: int) -> SamplingPlan:
     return optimize_slopes(trace, window, step)
 
 
@@ -271,65 +294,18 @@ class SessionResult:
         return head + self.decode_time.tobytes() + self.frame_deadline.tobytes()
 
 
-class SessionPlan:
-    """The seed-invariant part of a session on one trace and CodingParams.
-
-    It holds the codec (schedule and all N compositions), the peeling
-    tables, the padding packets, the send times, the frame deadlines and each
-    packet's deadline; only the channel's delivery mask and the decode
-    depend on the seed. Its arrays are read-only, since SessionResults
-    share them. It keeps no reference to the params it was built from.
-    """
-
-    def __init__(self, trace: VideoTrace, params: CodingParams):
-        if trace.payload_bytes > 0xFFFF:
-            raise ConfigError("payload size does not fit the wire header")
-        schedule = build_schedule(params, trace, slopes=session_slopes(trace, params))
-        self.codec = SessionCodec(trace, params, schedule)
-        T, k = trace.num_frames, trace.total_packets
-        interval = params.send_interval_s(trace)
-        self.wcp = wcp_packets(params, trace)
-        self.peeling = PeelingTables(k, self.codec.indptr, self.codec.neighbors, self.wcp)
-        self.padding = np.fromiter(self.wcp, dtype=np.int64, count=len(self.wcp)) - 1
-        self.send_times = np.arange(1, self.codec.total_coded + 1, dtype=np.float64) * interval
-        # a padding frame no window touches (entry 0) takes the last entry's
-        # deadline; derive_params rejects a schedule leaving any other frame out
-        last = schedule.last_covering_entry(T)[1:] - 1
-        self.frame_deadline = np.zeros(T + 1)
-        self.frame_deadline[1:] = schedule.cum_sent[last] * interval
-        self.packet_deadline = self.frame_deadline[np.repeat(np.arange(1, T + 1),
-                                                             trace.packets_per_frame)]
-        self.real = np.ones(k, dtype=bool)
-        self.real[self.padding] = False
-        for a in (self.padding, self.send_times, self.frame_deadline, self.packet_deadline,
-                  self.real):
-            a.flags.writeable = False
-        self.config = {
-            "mode": params.mode.value,
-            "window_frames": params.window_frames,
-            "step_frames": params.step_frames,
-            "delay_frames": params.delay_frames,
-            "data_rate": params.data_rate,
-            "code_rate": params.code_rate,
-            "total_coded": params.total_coded,
-            "native_packets": k,
-            "frames": T,
-            "payload_bytes": trace.payload_bytes,
-        }
-
-
-def session_plan(trace: VideoTrace, params: CodingParams) -> SessionPlan:
-    """The plan of `params` on `trace`, built by the first session that asks.
+def session_plan(trace: VideoTrace, params: CodingParams) -> SessionCodec:
+    """The codec of `params` on `trace`, built by the first session that asks.
 
     It is kept on the params object itself, for the last trace asked for, so
     it lives as long as that object: an equal params object from another
     derive_params call builds its own.
     """
-    plan = params.__dict__.get("_session_plan")
-    if plan is None or plan.codec.trace is not trace:
-        plan = SessionPlan(trace, params)
-        object.__setattr__(params, "_session_plan", plan)  # CodingParams is frozen
-    return plan
+    codec = params.__dict__.get("_session_plan")
+    if codec is None or codec.trace is not trace:
+        codec = SessionCodec(trace, params)
+        object.__setattr__(params, "_session_plan", codec)  # CodingParams is frozen
+    return codec
 
 
 def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
@@ -341,17 +317,17 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
     optimizes its slope factors; every other mode's are zero. The
     seed-invariant work is done once per params object (session_plan).
     """
-    plan = session_plan(trace, params)
-    codec, k, N = plan.codec, trace.total_packets, plan.codec.total_coded
+    codec = session_plan(trace, params)
+    k, N = trace.total_packets, codec.total_coded
     buffer = None
     if payloads is not None:
         buffer = packetize(trace, payloads)
-        buffer[plan.padding] = 0  # padding periods carry no data
+        buffer[~codec.real] = 0  # padding periods carry no data
 
     eff_channel = replace(channel, seed=channel.seed + seed)
-    delivered = transmit_many(eff_channel, np.arange(1, N + 1), plan.send_times)
+    delivered = transmit_many(eff_channel, np.arange(1, N + 1), codec.send_times)
 
-    decoder = DecoderState(plan.peeling,
+    decoder = DecoderState(codec.peeling,
                            payload_bytes=trace.payload_bytes if buffer is not None else None)
     decode_time = np.full(k + 1, np.inf)
 
@@ -363,16 +339,16 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
         rx = codec.receive(data)
         released, by = decoder.ingest_block(rx.packet_id,
                                             rx.payload if buffer is not None else None)
-        decode_time[released] = plan.send_times[rx.packet_id[by] - 1]
+        decode_time[released] = codec.send_times[rx.packet_id[by] - 1]
         del data, rx  # rx views data; free both before the next send
 
     dt = decode_time[1:]
     decoded = np.isfinite(dt)
-    on_time = decoded & (dt <= plan.packet_deadline)
-    real = plan.real
-    return SessionResult(seed=seed, config=dict(plan.config, channel=channel.describe()),
-                         decode_time=decode_time, frame_deadline=plan.frame_deadline,
-                         wcp=plan.wcp, in_time=int(np.count_nonzero(real & on_time)),
+    on_time = decoded & (dt <= codec.packet_deadline)
+    real = codec.real
+    return SessionResult(seed=seed, config=dict(codec.config, channel=channel.describe()),
+                         decode_time=decode_time, frame_deadline=codec.frame_deadline,
+                         wcp=codec.wcp, in_time=int(np.count_nonzero(real & on_time)),
                          late=int(np.count_nonzero(real & decoded & ~on_time)),
                          never=int(np.count_nonzero(real & ~decoded)))
 
@@ -399,6 +375,8 @@ def sweep(trace: VideoTrace, modes, code_rates, delays_s, channels,
              for d in delays_s for ch in channels]
     if not cells:
         raise ConfigError("empty sweep grid")
+    if repetitions < 1:
+        raise ConfigError(f"need at least one repetition per cell, got {repetitions}")
     rows = []
     for mode, code_rate, delay_s, ch in cells:
         params = derive_params(trace, mode, delay_to_frames(delay_s, trace.frame_rate),

@@ -179,36 +179,20 @@ def slope_coeffs(trace: VideoTrace, window: int) -> SlopeCoefficients:
 
 
 @dataclass(eq=False)
-class PerFramePlan:
-    """Result of the per-frame optimization on the (possibly downsampled) domain."""
+class SamplingPlan:
+    """An optimizer's result on the (possibly downsampled) domain: row t0 of
+    `matrix` is window t0's probability per frame, induced by `slopes` (one
+    factor per window) when the optimizer solved for slopes."""
 
     matrix: np.ndarray
     domain_trace: VideoTrace   # downsampled when step > 1
     window: int                # in domain frames
     step: int                  # original step factor
     iterations: int
+    slopes: np.ndarray | None = None
 
     def asp(self) -> AspProfile:
         return asp_from_matrix(self.matrix, self.domain_trace, self.window)
-
-    @property
-    def objective(self) -> float:
-        return self.asp().objective()
-
-
-@dataclass(eq=False)
-class SlopePlan:
-    """Result of the slope-only optimization; one factor per window entry."""
-
-    slopes: np.ndarray
-    domain_trace: VideoTrace
-    window: int
-    step: int
-    iterations: int
-
-    def asp(self) -> AspProfile:
-        A = slope_matrix(self.domain_trace, self.window, self.slopes)
-        return asp_from_matrix(A, self.domain_trace, self.window)
 
     @property
     def objective(self) -> float:
@@ -228,7 +212,7 @@ def _optimizer_domain(trace: VideoTrace, window: int, step: int):
     return ds, w
 
 
-def optimize_per_frame(trace: VideoTrace, window: int, step: int = 1) -> PerFramePlan:
+def optimize_per_frame(trace: VideoTrace, window: int, step: int = 1) -> SamplingPlan:
     """Flatten the ASP by optimizing every frame's probability in every window.
 
     Accelerated projected gradient on the simplex-constrained least squares;
@@ -287,7 +271,7 @@ def optimize_per_frame(trace: VideoTrace, window: int, step: int = 1) -> PerFram
         raise SolverError(
             f"per-frame optimizer did not converge in {_FRAME_MAX_ITER} iterations "
             f"(last objective {j_prev:.3e})")
-    return PerFramePlan(x, ds, w, step, iterations)
+    return SamplingPlan(x, ds, w, step, iterations)
 
 
 def _project_rows(X: np.ndarray) -> np.ndarray:
@@ -302,13 +286,19 @@ def _project_rows(X: np.ndarray) -> np.ndarray:
     return np.maximum(X - theta[:, None], 0.0)
 
 
-def optimize_slopes(trace: VideoTrace, window: int, step: int = 1) -> SlopePlan:
+def optimize_slopes(trace: VideoTrace, window: int, step: int = 1) -> SamplingPlan:
     """Flatten the ASP with one slope factor per window.
 
     Exact cyclic coordinate minimization with clipping to [-1, 1], iterated
     until the objective change per sweep falls below _SLOPE_TOL.
     """
     ds, w = _optimizer_domain(trace, window, step)
+    slopes, sweeps = _solve_slopes(ds, w)  # its d1 and H are freed on return
+    return SamplingPlan(slope_matrix(ds, w, slopes), ds, w, step, sweeps, slopes)
+
+
+def _solve_slopes(ds: VideoTrace, w: int) -> tuple[np.ndarray, int]:
+    """optimize_slopes' factors on its domain, and the sweeps that found them."""
     coeffs = slope_coeffs(ds, w)
     T = ds.num_frames
     stable = slice(w - 1, T - w + 1)
@@ -356,4 +346,4 @@ def optimize_slopes(trace: VideoTrace, window: int, step: int = 1) -> SlopePlan:
         raise SolverError(
             f"slope optimizer did not converge in {_SLOPE_MAX_SWEEPS} sweeps "
             f"(last objective {j_prev:.3e})")
-    return SlopePlan(np.array(a), ds, w, step, sweeps)
+    return np.array(a), sweeps

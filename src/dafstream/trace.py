@@ -49,6 +49,8 @@ class VideoTrace:
     @classmethod
     def from_frame_bytes(cls, frame_bytes, frame_rate, payload_bytes,
                          gop_size: int = 1) -> "VideoTrace":
+        if payload_bytes < 1:
+            raise ValueError("payload_bytes must be >= 1")
         sizes = tuple(int(b) for b in frame_bytes)
         s = tuple(max(1, math.ceil(b / payload_bytes)) for b in sizes)
         return cls(frame_rate=float(frame_rate), gop_size=int(gop_size),
@@ -188,6 +190,8 @@ def sinusoidal_trace(num_frames: int, mean_bytes: int, amp_bytes: int,
                      payload_bytes: int = 1024, gop_size: int = 1,
                      first_frame_bytes: int | None = None) -> VideoTrace:
     """Slow sinusoidal rate swing, optionally with a large opening frame."""
+    if num_frames < 1 or period_frames < 1:
+        raise ValueError("num_frames and period_frames must be >= 1")
     sizes = [int(round(mean_bytes + amp_bytes * math.sin(2 * math.pi * t / period_frames)))
              for t in range(num_frames)]
     if first_frame_bytes is not None:
@@ -199,6 +203,8 @@ def burst_trace(num_frames: int, low_bytes: int, high_bytes: int,
                 period_frames: int, frame_rate: float = 30.0,
                 payload_bytes: int = 1024, gop_size: int = 1) -> VideoTrace:
     """Two-level square wave: half a period low, half a period high."""
+    if period_frames < 1:
+        raise ValueError("period_frames must be >= 1")
     half = max(1, period_frames // 2)
     sizes = [high_bytes if (t // half) % 2 else low_bytes for t in range(num_frames)]
     return VideoTrace.from_frame_bytes(sizes, frame_rate, payload_bytes, gop_size)

@@ -20,13 +20,16 @@ read rows of H with Python floats (`centered_gram` is its H), and
 `transmit` (over `counter_uniform` and `splitmix64`), `packet_rng`,
 `slope_pdf` and `uniform_matrix` are the scalar and per-window forms of
 the channel, the packet generator and the sampling matrices.
+`header_rule_oracle` is the receiver's header check as first stated, one
+header at a time: a (StartP, WSize) lookup, then the slope, the PacketID's
+window and P.
 """
 
 import heapq
 import itertools
 import math
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -35,8 +38,8 @@ from dafstream.ltcode import CodedPacketMeta, draw_batch, robust_soliton, xor_pa
 from dafstream.prng import MASK64, PACKET_SEED_SALT, XorShift64Star
 from dafstream.protocol import DafHeader, to_f32
 from dafstream.errors import SolverError
-from dafstream.sampling import (SlopePlan, _check_window, _optimizer_domain, slope_coeffs,
-                                slope_density)
+from dafstream.sampling import (SamplingPlan, _check_window, _optimizer_domain, slope_coeffs,
+                                slope_density, slope_matrix)
 from dafstream.windowing import Mode
 
 #: The columns of a WindowSchedule, as schedule_oracle lists them.
@@ -513,6 +516,22 @@ def iter_coded_packets(trace, params, schedule, buffer=None, codec=None):
             yield header, meta, None if payloads is None else payloads[i]
 
 
+def header_rule_oracle(schedule, payload_bytes, start, wsize, slope, packet_id, p):
+    """Whether a receiver accepts one header under PROTOCOL.md's four
+    receiver checks, as first stated: (StartP, WSize) names a schedule
+    entry (the first, were two to share it), SlopeF is that entry's slope,
+    PacketID lies in 1..N and is sent through that entry, and P is the
+    session's payload size."""
+    named = [e for e, key in enumerate(zip(schedule.start_packet.tolist(),
+                                           schedule.window_packets.tolist()))
+             if key == (start, wsize)]
+    if not named:
+        return False
+    cum_sent = schedule.cum_sent.tolist()
+    return (float(schedule.slope[named[0]]) == slope and 1 <= packet_id <= cum_sent[-1]
+            and bisect_left(cum_sent, packet_id) == named[0] and p == payload_bytes)
+
+
 class FrameIndex:
     """Bidirectional map between 1-based frame numbers and packet numbers,
     from a running sum of the trace's packet counts."""
@@ -676,7 +695,7 @@ def slope_solve_oracle(trace, window, step=1, tol=1e-10, max_iter=100_000):
         raise SolverError(
             f"slope optimizer did not converge in {max_iter} sweeps "
             f"(last objective {j_prev:.3e})")
-    return SlopePlan(a, ds, w, step, sweeps)
+    return SamplingPlan(slope_matrix(ds, w, a), ds, w, step, sweeps, a)
 
 
 def slope_matrix_oracle(trace, window, slopes):

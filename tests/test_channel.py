@@ -22,8 +22,9 @@ class TestValidation:
             ChannelModel(kind="chain", hops=0)
         with pytest.raises(ConfigError):
             ChannelModel(kind="mobile-relay", duty=0.0, period_s=1.0)
-        with pytest.raises(ConfigError, match="period"):
-            ChannelModel(kind="mobile-relay", duty=0.5)
+        for period in (0.0, float("nan")):  # a NaN period would lose every packet
+            with pytest.raises(ConfigError, match="period"):
+                ChannelModel(kind="mobile-relay", duty=0.5, period_s=period)
 
 
 class TestCounterPrng:

@@ -9,6 +9,27 @@ from dafstream.config import (channel_from_config, parse_config,
 from dafstream.errors import ConfigError
 
 DATA = Path(__file__).parent / "data"
+
+#: (command, the keys of tests/data/readme.cfg to set) of config mistakes
+#: that once ended in a traceback; a key set to None is removed
+MISTAKES = [
+    (["run"], {"delay_s": "nan"}),
+    (["run"], {"delay_s": "inf"}),
+    (["run"], {"code_rate": None, "data_rate_kbps": "nan"}),
+    (["run"], {"code_rate": None, "data_rate_kbps": "inf"}),
+    (["run"], {"trace.fps": "nan"}),
+    (["run"], {"trace.fps": "inf"}),
+    (["run"], {"trace.fps": "0.5"}),
+    (["run"], {"trace.gop": "0"}),
+    (["run"], {"trace.packet_bytes": "0"}),
+    (["run"], {"trace.period_frames": "0"}),
+    (["run"], {"trace.amp_bytes": "20000"}),
+    (["run"], {"trace.frames": "0"}),
+    (["run"], {"trace.frames": "0", "trace.first_frame_bytes": None}),
+    (["run"], {"channel.kind": "mobile-relay", "channel.period_s": "nan"}),
+    (["sweep", "--reps", "0"], {}),
+    (["sweep", "--reps", "-1"], {}),
+]
 GOOD = """
 # demo configuration
 trace.kind = burst
@@ -185,6 +206,16 @@ class TestCli:
         path = tmp_path / "absent.cfg"
         assert main(["run", "-c", str(path)]) == 2
         assert f"error: cannot read config file {str(path)!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,edits", MISTAKES)
+    def test_config_mistake_exit_code(self, tmp_path, capsys, command, edits):
+        lines = [line for line in (DATA / "readme.cfg").read_text().splitlines()
+                 if line.split("=", 1)[0].strip() not in edits]
+        lines += [f"{key} = {value}" for key, value in edits.items() if value is not None]
+        path = tmp_path / "mistake.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        assert main([command[0], "-c", str(path), *command[1:]]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_trace_csv_exit_code(self, tmp_path, capsys):
         csv_path = tmp_path / "absent.csv"

@@ -20,8 +20,8 @@ from dafstream.protocol import (HEADER_LEN, DafHeader, decode_packet,
 from dafstream.trace import constant_trace, packetize, random_trace, sinusoidal_trace
 from dafstream.windowing import build_schedule, derive_params, wcp_packets
 
-from oracles import (encode_block, iter_coded_packets, minmax_decode_times, slope_pdf,
-                     window_tables)
+from oracles import (encode_block, header_rule_oracle, iter_coded_packets, minmax_decode_times,
+                     slope_pdf, window_tables)
 
 
 def lossless():
@@ -248,7 +248,7 @@ class TestSessionPlan:
     def test_window_tables_are_dropped_after_the_draw(self):
         # no session reads them again; the CSR compositions are a third of their size
         t, params = self.cell()
-        codec = session_plan(t, params()).codec
+        codec = session_plan(t, params())
         assert not hasattr(codec, "windows") and len(codec.neighbors) > 0
 
     def test_equal_params_objects_build_their_own_plans(self):
@@ -264,7 +264,7 @@ class TestSessionPlan:
         plan = session_plan(t, p)
         twin = sinusoidal_trace(90, 8000, 4000, 30, frame_rate=30)
         assert session_plan(twin, p) is not plan
-        assert session_plan(twin, p).codec.trace is twin
+        assert session_plan(twin, p).trace is twin
 
     def test_plan_dies_with_its_params(self):
         # no reference cycle: reference counting alone frees the plan
@@ -299,7 +299,7 @@ class TestSessionPlan:
         assert first.frame_deadline is second.frame_deadline
         plan = session_plan(t, p)
         peeling = plan.peeling
-        for shared in (first.frame_deadline, plan.codec.indptr, plan.codec.neighbors,
+        for shared in (first.frame_deadline, plan.entry, plan.indptr, plan.neighbors,
                        plan.send_times, plan.packet_deadline, plan.real, peeling.indptr,
                        peeling.neighbors, peeling.incidence, peeling.start, peeling.count,
                        peeling.total):
@@ -349,8 +349,8 @@ class TestDecodeTimesAgainstFixpoint:
         t = inp.trace
         p = next(c.params for c in inp.cells if c.mode == "DAF")
         plan = session_plan(t, p)
-        indptr, neighbors = plan.codec.indptr.tolist(), plan.codec.neighbors.tolist()
-        N = plan.codec.total_coded
+        indptr, neighbors = plan.indptr.tolist(), plan.neighbors.tolist()
+        N = plan.total_coded
         for seed in range(3):
             result = run_session(t, p, inp.channel, seed, payloads=inp.payloads)
             delivered = transmit_many(replace(inp.channel, seed=inp.channel.seed + seed),
@@ -452,11 +452,11 @@ class TestHostileHeaders:
         return list(range(int(s.cum_sent[39]) + 1, int(s.cum_sent[40]) + 1))
 
     def test_window_past_the_stream(self, codec):
-        with pytest.raises(ProtocolError, match="names no window"):
+        with pytest.raises(ProtocolError, match="not sent through the window at StartP 2934"):
             codec.meta_from_header(DafHeader(2934, 50, 0.0, 7, 1024))
 
     def test_sloped_window_past_the_stream(self, codec):
-        with pytest.raises(ProtocolError, match="names no window"):
+        with pytest.raises(ProtocolError, match="not sent through the window at StartP 2939"):
             codec.meta_from_header(DafHeader(2939, 50, 0.5, 7, 1024))
 
     def test_slope_must_be_the_entrys(self, codec):
@@ -543,6 +543,54 @@ class TestHostileHeaders:
                                      rx.packet_id.tolist()):
             row = codec.neighbors[codec.indptr[pid - 1]:codec.indptr[pid]]
             assert len(row) and np.all((start <= row) & (row < start + wsize))
+
+
+class TestHeaderRule:
+    """check_headers finds a header's entry by its PacketID alone; it must
+    reject exactly the headers the (StartP, WSize) lookup rule rejects."""
+
+    @pytest.fixture(scope="class", params=[("relay-payload-300", "DAF"),
+                                           ("readme-300", "Expand")])  # Expand shares StartP
+    def codec(self, request, workloads):
+        name, mode = request.param
+        inp = workloads.build(name, workloads.DEFAULT_SEED)
+        return session_plan(inp.trace, next(c.params for c in inp.cells if c.mode == mode))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rejects_exactly_what_the_lookup_rule_rejects(self, codec, data):
+        # honest headers with fields taken from another entry, moved by one
+        # (SlopeF by one float32 step), or a PacketID of a neighbouring window
+        s, N, P = codec.schedule, codec.total_coded, codec.trace.payload_bytes
+        entries = len(s.start_packet)
+        headers = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            pid = data.draw(st.integers(1, N))
+            e = int(codec.entry[pid - 1])
+            header = [int(s.start_packet[e]), int(s.window_packets[e]), float(s.slope[e]), pid, P]
+            for _ in range(data.draw(st.integers(0, 2))):
+                field = data.draw(st.integers(0, 4))
+                shift = data.draw(st.sampled_from([-1, 1]))
+                borrow = field < 4 and data.draw(st.booleans())
+                if borrow and field == 3:  # the PacketID just outside this window's
+                    header[3] = int(s.cum_sent[e]) + 1 if shift > 0 else (
+                        int(s.cum_sent[e - 1]) if e else 0)
+                elif borrow:  # the field of another entry
+                    column = (s.start_packet, s.window_packets, s.slope)[field]
+                    header[field] = column[data.draw(st.integers(0, entries - 1))].item()
+                elif field == 2:  # the next float32 SlopeF
+                    header[2] = np.nextafter(np.float32(header[2]),
+                                             np.float32(shift * np.inf)).item()
+                else:
+                    header[field] += shift
+            headers.append(header)
+        accepted = all(header_rule_oracle(s, P, *h) for h in headers)
+        try:
+            codec.check_headers(*(list(column) for column in zip(*headers)))
+        except ProtocolError:
+            assert not accepted, headers
+        else:
+            assert accepted, headers
 
 
 class TestSweep:

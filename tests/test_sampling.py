@@ -320,7 +320,7 @@ class TestOptimizeSlopes:
             optimize_slopes(burst_trace(30, 64, 10 * 64, 10, payload_bytes=64), 3)
 
     def test_asp_is_the_affine_map(self, workloads):
-        # SlopePlan.asp() band-sums slope_matrix; the solve minimized d1 @ a + d2
+        # SamplingPlan.asp() band-sums slope_matrix; the solve minimized d1 @ a + d2
         cases = [(t, W, 1) for t, W in window_cases(workloads)[:3]]
         cases.append((random_trace(40, 1, 9, seed=0), 8, 2))
         for t, W, step in cases:

@@ -235,22 +235,41 @@ class TestColumnarSchedule:
         # fixed-size S-LT windows leave some frames that no entry touches
         rng = np.random.default_rng(4)
         checked = 0
-        for seed in range(2):
-            t = random_trace(120, 1, 9, seed=seed)
-            for mode in Mode:
-                for step in (1, 2, 5):
-                    for delay in (12, 24, 40):
-                        try:
-                            p = derive_params(t, mode, delay, step_frames=step, code_rate=0.8)
-                        except ConfigError:
-                            continue
-                        count = len(build_schedule(p, t).start_frame)
-                        # a short slope list leaves the last entries at 0
-                        slopes = rng.uniform(-1, 1, size=int(rng.integers(count // 2, count + 1)))
-                        for given in (None, slopes):
-                            assert_matches_oracle(build_schedule(p, t, slopes=given), p, t, given)
-                        checked += 1
+        for p, t in mode_step_delay_grid():
+            count = len(build_schedule(p, t).start_frame)
+            # a short slope list leaves the last entries at 0
+            slopes = rng.uniform(-1, 1, size=int(rng.integers(count // 2, count + 1)))
+            for given in (None, slopes):
+                assert_matches_oracle(build_schedule(p, t, slopes=given), p, t, given)
+            checked += 1
         assert checked >= 60
+
+    def test_start_and_size_name_one_entry(self, workloads):
+        # so a header's PacketID alone finds the entry its (StartP, WSize) names
+        cells = list(mode_step_delay_grid())
+        for name in ("readme-300", "long-daf-1800", "relay-payload-300"):
+            inp = workloads.build(name, workloads.DEFAULT_SEED)
+            cells += [(cell.params, inp.trace) for cell in inp.cells]
+        for p, t in cells:
+            s = build_schedule(p, t)
+            keys = set(zip(s.start_packet.tolist(), s.window_packets.tolist()))
+            assert len(keys) == len(s.start_packet), (p.mode, p.step_frames, p.delay_frames)
+        assert len(cells) >= 68
+
+
+def mode_step_delay_grid():
+    """(params, trace) of every feasible cell of two random traces, every
+    mode, steps 1, 2, 5 and delays 12, 24, 40 frames."""
+    for seed in range(2):
+        t = random_trace(120, 1, 9, seed=seed)
+        for mode in Mode:
+            for step in (1, 2, 5):
+                for delay in (12, 24, 40):
+                    try:
+                        p = derive_params(t, mode, delay, step_frames=step, code_rate=0.8)
+                    except ConfigError:
+                        continue
+                    yield p, t
 
 
 class TestWcp:
