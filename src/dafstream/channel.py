@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .prng import counter_uniforms
+from .prng import MASK64, counter_uniforms
 
 KINDS = ("single", "chain", "mobile-relay")
 
@@ -38,6 +38,8 @@ class ChannelModel:
             raise ConfigError(f"duty cycle {self.duty} outside (0, 1]")
         if self.kind == "mobile-relay" and not self.period_s > 0:  # NaN fails too
             raise ConfigError("mobile-relay channel needs a positive period_s")
+        if not 0 <= self.seed <= MASK64:
+            raise ConfigError(f"channel seed {self.seed} outside 0..2**64 - 1")
 
     @property
     def effective_hops(self) -> int:

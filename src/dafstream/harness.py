@@ -29,8 +29,8 @@ from .channel import ChannelModel, transmit_many
 from .errors import ConfigError, ProtocolError
 # draw, xor_payload, encode_packet and decode_packet are looked up here by
 # the per-layer tracer in bench/tracer.py; sessions use their batch forms.
-from .ltcode import (CodedPacketMeta, DecoderState, InverseCdf, PeelingTables, draw,
-                     draw_batch, robust_soliton, uniform_cdf, xor_payload, xor_payloads)
+from .ltcode import (CodedPacketMeta, DecoderState, InverseCdf, PeelingTables,
+                     degree_tables, draw, draw_batch, xor_payload, xor_payloads)
 from .protocol import (HEADER_LEN, DafHeader, Datagrams, datagram_records, decode_datagrams,
                        decode_packet, encode_datagrams, encode_packet)
 from .sampling import SamplingPlan, optimize_slopes, slope_density
@@ -42,9 +42,6 @@ from .windowing import (CodingParams, Mode, WindowSchedule, build_schedule,
 #: wire bytes and payload rows held at once; a composition depends only on
 #: its PacketID and window, so the block size changes no result.
 BLOCK_BYTES = 1 << 21
-
-#: Cells per row block of SessionCodec._build_cdf; bounds its temporaries.
-TABLE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -85,8 +82,10 @@ class SessionCodec:
         self.entry = np.searchsorted(schedule.cum_sent, pids)
         # draw_batch inputs per entry: (StartP, window table, degree table),
         # freed as soon as the one draw is done
-        windows = [(start, table, robust_soliton(size).table) for start, size, table
-                   in zip(schedule.start_packet.tolist(), schedule.window_packets.tolist(),
+        sizes, size_of = np.unique(schedule.window_packets, return_inverse=True)
+        degrees = degree_tables(sizes)
+        windows = [(start, table, degrees[i]) for start, i, table
+                   in zip(schedule.start_packet.tolist(), size_of.tolist(),
                           self._build_cdf(params.step_frames))]
         self.indptr, self.neighbors = draw_batch(pids, self.entry, windows)
         del windows
@@ -126,15 +125,15 @@ class SessionCodec:
         window is cut into groups of `step` frames from its first frame, and
         a packet's probability depends on its group's midpoint; windows
         start and end on group boundaries, so each packet's group midpoint
-        is found once for the whole trace. Sloped tables are built in row
-        blocks of at most TABLE_BLOCK cells, sorted by WSize so rows pad
-        little, and each row is summed in order along its axis, as np.cumsum
-        sums one window.
+        is found once for the whole trace. Both kinds are built as padded
+        2-D row blocks (InverseCdf.blocks), and each row is summed in order
+        along its axis, as np.cumsum sums one window.
         """
         sched = self.schedule
         flat = sched.slope == 0.0
-        uniform = {w: InverseCdf(uniform_cdf(w))
-                   for w in np.unique(sched.window_packets[flat]).tolist()}
+        sizes = np.unique(sched.window_packets[flat])
+        uniform = dict(zip(sizes.tolist(), InverseCdf.blocks(
+            sizes, lambda pick: np.arange(1, sizes[pick[-1]] + 1) / sizes[pick][:, None])))
         tables = [uniform[w] if f else None
                   for w, f in zip(sched.window_packets.tolist(), flat.tolist())]
         sloped = np.flatnonzero(~flat)
@@ -155,18 +154,17 @@ class SessionCodec:
                 (first > 1) & (end[first - 2] != first - 1)):
             raise ValueError("window does not start and end on step boundaries")
         mid = end - np.repeat(group, group) / 2.0
-        order = np.argsort(size, kind="stable")
-        rows = max(1, TABLE_BLOCK // int(size.max()))
-        for a in range(0, len(order), rows):
-            pick = order[a:a + rows]
+
+        def cdf_rows(pick):
             start, n = first[pick][:, None], size[pick]
             packet = np.minimum(start + np.arange(n[-1]), k)
             # a group's midpoint measured from the window's first packet
             pdf = slope_density(mid[packet - 1] - (start - 1), n[:, None].astype(np.float64),
                                 slope[pick][:, None])
-            cdf = np.add.accumulate(pdf, axis=1)
-            for e, table in zip(sloped[pick].tolist(), InverseCdf.rows(cdf, n)):
-                tables[e] = table
+            return np.add.accumulate(pdf, axis=1)
+
+        for e, table in zip(sloped.tolist(), InverseCdf.blocks(size, cdf_rows)):
+            tables[e] = table
         return tables
 
     # -- encoder ----------------------------------------------------------
@@ -317,6 +315,7 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
     optimizes its slope factors; every other mode's are zero. The
     seed-invariant work is done once per params object (session_plan).
     """
+    eff_channel = replace(channel, seed=channel.seed + seed)  # checks the seed first
     codec = session_plan(trace, params)
     k, N = trace.total_packets, codec.total_coded
     buffer = None
@@ -324,7 +323,6 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
         buffer = packetize(trace, payloads)
         buffer[~codec.real] = 0  # padding periods carry no data
 
-    eff_channel = replace(channel, seed=channel.seed + seed)
     delivered = transmit_many(eff_channel, np.arange(1, N + 1), codec.send_times)
 
     decoder = DecoderState(codec.peeling,
@@ -377,6 +375,9 @@ def sweep(trace: VideoTrace, modes, code_rates, delays_s, channels,
         raise ConfigError("empty sweep grid")
     if repetitions < 1:
         raise ConfigError(f"need at least one repetition per cell, got {repetitions}")
+    for ch in channels:  # the first and last session seeds, checked before any work
+        for seed in (base_seed, base_seed + repetitions - 1):
+            replace(ch, seed=ch.seed + seed)
     rows = []
     for mode, code_rate, delay_s, ch in cells:
         params = derive_params(trace, mode, delay_to_frames(delay_s, trace.frame_rate),

@@ -39,28 +39,48 @@ class DegreeDistribution:
 
 @lru_cache(maxsize=4096)
 def robust_soliton(window_packets: int) -> DegreeDistribution:
-    """Ideal soliton plus the spike term, normalized.
-
-    The spike sits at ceil(k/R) where R = c * ln(k/delta) * sqrt(k), with
-    c = SOLITON_C and delta = SOLITON_DELTA.
-    """
-    k, c, delta = window_packets, SOLITON_C, SOLITON_DELTA
-    if k < 1:
+    """The robust-soliton distribution of one window size, a batch of one
+    of degree_tables."""
+    if window_packets < 1:
         raise ValueError("window must hold at least one packet")
-    rho = np.zeros(k + 1)
-    rho[1] = 1.0 / k
-    for d in range(2, k + 1):
-        rho[d] = 1.0 / (d * (d - 1))
-    tau = np.zeros(k + 1)
-    ripple = c * math.log(k / delta) * math.sqrt(k)
-    spike = min(k, math.ceil(k / ripple))
-    for d in range(1, spike):
-        tau[d] = ripple / (d * k)
-    if ripple > delta:
-        tau[spike] = ripple * math.log(ripple / delta) / k
-    mu = rho[1:] + tau[1:]
-    mu /= mu.sum()
-    return DegreeDistribution(window_packets=k, pmf=tuple(mu))
+    pmf = _soliton_pmf(np.array([window_packets]))[0]
+    return DegreeDistribution(window_packets=window_packets, pmf=tuple(pmf.tolist()))
+
+
+def degree_tables(sizes) -> list["InverseCdf"]:
+    """The robust-soliton table of every window size in `sizes`, in order;
+    each is robust_soliton(size).table, bit for bit."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if len(sizes) and sizes.min() < 1:
+        raise ValueError("window must hold at least one packet")
+    return InverseCdf.blocks(sizes, lambda pick: np.cumsum(_soliton_pmf(sizes[pick]), axis=1))
+
+
+def _soliton_pmf(ks: np.ndarray) -> np.ndarray:
+    """Robust-soliton pmf rows of window sizes ks (ascending): row r holds
+    degrees 1..ks[r], and what lies past ks[r] is not read.
+
+    Ideal soliton plus the spike term, normalized: the spike sits at
+    ceil(k/R) where R = c * ln(k/delta) * sqrt(k), with c = SOLITON_C and
+    delta = SOLITON_DELTA. Products of whole numbers below 2**53 are exact
+    in float64, so every term rounds as the one-degree-at-a-time formula's
+    does; R and the spike term come from `math`, one size at a time, and
+    each row is normalized by the numpy sum of exactly its own k terms.
+    """
+    c, delta = SOLITON_C, SOLITON_DELTA
+    ks = ks.tolist()
+    ripple = [c * math.log(k / delta) * math.sqrt(k) for k in ks]  # > delta, as k >= 1
+    spike = [min(k, math.ceil(k / r)) for k, r in zip(ks, ripple)]
+    d = np.arange(1.0, ks[-1] + 1)
+    size = np.array(ks, dtype=np.float64)
+    pmf = np.where(d < np.array(spike)[:, None], np.array(ripple)[:, None] / (d * size[:, None]),
+                   0.0)
+    pmf[np.arange(len(ks)), np.array(spike) - 1] = [
+        r * math.log(r / delta) / k for k, r in zip(ks, ripple)]
+    pmf[:, 0] += 1.0 / size
+    pmf[:, 1:] += 1.0 / (d[1:] * (d[1:] - 1.0))
+    pmf /= np.array([row[:k].sum() for row, k in zip(pmf, ks)])[:, None]
+    return pmf
 
 
 @dataclass(frozen=True)
@@ -87,6 +107,9 @@ _PASS_PACKETS = 2046
 #: pass holds at least one packet). Bounds the pass's chosen-neighbor bitmap
 #: to _PASS_CELLS bytes and its joined keys to _PASS_CELLS words.
 _PASS_CELLS = 1 << 21
+
+#: Cells per row block of InverseCdf.blocks.
+TABLE_BLOCK = 1 << 14
 
 _TWO53 = float(1 << 53)
 _KEY_SPAN = (1 << 53) + 1
@@ -121,6 +144,28 @@ class InverseCdf:
             table = cls.__new__(cls)
             table.keys = keys[:size]
             tables.append(table)
+        return tables
+
+    @classmethod
+    def blocks(cls, sizes, cdf_rows) -> list["InverseCdf"]:
+        """One table per entry of `sizes`, built as padded 2-D row blocks in
+        order of size: cdf_rows(pick) gives the CDF rows of sizes[pick]
+        (ascending), row r read up to sizes[pick][r]. A block's rows times
+        its largest size is at most TABLE_BLOCK cells (at least one row), so
+        the temporaries stay bounded however wide the windows are."""
+        sizes = np.asarray(sizes)
+        order = np.argsort(sizes, kind="stable")
+        s = sizes[order].tolist()
+        tables = [None] * len(s)
+        a = 0
+        while a < len(s):
+            b = min(len(s), a + max(1, TABLE_BLOCK // s[a]))
+            if (b - a) * s[b - 1] > TABLE_BLOCK:  # then this many fit, as sizes ascend
+                b = a + max(1, TABLE_BLOCK // s[b - 1])
+            pick = order[a:b]
+            for i, table in zip(pick.tolist(), cls.rows(cdf_rows(pick), sizes[pick])):
+                tables[i] = table
+            a = b
         return tables
 
     def __len__(self) -> int:
@@ -204,25 +249,30 @@ def _draw_pass(packet_ids, window_of, windows):
     degree = _Tables([w[2] for w in picked]).search(local, xorshift64star_next(state)) + 1
     np.minimum(degree, size, out=degree)
 
-    # chosen[offset[i] + j]: packet i has drawn window position j
+    # chosen[offset[i] + j]: packet i has drawn window position j; a deviate
+    # plus key[i] is searched in the joined keys, and the index it falls at
+    # plus shift[i] is its position in chosen
     offset = np.cumsum(size) - size
     chosen = np.zeros(int(offset[-1] + size[-1]), dtype=bool)
-    which, need, active = local, degree.copy(), np.arange(n)
-    act_size, act_offset = size, offset
+    key = cdfs.offset[local]
+    shift = offset - cdfs.base[local]
+    need, active = degree.copy(), np.arange(n)
     while len(active) > _LOCKSTEP_MIN:
-        j = cdfs.search(which, xorshift64star_next(state))
-        pos = act_offset + j
+        pos = xorshift64star_next(state)
+        pos += key
+        pos = np.searchsorted(cdfs.keys, pos, side="right")
+        pos += shift
         fresh = ~chosen[pos]
-        chosen[pos[fresh]] = True
+        chosen[pos] = True
         need -= fresh
         going = need > 0
         if not going.all():
-            state, which, need, active = state[going], which[going], need[going], active[going]
-            act_size, act_offset = act_size[going], act_offset[going]
-    for i in range(len(active)):  # the few left finish alone
-        lo, hi = int(act_offset[i]), int(act_offset[i] + act_size[i])
-        got = _finish(XorShift64Star(int(state[i])), cdfs.tables[which[i]],
-                      set(np.flatnonzero(chosen[lo:hi]).tolist()), int(degree[active[i]]))
+            state, key, shift, need, active = (
+                state[going], key[going], shift[going], need[going], active[going])
+    for x, i in zip(state.tolist(), active.tolist()):  # the few left finish alone
+        lo, hi = int(offset[i]), int(offset[i] + size[i])
+        got = _finish(XorShift64Star(x), cdfs.tables[local[i]],
+                      set(np.flatnonzero(chosen[lo:hi]).tolist()), int(degree[i]))
         chosen[lo + np.fromiter(got, dtype=np.intp, count=len(got))] = True
 
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -244,10 +294,6 @@ def draw(packet_id: int, start_packet: int, window_cdf, dist: DegreeDistribution
                            neighbors=tuple(neighbors.tolist()),
                            start_packet=start_packet, window_packets=len(table),
                            slope_factor=slope_factor)
-
-
-def uniform_cdf(window_packets: int) -> np.ndarray:
-    return np.arange(1, window_packets + 1) / window_packets
 
 
 #: Neighbor rows gathered at once by xor_payloads.

@@ -45,7 +45,14 @@ class XorShift64Star:
     def next_u53s(self, n: int) -> np.ndarray:
         """The next n deviates as 53-bit integers m; the uniform deviate is
         m * 2**-53."""
-        return np.array([self.next_u64() >> 11 for _ in range(n)], dtype=np.uint64)
+        x, out = self.state, []
+        for _ in range(n):  # next_u64, inlined
+            x ^= x >> 12
+            x = (x ^ (x << 25)) & MASK64
+            x ^= x >> 27
+            out.append(((x * _XS_MULT) & MASK64) >> 11)
+        self.state = x
+        return np.array(out, dtype=np.uint64)
 
 
 def packet_states(packet_ids) -> np.ndarray:

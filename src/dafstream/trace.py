@@ -135,28 +135,24 @@ def _as_text(source) -> str:
 def packetize(trace: VideoTrace, payloads=None) -> np.ndarray:
     """Split frame payloads into P-byte packets, zero-padding the last one.
 
-    With payloads=None (simulation-only mode) the buffer is all zeros.
+    Each frame's payload (bytes-like) is copied once, straight to its first
+    packet's row. With payloads=None (simulation-only mode) the buffer is
+    all zeros.
     Returns a (total_packets, payload_bytes) uint8 array; packet number n
     is row n-1.
     """
     P = trace.payload_bytes
-    buf = np.zeros((trace.total_packets, P), dtype=np.uint8)
-    if payloads is None:
-        return buf
-    if len(payloads) != trace.num_frames:
-        raise ValueError(f"expected {trace.num_frames} frame payloads, got {len(payloads)}")
-    row = 0
-    for t, blob in enumerate(payloads):
-        expected = trace.frame_bytes[t]
-        if len(blob) != expected:
-            raise ValueError(f"frame {t + 1}: payload is {len(blob)} bytes, trace says {expected}")
-        s = trace.packets_per_frame[t]
-        flat = np.frombuffer(bytes(blob), dtype=np.uint8)
-        full = np.zeros(s * P, dtype=np.uint8)
-        full[:len(flat)] = flat
-        buf[row:row + s] = full.reshape(s, P)
-        row += s
-    return buf
+    buf = np.zeros(trace.total_packets * P, dtype=np.uint8)
+    if payloads is not None:
+        if len(payloads) != trace.num_frames:
+            raise ValueError(f"expected {trace.num_frames} frame payloads, got {len(payloads)}")
+        starts = (trace.packet_offsets()[:-1] * P).tolist()
+        for t, (blob, at, expected) in enumerate(zip(payloads, starts, trace.frame_bytes)):
+            if len(blob) != expected:
+                raise ValueError(f"frame {t + 1}: payload is {len(blob)} bytes, "
+                                 f"trace says {expected}")
+            buf[at:at + expected] = np.frombuffer(blob, dtype=np.uint8)
+    return buf.reshape(trace.total_packets, P)
 
 
 def downsample(trace: VideoTrace, factor: int) -> VideoTrace:

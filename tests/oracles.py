@@ -18,11 +18,13 @@ per-entry lookups and loops the package's array forms replaced,
 read rows of H with Python floats (`centered_gram` is its H), and
 `struct_datagram` packs the wire header field by field with `struct`.
 `transmit` (over `counter_uniform` and `splitmix64`), `packet_rng`,
-`slope_pdf` and `uniform_matrix` are the scalar and per-window forms of
-the channel, the packet generator and the sampling matrices.
+`slope_pdf`, `uniform_cdf` and `uniform_matrix` are the scalar and
+per-window forms of the channel, the packet generator, the window CDFs and
+the sampling matrices.
 `header_rule_oracle` is the receiver's header check as first stated, one
 header at a time: a (StartP, WSize) lookup, then the slope, the PacketID's
-window and P.
+window and P. `robust_soliton_oracle` is the degree distribution built one
+degree at a time, for checking the package's one-pass degree tables.
 """
 
 import heapq
@@ -361,6 +363,32 @@ def draw_oracle(packet_id, start_packet, window_cdf, degree_cdf):
         j = bisect_right(window_cdf, rng.next_float())
         chosen.add(start_packet + min(j, wsize - 1))
     return degree, tuple(sorted(chosen))
+
+
+def uniform_cdf(window_packets):
+    """The uniform window CDF, one window at a time (SessionCodec._build_cdf
+    builds the slope-0 tables of all WSizes in one pass)."""
+    return np.arange(1, window_packets + 1) / window_packets
+
+
+def robust_soliton_oracle(k, c=0.4, delta=0.02):
+    """The robust-soliton pmf over degrees 1..k (float64), one degree at a
+    time: the ideal soliton, plus ripple/(d*k) below the spike and the
+    spike term at it, normalized by the numpy sum of all k terms."""
+    rho = np.zeros(k + 1)
+    rho[1] = 1.0 / k
+    for d in range(2, k + 1):
+        rho[d] = 1.0 / (d * (d - 1))
+    tau = np.zeros(k + 1)
+    ripple = c * math.log(k / delta) * math.sqrt(k)
+    spike = min(k, math.ceil(k / ripple))
+    for d in range(1, spike):
+        tau[d] = ripple / (d * k)
+    if ripple > delta:
+        tau[spike] = ripple * math.log(ripple / delta) / k
+    mu = rho[1:] + tau[1:]
+    mu /= mu.sum()
+    return mu
 
 
 def degree_cdf(dist):

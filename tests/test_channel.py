@@ -1,9 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from dafstream.channel import ChannelModel, transmit_many
 from dafstream.errors import ConfigError
+from dafstream import harness
+from dafstream.harness import run_session, sweep
 from dafstream.prng import counter_uniforms
+from dafstream.trace import constant_trace
+from dafstream.windowing import derive_params
 
 from oracles import counter_uniform, transmit
 
@@ -25,6 +31,26 @@ class TestValidation:
         for period in (0.0, float("nan")):  # a NaN period would lose every packet
             with pytest.raises(ConfigError, match="period"):
                 ChannelModel(kind="mobile-relay", duty=0.5, period_s=period)
+
+    def test_seed_is_64_bits(self):
+        for seed in (-1, 1 << 64):
+            with pytest.raises(ConfigError, match="seed"):
+                ChannelModel(seed=seed)
+        assert ChannelModel(seed=(1 << 64) - 1).seed == (1 << 64) - 1
+
+    def test_session_seed_checked_before_any_work(self):
+        # run_session adds the session seed to the channel's; a sum outside
+        # 64 bits is a ConfigError before the session plan is built
+        t = constant_trace(30, 3000, payload_bytes=1024)
+        p = derive_params(t, "DAF-L", 10, code_rate=0.8)
+        with pytest.raises(ConfigError, match="seed"):
+            run_session(t, p, ChannelModel(seed=2), -3)
+        assert "_session_plan" not in p.__dict__
+        # a sweep checks its last session's seed before its first session
+        with mock.patch.object(harness, "run_session", side_effect=AssertionError), \
+                pytest.raises(ConfigError, match="seed"):
+            sweep(t, ["DAF-L"], [0.8], [0.33], [ChannelModel(seed=1)], repetitions=3,
+                  base_seed=(1 << 64) - 3)
 
 
 class TestCounterPrng:

@@ -29,6 +29,11 @@ MISTAKES = [
     (["run"], {"channel.kind": "mobile-relay", "channel.period_s": "nan"}),
     (["sweep", "--reps", "0"], {}),
     (["sweep", "--reps", "-1"], {}),
+    (["run", "--seed", "-1"], {}),
+    (["run", "--seed", "18446744073709551616"], {}),
+    (["sweep", "--seed", "-3", "--reps", "1"], {}),
+    (["sweep", "--seed", "18446744073709551615", "--reps", "2"], {}),
+    (["run"], {"channel.seed": "-1"}),
 ]
 GOOD = """
 # demo configuration

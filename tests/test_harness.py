@@ -14,14 +14,14 @@ from dafstream import harness, ltcode
 from dafstream.harness import (CSV_HEADER, Metrics, SessionCodec, delay_to_frames, report,
                                rows_to_csv, run_session, session_blocks, session_plan,
                                session_slopes, summarize, sweep)
-from dafstream.ltcode import DecoderState, InverseCdf, PeelingTables, uniform_cdf, xor_payloads
+from dafstream.ltcode import DecoderState, InverseCdf, PeelingTables, xor_payloads
 from dafstream.protocol import (HEADER_LEN, DafHeader, decode_packet,
                                 encode_datagrams, encode_packet)
 from dafstream.trace import constant_trace, packetize, random_trace, sinusoidal_trace
 from dafstream.windowing import build_schedule, derive_params, wcp_packets
 
 from oracles import (encode_block, header_rule_oracle, iter_coded_packets, minmax_decode_times,
-                     slope_pdf, window_tables)
+                     slope_pdf, uniform_cdf, window_tables)
 
 
 def lossless():

@@ -12,11 +12,14 @@ from hypothesis import strategies as st
 from dafstream import ltcode
 from dafstream.errors import ProtocolError
 from dafstream.ltcode import (DecoderState, DegreeDistribution, InverseCdf,
-                              PeelingTables, draw, draw_batch, robust_soliton,
-                              uniform_cdf, xor_payload, xor_payloads)
+                              PeelingTables, degree_tables, draw, draw_batch, robust_soliton,
+                              xor_payload, xor_payloads)
+from dafstream.prng import PACKET_SEED_SALT, XorShift64Star
 from dafstream.protocol import HEADER_LEN, MAX_PACKET_ID, datagram_records
+from dafstream.windowing import build_schedule
 
-from oracles import degree_cdf, draw_oracle, peeling_oracle, slope_pdf
+from oracles import (degree_cdf, draw_oracle, packet_rng, peeling_oracle, robust_soliton_oracle,
+                     slope_pdf, uniform_cdf)
 
 
 def degree_one_dist(window):
@@ -70,6 +73,66 @@ class TestRobustSoliton:
         second = sum((d + 1) ** 2 * p for d, p in enumerate(dist.pmf))
         sigma = math.sqrt((second - dist.mean_degree() ** 2) / n)
         assert abs(sample_mean - dist.mean_degree()) < 4 * sigma
+
+
+def soliton_keys(k):
+    return InverseCdf(np.cumsum(robust_soliton_oracle(k))).keys
+
+
+class TestDegreeTables:
+    """degree_tables and robust_soliton give the per-degree formula's bits."""
+
+    def test_every_size_to_2000_and_the_largest(self):
+        sizes = [*range(1, 2001), 65_535]
+        tables = degree_tables(sizes)
+        for k, table in zip(sizes, tables):
+            pmf = robust_soliton_oracle(k)
+            dist = robust_soliton.__wrapped__(k)  # uncached: 2,001 pmf tuples are large
+            assert np.array(dist.pmf).tobytes() == pmf.tobytes(), k
+            keys = soliton_keys(k)
+            assert keys.tobytes() == table.keys.tobytes() == dist.table.keys.tobytes(), k
+
+    def test_window_sizes_of_every_bench_cell(self, workloads):
+        for name in workloads.SPECS:
+            inp = workloads.build(name, workloads.DEFAULT_SEED)
+            for cell in inp.cells:
+                sizes = np.unique(build_schedule(cell.params, inp.trace).window_packets)
+                for k, table in zip(sizes.tolist(), degree_tables(sizes)):
+                    assert table.keys.tobytes() == soliton_keys(k).tobytes(), (name, cell.mode, k)
+
+    def test_any_order_with_repeats(self):
+        sizes = [400, 3, 17, 3, 1, 400, 2]
+        for k, table in zip(sizes, degree_tables(sizes)):
+            assert table.keys.tobytes() == robust_soliton(k).table.keys.tobytes()
+        assert degree_tables([]) == []
+
+    def test_invalid_size(self):
+        with pytest.raises(ValueError):
+            degree_tables([3, 0])
+
+    def test_memory_is_bounded_by_blocks(self):
+        # 1,000 small sizes next to 65,535: one padded array of them all
+        # would be 1,001 x 65,535 float64 cells, 525 MB; the tables hold 4.5 MB
+        sizes = [*range(1, 1001), 65_535]
+        tracemalloc.start()
+        try:
+            tables = degree_tables(sizes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+        assert [len(t) for t in tables] == sizes
+
+
+class TestPacketGenerator:
+    def test_next_u53s_is_the_scalar_stream(self):
+        for pid in (1, 2, 1000, MAX_PACKET_ID, PACKET_SEED_SALT):
+            rng, want = XorShift64Star(pid ^ PACKET_SEED_SALT), packet_rng(pid)
+            for n in (0, 1, 7, 100, 3):
+                got = rng.next_u53s(n)
+                assert got.dtype == np.uint64
+                assert got.tolist() == [want.next_u64() >> 11 for _ in range(n)]
+            assert rng.state == want.state
 
 
 class TestDraw:

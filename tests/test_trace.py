@@ -98,6 +98,10 @@ class TestPacketize:
         payloads = [bytes(b % 251 for b in range(n)) for n in t.frame_bytes]
         buf = packetize(t, payloads)
         assert buf.size == t.total_packets * 64
+        # each frame from its first packet's row, zero-padded to whole packets
+        want = b"".join(p + bytes(n * 64 - len(p)) for p, n in zip(payloads, t.packets_per_frame))
+        assert buf.tobytes() == want
+        assert buf.flags.writeable
 
 
 class TestFrameIndex:
