@@ -8,7 +8,8 @@ off-phase every packet is lost regardless of the draw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,8 +39,17 @@ class ChannelModel:
             raise ConfigError(f"duty cycle {self.duty} outside (0, 1]")
         if self.kind == "mobile-relay" and not self.period_s > 0:  # NaN fails too
             raise ConfigError("mobile-relay channel needs a positive period_s")
+        _check_integer(self.seed, "channel seed")
+        object.__setattr__(self, "seed", int(self.seed))  # numpy integers wrap; ints do not
         if not 0 <= self.seed <= MASK64:
             raise ConfigError(f"channel seed {self.seed} outside 0..2**64 - 1")
+
+    def for_session(self, seed) -> "ChannelModel":
+        """This channel as session `seed` sees it, seeded self.seed + seed;
+        a seed that is no integer, or a sum outside 0..2**64 - 1, is a
+        ConfigError."""
+        _check_integer(seed, "session seed")
+        return replace(self, seed=self.seed + int(seed))
 
     @property
     def effective_hops(self) -> int:
@@ -60,6 +70,12 @@ class ChannelModel:
             return f"chain:hops={self.hops}:plr={self.loss_rate:g}"
         return (f"mobile-relay:plr={self.loss_rate:g}:period={self.period_s:g}"
                 f":duty={self.duty:g}")
+
+
+def _check_integer(seed, what: str):
+    # a float or bool would be truncated to some other seed's channel
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ConfigError(f"{what} {seed!r} is not an integer")
 
 
 def transmit_many(model: ChannelModel, packet_indices, send_times_s) -> np.ndarray:

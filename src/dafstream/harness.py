@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -315,7 +315,7 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
     optimizes its slope factors; every other mode's are zero. The
     seed-invariant work is done once per params object (session_plan).
     """
-    eff_channel = replace(channel, seed=channel.seed + seed)  # checks the seed first
+    eff_channel = channel.for_session(seed)  # checks the seed first
     codec = session_plan(trace, params)
     k, N = trace.total_packets, codec.total_coded
     buffer = None
@@ -344,7 +344,7 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
     decoded = np.isfinite(dt)
     on_time = decoded & (dt <= codec.packet_deadline)
     real = codec.real
-    return SessionResult(seed=seed, config=dict(codec.config, channel=channel.describe()),
+    return SessionResult(seed=int(seed), config=dict(codec.config, channel=channel.describe()),
                          decode_time=decode_time, frame_deadline=codec.frame_deadline,
                          wcp=codec.wcp, in_time=int(np.count_nonzero(real & on_time)),
                          late=int(np.count_nonzero(real & decoded & ~on_time)),
@@ -377,7 +377,7 @@ def sweep(trace: VideoTrace, modes, code_rates, delays_s, channels,
         raise ConfigError(f"need at least one repetition per cell, got {repetitions}")
     for ch in channels:  # the first and last session seeds, checked before any work
         for seed in (base_seed, base_seed + repetitions - 1):
-            replace(ch, seed=ch.seed + seed)
+            ch.for_session(seed)
     rows = []
     for mode, code_rate, delay_s, ch in cells:
         params = derive_params(trace, mode, delay_to_frames(delay_s, trace.frame_rate),

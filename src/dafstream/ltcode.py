@@ -296,40 +296,74 @@ def draw(packet_id: int, start_packet: int, window_cdf, dist: DegreeDistribution
                            slope_factor=slope_factor)
 
 
-#: Neighbor rows gathered at once by xor_payloads.
-_XOR_ROWS = 256
+#: Bytes of payload rows per chunk of xor_payloads: a chunk holds
+#: c = max(1, _XOR_BYTES // P) packets of P bytes.
+_XOR_BYTES = 1 << 17
+
+#: At or below this many packets still XORing, a chunk of xor_payloads
+#: finishes each alone.
+_XOR_STRAGGLERS = 4
 
 
 def xor_payloads(indptr, neighbors, buffer: np.ndarray, out: np.ndarray | None = None):
     """XOR payload of every packet of a CSR batch, one row per packet.
 
     Packet i XORs the native packets (1-based numbers) in
-    neighbors[indptr[i]:indptr[i + 1]] of a (k, P) uint8 buffer. Rows are
-    gathered about _XOR_ROWS at a time, so memory stays bounded, and XORed
-    as the widest unsigned words that tile P bytes. The rows are written
-    into `out`, an (n, P) uint8 array that may be a strided view (a new one
-    if None), which is returned.
+    neighbors[indptr[i]:indptr[i + 1]] of a (k, P) uint8 buffer, read as
+    the widest unsigned words that tile P bytes. The rows are written into
+    `out`, an (n, P) uint8 array that may be a strided view (a new one if
+    None), which is returned.
+
+    Packets go in chunks of c (see _XOR_BYTES), each sorted widest first.
+    A chunk gathers every packet's first neighbor row into an accumulator.
+    Then slot s = 1, 2, ... gathers the s-th neighbor rows of the packets
+    of degree above s, a prefix after the sort, and XORs them in place; once
+    _XOR_STRAGGLERS or fewer are left, each finishes alone, reducing its
+    rest c rows at a time. The accumulator is scattered back in packet
+    order. XOR is associative and commutative, so the order changes no
+    byte. Besides `out`, the call holds at most (2c + 1) * P bytes of rows
+    (the accumulator, one slot's rows and a straggler's reduced row), 16
+    bytes per neighbor and 64 per packet of indices, and 16 KiB of
+    interpreter objects.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     idx = np.asarray(neighbors, dtype=np.intp) - 1
     if np.any(idx < 0) or np.any(idx >= buffer.shape[0]):
         raise ValueError("neighbor outside the native packet buffer")
     n = len(indptr) - 1
-    if np.any(indptr[1:] <= indptr[:-1]):
+    degree = np.diff(indptr)
+    if np.any(degree <= 0):
         raise ValueError("every packet needs at least one neighbor")
+    P = buffer.shape[1]
     if out is None:
-        out = np.empty((n, buffer.shape[1]), dtype=np.uint8)
-    elif out.shape != (n, buffer.shape[1]) or out.dtype != np.uint8:
-        raise ValueError(f"out is {out.dtype} {out.shape}, need uint8 ({n}, {buffer.shape[1]})")
-    word = next(w for w in (8, 4, 2, 1) if buffer.shape[1] % w == 0)
+        out = np.empty((n, P), dtype=np.uint8)
+    elif out.shape != (n, P) or out.dtype != np.uint8:
+        raise ValueError(f"out is {out.dtype} {out.shape}, need uint8 ({n}, {P})")
+    word = next(w for w in (8, 4, 2, 1) if P % w == 0)
     words = np.ascontiguousarray(buffer, dtype=np.uint8).view(f"u{word}")
-    a = 0
-    while a < n:
-        b = max(int(np.searchsorted(indptr, indptr[a] + _XOR_ROWS, side="right")) - 1, a + 1)
-        lo = indptr[a]
-        rows = np.bitwise_xor.reduceat(words[idx[lo:indptr[b]]], indptr[a:b] - lo, axis=0)
-        out[a:b] = rows.view(np.uint8)
-        a = b
+    c = max(1, _XOR_BYTES // max(P, 1))
+    acc = np.empty((min(n, c), words.shape[1]), dtype=words.dtype)
+    rows = np.empty_like(acc)
+    # every index is checked above; mode "clip" lets np.take write to out unbuffered
+    for a in range(0, n, c):
+        order = np.argsort(-degree[a:a + c], kind="stable")
+        deg, first = degree[a:a + c][order], indptr[a:a + c][order]
+        m = len(order)
+        np.take(words, idx[first], axis=0, out=acc[:m], mode="clip")
+        # slots 1 .. top - 1 hold more than _XOR_STRAGGLERS packets each
+        top = int(deg[_XOR_STRAGGLERS]) if m > _XOR_STRAGGLERS else 1
+        wide = np.searchsorted(-deg, -np.arange(1, top), side="left")
+        for s, w in enumerate(wide.tolist(), start=1):
+            got = rows[:w]
+            np.take(words, idx[first[:w] + s], axis=0, out=got, mode="clip")
+            acc[:w] ^= got
+        for j, (start, end) in enumerate(zip(first[:_XOR_STRAGGLERS].tolist(),
+                                             (first + deg)[:_XOR_STRAGGLERS].tolist())):
+            for lo in range(start + top, end, len(rows)):
+                got = rows[:end - lo]
+                np.take(words, idx[lo:lo + len(got)], axis=0, out=got, mode="clip")
+                acc[j] ^= np.bitwise_xor.reduce(got, axis=0)
+        out[a + order] = acc[:m].view(np.uint8)
     return out
 
 

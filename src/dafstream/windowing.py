@@ -69,8 +69,9 @@ def derive_params(trace: VideoTrace, mode, delay_frames: int, step_frames: int =
 
     Exactly one of code_rate / data_rate must be given; the other is derived
     through code_rate = k / N. A window wider than the header's WSize field
-    holds, or a schedule leaving a frame outside the padding in no window, is
-    a ConfigError.
+    holds, a schedule leaving a frame outside the padding in no window, or a
+    DAF trace shorter than two windows (the slope solve's domain), is a
+    ConfigError.
     """
     mode = Mode.parse(mode) if not isinstance(mode, Mode) else mode
     if (code_rate is None) == (data_rate is None):
@@ -95,6 +96,9 @@ def derive_params(trace: VideoTrace, mode, delay_frames: int, step_frames: int =
         step = step_frames
     if T < window + step:
         raise ConfigError(f"trace of {T} frames is too short for window {window} + step {step}")
+    if mode is Mode.DAF and T < 2 * window:  # the slope solve's domain
+        raise ConfigError(f"DAF needs a trace of at least {2 * window} frames for window "
+                          f"{window} (got {T})")
 
     k = trace.total_packets
     num_steps = (T - window) // step

@@ -21,6 +21,8 @@ read rows of H with Python floats (`centered_gram` is its H), and
 `slope_pdf`, `uniform_cdf` and `uniform_matrix` are the scalar and
 per-window forms of the channel, the packet generator, the window CDFs and
 the sampling matrices.
+`xor_payloads_oracle` XORs each coded packet's payload alone, for checking
+the package's slot-by-slot XOR kernel.
 `header_rule_oracle` is the receiver's header check as first stated, one
 header at a time: a (StartP, WSize) lookup, then the slope, the PacketID's
 window and P. `robust_soliton_oracle` is the degree distribution built one
@@ -389,6 +391,16 @@ def robust_soliton_oracle(k, c=0.4, delta=0.02):
     mu = rho[1:] + tau[1:]
     mu /= mu.sum()
     return mu
+
+
+def xor_payloads_oracle(indptr, neighbors, buffer):
+    """Each packet's XOR payload as one np.bitwise_xor.reduce of its own
+    neighbor rows (1-based) of a (k, P) uint8 buffer, packet by packet."""
+    buffer = np.asarray(buffer, dtype=np.uint8)
+    out = np.empty((len(indptr) - 1, buffer.shape[1]), dtype=np.uint8)
+    for i, (a, b) in enumerate(zip(indptr[:-1], indptr[1:])):
+        out[i] = np.bitwise_xor.reduce(buffer[np.asarray(neighbors[a:b]) - 1], axis=0)
+    return out
 
 
 def degree_cdf(dist):

@@ -1,0 +1,61 @@
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "ab_bench.py"
+
+SPEC = [{"name": "sessions_per_s", "better": "higher"},
+        {"name": "session_p50_s", "better": "lower"},
+        {"name": "setup_s", "better": "lower"}]
+
+
+@pytest.fixture(scope="module")
+def ab_bench():
+    spec = importlib.util.spec_from_file_location("ab_bench", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run(correct=True, **values):
+    return {"correct": correct, "metrics": {k: {"value": v} for k, v in values.items()}}
+
+
+def pair(base, change):
+    return {"base": base, "change": change}
+
+
+class TestSummarize:
+    def test_wins_follow_each_metrics_better_direction(self, ab_bench, capsys):
+        pairs = [pair(run(sessions_per_s=30.0, session_p50_s=0.013, setup_s=0.0),
+                      run(sessions_per_s=33.0, session_p50_s=0.011, setup_s=0.0)),
+                 pair(run(sessions_per_s=31.0, session_p50_s=0.012, setup_s=0.0),
+                      run(sessions_per_s=30.0, session_p50_s=0.010, setup_s=0.0)),
+                 pair(run(sessions_per_s=32.0, session_p50_s=0.014, setup_s=0.0),
+                      run(sessions_per_s=34.0, session_p50_s=0.015, setup_s=0.0))]
+        rows = {r["metric"]: r for r in ab_bench.summarize(pairs, SPEC)}
+        assert rows["sessions_per_s"]["wins"] == 2 and rows["sessions_per_s"]["pairs"] == 3
+        assert rows["session_p50_s"]["wins"] == 2
+        assert rows["setup_s"]["wins"] == 0  # ties count for neither side
+        assert rows["sessions_per_s"]["relative"] == pytest.approx(33.0 / 31.0 - 1)
+        assert rows["session_p50_s"]["relative"] == pytest.approx(0.011 / 0.013 - 1)
+        assert math.isnan(rows["setup_s"]["relative"])  # no change relative to 0
+        out = capsys.readouterr().out
+        assert "+6.45%" in out and "-15.38%" in out
+        assert "skipped" not in out
+
+    def test_pairs_with_a_failed_run_are_skipped(self, ab_bench, capsys):
+        good = pair(run(sessions_per_s=30.0, session_p50_s=0.02),
+                    run(sessions_per_s=40.0, session_p50_s=0.01))
+        pairs = [good,
+                 pair(run(sessions_per_s=50.0, session_p50_s=0.01),
+                      run(False, sessions_per_s=10.0, session_p50_s=0.05)),
+                 pair(run(False), run(sessions_per_s=10.0, session_p50_s=0.05))]
+        rows = {r["metric"]: r for r in ab_bench.summarize(pairs, SPEC)}
+        assert rows["sessions_per_s"] == {
+            "metric": "sessions_per_s", "base": 30.0, "change": 40.0,
+            "relative": pytest.approx(1 / 3), "base_iqr": 0.0, "wins": 1, "pairs": 1}
+        assert rows["session_p50_s"]["wins"] == 1 and "setup_s" not in rows
+        assert "2 of 3 pairs skipped" in capsys.readouterr().out

@@ -52,6 +52,36 @@ class TestValidation:
             sweep(t, ["DAF-L"], [0.8], [0.33], [ChannelModel(seed=1)], repetitions=3,
                   base_seed=(1 << 64) - 3)
 
+    def test_seed_must_be_an_integer(self):
+        # a float or bool seed would run another seed's channel: 1.5, 1.0 and
+        # True all delivered what seed 1 delivers
+        for seed in (1.5, 1.0, True, np.float64(2.0), np.bool_(True), "1"):
+            with pytest.raises(ConfigError, match="not an integer"):
+                ChannelModel(seed=seed)
+        for seed in (np.int64(7), np.uint64((1 << 64) - 1), np.int8(3)):
+            model = ChannelModel(kind="single", loss_rate=0.5, seed=seed)
+            assert np.array_equal(transmit_many(model, np.arange(1, 9), np.zeros(8)),
+                                  transmit_many(ChannelModel(kind="single", loss_rate=0.5,
+                                                             seed=int(seed)),
+                                                np.arange(1, 9), np.zeros(8)))
+
+    def test_session_seed_must_be_an_integer(self):
+        t = constant_trace(30, 3000, payload_bytes=1024)
+        p = derive_params(t, "DAF-L", 10, code_rate=0.8)
+        for seed in (0.5, True, 2.0):
+            with pytest.raises(ConfigError, match="session seed .* not an integer"):
+                run_session(t, p, ChannelModel(seed=2), seed)
+        assert "_session_plan" not in p.__dict__
+        assert run_session(t, p, ChannelModel(seed=2), np.int64(1)).canonical_bytes() == \
+            run_session(t, p, ChannelModel(seed=2), 1).canonical_bytes()
+        with pytest.raises(ConfigError, match="outside"):  # a uint64 sum would wrap to 0
+            ChannelModel(seed=np.uint64((1 << 64) - 1)).for_session(1)
+        with mock.patch.object(harness, "run_session", side_effect=AssertionError):
+            for base_seed in (0.5, True):
+                with pytest.raises(ConfigError, match="not an integer"):
+                    sweep(t, ["DAF-L"], [0.8], [0.33], [ChannelModel(seed=1)], repetitions=1,
+                          base_seed=base_seed)
+
 
 class TestCounterPrng:
     def test_vector_matches_scalar(self):

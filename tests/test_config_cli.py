@@ -34,6 +34,7 @@ MISTAKES = [
     (["sweep", "--seed", "-3", "--reps", "1"], {}),
     (["sweep", "--seed", "18446744073709551615", "--reps", "2"], {}),
     (["run"], {"channel.seed": "-1"}),
+    (["run"], {"trace.frames": "40", "delay_s": "1.0"}),
 ]
 GOOD = """
 # demo configuration

@@ -19,7 +19,7 @@ from dafstream.protocol import HEADER_LEN, MAX_PACKET_ID, datagram_records
 from dafstream.windowing import build_schedule
 
 from oracles import (degree_cdf, draw_oracle, packet_rng, peeling_oracle, robust_soliton_oracle,
-                     slope_pdf, uniform_cdf)
+                     slope_pdf, uniform_cdf, xor_payloads_oracle)
 
 
 def degree_one_dist(window):
@@ -302,7 +302,58 @@ class TestDrawBatch:
         assert indptr.tolist() == [0] and len(neighbors) == 0
 
 
+@st.composite
+def xor_batches(data):
+    """A (k, P) buffer at every word width, and a CSR batch of packets whose
+    degrees run from 1 up to k, a few of them wide enough to finish as
+    stragglers, with neighbors that may repeat."""
+    P = data(st.sampled_from([1, 2, 3, 4, 7, 8, 1023, 1024]))
+    k = data(st.integers(1, 60))
+    n = data(st.integers(0, 80))
+    degree = data(st.lists(st.one_of(st.integers(1, min(k, 4)), st.integers(1, k)),
+                           min_size=n, max_size=n))
+    rng = np.random.default_rng(data(st.integers(0, 2**32 - 1)))
+    indptr = np.concatenate(([0], np.cumsum(degree, dtype=np.int64)))
+    neighbors = rng.integers(1, k + 1, size=int(indptr[-1]))
+    return indptr, neighbors, rng.integers(0, 256, size=(k, P), dtype=np.uint8)
+
+
 class TestXor:
+    @given(xor_batches(), st.integers(1, 9), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle(self, batch, chunk_packets, strided):
+        # a chunk of 1..9 packets cuts each batch into many chunks
+        indptr, neighbors, buf = batch
+        n, P = len(indptr) - 1, buf.shape[1]
+        want = xor_payloads_oracle(indptr, neighbors, buf)
+        records = np.zeros(n, dtype=[("head", "u1", (HEADER_LEN,)), ("payload", "u1", (P,))])
+        out = records["payload"] if strided else None  # rows HEADER_LEN + P bytes apart
+        with mock.patch.object(ltcode, "_XOR_BYTES", chunk_packets * P):
+            got = xor_payloads(indptr, neighbors, buf, out=out)
+        assert got.tobytes() == want.tobytes()
+        assert not records["head"].any()
+        if strided:
+            assert records["payload"].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n,P", [(2018, 1024), (31, 65_535)])
+    def test_memory_stays_within_the_stated_budget(self, n, P):
+        # a session block of each size (harness.session_blocks), drawn from
+        # one 300-packet window, sent into its datagrams' payload fields
+        k = 300
+        windows = [(1, InverseCdf(uniform_cdf(k)), robust_soliton(k).table)]
+        indptr, neighbors = draw_batch(np.arange(1, n + 1), np.zeros(n, dtype=np.intp), windows)
+        buf = np.random.default_rng(n).integers(0, 256, size=(k, P), dtype=np.uint8)
+        out = datagram_records(bytearray(n * (HEADER_LEN + P)), P)["payload"]
+        tracemalloc.start()
+        try:
+            xor_payloads(indptr, neighbors, buf, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        c = max(1, ltcode._XOR_BYTES // P)  # the docstring's budget
+        assert peak <= (2 * c + 1) * P + 16 * len(neighbors) + 64 * n + 16 * 1024
+        assert out.tobytes() == xor_payloads_oracle(indptr, neighbors, buf).tobytes()
+
     def make_buffer(self, k=5, P=32, seed=0):
         rng = np.random.default_rng(seed)
         return rng.integers(0, 256, size=(k, P), dtype=np.uint8)

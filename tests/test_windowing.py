@@ -95,6 +95,23 @@ class TestDeriveParams:
         assert np.all(last[len(warm) + 1:121 - len(cool)] > 0)
         assert not np.all(last[1:] > 0)
 
+    def test_daf_trace_shorter_than_two_windows_rejected(self):
+        # the README trace cut to 40 frames at 1 s of delay: window 29 needs
+        # 58 frames for DAF's slope solve; DAF-L solves no slopes and derives
+        t = sinusoidal_trace(40, 9500, 5500, 100, first_frame_bytes=25000)
+        with pytest.raises(ConfigError, match="at least 58 frames for window 29"):
+            derive_params(t, "DAF", 30, code_rate=0.74)
+        p = derive_params(t, "DAF-L", 30, code_rate=0.74)
+        assert p.window_frames == 29
+        # at any step the check is the solve's: T >= 2W derives and solves
+        for step in (1, 2, 5):
+            t = uniform_trace(40)
+            window = 20 - 20 % step
+            p = derive_params(t, "DAF", window + step, step_frames=step, code_rate=0.8)
+            assert p.window_frames == window and session_slopes(t, p) is not None
+            with pytest.raises(ConfigError, match="DAF needs"):
+                derive_params(t, "DAF", window + 2 * step, step_frames=step, code_rate=0.8)
+
     def test_slt_fixed_window_is_minimum(self):
         t = random_trace(40, 1, 7, seed=5)
         p = derive_params(t, "S-LT", 12, code_rate=0.8)

@@ -12,9 +12,11 @@ switches every pair, so a drift in machine speed does not favour one side.
 The script refuses to run unless `bench/` and `BENCHMARK.json` in this
 checkout equal the base commit's: both sides must be measured by the same
 benchmark. It prints each run's end-to-end metrics, then for each metric the
-median of each side, the base's interquartile distance and the number of
-pairs the change won (by the metric's "better" direction in
-BENCHMARK.json). It exits 1 if any run fails or ends `"correct": false`.
+median of each side, their relative change (change / base - 1), the base's
+interquartile distance and the number of pairs the change won (by the
+metric's "better" direction in BENCHMARK.json), over the pairs whose two
+runs both ended correct. It exits 1 if any run fails or ends
+`"correct": false`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -82,21 +85,34 @@ def quartile_distance(xs: list[float]) -> float:
     return q[2] - q[0]
 
 
-def summarize(pairs: list[dict], spec: list[dict]):
-    """Per metric: each side's median, the base's quartile distance, and the
-    pairs in which the change was better."""
-    print(f"  {'metric':<16} {'base median':>12} {'change median':>14} {'base IQR':>10} "
-          f"{'change wins':>12}")
+def summarize(pairs: list[dict], spec: list[dict]) -> list[dict]:
+    """Print, and return, per metric: each side's median, the relative
+    change of the medians (change / base - 1), the base's quartile distance,
+    and the pairs in which the change was better by the metric's "better"
+    direction. A pair with a failed or incorrect run on either side is
+    skipped."""
+    good = [p for p in pairs if p["base"]["correct"] and p["change"]["correct"]]
+    if len(good) < len(pairs):
+        print(f"  {len(pairs) - len(good)} of {len(pairs)} pairs skipped: a run failed")
+    print(f"  {'metric':<16} {'base median':>12} {'change median':>14} {'rel change':>11} "
+          f"{'base IQR':>10} {'change wins':>12}")
+    rows = []
     for m in spec:
         name, higher = m["name"], m["better"] == "higher"
         got = [(p["base"]["metrics"][name]["value"], p["change"]["metrics"][name]["value"])
-               for p in pairs if name in p["base"]["metrics"] and name in p["change"]["metrics"]]
+               for p in good if name in p["base"]["metrics"] and name in p["change"]["metrics"]]
         if not got:
             continue
-        base, change = [b for b, _ in got], [c for _, c in got]
-        wins = sum((c > b) if higher else (c < b) for b, c in got)
-        print(f"  {name:<16} {statistics.median(base):>12.6g} {statistics.median(change):>14.6g} "
-              f"{quartile_distance(base):>10.3g} {wins:>6} of {len(got)}")
+        base = statistics.median(b for b, _ in got)
+        change = statistics.median(c for _, c in got)
+        row = {"metric": name, "base": base, "change": change,
+               "relative": change / base - 1 if base else math.nan,
+               "base_iqr": quartile_distance([b for b, _ in got]),
+               "wins": sum((c > b) if higher else (c < b) for b, c in got), "pairs": len(got)}
+        rows.append(row)
+        print(f"  {name:<16} {base:>12.6g} {change:>14.6g} {row['relative']:>+11.2%} "
+              f"{row['base_iqr']:>10.3g} {row['wins']:>6} of {len(got)}")
+    return rows
 
 
 def main(argv=None) -> int:
