@@ -10,9 +10,10 @@ import numpy as np
 from . import protocol
 from .config import (channel_from_config, load_config, params_from_config,
                      step_from_config, sweep_grid_from_config, trace_from_config)
-from .errors import DafError
+from .errors import ConfigError, DafError
 from .harness import report, run_session, sweep
-from .sampling import asp_from_matrix, optimize_per_frame, optimize_slopes, slope_matrix
+from .sampling import (asp_from_matrix, optimize_per_frame, optimize_slopes, short_trace,
+                       slope_matrix)
 
 
 def _cmd_optimize(args) -> int:
@@ -20,6 +21,8 @@ def _cmd_optimize(args) -> int:
     trace = trace_from_config(cfg)
     params = params_from_config(cfg, trace)
     W, dt = params.window_frames, params.step_frames
+    if lack := short_trace(trace.num_frames, W):  # derive_params checks this for DAF only
+        raise ConfigError(f"the optimizers need {lack}")
 
     slope_plan = optimize_slopes(trace, W, dt)
     frame_plan = optimize_per_frame(trace, W, dt)

@@ -199,17 +199,24 @@ class SamplingPlan:
         return self.asp().objective()
 
 
+def short_trace(num_frames: int, window: int) -> str | None:
+    """What a trace of `num_frames` frames lacks for the optimizers at
+    `window` frames, or None. They need T >= 2W frames, so that some frame
+    is covered by the full number of windows (the stable range)."""
+    if num_frames < 2 * window:
+        return f"a trace of at least {2 * window} frames for window {window} (got {num_frames})"
+    return None
+
+
 def _optimizer_domain(trace: VideoTrace, window: int, step: int):
     if step < 1:
         raise ValueError("step must be >= 1")
     if window % step != 0:
         raise ValueError(f"window {window} is not a multiple of step {step}")
-    ds = downsample(trace, step)
-    w = window // step
-    if ds.num_frames < 2 * w:
-        raise ValueError(
-            f"need at least {2 * window} frames for window {window} (got {trace.num_frames})")
-    return ds, w
+    ds = downsample(trace, step)  # the step divides T: T >= 2W holds on ds as on trace
+    if lack := short_trace(trace.num_frames, window):
+        raise ValueError(f"the optimizers need {lack}")
+    return ds, window // step
 
 
 def optimize_per_frame(trace: VideoTrace, window: int, step: int = 1) -> SamplingPlan:
@@ -312,10 +319,14 @@ def _solve_slopes(ds: VideoTrace, w: int) -> tuple[np.ndarray, int]:
     c0 = float(ec @ ec)
     rows = len(b)
     # the sweep's scalars are Python floats: the same IEEE double arithmetic
-    # as numpy float64 scalars, without their per-operation overhead
+    # as numpy float64 scalars, without their per-operation overhead. It
+    # reads r through a memoryview and hands numpy each move as a 0-d
+    # float64 array, which numpy takes without converting a Python scalar.
     a = [0.0] * rows
     r = np.zeros(rows)  # H @ a, maintained incrementally
-    r_at = r.item
+    r_at = memoryview(r)
+    delta = np.empty(())
+    delta_at = memoryview(delta)
     step_r = np.empty(rows)
     # syrk mirrors the triangle of Dc.T @ Dc, so row j is column j bit for bit;
     # a coordinate with no curvature never moves
@@ -331,12 +342,13 @@ def _solve_slopes(ds: VideoTrace, w: int) -> tuple[np.ndarray, int]:
     for sweeps in range(1, _SLOPE_MAX_SWEEPS + 1):
         for j, h_j, b_j, d_j in coords:
             a_j = a[j]
-            t = a_j - (r_at(j) + b_j) / d_j
+            t = a_j - (r_at[j] + b_j) / d_j
             new = 1.0 if t > 1.0 else (-1.0 if t < -1.0 else t)
             if new != a_j:
                 a[j] = new
-                np.multiply(h_j, new - a_j, step_r)
-                np.add(r, step_r, r)
+                delta_at[()] = new - a_j
+                np.multiply(h_j, delta, step_r)
+                r += step_r
         j_new = objective()
         if abs(j_prev - j_new) < _SLOPE_TOL:
             j_prev = j_new

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .protocol import MAX_PACKET_ID, MAX_WSIZE, to_f32
+from .sampling import short_trace
 from .trace import VideoTrace
 
 
@@ -96,9 +97,8 @@ def derive_params(trace: VideoTrace, mode, delay_frames: int, step_frames: int =
         step = step_frames
     if T < window + step:
         raise ConfigError(f"trace of {T} frames is too short for window {window} + step {step}")
-    if mode is Mode.DAF and T < 2 * window:  # the slope solve's domain
-        raise ConfigError(f"DAF needs a trace of at least {2 * window} frames for window "
-                          f"{window} (got {T})")
+    if mode is Mode.DAF and (lack := short_trace(T, window)):  # the slope solve's domain
+        raise ConfigError(f"DAF needs {lack}")
 
     k = trace.total_packets
     num_steps = (T - window) // step

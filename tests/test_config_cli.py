@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from dafstream import cli
 from dafstream.cli import main
 from dafstream.config import (channel_from_config, parse_config,
                               params_from_config, sweep_grid_from_config,
@@ -35,6 +36,8 @@ MISTAKES = [
     (["sweep", "--seed", "18446744073709551615", "--reps", "2"], {}),
     (["run"], {"channel.seed": "-1"}),
     (["run"], {"trace.frames": "40", "delay_s": "1.0"}),
+    (["optimize"], {"trace.frames": "40", "delay_s": "1.0"}),
+    (["optimize"], {"trace.frames": "40", "delay_s": "1.0", "mode": "DAF-L"}),
 ]
 GOOD = """
 # demo configuration
@@ -222,6 +225,28 @@ class TestCli:
         path.write_text("\n".join(lines) + "\n")
         assert main([command[0], "-c", str(path), *command[1:]]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_optimize_short_trace_refused_before_either_optimizer(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # DAF-L at W = 29 derives and runs on 40 frames, but both optimizers
+        # need 2W = 58 frames
+        text = (DATA / "readme.cfg").read_text()
+        path = tmp_path / "short.cfg"
+        path.write_text(text.replace("trace.frames = 300", "trace.frames = 40")
+                        .replace("mode = DAF ", "mode = DAF-L ")
+                        .replace("delay_s = 0.8", "delay_s = 1.0"))
+        assert main(["run", "-c", str(path)]) == 0
+        capsys.readouterr()
+
+        def never(*args):
+            raise AssertionError("an optimizer started")
+
+        monkeypatch.setattr(cli, "optimize_slopes", never)
+        monkeypatch.setattr(cli, "optimize_per_frame", never)
+        assert main(["optimize", "-c", str(path), "--out", str(tmp_path / "asp.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: the optimizers need a trace of at least 58 frames for window 29 (got 40)\n")
+        assert not (tmp_path / "asp.csv").exists()
 
     def test_missing_trace_csv_exit_code(self, tmp_path, capsys):
         csv_path = tmp_path / "absent.csv"

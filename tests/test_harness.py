@@ -17,7 +17,8 @@ from dafstream.harness import (CSV_HEADER, Metrics, SessionCodec, delay_to_frame
 from dafstream.ltcode import DecoderState, InverseCdf, PeelingTables, xor_payloads
 from dafstream.protocol import (HEADER_LEN, DafHeader, decode_packet,
                                 encode_datagrams, encode_packet)
-from dafstream.trace import constant_trace, packetize, random_trace, sinusoidal_trace
+from dafstream.trace import (burst_trace, constant_trace, packetize, random_trace,
+                             sinusoidal_trace)
 from dafstream.windowing import build_schedule, derive_params, wcp_packets
 
 from oracles import (encode_block, header_rule_oracle, iter_coded_packets, minmax_decode_times,
@@ -340,6 +341,23 @@ class TestPayloadRecovery:
             assert np.array_equal(dec.decoded_payload(q), buffer[q - 1]), q
 
 
+def fixpoint_decode_times(t, p, channel, seed):
+    """The decode time of every packet of session `seed`, from
+    minmax_decode_times over the equations it delivers, and how many packets
+    some chain releases."""
+    plan = session_plan(t, p)
+    indptr, neighbors = plan.indptr.tolist(), plan.neighbors.tolist()
+    N = plan.total_coded
+    delivered = transmit_many(channel.for_session(seed), np.arange(1, N + 1), plan.send_times)
+    arrival = minmax_decode_times(
+        [(pid, neighbors[indptr[pid - 1]:indptr[pid]])
+         for pid in (np.flatnonzero(delivered) + 1).tolist()], plan.wcp)
+    want = np.full(t.total_packets + 1, np.inf)
+    for n, pid in arrival.items():
+        want[n] = plan.send_times[pid - 1]
+    return want, len(arrival)
+
+
 class TestDecodeTimesAgainstFixpoint:
     @pytest.mark.parametrize("name", ["readme-300", "long-daf-1800", "relay-payload-300"])
     def test_decode_times_are_the_minmax_fixpoint(self, workloads, name):
@@ -348,21 +366,66 @@ class TestDecodeTimesAgainstFixpoint:
         inp = workloads.build(name, workloads.DEFAULT_SEED)
         t = inp.trace
         p = next(c.params for c in inp.cells if c.mode == "DAF")
-        plan = session_plan(t, p)
-        indptr, neighbors = plan.indptr.tolist(), plan.neighbors.tolist()
-        N = plan.total_coded
+        wcp = session_plan(t, p).wcp
         for seed in range(3):
             result = run_session(t, p, inp.channel, seed, payloads=inp.payloads)
-            delivered = transmit_many(replace(inp.channel, seed=inp.channel.seed + seed),
-                                      np.arange(1, N + 1), plan.send_times)
-            arrival = minmax_decode_times(
-                [(pid, neighbors[indptr[pid - 1]:indptr[pid]])
-                 for pid in (np.flatnonzero(delivered) + 1).tolist()], plan.wcp)
-            want = np.full(t.total_packets + 1, np.inf)
-            for n, pid in arrival.items():
-                want[n] = plan.send_times[pid - 1]
-            assert 0 < len(arrival) < t.total_packets - len(plan.wcp) + 1
+            want, released = fixpoint_decode_times(t, p, inp.channel, seed)
+            assert 0 < released < t.total_packets - len(wcp) + 1
             assert np.array_equal(result.decode_time, want), seed
+
+
+@st.composite
+def session_configs(draw):
+    """A short trace (at most 90 frames, GOP 1-3, P 64-1,024, a multiple of
+    the step) with a mode, step, delay, code rate, channel and session seed;
+    many are infeasible."""
+    gop = draw(st.integers(1, 3))
+    step = gop * draw(st.integers(1, 3))
+    T = step * draw(st.integers(2, 90 // step))
+    P = draw(st.sampled_from([64, 100, 512, 1024]))
+    kind = draw(st.sampled_from(["random", "burst", "sinusoidal", "constant"]))
+    if kind == "random":
+        t = random_trace(T, 1, draw(st.integers(1, 12)), seed=draw(st.integers(0, 2**32 - 1)),
+                         payload_bytes=P, gop_size=gop)
+    elif kind == "burst":
+        low = draw(st.integers(0, 8 * P))
+        t = burst_trace(T, low, draw(st.integers(low, 12 * P)), draw(st.integers(1, 40)),
+                        payload_bytes=P, gop_size=gop)
+    elif kind == "sinusoidal":
+        mean = draw(st.integers(P, 8 * P))
+        t = sinusoidal_trace(T, mean, draw(st.integers(0, mean)), draw(st.integers(1, 60)),
+                             payload_bytes=P, gop_size=gop)
+    else:
+        t = constant_trace(T, draw(st.integers(0, 8 * P)), payload_bytes=P, gop_size=gop)
+    mode = draw(st.sampled_from(["DAF", "DAF-L", "S-LT", "Block", "Expand"]))
+    delay = draw(st.integers(1, 40))
+    rate = draw(st.floats(0.3, 1.0))
+    loss = draw(st.floats(0.0, 0.3))
+    channel_kind = draw(st.sampled_from(["single", "chain", "mobile-relay"]))
+    if channel_kind == "mobile-relay":
+        channel = ChannelModel(kind=channel_kind, loss_rate=loss,
+                               period_s=draw(st.floats(0.1, 3.0)), duty=draw(st.floats(0.1, 1.0)))
+    else:
+        channel = ChannelModel(kind=channel_kind, loss_rate=loss, hops=draw(st.integers(1, 3)))
+    return t, mode, step, delay, rate, channel, draw(st.integers(0, 2**16))
+
+
+class TestWholeSessions:
+    @given(session_configs())
+    @settings(max_examples=300, deadline=None)
+    def test_derived_sessions_run_and_decode_at_the_fixpoint(self, config):
+        # derive_params refuses a config, or its session runs: every real
+        # packet is in time, late or never, and decodes at the fixpoint
+        t, mode, step, delay, rate, channel, seed = config
+        try:
+            p = derive_params(t, mode, delay, step_frames=step, code_rate=rate)
+        except ConfigError:
+            return
+        result = run_session(t, p, channel, seed)
+        result.metrics()  # checks 0 <= IDR <= FDR <= 1
+        assert result.in_time + result.late + result.never == t.total_packets - len(result.wcp)
+        want, _ = fixpoint_decode_times(t, p, channel, seed)
+        assert np.array_equal(result.decode_time, want)
 
 
 class TestSessionBlocks:

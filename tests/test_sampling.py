@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dafstream import sampling
 from dafstream.errors import SolverError
@@ -39,6 +41,20 @@ def window_cases(workloads):
         t = random_trace(11, 1, 9, seed=seed)
         cases += [(t, W) for W in range(1, 12)]
     return cases
+
+
+@st.composite
+def short_traces(draw):
+    """A random or burst trace of at most 60 frames, and a step of 1 or 2
+    dividing its length."""
+    step = draw(st.sampled_from([1, 2]))
+    T = step * draw(st.integers(1, 60 // step))
+    if draw(st.booleans()):
+        t = random_trace(T, 1, draw(st.integers(1, 12)), seed=draw(st.integers(0, 2**32 - 1)))
+    else:
+        low = draw(st.integers(1, 9000))
+        t = burst_trace(T, low, draw(st.integers(low, 24_000)), draw(st.integers(1, 40)))
+    return t, step
 
 
 def random_slopes(rng, rows):
@@ -313,6 +329,17 @@ class TestOptimizeSlopes:
             # the package's sweep reads row j for column j
             H = centered_gram(t, W, step)
             assert np.array_equal(H, H.T), (t.num_frames, W, step)
+
+    @given(short_traces())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_solve_oracle_on_short_traces(self, case):
+        # every window W with 2W <= T that the step divides
+        t, step = case
+        for W in range(step, t.num_frames // 2 + 1, step):
+            plan = optimize_slopes(t, W, step)
+            oracle = slope_solve_oracle(t, W, step)
+            assert plan.slopes.tobytes() == oracle.slopes.tobytes(), W
+            assert plan.iterations == oracle.iterations, W
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(sampling, "_SLOPE_MAX_SWEEPS", 1)
