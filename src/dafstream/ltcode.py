@@ -171,10 +171,6 @@ class InverseCdf:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def search(self, m) -> np.ndarray:
-        """The index each 53-bit deviate m falls at."""
-        return np.searchsorted(self.keys, m, side="right")
-
 
 class _Tables:
     """Several InverseCdf tables searched by one np.searchsorted call.
@@ -187,7 +183,6 @@ class _Tables:
     def __init__(self, tables):
         if len(tables) >= 2047:
             raise ValueError("too many tables for one joined search")
-        self.tables = tables
         self.sizes = np.fromiter((len(t) for t in tables), dtype=np.int64, count=len(tables))
         self.base = np.cumsum(self.sizes) - self.sizes
         self.offset = np.arange(len(tables), dtype=np.uint64) * np.uint64(_KEY_SPAN)
@@ -213,31 +208,23 @@ def draw_batch(packet_ids, window_of, windows) -> tuple[np.ndarray, np.ndarray]:
     """
     packet_ids = np.asarray(packet_ids, dtype=np.int64)
     window_of = np.asarray(window_of, dtype=np.intp)
-    used, local = np.unique(window_of, return_inverse=True)
-    wsize = np.fromiter((len(windows[w][1]) for w in used.tolist()), dtype=np.int64,
-                        count=len(used))
-    cells = np.concatenate(([0], np.cumsum(wsize[local])))  # of the packets before i
-    indptrs, neighbors = [np.zeros(1, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    wsize = np.fromiter((len(w[1]) for w in windows), dtype=np.int64, count=len(windows))
+    cells = np.concatenate(([0], np.cumsum(wsize[window_of])))  # of the packets before i
+    # a leading 0, so the cumulative sum of the degrees is indptr
+    degrees, neighbors = [np.zeros(1, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     a, n = 0, len(packet_ids)
     while a < n:
         b = int(np.searchsorted(cells, cells[a] + _PASS_CELLS, side="right")) - 1
         b = min(a + _PASS_PACKETS, max(a + 1, b))
-        ip, nb = _draw_pass(packet_ids[a:b], window_of[a:b], windows)
-        indptrs.append(ip[1:] + indptrs[-1][-1])
+        d, nb = _draw_pass(packet_ids[a:b], window_of[a:b], windows)
+        degrees.append(d)
         neighbors.append(nb)
         a = b
-    return np.concatenate(indptrs), np.concatenate(neighbors)
-
-
-def _finish(rng: XorShift64Star, table: InverseCdf, chosen: set, degree: int) -> set:
-    """Draw window positions into `chosen` until it holds `degree` of them."""
-    while len(chosen) < degree:
-        # each deviate adds at most one position, so none is drawn past the degree
-        chosen.update(table.search(rng.next_u53s(degree - len(chosen))).tolist())
-    return chosen
+    return np.cumsum(np.concatenate(degrees)), np.concatenate(neighbors)
 
 
 def _draw_pass(packet_ids, window_of, windows):
+    """The degrees and concatenated neighbors of one pass of draw_batch."""
     n = len(packet_ids)
     used, local = np.unique(window_of, return_inverse=True)
     picked = [windows[w] for w in used]
@@ -269,16 +256,17 @@ def _draw_pass(packet_ids, window_of, windows):
         if not going.all():
             state, key, shift, need, active = (
                 state[going], key[going], shift[going], need[going], active[going])
-    for x, i in zip(state.tolist(), active.tolist()):  # the few left finish alone
-        lo, hi = int(offset[i]), int(offset[i] + size[i])
-        got = _finish(XorShift64Star(x), cdfs.tables[local[i]],
-                      set(np.flatnonzero(chosen[lo:hi]).tolist()), int(degree[i]))
-        chosen[lo + np.fromiter(got, dtype=np.intp, count=len(got))] = True
+    for x, i, left in zip(state.tolist(), active.tolist(), need.tolist()):
+        # the few left finish alone, in their rows of chosen; each deviate
+        # marks at most one position, so none is drawn past the degree
+        rng, keys = XorShift64Star(x), picked[local[i]][1].keys
+        row = chosen[offset[i]:offset[i] + size[i]]
+        while left:
+            row[np.searchsorted(keys, rng.next_u53s(left), side="right")] = True
+            left = int(degree[i] - np.count_nonzero(row))
 
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degree, out=indptr[1:])
     neighbors = np.flatnonzero(chosen) + np.repeat(starts[local] - offset, degree)
-    return indptr, neighbors
+    return degree, neighbors
 
 
 def draw(packet_id: int, start_packet: int, window_cdf, dist: DegreeDistribution,

@@ -187,7 +187,6 @@ class SamplingPlan:
     matrix: np.ndarray
     domain_trace: VideoTrace   # downsampled when step > 1
     window: int                # in domain frames
-    step: int                  # original step factor
     iterations: int
     slopes: np.ndarray | None = None
 
@@ -278,7 +277,7 @@ def optimize_per_frame(trace: VideoTrace, window: int, step: int = 1) -> Samplin
         raise SolverError(
             f"per-frame optimizer did not converge in {_FRAME_MAX_ITER} iterations "
             f"(last objective {j_prev:.3e})")
-    return SamplingPlan(x, ds, w, step, iterations)
+    return SamplingPlan(x, ds, w, iterations)
 
 
 def _project_rows(X: np.ndarray) -> np.ndarray:
@@ -301,7 +300,7 @@ def optimize_slopes(trace: VideoTrace, window: int, step: int = 1) -> SamplingPl
     """
     ds, w = _optimizer_domain(trace, window, step)
     slopes, sweeps = _solve_slopes(ds, w)  # its d1 and H are freed on return
-    return SamplingPlan(slope_matrix(ds, w, slopes), ds, w, step, sweeps, slopes)
+    return SamplingPlan(slope_matrix(ds, w, slopes), ds, w, sweeps, slopes)
 
 
 def _solve_slopes(ds: VideoTrace, w: int) -> tuple[np.ndarray, int]:

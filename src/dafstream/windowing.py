@@ -70,9 +70,9 @@ def derive_params(trace: VideoTrace, mode, delay_frames: int, step_frames: int =
 
     Exactly one of code_rate / data_rate must be given; the other is derived
     through code_rate = k / N. A window wider than the header's WSize field
-    holds, a schedule leaving a frame outside the padding in no window, or a
-    DAF trace shorter than two windows (the slope solve's domain), is a
-    ConfigError.
+    holds, warm-up and cool-down padding covering every frame, a schedule
+    leaving a frame outside the padding in no window, or a DAF trace shorter
+    than two windows (the slope solve's domain), is a ConfigError.
     """
     mode = Mode.parse(mode) if not isinstance(mode, Mode) else mode
     if (code_rate is None) == (data_rate is None):
@@ -134,6 +134,9 @@ def derive_params(trace: VideoTrace, mode, delay_frames: int, step_frames: int =
     if widest > MAX_WSIZE:
         raise ConfigError(f"widest window holds {widest} packets, over WSize's {MAX_WSIZE}")
     warm, cool = wcp_frames(params, trace)
+    if len(warm) + len(cool) >= T:
+        raise ConfigError(f"the warm-up and cool-down padding ({len(warm)} frames each) "
+                          f"covers all {T} frames, so no packet is measured")
     outside = np.flatnonzero(schedule.last_covering_entry(T)[len(warm) + 1:T - len(cool) + 1] == 0)
     if len(outside):
         raise ConfigError(f"{len(outside)} frames outside the padding lie in no window "
@@ -155,7 +158,6 @@ def _block_window(T: int, delay_frames: int, granularity: int) -> int:
 class WindowSchedule:
     """Every window entry of a session, as columns: entry m is row m-1."""
 
-    mode: Mode
     start_frame: np.ndarray     # int64, nondecreasing
     end_frame: np.ndarray       # int64, last frame the window touches
     start_packet: np.ndarray    # int64, StartP
@@ -213,7 +215,7 @@ def build_schedule(params: CodingParams, trace: VideoTrace,
     cum_sent = np.minimum(np.floor(np.arange(1, n + 1) * params.coded_per_step).astype(np.int64),
                           params.total_coded)
     cum_sent[-1] = params.total_coded
-    return WindowSchedule(mode=params.mode, start_frame=start_frame, end_frame=end_frame,
+    return WindowSchedule(start_frame=start_frame, end_frame=end_frame,
                           start_packet=start_packet, window_packets=window_packets,
                           slope=slope, cum_sent=cum_sent)
 

@@ -735,7 +735,7 @@ def slope_solve_oracle(trace, window, step=1, tol=1e-10, max_iter=100_000):
         raise SolverError(
             f"slope optimizer did not converge in {max_iter} sweeps "
             f"(last objective {j_prev:.3e})")
-    return SamplingPlan(slope_matrix(ds, w, a), ds, w, step, sweeps, a)
+    return SamplingPlan(slope_matrix(ds, w, a), ds, w, sweeps, a)
 
 
 def slope_matrix_oracle(trace, window, slopes):

@@ -38,6 +38,9 @@ MISTAKES = [
     (["run"], {"trace.frames": "40", "delay_s": "1.0"}),
     (["optimize"], {"trace.frames": "40", "delay_s": "1.0"}),
     (["optimize"], {"trace.frames": "40", "delay_s": "1.0", "mode": "DAF-L"}),
+    (["run"], {"trace.frames": "40", "delay_s": "1.0", "mode": "DAF-L"}),
+    (["run"], {"trace.frames": "40", "delay_s": "1.0", "mode": "S-LT"}),
+    (["run"], {"trace.frames": "40", "delay_s": "1.0", "mode": "Expand"}),
 ]
 GOOD = """
 # demo configuration
@@ -228,11 +231,11 @@ class TestCli:
 
     def test_optimize_short_trace_refused_before_either_optimizer(self, tmp_path, capsys,
                                                                   monkeypatch):
-        # DAF-L at W = 29 derives and runs on 40 frames, but both optimizers
+        # DAF-L at W = 29 derives and runs on 57 frames, but both optimizers
         # need 2W = 58 frames
         text = (DATA / "readme.cfg").read_text()
         path = tmp_path / "short.cfg"
-        path.write_text(text.replace("trace.frames = 300", "trace.frames = 40")
+        path.write_text(text.replace("trace.frames = 300", "trace.frames = 57")
                         .replace("mode = DAF ", "mode = DAF-L ")
                         .replace("delay_s = 0.8", "delay_s = 1.0"))
         assert main(["run", "-c", str(path)]) == 0
@@ -245,7 +248,7 @@ class TestCli:
         monkeypatch.setattr(cli, "optimize_per_frame", never)
         assert main(["optimize", "-c", str(path), "--out", str(tmp_path / "asp.csv")]) == 2
         assert capsys.readouterr().err == (
-            "error: the optimizers need a trace of at least 58 frames for window 29 (got 40)\n")
+            "error: the optimizers need a trace of at least 58 frames for window 29 (got 57)\n")
         assert not (tmp_path / "asp.csv").exists()
 
     def test_missing_trace_csv_exit_code(self, tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dafstream import ltcode
 from dafstream.errors import ProtocolError
+from dafstream.harness import SessionCodec
 from dafstream.ltcode import (DecoderState, DegreeDistribution, InverseCdf,
                               PeelingTables, degree_tables, draw, draw_batch, robust_soliton,
                               xor_payload, xor_payloads)
@@ -19,7 +20,7 @@ from dafstream.protocol import HEADER_LEN, MAX_PACKET_ID, datagram_records
 from dafstream.windowing import build_schedule
 
 from oracles import (degree_cdf, draw_oracle, packet_rng, peeling_oracle, robust_soliton_oracle,
-                     slope_pdf, uniform_cdf, xor_payloads_oracle)
+                     slope_pdf, uniform_cdf, window_tables, xor_payloads_oracle)
 
 
 def degree_one_dist(window):
@@ -189,8 +190,8 @@ class TestInverseCdf:
         cdf = np.cumsum(robust_soliton(self.K).pmf)
         assert cdf[-1] < 1.0
         table = InverseCdf(cdf)
-        assert table.search(np.uint64(2**53 - 1)) == self.K - 1
-        assert table.search(np.uint64(0)) == 0
+        assert np.searchsorted(table.keys, np.uint64(2**53 - 1), side="right") == self.K - 1
+        assert np.searchsorted(table.keys, np.uint64(0), side="right") == 0
         assert int(table.keys[-1]) == 2**53
 
     def test_padded_rows_end_at_their_size(self):
@@ -199,7 +200,7 @@ class TestInverseCdf:
         tables = InverseCdf.rows(cdf, np.array([self.K, 5]))
         assert [len(t) for t in tables] == [self.K, 5]
         for table, size in zip(tables, (self.K, 5)):
-            assert table.search(np.uint64(2**53 - 1)) == size - 1
+            assert np.searchsorted(table.keys, np.uint64(2**53 - 1), side="right") == size - 1
             assert int(table.keys[-1]) == 2**53
 
 
@@ -296,6 +297,23 @@ class TestDrawBatch:
         whole = draw_batch(np.arange(1, 1001), np.zeros(1000, dtype=np.intp), windows)
         alone = draw_batch([500], [0], windows)
         assert whole[1][whole[0][499]:whole[0][500]].tolist() == alone[1].tolist()
+
+    @pytest.mark.parametrize("lockstep_min", [0, ltcode._PASS_PACKETS + 1])
+    def test_either_draw_path_gives_the_same_sessions(self, workloads, lockstep_min):
+        # every packet in lockstep to its last neighbor, or every packet alone
+        # from its degree on: each packet draws the same deviates either way
+        cells = [("readme-300", cell.mode) for cell in
+                 workloads.build("readme-300", workloads.DEFAULT_SEED).cells]
+        for name, mode in [*cells, ("relay-payload-300", "DAF")]:
+            inp = workloads.build(name, workloads.DEFAULT_SEED)
+            p = next(c.params for c in inp.cells if c.mode == mode)
+            codec = SessionCodec(inp.trace, p)
+            windows = window_tables(codec, p.step_frames)
+            with mock.patch.object(ltcode, "_LOCKSTEP_MIN", lockstep_min):
+                indptr, neighbors = draw_batch(np.arange(1, codec.total_coded + 1),
+                                               codec.entry, windows)
+            assert np.array_equal(indptr, codec.indptr), (name, mode)
+            assert np.array_equal(neighbors, codec.neighbors), (name, mode)
 
     def test_empty_batch(self):
         indptr, neighbors = draw_batch([], [], [])

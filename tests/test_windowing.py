@@ -74,7 +74,7 @@ class TestDeriveParams:
 
     def test_window_wider_than_wsize_rejected(self):
         # 5-frame windows: 5 x 13,107 = 65,535 packets fit WSize, 5 x 13,108 do not
-        fits = constant_trace(6, 13107 * 16, payload_bytes=16)
+        fits = constant_trace(9, 13107 * 16, payload_bytes=16)
         assert derive_params(fits, "DAF-L", 6, code_rate=0.9).window_frames == 5
         wide = constant_trace(6, 13108 * 16, payload_bytes=16)
         with pytest.raises(ConfigError, match="widest window holds 65540 packets"):
@@ -96,9 +96,9 @@ class TestDeriveParams:
         assert not np.all(last[1:] > 0)
 
     def test_daf_trace_shorter_than_two_windows_rejected(self):
-        # the README trace cut to 40 frames at 1 s of delay: window 29 needs
+        # the README trace cut to 57 frames at 1 s of delay: window 29 needs
         # 58 frames for DAF's slope solve; DAF-L solves no slopes and derives
-        t = sinusoidal_trace(40, 9500, 5500, 100, first_frame_bytes=25000)
+        t = sinusoidal_trace(57, 9500, 5500, 100, first_frame_bytes=25000)
         with pytest.raises(ConfigError, match="at least 58 frames for window 29"):
             derive_params(t, "DAF", 30, code_rate=0.74)
         p = derive_params(t, "DAF-L", 30, code_rate=0.74)
@@ -111,6 +111,18 @@ class TestDeriveParams:
             assert p.window_frames == window and session_slopes(t, p) is not None
             with pytest.raises(ConfigError, match="DAF needs"):
                 derive_params(t, "DAF", window + 2 * step, step_frames=step, code_rate=0.8)
+
+    @pytest.mark.parametrize("mode", ["DAF-L", "S-LT", "Expand"])
+    def test_padding_covering_every_frame_rejected(self, mode):
+        # window 29 at step 1 pads 28 frames at each end: 56 frames hold no
+        # measured frame, 57 hold one
+        short = sinusoidal_trace(56, 9500, 5500, 100, first_frame_bytes=25000)
+        with pytest.raises(ConfigError, match="padding .28 frames each. covers all 56 frames"):
+            derive_params(short, mode, 30, code_rate=0.74)
+        t = sinusoidal_trace(57, 9500, 5500, 100, first_frame_bytes=25000)
+        p = derive_params(t, mode, 30, code_rate=0.74)
+        warm, cool = wcp_frames(p, t)
+        assert p.window_frames == 29 and len(warm) + len(cool) == 56
 
     def test_slt_fixed_window_is_minimum(self):
         t = random_trace(40, 1, 7, seed=5)
