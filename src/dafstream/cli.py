@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -39,15 +40,12 @@ def _cmd_optimize(args) -> int:
     csv_text = "\n".join(lines) + "\n"
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        _write(args.out, csv_text)
     else:
         sys.stdout.write(csv_text)
     if args.plan_out:
-        with open(args.plan_out, "w", encoding="utf-8") as fh:
-            fh.write("window_start_frame,slope\n")
-            for i, slope in enumerate(slope_plan.slopes):
-                fh.write(f"{1 + i * dt},{slope:.9f}\n")
+        _write(args.plan_out, "window_start_frame,slope\n" + "".join(
+            f"{1 + i * dt},{slope:.9f}\n" for i, slope in enumerate(slope_plan.slopes)))
     for name, prof in profiles.items():
         print(f"{name}: stable variance {prof.stable_variance():.6e}", file=sys.stderr)
     return 0
@@ -64,10 +62,9 @@ def _cmd_run(args) -> int:
           f"idr={m.idr:.4f} fdr={m.fdr:.4f} "
           f"in_time={result.in_time} late={result.late} never={result.never}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("mode,seed,idr,fdr,in_time,late,never\n")
-            fh.write(f"{params.mode.value},{args.seed},{m.idr:.6f},{m.fdr:.6f},"
-                     f"{result.in_time},{result.late},{result.never}\n")
+        _write(args.out, "mode,seed,idr,fdr,in_time,late,never\n"
+               f"{params.mode.value},{args.seed},{m.idr:.6f},{m.fdr:.6f},"
+               f"{result.in_time},{result.late},{result.never}\n")
     return 0
 
 
@@ -78,8 +75,10 @@ def _cmd_sweep(args) -> int:
     modes, rates, delays = sweep_grid_from_config(cfg)
     rows = sweep(trace, modes, rates, delays, [channel], repetitions=args.reps,
                  base_seed=args.seed, step_frames=step_from_config(cfg))
-    csv_text, summary = report(rows, csv_path=args.out)
-    if not args.out:
+    csv_text, summary = report(rows)
+    if args.out:
+        _write(args.out, csv_text)
+    else:
         sys.stdout.write(csv_text)
     sys.stdout.write(summary)
     return 0
@@ -92,9 +91,26 @@ def _cmd_golden(args) -> int:
     ok = encoded == protocol.GOLDEN_BYTES
     print("matches committed golden vector:", "yes" if ok else "NO")
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(encoded)
+        _write(args.out, encoded)
     return 0 if ok else 1
+
+
+def _check_output(path: str):
+    """Refuse an output path that cannot be a file, before any work."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path!r}: it is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"cannot write {path!r}: no directory {parent!r}")
+
+
+def _write(path: str, data: str | bytes):
+    """Write bytes, or text as UTF-8, to a file; an OSError is a ConfigError."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data.encode() if isinstance(data, str) else data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,6 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for path in (args.out, getattr(args, "plan_out", None)):
+            if path:
+                _check_output(path)
         return args.func(args)
     except DafError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -360,6 +360,20 @@ def xor_payload(neighbors, buffer: np.ndarray) -> np.ndarray:
     return xor_payloads([0, len(neighbors)], neighbors, buffer)[0]
 
 
+def _state_widths(max_total: int, max_count: int) -> tuple[int, int]:
+    """(ONE, ARRIVE) of PeelingTables.state: ONE is the power of two above
+    the largest sum, ARRIVE the power of two above ONE * (max_count + 1), so
+    a count and a sum (or a release mark, 3 * ONE + native) stay below
+    ARRIVE. ValueError if a state ARRIVE + ONE * count + sum would not fit
+    in int64."""
+    one = 1 << int(max_total).bit_length()
+    arrive = 1 << (one * (int(max_count) + 1)).bit_length()
+    if arrive > 1 << 62:
+        raise ValueError(f"equation state of {max_count} neighbors summing to "
+                         f"{max_total} does not fit in int64")
+    return one, arrive
+
+
 class PeelingTables:
     """The seed-invariant half of the peeling decoder, built once per set of
     compositions: coded packet PacketID (row PacketID - 1 of the CSR arrays
@@ -367,8 +381,12 @@ class PeelingTables:
     `pseudo_decoded` (the warm-up/cool-down padding) are known zeros. Its
     read-only arrays: `incidence[start[n]:start[n + 1]]`, the rows holding
     native n, ascending (none for padding); `count` and `total`, each row's
-    non-padding neighbors and their sum; and `known` (bytes), the decoded
-    flag of packets 0..k before any arrival.
+    non-padding neighbors and their sum; `state`, each row's packed start
+    state ARRIVE + ONE * count + total (`arrive` and `one` are powers of two,
+    from _state_widths); and `known` (bytes), the decoded flag of packets
+    0..k before any arrival. `equations[n]` is native n's incidence as a
+    tuple of Python ints, one int object per row shared by every tuple, so a
+    decoder walks it without allocating.
     """
 
     def __init__(self, total_packets: int, indptr, neighbors, pseudo_decoded=()):
@@ -394,7 +412,14 @@ class PeelingTables:
         self.count = np.bincount(row, minlength=self.total_coded).astype(np.int32)
         # float sums of integers far below 2**53 are exact
         self.total = np.bincount(row, weights=native, minlength=self.total_coded).astype(np.int64)
-        for a in (self.indptr, self.neighbors, self.incidence, self.start, self.count, self.total):
+        self.one, self.arrive = _state_widths(self.total.max(initial=0), self.count.max(initial=0))
+        self.state = self.arrive + self.one * self.count.astype(np.int64) + self.total
+        # each row's int object is made once and shared by every tuple holding it
+        flat = np.array(range(self.total_coded), dtype=object)[self.incidence].tolist()
+        bounds = self.start.tolist()
+        self.equations = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+        for a in (self.indptr, self.neighbors, self.incidence, self.start, self.count, self.total,
+                  self.state):
             a.flags.writeable = False
 
 
@@ -402,16 +427,25 @@ class DecoderState:
     """Belief-propagation (peeling) decoder: the per-seed half of a session,
     on the PeelingTables of its compositions.
 
-    An equation is two integers, its count of unknown neighbors and their
-    sum, so once one is left the sum names it; both start from the tables,
-    copied to Python lists. Releasing a native packet walks its incidence,
-    read in place, and decrements every equation holding it, arrived or not
-    (the ripple), so an equation arrives with its count up to date: 0 is
-    redundant, 1 releases at once, more waits until the ripple brings it to
-    1. With payloads, a value is a Python int (bytes read little-endian; 0
+    An equation is one Python int, copied from the tables' `state`: ARRIVE
+    while it has not arrived, plus ONE times its count of unknown neighbors,
+    plus their sum, so once one is left the sum names it. An arrival
+    subtracts ARRIVE; below ONE the equation is redundant, below 2 * ONE it
+    releases at once, otherwise it waits. Releasing native packet nat
+    through equation f first sets f to 3 * ONE + nat, then walks
+    `equations[nat]` (f among them) and subtracts ONE + nat from each, so
+    every equation holding nat, arrived or not, stays up to date (the
+    ripple); one that falls below 2 * ONE has arrived and is down to one
+    unknown, or none if another release solved it first, and is queued. f
+    itself lands on 2 * ONE, out of the queue for good. Releases are logged
+    flat with the index of the arrival that caused them, and sorted once
+    per block; decoded flags are set once per block.
+
+    With payloads, a value is a Python int (bytes read little-endian; 0
     while unknown and on padding); a waiting equation keeps its row as bytes,
-    and a packet released through it is that row XOR its neighbors' values
-    (its own still 0). Padding starts out decoded and is not reported.
+    and a packet released through it is that row XOR its neighbors' nonzero
+    values (its own is still 0, and is skipped). Padding starts out decoded
+    and is not reported.
     """
 
     def __init__(self, tables: PeelingTables, payload_bytes: int | None = None):
@@ -420,11 +454,7 @@ class DecoderState:
         self._decoded = bytearray(tables.known)
         self._known = np.frombuffer(self._decoded, dtype=np.uint8)  # same memory
         self._values = None if payload_bytes is None else [0] * (tables.total_packets + 1)
-        self._arrived = bytearray(tables.total_coded)
-        self._count = tables.count.tolist()    # per equation: unknown neighbors left
-        self._sum = tables.total.tolist()      # per equation: sum of their numbers
-        self._incidence = memoryview(tables.incidence)  # walked in place, never copied
-        self._start = tables.start.tolist()
+        self._state = tables.state.tolist()
         self._kept = {}  # per waiting equation: its payload row, as bytes
 
     def is_decoded(self, packet: int) -> bool:
@@ -462,8 +492,9 @@ class DecoderState:
         order and sorted within each packet, and the block index of the
         packet whose arrival released it.
         """
+        tables = self.tables
         ids = np.asarray(packet_ids, dtype=np.int64)
-        N = self.tables.total_coded
+        N = tables.total_coded
         if ids.ndim != 1 or (len(ids) and (ids.min() < 1 or ids.max() > N)):
             raise ProtocolError(f"a PacketID outside the session's 1..{N}")
         values = self._values
@@ -471,41 +502,46 @@ class DecoderState:
             rows = None if rows is None else np.asarray(rows, dtype=np.uint8)
             if rows is None or rows.shape != (len(ids), self.payload_bytes):
                 raise ProtocolError(f"need one {self.payload_bytes}-byte payload row per packet")
-            ptr, nbrs = memoryview(self.tables.indptr), memoryview(self.tables.neighbors)
+            ptr, nbrs = memoryview(tables.indptr), memoryview(tables.neighbors)
 
-        cnt, tot, inc, start = self._count, self._sum, self._incidence, self._start
-        arrived, decoded, kept = self._arrived, self._decoded, self._kept
+        one, arrive, equations = tables.one, tables.arrive, tables.equations
+        two, three = 2 * one, 3 * one
+        state, kept = self._state, self._kept
         released, by = [], []
         for i, e in enumerate((ids - 1).tolist()):
-            if arrived[e]:
+            v = state[e]
+            if v < arrive:  # a repeat
                 continue
-            arrived[e] = 1
-            c = cnt[e]
-            if c and values is not None:  # a copy, so the caller may reuse its rows
+            v = state[e] = v - arrive
+            if v < one:  # redundant
+                continue
+            if values is not None:  # a copy, so the caller may reuse its rows
                 kept[e] = rows[i].tobytes()
-            if c != 1:
+            if v >= two:  # waits for the ripple
                 continue
-            got = []
             queue = [e]
             while queue:
                 f = queue.pop()
-                if not cnt[f]:  # its last unknown was released since it was queued
+                nat = state[f] - one
+                if nat < 0:  # its last unknown was released since it was queued
                     continue
-                nat = tot[f]
-                decoded[nat] = 1
-                got.append(nat)
-                if values is not None:  # nat's own value is still 0
-                    v = int.from_bytes(kept.pop(f), "little")
+                state[f] = three + nat  # its own step below leaves it at 2 * ONE, unqueued
+                released.append(nat)
+                by.append(i)
+                if values is not None:
+                    x = int.from_bytes(kept.pop(f), "little")
                     for m in nbrs[ptr[f]:ptr[f + 1]]:
-                        v ^= values[m]
-                    values[nat] = v
-                for g in inc[start[nat]:start[nat + 1]]:  # f among them
-                    c = cnt[g] = cnt[g] - 1
-                    tot[g] -= nat
-                    if c == 1 and arrived[g]:
+                        w = values[m]
+                        if w:
+                            x ^= w
+                    values[nat] = x
+                step = one + nat
+                for g in equations[nat]:
+                    v = state[g] = state[g] - step
+                    if v < two:
                         queue.append(g)
-            got.sort()
-            released += got
-            by += [i] * len(got)
-        self._kept = {g: row for g, row in kept.items() if cnt[g]}  # drop those solved by others
-        return np.array(released, dtype=np.int64), np.array(by, dtype=np.int64)
+        self._kept = {g: row for g, row in kept.items() if state[g] >= one}  # drop the solved
+        released, by = np.array(released, dtype=np.int64), np.array(by, dtype=np.int64)
+        self._known[released] = 1
+        order = np.lexsort((released, by))
+        return released[order], by[order]

@@ -59,3 +59,21 @@ class TestSummarize:
             "relative": pytest.approx(1 / 3), "base_iqr": 0.0, "wins": 1, "pairs": 1}
         assert rows["session_p50_s"]["wins"] == 1 and "setup_s" not in rows
         assert "2 of 3 pairs skipped" in capsys.readouterr().out
+
+    def test_metrics_worse_past_their_bound_are_marked(self, ab_bench, capsys):
+        spec = [{"name": "sessions_per_s", "better": "higher", "bound": 0.2},
+                {"name": "session_p50_s", "better": "lower", "bound": 0.2},
+                {"name": "setup_s", "better": "lower", "bound": 0.25},
+                {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+                {"name": "first_result_s", "better": "lower"}]
+        pairs = [pair(run(sessions_per_s=100.0, session_p50_s=0.010, setup_s=0.10,
+                          peak_rss_mb=40.0, first_result_s=1.0),
+                      run(sessions_per_s=79.0, session_p50_s=0.0121, setup_s=0.124,
+                          peak_rss_mb=30.0, first_result_s=9.0))]
+        rows = ab_bench.summarize(pairs, spec)
+        assert [r["relative"] < 0 for r in rows] == [True, False, False, True, False]
+        lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()[1:]}
+        assert lines["sessions_per_s"].endswith("0 of 1  worse past its bound 20.0%")
+        assert lines["session_p50_s"].endswith("0 of 1  worse past its bound 20.0%")
+        for name in ("setup_s", "peak_rss_mb", "first_result_s"):  # inside, better, no bound
+            assert lines[name].endswith("of 1"), name

@@ -42,6 +42,14 @@ MISTAKES = [
     (["run"], {"trace.frames": "40", "delay_s": "1.0", "mode": "S-LT"}),
     (["run"], {"trace.frames": "40", "delay_s": "1.0", "mode": "Expand"}),
 ]
+#: (command, the option naming the output) of every output path the CLI writes
+OUTPUTS = [
+    (["run"], "--out"),
+    (["sweep", "--reps", "1"], "--out"),
+    (["optimize"], "--out"),
+    (["optimize", "--out", "asp.csv"], "--plan-out"),
+    (["golden"], "--out"),
+]
 GOOD = """
 # demo configuration
 trace.kind = burst
@@ -250,6 +258,27 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: the optimizers need a trace of at least 58 frames for window 29 (got 57)\n")
         assert not (tmp_path / "asp.csv").exists()
+
+    @pytest.mark.parametrize("target", ["missing/out.csv", "."])
+    @pytest.mark.parametrize("command,option", OUTPUTS)
+    def test_bad_output_path_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                     command, option, target):
+        def never(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("run_session", "sweep", "optimize_slopes", "optimize_per_frame"):
+            monkeypatch.setattr(cli, name, never)
+        monkeypatch.setattr(cli.protocol, "encode_header", never)
+        monkeypatch.chdir(tmp_path)
+        config = [] if command[0] == "golden" else ["-c", str(DATA / "readme.cfg")]
+        assert main([command[0], *config, *command[1:], option, target]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {target!r}: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_exit_code(self, tmp_path, capsys):
+        target = tmp_path / ("x" * 300)  # a name longer than file systems take
+        assert main(["golden", "--out", str(target)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {str(target)!r}: ")
 
     def test_missing_trace_csv_exit_code(self, tmp_path, capsys):
         csv_path = tmp_path / "absent.csv"

@@ -303,7 +303,7 @@ class TestSessionPlan:
         for shared in (first.frame_deadline, plan.entry, plan.indptr, plan.neighbors,
                        plan.send_times, plan.packet_deadline, plan.real, peeling.indptr,
                        peeling.neighbors, peeling.incidence, peeling.start, peeling.count,
-                       peeling.total):
+                       peeling.total, peeling.state):
             with pytest.raises(ValueError, match="read-only"):
                 shared[1] = 0
         assert isinstance(peeling.known, bytes)  # each decoder copies it

@@ -440,6 +440,21 @@ def decoder(k, compositions, pseudo=(), payload_bytes=None):
     return DecoderState(PeelingTables(k, indptr, neighbors, pseudo), payload_bytes)
 
 
+def assert_equations_and_state_match_incidence(tables):
+    """equations[n] is native n's incidence slice, and each row's packed
+    state reads (not arrived, count, total)."""
+    inc, start = tables.incidence.tolist(), tables.start.tolist()
+    assert len(tables.equations) == tables.total_packets + 1
+    for n, eqs in enumerate(tables.equations):
+        assert isinstance(eqs, tuple) and list(eqs) == inc[start[n]:start[n + 1]], n
+    one, arrive = tables.one, tables.arrive
+    state = tables.state.tolist()
+    assert tables.state.dtype == np.int64
+    assert all(v >= arrive for v in state)
+    assert [(v - arrive) // one for v in state] == tables.count.tolist()
+    assert [(v - arrive) % one for v in state] == tables.total.tolist()
+
+
 class TestPeelingTables:
     def test_incidence_counts_and_sums_leave_padding_out(self):
         # equations (rows) 0..3 over natives 1..5, with 2 and 4 padding
@@ -451,6 +466,7 @@ class TestPeelingTables:
         assert tables.total.tolist() == [1, 0, 4, 5]
         assert tables.known == bytes([0, 0, 1, 0, 1, 0])
         assert tables.incidence.dtype == np.int32
+        assert_equations_and_state_match_incidence(tables)
 
     def test_each_natives_equations_ascend_on_wide_sessions(self):
         # k past 16 bits sorts on uint32, below on uint16; both stay stable
@@ -467,6 +483,18 @@ class TestPeelingTables:
             inc, start = tables.incidence.tolist(), tables.start.tolist()
             assert {n: inc[start[n]:start[n + 1]] for n in range(1, k + 1)
                     if start[n] < start[n + 1]} == want
+            assert_equations_and_state_match_incidence(tables)
+
+    def test_state_widths(self):
+        # ONE is the power of two above the largest sum, ARRIVE the one above
+        # ONE * (max count + 1)
+        assert ltcode._state_widths(0, 0) == (1, 2)
+        assert ltcode._state_widths(5, 1) == (8, 32)
+        assert ltcode._state_widths(8, 3) == (16, 128)
+        assert ltcode._state_widths(2**40 - 1, 2**22 - 2) == (2**40, 2**62)
+        for total, count in ((2**40 - 1, 2**22 - 1), (2**40, 2**21 - 1), (2**62, 1)):
+            with pytest.raises(ValueError, match="does not fit in int64"):
+                ltcode._state_widths(total, count)
 
     def test_padding_outside_the_session_rejected(self):
         with pytest.raises(ValueError, match="pseudo-decoded packet 5"):
@@ -510,6 +538,54 @@ class TestDecoderState:
         released, by = dec.ingest_block([1, 2], np.array([[5, 6], [7, 8]], np.uint8))
         assert released.tolist() == [2, 3] and by.tolist() == [0, 1]
         assert dec.decoded_payload(3).tolist() == [7, 8]
+
+    def test_released_equation_repeated_later_changes_nothing(self):
+        x = np.array([[0, 0], [1, 2], [3, 4], [5, 6]], np.uint8)  # row n is packet n
+        compositions = [[1], [1, 2], [2, 3]]
+        rows = np.array([x[1], x[1] ^ x[2], x[2] ^ x[3]])
+        dec = decoder(3, compositions, payload_bytes=2)
+        released, by = dec.ingest_block([1, 2, 3], rows)
+        assert released.tolist() == [1, 2, 3] and by.tolist() == [0, 1, 2]
+        for pid in (1, 2, 3):  # each a released equation, now with a wrong payload
+            released, by = dec.ingest_block([pid, pid], np.full((2, 2), 0xEE, np.uint8))
+            assert released.tolist() == [] and by.tolist() == []
+            for n in (1, 2, 3):
+                assert dec.decoded_payload(n).tolist() == x[n].tolist()
+
+    def test_decoders_sharing_tables_stay_apart(self):
+        dist, cdf = robust_soliton(12), uniform_cdf(12)
+        compositions = [draw(pid, 1, cdf, dist).neighbors for pid in range(1, 25)]
+        buffer = np.random.default_rng(4).integers(0, 256, size=(13, 3), dtype=np.uint8)
+        buffer[6] = 0  # padding
+        payload = np.array([np.bitwise_xor.reduce(buffer[list(c)], axis=0) for c in compositions])
+        a_blocks = [[3, 1, 7], [2, 2, 9, 5], [11, 4, 6, 8, 10, 12, 13, 14]]
+        b_blocks = [[24, 23], [1], [20, 21, 22, 19, 18, 17], [16, 15, 3]]
+
+        def feed(dec, block):
+            ids = np.array(block)
+            return [a.tolist() for a in dec.ingest_block(ids, payload[ids - 1])]
+
+        def alone(blocks):
+            dec = decoder(12, compositions, pseudo=(6,), payload_bytes=3)
+            return [feed(dec, b) for b in blocks], dec
+
+        a_want, a_dec = alone(a_blocks)
+        b_want, b_dec = alone(b_blocks)
+        tables = a_dec.tables
+        state, equations = tables.state.copy(), tables.equations
+        a, b = DecoderState(tables, 3), DecoderState(tables, 3)
+        a_got, b_got = [], []
+        for i in range(max(len(a_blocks), len(b_blocks))):
+            if i < len(b_blocks):
+                b_got.append(feed(b, b_blocks[i]))
+            if i < len(a_blocks):
+                a_got.append(feed(a, a_blocks[i]))
+        assert a_got == a_want and b_got == b_want
+        for dec, want in ((a, a_dec), (b, b_dec)):
+            assert dec.decoded_packets() == want.decoded_packets()
+            for n in dec.decoded_packets():
+                assert dec.decoded_payload(n).tolist() == buffer[n].tolist()
+        assert np.array_equal(tables.state, state) and tables.equations == equations
 
     def test_redundant_packet_absorbed(self):
         dec = decoder(3, [[1], [2], [1, 2]])
@@ -701,6 +777,7 @@ class TestCounterDecoderAgainstOracle:
         want, payloads = peeling_oracle(k, packets, pseudo, payload_bytes)
         assert per_packet == want
         assert order == [n for got in want for n in got]
+        assert len(set(order)) == len(order)  # no packet released twice
         released = sorted(n for got in want for n in got)
         assert by_packet.decoded_packets() == by_block.decoded_packets() == released
         if payload_bytes is not None:

@@ -15,8 +15,9 @@ benchmark. It prints each run's end-to-end metrics, then for each metric the
 median of each side, their relative change (change / base - 1), the base's
 interquartile distance and the number of pairs the change won (by the
 metric's "better" direction in BENCHMARK.json), over the pairs whose two
-runs both ended correct. It exits 1 if any run fails or ends
-`"correct": false`.
+runs both ended correct. A metric whose change median is worse than the base
+median by more than its "bound" in BENCHMARK.json is marked "worse past its
+bound". It exits 1 if any run fails or ends `"correct": false`.
 """
 
 from __future__ import annotations
@@ -89,8 +90,10 @@ def summarize(pairs: list[dict], spec: list[dict]) -> list[dict]:
     """Print, and return, per metric: each side's median, the relative
     change of the medians (change / base - 1), the base's quartile distance,
     and the pairs in which the change was better by the metric's "better"
-    direction. A pair with a failed or incorrect run on either side is
-    skipped."""
+    direction. A printed row is marked when the change median is worse than
+    the base median by more than the metric's "bound" (a share of the base
+    median), if it has one. A pair with a failed or incorrect run on either
+    side is skipped."""
     good = [p for p in pairs if p["base"]["correct"] and p["change"]["correct"]]
     if len(good) < len(pairs):
         print(f"  {len(pairs) - len(good)} of {len(pairs)} pairs skipped: a run failed")
@@ -110,8 +113,11 @@ def summarize(pairs: list[dict], spec: list[dict]) -> list[dict]:
                "base_iqr": quartile_distance([b for b, _ in got]),
                "wins": sum((c > b) if higher else (c < b) for b, c in got), "pairs": len(got)}
         rows.append(row)
+        worse = -row["relative"] if higher else row["relative"]
+        bound = m.get("bound")
+        mark = f"  worse past its bound {bound:.1%}" if bound is not None and worse > bound else ""
         print(f"  {name:<16} {base:>12.6g} {change:>14.6g} {row['relative']:>+11.2%} "
-              f"{row['base_iqr']:>10.3g} {row['wins']:>6} of {len(got)}")
+              f"{row['base_iqr']:>10.3g} {row['wins']:>6} of {len(got)}{mark}")
     return rows
 
 
