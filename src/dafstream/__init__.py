@@ -3,9 +3,9 @@
 from .channel import ChannelModel, transmit_many
 from .errors import (ConfigError, DafError, ProtocolError, SolverError,
                      TraceParseError)
-from .harness import (Metrics, SessionResult, report, run_session, sweep)
-from .ltcode import (CodedPacketMeta, DecoderState, DegreeDistribution, PeelingTables,
-                     draw, robust_soliton, xor_payload)
+from .harness import Metrics, SessionResult, run_session, sweep
+from .ltcode import (CodedPacketMeta, DecoderState, PeelingTables, draw, robust_soliton,
+                     xor_payload)
 from .protocol import (DafHeader, decode_header, decode_packet, encode_header,
                        encode_packet)
 from .sampling import (AspProfile, SlopeCoefficients, asp_from_matrix,

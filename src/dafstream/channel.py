@@ -39,7 +39,7 @@ class ChannelModel:
             raise ConfigError(f"duty cycle {self.duty} outside (0, 1]")
         if self.kind == "mobile-relay" and not self.period_s > 0:  # NaN fails too
             raise ConfigError("mobile-relay channel needs a positive period_s")
-        _check_integer(self.seed, "channel seed")
+        check_integer(self.seed, "channel seed")
         object.__setattr__(self, "seed", int(self.seed))  # numpy integers wrap; ints do not
         if not 0 <= self.seed <= MASK64:
             raise ConfigError(f"channel seed {self.seed} outside 0..2**64 - 1")
@@ -48,7 +48,7 @@ class ChannelModel:
         """This channel as session `seed` sees it, seeded self.seed + seed;
         a seed that is no integer, or a sum outside 0..2**64 - 1, is a
         ConfigError."""
-        _check_integer(seed, "session seed")
+        check_integer(seed, "session seed")
         return replace(self, seed=self.seed + int(seed))
 
     @property
@@ -72,10 +72,12 @@ class ChannelModel:
                 f":duty={self.duty:g}")
 
 
-def _check_integer(seed, what: str):
-    # a float or bool would be truncated to some other seed's channel
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ConfigError(f"{what} {seed!r} is not an integer")
+def check_integer(value, what: str):
+    """ConfigError unless `value` is an integer (a bool is not): a float or
+    bool seed would be truncated to some other seed's channel, and a float
+    frame count would index the trace between frames."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{what} {value!r} is not an integer")
 
 
 def transmit_many(model: ChannelModel, packet_indices, send_times_s) -> np.ndarray:

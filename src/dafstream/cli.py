@@ -12,7 +12,7 @@ from . import protocol
 from .config import (channel_from_config, load_config, params_from_config,
                      step_from_config, sweep_grid_from_config, trace_from_config)
 from .errors import ConfigError, DafError
-from .harness import report, run_session, sweep
+from .harness import rows_to_csv, run_session, summarize, sweep
 from .sampling import (asp_from_matrix, optimize_per_frame, optimize_slopes, short_trace,
                        slope_matrix)
 
@@ -75,12 +75,12 @@ def _cmd_sweep(args) -> int:
     modes, rates, delays = sweep_grid_from_config(cfg)
     rows = sweep(trace, modes, rates, delays, [channel], repetitions=args.reps,
                  base_seed=args.seed, step_frames=step_from_config(cfg))
-    csv_text, summary = report(rows)
+    csv_text = rows_to_csv(rows)
     if args.out:
         _write(args.out, csv_text)
     else:
         sys.stdout.write(csv_text)
-    sys.stdout.write(summary)
+    sys.stdout.write(summarize(rows))
     return 0
 
 

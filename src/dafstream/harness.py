@@ -35,8 +35,7 @@ from .protocol import (HEADER_LEN, DafHeader, Datagrams, datagram_records, decod
                        decode_packet, encode_datagrams, encode_packet)
 from .sampling import SamplingPlan, optimize_slopes, slope_density
 from .trace import VideoTrace, downsample, packetize
-from .windowing import (CodingParams, Mode, WindowSchedule, build_schedule,
-                        derive_params, wcp_packets)
+from .windowing import CodingParams, Mode, build_schedule, derive_params, wcp_packets
 
 #: Datagram bytes per block of a session (at least one datagram). Bounds the
 #: wire bytes and payload rows held at once; a composition depends only on
@@ -58,24 +57,22 @@ class SessionCodec:
     """The seed-invariant part of a session on one trace and CodingParams,
     shared verbatim by encoder and decoder.
 
-    Both ends hold the trace, the step and the window schedule (by default
-    the one run_session builds). A coded packet's composition depends only
-    on its PacketID and the entry that sends it, `entry[PacketID - 1]`, so
-    the codec draws all N compositions once, when it is built, as CSR
-    arrays `indptr` and `neighbors` (row PacketID - 1), and keeps no window
-    table after that draw. It also holds the peeling tables, the padding
-    packets (`wcp`, and `real` marking the others), the send times, the
-    frame deadlines and each packet's deadline; only the channel's delivery
-    mask and the decode depend on the seed. Its arrays are read-only, since
-    SessionResults share them, and it keeps no reference to the params.
+    Both ends hold the trace, the step and the window schedule. A coded
+    packet's composition depends only on its PacketID and the entry that
+    sends it, `entry[PacketID - 1]`, so the codec draws all N compositions
+    once, when it is built, as CSR arrays `indptr` and `neighbors` (row
+    PacketID - 1), and keeps no window table after that draw. It also holds
+    the peeling tables, the padding packets (`wcp`, and `real` marking the
+    others), the send times, the frame deadlines and each packet's deadline;
+    only the channel's delivery mask and the decode depend on the seed. Its
+    arrays are read-only, since SessionResults share them, and it keeps no
+    reference to the params.
     """
 
-    def __init__(self, trace: VideoTrace, params: CodingParams,
-                 schedule: WindowSchedule | None = None):
+    def __init__(self, trace: VideoTrace, params: CodingParams):
         if trace.payload_bytes > 0xFFFF:
             raise ConfigError("payload size does not fit the wire header")
-        if schedule is None:
-            schedule = build_schedule(params, trace, slopes=session_slopes(trace, params))
+        schedule = build_schedule(params, trace, slopes=session_slopes(trace, params))
         self.trace, self.schedule = trace, schedule
         self.total_coded = int(schedule.cum_sent[-1])
         pids = np.arange(1, self.total_coded + 1)
@@ -362,26 +359,32 @@ class SweepRow:
 
 
 def delay_to_frames(delay_s: float, frame_rate: float) -> int:
-    return int(math.floor(delay_s * frame_rate + 1e-9))
+    """Whole frames in `delay_s` seconds; a delay that is not finite is a ConfigError."""
+    frames = delay_s * frame_rate
+    if not math.isfinite(frames):
+        raise ConfigError(f"delay of {delay_s} s is not a finite number")
+    return int(math.floor(frames + 1e-9))
 
 
 def sweep(trace: VideoTrace, modes, code_rates, delays_s, channels,
           repetitions: int = 20, base_seed: int = 0,
           step_frames: int = 1) -> list[SweepRow]:
     """Median IDR/FDR per (mode, code rate, delay, channel) grid cell."""
+    # every delay, and the first and last session seeds, checked before any work
+    delays = [(d, delay_to_frames(d, trace.frame_rate)) for d in delays_s]
     cells = [(m, c, d, ch) for m in modes for c in code_rates
-             for d in delays_s for ch in channels]
+             for d in delays for ch in channels]
     if not cells:
         raise ConfigError("empty sweep grid")
     if repetitions < 1:
         raise ConfigError(f"need at least one repetition per cell, got {repetitions}")
-    for ch in channels:  # the first and last session seeds, checked before any work
+    for ch in channels:
         for seed in (base_seed, base_seed + repetitions - 1):
             ch.for_session(seed)
     rows = []
-    for mode, code_rate, delay_s, ch in cells:
-        params = derive_params(trace, mode, delay_to_frames(delay_s, trace.frame_rate),
-                               step_frames=step_frames, code_rate=code_rate)
+    for mode, code_rate, (delay_s, delay), ch in cells:
+        params = derive_params(trace, mode, delay, step_frames=step_frames,
+                               code_rate=code_rate)
         idrs, fdrs = [], []
         for rep in range(repetitions):
             result = run_session(trace, params, ch, base_seed + rep)
@@ -423,13 +426,3 @@ def summarize(rows) -> str:
         out.append(f"{r.code_rate:>9g}  {r.delay_s:>8g}  {r.channel:<34}  "
                    f"{r.mode:<7}  {fmt(r.idr):>7}  {fmt(r.fdr):>7}")
     return "\n".join(out) + "\n"
-
-
-def report(rows, csv_path=None) -> tuple[str, str]:
-    """Plot-ready CSV plus the text summary; optionally writes the CSV."""
-    csv_text = rows_to_csv(rows)
-    summary = summarize(rows)
-    if csv_path is not None:
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    return csv_text, summary

@@ -23,33 +23,16 @@ SOLITON_C = 0.4
 SOLITON_DELTA = 0.02
 
 
-@dataclass(frozen=True)
-class DegreeDistribution:
-    """Robust-soliton degree distribution over 1..window_packets."""
-
-    window_packets: int
-    pmf: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "table", InverseCdf(np.cumsum(self.pmf)))
-
-    def mean_degree(self) -> float:
-        return sum((d + 1) * p for d, p in enumerate(self.pmf))
-
-
+# Sessions do not call it; it keeps its cache for bench/workloads.py.
 @lru_cache(maxsize=4096)
-def robust_soliton(window_packets: int) -> DegreeDistribution:
-    """The robust-soliton distribution of one window size, a batch of one
-    of degree_tables."""
-    if window_packets < 1:
-        raise ValueError("window must hold at least one packet")
-    pmf = _soliton_pmf(np.array([window_packets]))[0]
-    return DegreeDistribution(window_packets=window_packets, pmf=tuple(pmf.tolist()))
+def robust_soliton(window_packets: int) -> "InverseCdf":
+    """The robust-soliton table of one window size, degree_tables([window_packets])[0]."""
+    return degree_tables([window_packets])[0]
 
 
 def degree_tables(sizes) -> list["InverseCdf"]:
-    """The robust-soliton table of every window size in `sizes`, in order;
-    each is robust_soliton(size).table, bit for bit."""
+    """The robust-soliton table (an InverseCdf over degrees 1..size) of every
+    window size in `sizes`, in order."""
     sizes = np.asarray(sizes, dtype=np.int64)
     if len(sizes) and sizes.min() < 1:
         raise ValueError("window must hold at least one packet")
@@ -269,15 +252,16 @@ def _draw_pass(packet_ids, window_of, windows):
     return degree, neighbors
 
 
-def draw(packet_id: int, start_packet: int, window_cdf, dist: DegreeDistribution,
+def draw(packet_id: int, start_packet: int, window_cdf, degrees: InverseCdf,
          slope_factor: float = 0.0) -> CodedPacketMeta:
     """Draw one packet's degree and distinct neighbors from its packet-id seed.
 
     `window_cdf` is the cumulative per-packet sampling distribution over the
-    window (floats; the last counts as 1). A batch of one of draw_batch.
+    window (floats; the last counts as 1), `degrees` a degree table such as
+    robust_soliton's. A batch of one of draw_batch.
     """
     table = InverseCdf(window_cdf)
-    indptr, neighbors = draw_batch([packet_id], [0], [(start_packet, table, dist.table)])
+    indptr, neighbors = draw_batch([packet_id], [0], [(start_packet, table, degrees)])
     return CodedPacketMeta(packet_id=packet_id, degree=int(indptr[1]),
                            neighbors=tuple(neighbors.tolist()),
                            start_packet=start_packet, window_packets=len(table),
@@ -378,15 +362,14 @@ class PeelingTables:
     """The seed-invariant half of the peeling decoder, built once per set of
     compositions: coded packet PacketID (row PacketID - 1 of the CSR arrays
     indptr, neighbors) is an equation over its native packets, and those in
-    `pseudo_decoded` (the warm-up/cool-down padding) are known zeros. Its
-    read-only arrays: `incidence[start[n]:start[n + 1]]`, the rows holding
-    native n, ascending (none for padding); `count` and `total`, each row's
-    non-padding neighbors and their sum; `state`, each row's packed start
-    state ARRIVE + ONE * count + total (`arrive` and `one` are powers of two,
-    from _state_widths); and `known` (bytes), the decoded flag of packets
-    0..k before any arrival. `equations[n]` is native n's incidence as a
-    tuple of Python ints, one int object per row shared by every tuple, so a
-    decoder walks it without allocating.
+    `pseudo_decoded` (the warm-up/cool-down padding) are known zeros. It
+    holds `equations[n]`, the rows holding native n, ascending (none for
+    padding), as a tuple of Python ints, one int object per row shared by
+    every tuple, so a decoder walks it without allocating; the read-only
+    `state`, each row's packed start state ARRIVE + ONE * count + sum of its
+    non-padding neighbors (`arrive` and `one` are powers of two, from
+    _state_widths); and `known` (bytes), the decoded flag of packets 0..k
+    before any arrival.
     """
 
     def __init__(self, total_packets: int, indptr, neighbors, pseudo_decoded=()):
@@ -394,9 +377,8 @@ class PeelingTables:
         self.total_packets, self.total_coded = k, len(indptr) - 1
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.neighbors = np.asarray(neighbors, dtype=np.int64)
-        self.pseudo = frozenset(pseudo_decoded)
         known = np.zeros(k + 1, dtype=np.uint8)
-        for p in self.pseudo:
+        for p in pseudo_decoded:
             if not 1 <= p <= k:
                 raise ValueError(f"pseudo-decoded packet {p} outside 1..{k}")
             known[p] = 1
@@ -406,20 +388,19 @@ class PeelingTables:
         # to 16 bits) keeps each native's equations ascending
         native = self.neighbors[live].astype(np.min_scalar_type(k))
         row = np.repeat(np.arange(self.total_coded, dtype=np.int32), np.diff(self.indptr))[live]
-        self.incidence = row[np.argsort(native, kind="stable")]
-        self.start = np.zeros(k + 2, dtype=np.int64)
-        np.cumsum(np.bincount(native, minlength=k + 1), out=self.start[1:])
-        self.count = np.bincount(row, minlength=self.total_coded).astype(np.int32)
+        incidence = row[np.argsort(native, kind="stable")]
+        start = np.zeros(k + 2, dtype=np.int64)
+        np.cumsum(np.bincount(native, minlength=k + 1), out=start[1:])
+        count = np.bincount(row, minlength=self.total_coded).astype(np.int64)
         # float sums of integers far below 2**53 are exact
-        self.total = np.bincount(row, weights=native, minlength=self.total_coded).astype(np.int64)
-        self.one, self.arrive = _state_widths(self.total.max(initial=0), self.count.max(initial=0))
-        self.state = self.arrive + self.one * self.count.astype(np.int64) + self.total
+        total = np.bincount(row, weights=native, minlength=self.total_coded).astype(np.int64)
+        self.one, self.arrive = _state_widths(total.max(initial=0), count.max(initial=0))
+        self.state = self.arrive + self.one * count + total
         # each row's int object is made once and shared by every tuple holding it
-        flat = np.array(range(self.total_coded), dtype=object)[self.incidence].tolist()
-        bounds = self.start.tolist()
+        flat = np.array(range(self.total_coded), dtype=object)[incidence].tolist()
+        bounds = start.tolist()
         self.equations = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
-        for a in (self.indptr, self.neighbors, self.incidence, self.start, self.count, self.total,
-                  self.state):
+        for a in (self.indptr, self.neighbors, self.state):
             a.flags.writeable = False
 
 
@@ -457,9 +438,6 @@ class DecoderState:
         self._state = tables.state.tolist()
         self._kept = {}  # per waiting equation: its payload row, as bytes
 
-    def is_decoded(self, packet: int) -> bool:
-        return bool(self._decoded[packet])
-
     def decoded_payload(self, packet: int) -> np.ndarray | None:
         """Recovered bytes; zeros for pseudo-decoded packets."""
         if not self._decoded[packet]:
@@ -467,10 +445,6 @@ class DecoderState:
         values = self._values
         return None if values is None else np.frombuffer(  # fresh, the caller's to write
             bytearray(values[packet].to_bytes(self.payload_bytes, "little")), dtype=np.uint8)
-
-    def decoded_packets(self) -> list[int]:
-        """All decoded packet numbers excluding the pseudo-decoded padding."""
-        return [p for p in np.flatnonzero(self._known).tolist() if p not in self.tables.pseudo]
 
     def ingest(self, packet_id: int, payload: np.ndarray | None = None) -> list[int]:
         """Absorb one coded packet, a block of one of ingest_block; returns

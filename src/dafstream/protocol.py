@@ -154,22 +154,18 @@ def _datagram_dtype(payload_bytes: int) -> np.dtype:
 
 
 def encode_datagrams(start_packet, window_packets, slope_factor, packet_id,
-                     payload_bytes: int, payload: np.ndarray | None = None) -> bytearray:
-    """Encode n datagrams back to back, each the header and P payload bytes.
+                     payload_bytes: int) -> bytearray:
+    """Encode n datagrams back to back, each the header and P zero payload
+    bytes, which a caller fills through datagram_records.
 
-    Header fields are equal-length arrays; `payload` is (n, P) uint8, or
-    None for all-zero payloads. The records are written straight into the
-    returned buffer.
+    Header fields are equal-length arrays. The records are written straight
+    into the returned buffer.
     """
     dtype = _datagram_dtype(payload_bytes)
     data = bytearray(len(packet_id) * dtype.itemsize)
     rec = np.frombuffer(data, dtype=dtype)
     _write_headers(rec["header"], start_packet, window_packets, slope_factor, packet_id,
                    payload_bytes)
-    if payload is not None:
-        if payload.shape != (len(packet_id), payload_bytes):
-            raise ProtocolError(f"payload rows are {payload.shape}, need ({len(packet_id)}, {payload_bytes})")
-        rec["payload"] = payload
     return data
 
 

@@ -82,11 +82,6 @@ class AspProfile:
         v = self.stable_values()
         return float(np.sum((v - v.mean()) ** 2))
 
-    def total_mass(self) -> float:
-        """Sum of s(t) * P(t); equals the window count for any valid plan."""
-        s = np.asarray(self.packets_per_frame, dtype=np.float64)
-        return float(np.dot(s, np.asarray(self.values)))
-
 
 def _check_window(trace: VideoTrace, window: int):
     if not 1 <= window <= trace.num_frames:

@@ -8,9 +8,7 @@ the rest of the package is driven by the resulting per-frame packet counts.
 from __future__ import annotations
 
 import csv
-import io
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,18 +69,14 @@ class VideoTrace:
         return np.concatenate(([0], np.cumsum(self.packets_per_frame, dtype=np.int64)))
 
 
-def load_trace(source, payload_bytes: int, frame_rate: float = 30.0,
+def load_trace(path, payload_bytes: int, frame_rate: float = 30.0,
                gop_size: int = 1) -> VideoTrace:
-    """Parse a CSV trace ("frame,bytes,type" header, rows numbered from 1).
-
-    `source` may be a path (a str without a newline, or os.PathLike), a
-    text/byte stream, the raw CSV bytes, or CSV text (a str with a newline).
-    """
+    """Parse a CSV trace file ("frame,bytes,type" header, rows numbered from
+    1) at `path`, a str or os.PathLike."""
     if payload_bytes < 1:
         raise ValueError("payload_bytes must be >= 1")
-    text = _as_text(source)
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
     rows = [(i + 1, row) for i, row in enumerate(rows) if row and any(c.strip() for c in row)]
     if not rows:
         raise TraceParseError("empty trace file")
@@ -110,26 +104,6 @@ def load_trace(source, payload_bytes: int, frame_rate: float = 30.0,
         sizes.append(nbytes)
 
     return VideoTrace.from_frame_bytes(sizes, frame_rate, payload_bytes, gop_size)
-
-
-def _as_text(source) -> str:
-    """CSV text of a trace source.
-
-    bytes, and a str holding a newline or only blanks, are the content
-    itself; any other str or os.PathLike names a file; anything else is a
-    file object to read.
-    """
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str) and ("\n" in source or not source.strip()):
-        return source
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return fh.read()
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
 
 
 def packetize(trace: VideoTrace, payloads=None) -> np.ndarray:

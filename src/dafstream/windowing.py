@@ -13,6 +13,7 @@ from enum import Enum
 
 import numpy as np
 
+from .channel import check_integer
 from .errors import ConfigError
 from .protocol import MAX_PACKET_ID, MAX_WSIZE, to_f32
 from .sampling import short_trace
@@ -71,10 +72,13 @@ def derive_params(trace: VideoTrace, mode, delay_frames: int, step_frames: int =
     Exactly one of code_rate / data_rate must be given; the other is derived
     through code_rate = k / N. A window wider than the header's WSize field
     holds, warm-up and cool-down padding covering every frame, a schedule
-    leaving a frame outside the padding in no window, or a DAF trace shorter
-    than two windows (the slope solve's domain), is a ConfigError.
+    leaving a frame outside the padding in no window, a DAF trace shorter
+    than two windows (the slope solve's domain), a delay or step that is no
+    integer, or a data rate that is not finite, is a ConfigError.
     """
     mode = Mode.parse(mode) if not isinstance(mode, Mode) else mode
+    check_integer(delay_frames, "delay in frames")
+    check_integer(step_frames, "step in frames")
     if (code_rate is None) == (data_rate is None):
         raise ConfigError("give exactly one of code_rate or data_rate")
     if step_frames < 1:
@@ -109,8 +113,8 @@ def derive_params(trace: VideoTrace, mode, delay_frames: int, step_frames: int =
             raise ConfigError("code_rate must be positive")
         # N ~= k / code_rate spread over the (T - W) frames of sending time
         R = (k / code_rate) * trace.frame_rate * trace.payload_bytes / (T - window)
-    if R <= 0:
-        raise ConfigError("data rate must be positive")
+    if not 0 < R < math.inf:  # NaN fails too
+        raise ConfigError(f"data rate {R} is not positive and finite")
     coded_per_step = R * step / (trace.frame_rate * trace.payload_bytes)
     total = math.floor(num_steps * coded_per_step)
     if total < 1:

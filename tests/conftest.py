@@ -16,11 +16,16 @@ settings.register_profile("repeatable", derandomize=True)
 settings.load_profile("repeatable")
 
 
-@pytest.fixture(scope="session")
-def workloads():
-    """bench/workloads.py, the benchmark's input builder, loaded read-only."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+def load_bench(stem):
+    """bench/<stem>.py, loaded read-only as the module bench_<stem>."""
+    spec = importlib.util.spec_from_file_location(f"bench_{stem}", BENCH / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """bench/workloads.py, the benchmark's input builder, loaded read-only."""
+    return load_bench("workloads")

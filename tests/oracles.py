@@ -403,9 +403,9 @@ def xor_payloads_oracle(indptr, neighbors, buffer):
     return out
 
 
-def degree_cdf(dist):
-    """Cumulative robust-soliton distribution of a DegreeDistribution."""
-    cdf = np.cumsum(dist.pmf)
+def degree_cdf(k):
+    """Cumulative robust-soliton distribution over degrees 1..k."""
+    cdf = np.cumsum(robust_soliton_oracle(k))
     cdf[-1] = 1.0
     return cdf.tolist()
 
@@ -516,7 +516,7 @@ def window_tables(codec, step):
     """draw_batch's (StartP, window table, degree table) of every entry of a
     codec's schedule; `step` is the params' step_frames."""
     sched = codec.schedule
-    return [(start, table, robust_soliton(size).table) for start, size, table
+    return [(start, table, robust_soliton(size)) for start, size, table
             in zip(sched.start_packet.tolist(), sched.window_packets.tolist(),
                    codec._build_cdf(step))]
 
@@ -530,12 +530,9 @@ def encode_block(codec, windows, first, last):
     return (pids, entry, *draw_batch(pids, entry, windows))
 
 
-def iter_coded_packets(trace, params, schedule, buffer=None, codec=None):
+def iter_coded_packets(trace, params, buffer=None, codec=None):
     """Yield (header, meta, payload) for every coded packet of a session."""
-    codec = codec or SessionCodec(trace, params, schedule)
-    if not all(np.array_equal(getattr(codec.schedule, c), getattr(schedule, c))
-               for c in COLUMNS):
-        raise ValueError("codec was built for a different schedule")
+    codec = codec or SessionCodec(trace, params)
     sched = codec.schedule
     total = int(sched.cum_sent[-1])
     windows = window_tables(codec, params.step_frames)

@@ -77,3 +77,27 @@ class TestSummarize:
         assert lines["session_p50_s"].endswith("0 of 1  worse past its bound 20.0%")
         for name in ("setup_s", "peak_rss_mb", "first_result_s"):  # inside, better, no bound
             assert lines[name].endswith("of 1"), name
+
+    def test_gain_holds_and_unresolved_marks(self, ab_bench, capsys):
+        spec = [{"name": "sessions_per_s", "better": "higher", "bound": 0.2},
+                {"name": "session_p50_s", "better": "lower", "bound": 0.2},
+                {"name": "setup_s", "better": "lower", "bound": 0.25},
+                {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+        pairs = [pair(run(sessions_per_s=100.0 + i, session_p50_s=(0.01, 0.02)[i % 2],
+                          setup_s=1.0 + 0.01 * i, peak_rss_mb=(40.0, 60.0)[i % 2]),
+                      run(sessions_per_s=120.0 + i, session_p50_s=(0.01, 0.02)[i % 2],
+                          setup_s=1.0 + 0.01 * i - (0.001 if i else -0.001),
+                          peak_rss_mb=(10.0, 15.0)[i % 2]))
+                 for i in range(10)]
+
+        def marks(pairs):
+            ab_bench.summarize(pairs, spec)
+            lines = capsys.readouterr().out.splitlines()[1:]
+            return {line.split()[0]: line.split(" of ")[-1].split("  ")[1:] for line in lines}
+
+        assert marks(pairs) == {
+            "sessions_per_s": ["gain holds"],  # 10 of 10, 20 apart against a 4.5 IQR
+            "session_p50_s": ["unresolved"],  # a 0.01 IQR on a 0.015 median, runs overlap
+            "setup_s": [],                     # 9 of 10, but 0.001 apart against a 0.045 IQR
+            "peak_rss_mb": ["gain holds"]}     # IQR past its bound, yet every run better
+        assert marks(pairs[:9])["sessions_per_s"] == []  # fewer than 10 pairs claim nothing

@@ -9,13 +9,13 @@ with medians, mirroring the experiment methodology.
 import math
 import statistics
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dafstream.channel import ChannelModel
-from dafstream.harness import (SessionCodec, delay_to_frames, run_session,
-                               session_slopes)
+from dafstream.harness import SessionCodec, delay_to_frames, run_session, sweep
 from dafstream.protocol import (GOLDEN_BYTES, GOLDEN_HEADER, DafHeader,
                                 decode_header, encode_header)
 from dafstream.sampling import (asp_from_matrix, optimize_per_frame,
@@ -28,6 +28,11 @@ from oracles import (direct_asp_from_slopes, in_time_oracle, iter_coded_packets,
                      perframe_grid_oracle, slope_grid_oracle)
 
 SEEDS = range(20)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Fig. 12/13-analog grids: delay sweep at C=0.85, rate sweep at 1.5 s.
+TREND_MODES = ("DAF", "DAF-L", "S-LT", "Block", "Expand")
 
 
 def foreman_like():
@@ -126,8 +131,9 @@ def test_criterion_04_mass_conservation():
             optimize_slopes(trace, W).asp(),
             optimize_per_frame(trace, W).asp(),
         ]
-        for prof in profiles:
-            worst = max(worst, abs(prof.total_mass() - windows))
+        for prof in profiles:  # sum of s(t) * P(t)
+            mass = float(np.dot(prof.packets_per_frame, prof.values))
+            worst = max(worst, abs(mass - windows))
     assert worst <= 1e-9
     print(f"ACCEPTANCE 04 mass conservation: PASS (worst gap {worst:.2e})")
 
@@ -152,12 +158,9 @@ def test_criterion_06_session_determinism():
     trace = constant_trace(600, 7 * 1024, frame_rate=30, payload_bytes=1024)
     params = derive_params(trace, "DAF", 30, code_rate=0.42)
     assert params.total_coded == 10_000
-    slopes = session_slopes(trace, params)
-    schedule = build_schedule(params, trace, slopes=slopes)
     codec = SessionCodec(trace, params)
     checked = 0
-    for header, meta, _ in iter_coded_packets(trace, params, schedule,
-                                              codec=codec):
+    for header, meta, _ in iter_coded_packets(trace, params, codec=codec):
         rx_meta = codec.meta_from_header(decode_header(encode_header(header)))
         assert rx_meta.degree == meta.degree
         assert rx_meta.neighbors == meta.neighbors
@@ -192,8 +195,7 @@ def test_criterion_07_lossless_decode():
     assert m.fdr == 1.0, f"FDR {m.fdr:.4f} < 100%"
 
     schedule = build_schedule(params, trace)
-    equations = [meta.neighbors for _, meta, _ in
-                 iter_coded_packets(trace, params, schedule)]
+    equations = [meta.neighbors for _, meta, _ in iter_coded_packets(trace, params)]
     bound = in_time_oracle(trace, schedule, equations,
                            wcp_packets(params, trace))
     frame_of = np.repeat(np.arange(1, trace.num_frames + 1),
@@ -208,14 +210,19 @@ def test_criterion_07_lossless_decode():
           f"= ideal-decoder bound, {len(bound)} packets)")
 
 
-def test_criterion_08_scheme_ordering():
+@pytest.fixture(scope="module")
+def readme_point():
+    """Median (IDR, FDR) of every scheme at README's operating point (code
+    rate 0.74, 0.8 s delay, 10% loss, seeds 0..19), and the sweep's seconds."""
     start = time.monotonic()
-    trace = foreman_like()
-    channel = ChannelModel(kind="single", loss_rate=0.10)
-    results = {}
-    for mode in ("DAF", "DAF-L", "S-LT", "Block"):
-        results[mode] = median_metrics(trace, mode, 0.74, 0.8, channel)
-    elapsed = time.monotonic() - start
+    rows = sweep(foreman_like(), TREND_MODES, [0.74], [0.8],
+                 [ChannelModel(kind="single", loss_rate=0.10)], repetitions=len(SEEDS),
+                 base_seed=SEEDS[0])
+    return {r.mode: (r.idr, r.fdr) for r in rows}, time.monotonic() - start
+
+
+def test_criterion_08_scheme_ordering(readme_point):
+    results, elapsed = readme_point
     line = " ".join(f"{m}={results[m][0] * 100:.2f}%" for m in results)
     assert results["DAF"][0] > results["DAF-L"][0] > results["S-LT"][0] \
         > results["Block"][0], line
@@ -225,8 +232,24 @@ def test_criterion_08_scheme_ordering():
     print(f"ACCEPTANCE 08 scheme ordering: PASS ({line}, {elapsed:.0f}s)")
 
 
-# Fig. 12/13-analog grids: delay sweep at C=0.85, rate sweep at 1.5 s.
-TREND_MODES = ("DAF", "DAF-L", "S-LT", "Block", "Expand")
+def readme_results_table():
+    """{scheme: (IDR, FDR) cells} of README's results table, as printed."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("| scheme |"))
+    table = {}
+    for line in lines[first + 2:]:  # past the header and its rule
+        if not line.startswith("|"):
+            break
+        scheme, idr, fdr = (cell.strip() for cell in line.strip("|").split("|")[:3])
+        table[scheme] = (idr, fdr)
+    return table
+
+
+def test_readme_results_table_is_recomputed(readme_point):
+    results, _ = readme_point
+    printed = {mode: (f"{idr * 100:.2f}%", f"{fdr * 100:.2f}%")
+               for mode, (idr, fdr) in results.items()}
+    assert readme_results_table() == printed
 
 
 def test_criterion_09a_idr_non_decreasing_in_delay():

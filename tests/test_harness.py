@@ -1,7 +1,9 @@
 import gc
+import math
 import tracemalloc
 import weakref
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,11 +13,10 @@ from hypothesis import strategies as st
 from dafstream.channel import ChannelModel, transmit_many
 from dafstream.errors import ConfigError, ProtocolError
 from dafstream import harness, ltcode
-from dafstream.harness import (CSV_HEADER, Metrics, SessionCodec, delay_to_frames, report,
-                               rows_to_csv, run_session, session_blocks, session_plan,
-                               session_slopes, summarize, sweep)
+from dafstream.harness import (CSV_HEADER, Metrics, SessionCodec, delay_to_frames, rows_to_csv,
+                               run_session, session_blocks, session_plan, summarize, sweep)
 from dafstream.ltcode import DecoderState, InverseCdf, PeelingTables, xor_payloads
-from dafstream.protocol import (HEADER_LEN, DafHeader, decode_packet,
+from dafstream.protocol import (HEADER_LEN, DafHeader, datagram_records, decode_packet,
                                 encode_datagrams, encode_packet)
 from dafstream.trace import (burst_trace, constant_trace, packetize, random_trace,
                              sinusoidal_trace)
@@ -27,6 +28,38 @@ from oracles import (encode_block, header_rule_oracle, iter_coded_packets, minma
 
 def lossless():
     return ChannelModel(kind="single", loss_rate=0.0)
+
+
+def sweep_cell(delay_s, step_frames=1):
+    t = constant_trace(60, 6 * 1024, frame_rate=30)
+    return sweep(t, ["DAF-L"], [0.8], [0.4, delay_s], [lossless()], repetitions=1,
+                 step_frames=step_frames)
+
+
+def params_with(**kwargs):
+    kwargs = {"delay_frames": 24, "step_frames": 1, **kwargs}
+    return derive_params(constant_trace(60, 6 * 1024, frame_rate=30), "DAF-L", **kwargs)
+
+
+@pytest.mark.parametrize("case", [
+    lambda: params_with(data_rate=math.nan),
+    lambda: params_with(data_rate=math.inf),
+    lambda: params_with(code_rate=0.8, delay_frames=24.5),
+    lambda: params_with(code_rate=0.8, delay_frames=True),
+    lambda: params_with(code_rate=0.8, step_frames=True),
+    lambda: params_with(code_rate=0.8, step_frames=2.0),
+    lambda: sweep_cell(math.nan),
+    lambda: sweep_cell(math.inf),
+    lambda: sweep_cell(0.4, step_frames=True),
+], ids=["data-rate-nan", "data-rate-inf", "delay-float", "delay-bool", "step-bool",
+        "step-float", "sweep-delay-nan", "sweep-delay-inf", "sweep-step-bool"])
+def test_bad_numbers_are_config_errors_before_any_work(case, monkeypatch):
+    def no_session(*args, **kwargs):
+        raise AssertionError("a session ran")
+
+    monkeypatch.setattr(harness, "run_session", no_session)
+    with pytest.raises(ConfigError):
+        case()
 
 
 class TestMetrics:
@@ -103,11 +136,9 @@ class TestEncoderDecoderAgreement:
     def test_meta_reconstruction_round_trip(self):
         t = sinusoidal_trace(60, 6000, 3000, 20, frame_rate=30)
         p = derive_params(t, "DAF", 10, code_rate=0.8)
-        from dafstream.harness import session_slopes
-        sched = build_schedule(p, t, slopes=session_slopes(t, p))
         codec = SessionCodec(t, p)
         count = 0
-        for header, meta, _ in iter_coded_packets(t, p, sched, codec=codec):
+        for header, meta, _ in iter_coded_packets(t, p, codec=codec):
             rx = codec.meta_from_header(header)
             assert rx == meta
             count += 1
@@ -119,8 +150,6 @@ class TestEncoderDecoderAgreement:
         payloads = [rng.integers(0, 256, size=n, dtype=np.uint8).tobytes()
                     for n in t.frame_bytes]
         p = derive_params(t, "DAF", 10, code_rate=0.5)
-        from dafstream.harness import session_slopes
-        sched = build_schedule(p, t, slopes=session_slopes(t, p))
         buffer = packetize(t, payloads)
         wcp = wcp_packets(p, t)
         for q in wcp:
@@ -128,12 +157,11 @@ class TestEncoderDecoderAgreement:
         codec = SessionCodec(t, p)
         dec = DecoderState(PeelingTables(t.total_packets, codec.indptr, codec.neighbors, wcp),
                            payload_bytes=64)
-        for header, meta, payload in iter_coded_packets(t, p, sched,
-                                                        buffer=buffer, codec=codec):
+        decoded = []
+        for header, meta, payload in iter_coded_packets(t, p, buffer=buffer, codec=codec):
             h2, pl2 = decode_packet(encode_packet(header, payload.tobytes()))
             assert codec.meta_from_header(h2) == meta
-            dec.ingest(h2.packet_id, np.frombuffer(pl2, dtype=np.uint8))
-        decoded = dec.decoded_packets()
+            decoded += dec.ingest(h2.packet_id, np.frombuffer(pl2, dtype=np.uint8))
         assert len(decoded) > 0.9 * (t.total_packets - len(wcp))
         for q in decoded:
             assert np.array_equal(dec.decoded_payload(q), buffer[q - 1]), q
@@ -143,8 +171,7 @@ class TestDecoderSideCompositions:
     def test_receiver_csr_equals_sender_csr_on_lossy_relay(self, workloads):
         inp = workloads.build("relay-payload-300", workloads.DEFAULT_SEED)
         t, p = inp.trace, inp.cells[0].params
-        sched = build_schedule(p, t, slopes=session_slopes(t, p))
-        sender = SessionCodec(t, p, sched)
+        sender = SessionCodec(t, p)
         receiver = SessionCodec(t, p)  # its own schedule, tables and caches
         buffer = packetize(t, inp.payloads)
         N = p.total_coded
@@ -196,7 +223,8 @@ class TestSend:
                        else np.zeros((0, t.payload_bytes), dtype=np.uint8))
             want = encode_datagrams(sched.start_packet[entry[sent]],
                                     sched.window_packets[entry[sent]], sched.slope[entry[sent]],
-                                    pids[sent], t.payload_bytes, payload)
+                                    pids[sent], t.payload_bytes)
+            datagram_records(want, t.payload_bytes)["payload"] = payload
             assert codec.send(first, last, delivered, buffer) == want
 
     def test_a_block_is_held_once(self, relay):
@@ -302,10 +330,10 @@ class TestSessionPlan:
         peeling = plan.peeling
         for shared in (first.frame_deadline, plan.entry, plan.indptr, plan.neighbors,
                        plan.send_times, plan.packet_deadline, plan.real, peeling.indptr,
-                       peeling.neighbors, peeling.incidence, peeling.start, peeling.count,
-                       peeling.total, peeling.state):
+                       peeling.neighbors, peeling.state):
             with pytest.raises(ValueError, match="read-only"):
                 shared[1] = 0
+        assert isinstance(peeling.equations, tuple)
         assert isinstance(peeling.known, bytes)  # each decoder copies it
         first.decode_time[1] = -1.0  # each session's own
         assert second.decode_time[1] != -1.0
@@ -329,11 +357,12 @@ class TestPayloadRecovery:
         codec = SessionCodec(t, p)
         dec = DecoderState(PeelingTables(t.total_packets, codec.indptr, codec.neighbors, wcp),
                            payload_bytes=t.payload_bytes)
+        decoded = []
         for first, last in session_blocks(N, t.payload_bytes):
             if delivered[first - 1:last].any():
                 rx = codec.receive(codec.send(first, last, delivered, buffer))
-                dec.ingest_block(rx.packet_id, rx.payload)
-        decoded = dec.decoded_packets()
+                decoded += dec.ingest_block(rx.packet_id, rx.payload)[0].tolist()
+        decoded.sort()
         result = run_session(t, p, inp.channel, seed, payloads=inp.payloads)
         assert decoded == np.flatnonzero(np.isfinite(result.decode_time)).tolist()
         assert len(decoded) > 0.5 * (t.total_packets - len(wcp))
@@ -468,7 +497,8 @@ class TestWindowTables:
         slopes = np.random.default_rng(step).uniform(-1, 1, size=count)
         slopes[::4] = 0.0
         slopes[1::7] = 1.0
-        codec = SessionCodec(t, p, build_schedule(p, t, slopes=slopes))
+        with mock.patch.object(harness, "session_slopes", return_value=slopes):
+            codec = SessionCodec(t, p)
         s = t.packets_per_frame
         sched = codec.schedule
         for index, (first, end, start_packet, wsize, slope, (start, table, _)) in enumerate(
@@ -491,8 +521,9 @@ class TestWindowTables:
         t = random_trace(60, 1, 9, seed=3, payload_bytes=64)
         p = derive_params(t, "S-LT", 24, code_rate=0.7)
         slopes = np.full(len(build_schedule(p, t).start_frame), 0.5)
-        with pytest.raises(ValueError, match="step boundar"):
-            SessionCodec(t, p, build_schedule(p, t, slopes=slopes))
+        with mock.patch.object(harness, "session_slopes", return_value=slopes), \
+                pytest.raises(ValueError, match="step boundar"):
+            SessionCodec(t, p)
 
 
 class TestHostileHeaders:
@@ -698,11 +729,3 @@ class TestSweep:
         rows = sweep(t, ["Block"], [1.0], [0.4], [ch], repetitions=3)
         text = summarize(rows)
         assert "N/A" in text
-
-    def test_report_writes_csv(self, tmp_path):
-        t = constant_trace(60, 6 * 1024, frame_rate=30)
-        rows = sweep(t, ["DAF-L"], [0.8], [0.4], [lossless()], repetitions=1)
-        out = tmp_path / "rows.csv"
-        csv_text, summary = report(rows, csv_path=out)
-        assert out.read_text() == csv_text
-        assert "DAF-L" in summary

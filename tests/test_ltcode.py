@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from dafstream import ltcode
 from dafstream.errors import ProtocolError
 from dafstream.harness import SessionCodec
-from dafstream.ltcode import (DecoderState, DegreeDistribution, InverseCdf,
-                              PeelingTables, degree_tables, draw, draw_batch, robust_soliton,
-                              xor_payload, xor_payloads)
+from dafstream.ltcode import (DecoderState, InverseCdf, PeelingTables, degree_tables, draw,
+                              draw_batch, robust_soliton, xor_payload, xor_payloads)
 from dafstream.prng import PACKET_SEED_SALT, XorShift64Star
 from dafstream.protocol import HEADER_LEN, MAX_PACKET_ID, datagram_records
 from dafstream.windowing import build_schedule
@@ -23,14 +22,18 @@ from oracles import (degree_cdf, draw_oracle, packet_rng, peeling_oracle, robust
                      slope_pdf, uniform_cdf, window_tables, xor_payloads_oracle)
 
 
-def degree_one_dist(window):
-    return DegreeDistribution(window_packets=window, pmf=(1.0,) + (0.0,) * (window - 1))
+def degree_one_table(window):
+    return InverseCdf(np.ones(window))  # the CDF of pmf (1, 0, ..., 0)
+
+
+def mean_degree(pmf):
+    return sum((d + 1) * p for d, p in enumerate(pmf))
 
 
 class TestRobustSoliton:
     def test_single_packet_window(self):
-        dist = robust_soliton(1)
-        assert dist.pmf == (1.0,)
+        assert robust_soliton(1).keys.tolist() == [1 << 53]  # degree 1 always
+        assert robust_soliton_oracle(1).tolist() == [1.0]
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -39,8 +42,7 @@ class TestRobustSoliton:
     def test_normalization_and_spike(self):
         k, c, delta = 10, 0.4, 0.02  # PROTOCOL.md's constants
         assert (ltcode.SOLITON_C, ltcode.SOLITON_DELTA) == (c, delta)
-        dist = robust_soliton(k)
-        pmf = np.array(dist.pmf)
+        pmf = robust_soliton_oracle(k)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(pmf >= 0)
         ripple = c * math.log(k / delta) * math.sqrt(k)
@@ -57,23 +59,22 @@ class TestRobustSoliton:
         assert pmf[spike - 1] > pmf[spike]  # the spike sticks out
 
     def test_mean_degree_grows_like_log(self):
-        means = [robust_soliton(k).mean_degree() for k in (10, 100, 1000)]
+        means = [mean_degree(robust_soliton_oracle(k)) for k in (10, 100, 1000)]
         assert means[0] < means[1] < means[2]
         for k, m in zip((10, 100, 1000), means):
             bound = math.log(k / 0.02)
             assert 0.2 * bound < m < 1.2 * bound
 
     def test_empirical_degree_mean_matches_analytic(self):
-        dist = robust_soliton(64)
-        cdf = uniform_cdf(64)
+        pmf, cdf = robust_soliton_oracle(64), uniform_cdf(64)
         n = 20_000
         indptr, _ = draw_batch(np.arange(1, n + 1), np.zeros(n, dtype=np.intp),
-                               [(1, InverseCdf(cdf), dist.table)])
+                               [(1, InverseCdf(cdf), robust_soliton(64))])
         sample_mean = int(indptr[-1]) / n
         # crude 4-sigma band using the analytic second moment
-        second = sum((d + 1) ** 2 * p for d, p in enumerate(dist.pmf))
-        sigma = math.sqrt((second - dist.mean_degree() ** 2) / n)
-        assert abs(sample_mean - dist.mean_degree()) < 4 * sigma
+        second = sum((d + 1) ** 2 * p for d, p in enumerate(pmf))
+        sigma = math.sqrt((second - mean_degree(pmf) ** 2) / n)
+        assert abs(sample_mean - mean_degree(pmf)) < 4 * sigma
 
 
 def soliton_keys(k):
@@ -87,11 +88,8 @@ class TestDegreeTables:
         sizes = [*range(1, 2001), 65_535]
         tables = degree_tables(sizes)
         for k, table in zip(sizes, tables):
-            pmf = robust_soliton_oracle(k)
-            dist = robust_soliton.__wrapped__(k)  # uncached: 2,001 pmf tuples are large
-            assert np.array(dist.pmf).tobytes() == pmf.tobytes(), k
-            keys = soliton_keys(k)
-            assert keys.tobytes() == table.keys.tobytes() == dist.table.keys.tobytes(), k
+            one = robust_soliton.__wrapped__(k)  # uncached: 2,001 tables are large
+            assert soliton_keys(k).tobytes() == table.keys.tobytes() == one.keys.tobytes(), k
 
     def test_window_sizes_of_every_bench_cell(self, workloads):
         for name in workloads.SPECS:
@@ -104,7 +102,7 @@ class TestDegreeTables:
     def test_any_order_with_repeats(self):
         sizes = [400, 3, 17, 3, 1, 400, 2]
         for k, table in zip(sizes, degree_tables(sizes)):
-            assert table.keys.tobytes() == robust_soliton(k).table.keys.tobytes()
+            assert table.keys.tobytes() == robust_soliton(k).keys.tobytes()
         assert degree_tables([]) == []
 
     def test_invalid_size(self):
@@ -138,24 +136,24 @@ class TestPacketGenerator:
 
 class TestDraw:
     def test_identical_inputs_identical_outputs(self):
-        dist = robust_soliton(24)
+        degrees = robust_soliton(24)
         cdf = uniform_cdf(24)
         for pid in (1, 7, 123456):
-            a = draw(pid, 10, cdf, dist)
-            b = draw(pid, 10, cdf, dist)
+            a = draw(pid, 10, cdf, degrees)
+            b = draw(pid, 10, cdf, degrees)
             assert a == b
 
     def test_single_packet_window_clamps(self):
-        dist = robust_soliton(17)  # table larger than the window
-        meta = draw(5, 42, uniform_cdf(1), dist)
+        degrees = robust_soliton(17)  # table larger than the window
+        meta = draw(5, 42, uniform_cdf(1), degrees)
         assert meta.degree == 1
         assert meta.neighbors == (42,)
 
     def test_meta_invariants(self):
-        dist = robust_soliton(30)
+        degrees = robust_soliton(30)
         cdf = uniform_cdf(30)
         for pid in range(1, 300):
-            meta = draw(pid, 100, cdf, dist)
+            meta = draw(pid, 100, cdf, degrees)
             assert meta.degree == len(meta.neighbors)
             assert len(set(meta.neighbors)) == meta.degree
             assert all(100 <= n <= 129 for n in meta.neighbors)
@@ -163,10 +161,9 @@ class TestDraw:
 
     def test_uniform_neighbor_frequencies(self):
         w, n = 16, 100_000
-        dist = degree_one_dist(w)
         cdf = uniform_cdf(w)
         _, neighbors = draw_batch(np.arange(1, n + 1), np.zeros(n, dtype=np.intp),
-                                  [(1, InverseCdf(cdf), dist.table)])
+                                  [(1, InverseCdf(cdf), degree_one_table(w))])
         counts = np.bincount(neighbors - 1, minlength=w)
         p = 1.0 / w
         bound = 3 * math.sqrt(n * p * (1 - p))
@@ -175,19 +172,19 @@ class TestDraw:
     def test_nonuniform_pdf_respected(self):
         # packet 1 gets 90% of the mass; it must dominate the draws
         cdf = [0.9, 1.0]
-        dist = degree_one_dist(2)
-        hits = sum(draw(pid, 1, cdf, dist).neighbors[0] == 1
+        degrees = degree_one_table(2)
+        hits = sum(draw(pid, 1, cdf, degrees).neighbors[0] == 1
                    for pid in range(1, 2001))
         assert hits > 1650
 
 
 class TestInverseCdf:
-    # the float sum of robust_soliton(3)'s pmf is 1 - 2**-53, so its last
+    # the float sum of the 3-packet robust-soliton pmf is 1 - 2**-53, so its last
     # scaled key would be 2**53 - 1, which the largest deviate passes
     K = 3
 
     def test_last_entry_counts_as_one(self):
-        cdf = np.cumsum(robust_soliton(self.K).pmf)
+        cdf = np.cumsum(robust_soliton_oracle(self.K))
         assert cdf[-1] < 1.0
         table = InverseCdf(cdf)
         assert np.searchsorted(table.keys, np.uint64(2**53 - 1), side="right") == self.K - 1
@@ -195,8 +192,8 @@ class TestInverseCdf:
         assert int(table.keys[-1]) == 2**53
 
     def test_padded_rows_end_at_their_size(self):
-        short = np.cumsum(robust_soliton(self.K).pmf)
-        cdf = np.array([[*short, 1.5, 2.0], np.cumsum(robust_soliton(5).pmf)])
+        short = np.cumsum(robust_soliton_oracle(self.K))
+        cdf = np.array([[*short, 1.5, 2.0], np.cumsum(robust_soliton_oracle(5))])
         tables = InverseCdf.rows(cdf, np.array([self.K, 5]))
         assert [len(t) for t in tables] == [self.K, 5]
         for table, size in zip(tables, (self.K, 5)):
@@ -210,13 +207,13 @@ def slope_cdf(counts, slope):
 
 
 def assert_matches_oracle(packet_ids, window_of, windows):
-    """`windows` holds (start packet, window CDF array, DegreeDistribution)."""
-    tables = [(start, InverseCdf(cdf), dist.table) for start, cdf, dist in windows]
+    """`windows` holds (start packet, window CDF array, degree table size)."""
+    tables = [(start, InverseCdf(cdf), robust_soliton(size)) for start, cdf, size in windows]
     indptr, neighbors = draw_batch(packet_ids, window_of, tables)
     assert len(indptr) == len(packet_ids) + 1
     for i, (pid, w) in enumerate(zip(packet_ids, window_of)):
-        start, cdf, dist = windows[w]
-        want = draw_oracle(int(pid), start, cdf.tolist(), degree_cdf(dist))
+        start, cdf, size = windows[w]
+        want = draw_oracle(int(pid), start, cdf.tolist(), degree_cdf(size))
         got = neighbors[indptr[i]:indptr[i + 1]]
         assert (int(indptr[i + 1] - indptr[i]), tuple(got.tolist())) == want, pid
     return indptr, neighbors
@@ -234,7 +231,7 @@ def batches(data):
         counts = np.diff([0, *sorted(cuts), wsize])
         slope = data(st.one_of(st.sampled_from([-1.0, 0.0, 1.0]),
                                st.floats(-1.0, 1.0, width=32)))
-        degree = robust_soliton(data(st.sampled_from([wsize, wsize + 7, 400])))
+        degree = data(st.sampled_from([wsize, wsize + 7, 400]))
         windows.append((data(st.integers(1, 1 << 31)), slope_cdf(counts, slope), degree))
     n = data(st.integers(1, 1100))
     rng = np.random.default_rng(data(st.integers(0, 2**32 - 1)))
@@ -254,14 +251,14 @@ class TestDrawBatch:
         # degrees from a 400-packet table, windows of 3 packets
         indptr, neighbors = assert_matches_oracle(
             np.arange(1, 3001), np.zeros(3000, dtype=np.intp),
-            [(10, uniform_cdf(3), robust_soliton(400))])
+            [(10, uniform_cdf(3), 400)])
         full = np.flatnonzero(np.diff(indptr) == 3)
         assert len(full) > 0
         for i in full[:20]:
             assert neighbors[indptr[i]:indptr[i + 1]].tolist() == [10, 11, 12]
 
     def test_gapped_ids_span_passes_and_windows(self):
-        windows = [(1 + 50 * w, slope_cdf([20, 30, 50], s), robust_soliton(100))
+        windows = [(1 + 50 * w, slope_cdf([20, 30, 50], s), 100)
                    for w, s in enumerate((-1.0, 0.0, 0.37, 1.0))]
         pids = np.arange(1, 7000, 3)  # 2,333 packets: two passes by count
         assert_matches_oracle(pids, pids % 4, windows)
@@ -269,15 +266,15 @@ class TestDrawBatch:
     def test_more_windows_than_one_joined_search_holds(self):
         # 2,100 distinct windows in one batch; a pass must touch fewer than 2,047
         sizes = [1 + w % 9 for w in range(2100)]
-        windows = [(1 + 3 * w, uniform_cdf(n), robust_soliton(n)) for w, n in enumerate(sizes)]
+        windows = [(1 + 3 * w, uniform_cdf(n), n) for w, n in enumerate(sizes)]
         pids = np.arange(1, 4201)
         assert_matches_oracle(pids, (pids * 11) % 2100, windows)
 
     def test_pass_memory_is_bounded_by_cells(self):
         # 2,000 packets of one 60,000-packet window: the chosen-neighbor bitmaps
         # of one 2,000-packet pass alone would be 120 MB
-        cdf, degrees = uniform_cdf(60_000), robust_soliton(4)
-        windows = [(1, InverseCdf(cdf), degrees.table)]
+        cdf = uniform_cdf(60_000)
+        windows = [(1, InverseCdf(cdf), robust_soliton(4))]
         tracemalloc.start()
         try:
             indptr, neighbors = draw_batch(np.arange(1, 2001), np.zeros(2000, dtype=np.intp),
@@ -289,11 +286,10 @@ class TestDrawBatch:
         assert len(indptr) == 2001 and np.all(np.diff(indptr) >= 1)
         for pid in (1, 1000, 2000):
             got = neighbors[indptr[pid - 1]:indptr[pid]].tolist()
-            assert (len(got), tuple(got)) == draw_oracle(pid, 1, cdf.tolist(),
-                                                         degree_cdf(degrees))
+            assert (len(got), tuple(got)) == draw_oracle(pid, 1, cdf.tolist(), degree_cdf(4))
 
     def test_same_packet_same_neighbors_in_any_batch(self):
-        windows = [(1, InverseCdf(uniform_cdf(40)), robust_soliton(40).table)]
+        windows = [(1, InverseCdf(uniform_cdf(40)), robust_soliton(40))]
         whole = draw_batch(np.arange(1, 1001), np.zeros(1000, dtype=np.intp), windows)
         alone = draw_batch([500], [0], windows)
         assert whole[1][whole[0][499]:whole[0][500]].tolist() == alone[1].tolist()
@@ -358,7 +354,7 @@ class TestXor:
         # a session block of each size (harness.session_blocks), drawn from
         # one 300-packet window, sent into its datagrams' payload fields
         k = 300
-        windows = [(1, InverseCdf(uniform_cdf(k)), robust_soliton(k).table)]
+        windows = [(1, InverseCdf(uniform_cdf(k)), robust_soliton(k))]
         indptr, neighbors = draw_batch(np.arange(1, n + 1), np.zeros(n, dtype=np.intp), windows)
         buf = np.random.default_rng(n).integers(0, 256, size=(k, P), dtype=np.uint8)
         out = datagram_records(bytearray(n * (HEADER_LEN + P)), P)["payload"]
@@ -418,14 +414,13 @@ class TestXor:
 
     def test_session_round_trip_reencodes_identically(self):
         buf = self.make_buffer(k=5, P=16, seed=3)
-        dist = robust_soliton(5)
+        degrees = robust_soliton(5)
         cdf = uniform_cdf(5)
-        metas = [draw(pid, 1, cdf, dist) for pid in range(1, 16)]
+        metas = [draw(pid, 1, cdf, degrees) for pid in range(1, 16)]
         payloads = [xor_payload(m.neighbors, buf) for m in metas]
         dec = decoder(5, [m.neighbors for m in metas], payload_bytes=16)
-        for m, pl in zip(metas, payloads):
-            dec.ingest(m.packet_id, pl)
-        assert dec.decoded_packets() == [1, 2, 3, 4, 5]
+        released = [n for m, pl in zip(metas, payloads) for n in dec.ingest(m.packet_id, pl)]
+        assert sorted(released) == [1, 2, 3, 4, 5]
         recovered = np.vstack([dec.decoded_payload(p) for p in range(1, 6)])
         assert np.array_equal(recovered, buf)
         for m, pl in zip(metas, payloads):
@@ -440,33 +435,31 @@ def decoder(k, compositions, pseudo=(), payload_bytes=None):
     return DecoderState(PeelingTables(k, indptr, neighbors, pseudo), payload_bytes)
 
 
-def assert_equations_and_state_match_incidence(tables):
-    """equations[n] is native n's incidence slice, and each row's packed
-    state reads (not arrived, count, total)."""
-    inc, start = tables.incidence.tolist(), tables.start.tolist()
-    assert len(tables.equations) == tables.total_packets + 1
-    for n, eqs in enumerate(tables.equations):
-        assert isinstance(eqs, tuple) and list(eqs) == inc[start[n]:start[n + 1]], n
+def assert_tables_match_compositions(tables, compositions, pseudo=()):
+    """equations[n] lists the rows holding native n, ascending (none for
+    padding), and each row's packed state reads (not arrived, count, sum) of
+    its non-padding neighbors in `compositions`."""
+    rows = [[n for n in c if n not in pseudo] for c in compositions]
+    holding = [[] for _ in range(tables.total_packets + 1)]
+    for i, row in enumerate(rows):
+        for n in row:
+            holding[n].append(i)
+    assert tables.equations == tuple(tuple(h) for h in holding)
     one, arrive = tables.one, tables.arrive
     state = tables.state.tolist()
     assert tables.state.dtype == np.int64
     assert all(v >= arrive for v in state)
-    assert [(v - arrive) // one for v in state] == tables.count.tolist()
-    assert [(v - arrive) % one for v in state] == tables.total.tolist()
+    assert [(v - arrive) // one for v in state] == [len(r) for r in rows]
+    assert [(v - arrive) % one for v in state] == [sum(r) for r in rows]
 
 
 class TestPeelingTables:
     def test_incidence_counts_and_sums_leave_padding_out(self):
         # equations (rows) 0..3 over natives 1..5, with 2 and 4 padding
         tables = PeelingTables(5, [0, 2, 2, 5, 6], [1, 2, 1, 3, 4, 5], pseudo_decoded=(2, 4))
-        got = {n: tables.incidence[tables.start[n]:tables.start[n + 1]].tolist()
-               for n in range(1, 6)}
-        assert got == {1: [0, 2], 2: [], 3: [2], 4: [], 5: [3]}
-        assert tables.count.tolist() == [1, 0, 2, 1]
-        assert tables.total.tolist() == [1, 0, 4, 5]
+        assert tables.equations == ((), (0, 2), (), (2,), (), (3,))
         assert tables.known == bytes([0, 0, 1, 0, 1, 0])
-        assert tables.incidence.dtype == np.int32
-        assert_equations_and_state_match_incidence(tables)
+        assert_tables_match_compositions(tables, [[1, 2], [], [1, 3, 4], [5]], pseudo=(2, 4))
 
     def test_each_natives_equations_ascend_on_wide_sessions(self):
         # k past 16 bits sorts on uint32, below on uint16; both stay stable
@@ -476,14 +469,7 @@ class TestPeelingTables:
                     for _ in range(2_000)]
             indptr = np.concatenate(([0], np.cumsum([len(s) for s in sets])))
             tables = PeelingTables(k, indptr, np.concatenate(sets))
-            want = {}
-            for i, s in enumerate(sets):
-                for n in s.tolist():
-                    want.setdefault(n, []).append(i)
-            inc, start = tables.incidence.tolist(), tables.start.tolist()
-            assert {n: inc[start[n]:start[n + 1]] for n in range(1, k + 1)
-                    if start[n] < start[n + 1]} == want
-            assert_equations_and_state_match_incidence(tables)
+            assert_tables_match_compositions(tables, [s.tolist() for s in sets])
 
     def test_state_widths(self):
         # ONE is the power of two above the largest sum, ARRIVE the one above
@@ -505,7 +491,7 @@ class TestDecoderState:
     def test_degree_one_release(self):
         dec = decoder(4, [[2]])
         assert dec.ingest(1) == [2]
-        assert dec.is_decoded(2)
+        assert dec.decoded_payload(2) is None  # decoded, and no payloads held
 
     def test_pair_resolves_in_either_order(self):
         for order in ([1, 2], [2, 1]):
@@ -522,7 +508,9 @@ class TestDecoderState:
         assert dec.ingest(1) == [1]
         assert dec.ingest(1) == []
         released, by = dec.ingest_block([2, 2, 1])
-        assert released.tolist() == [] and not dec.is_decoded(2)
+        assert released.tolist() == []
+        with pytest.raises(KeyError):
+            dec.decoded_payload(2)
 
     def test_out_of_range_packet_id_rejected_before_recording(self):
         dec = decoder(4, [[2], [3]], payload_bytes=2)
@@ -533,7 +521,9 @@ class TestDecoderState:
                      np.zeros(4, np.uint8)):
             with pytest.raises(ProtocolError, match="payload row"):
                 dec.ingest_block([1, 2], rows)
-        assert not dec.is_decoded(2) and not dec.is_decoded(3)
+        for n in (2, 3):
+            with pytest.raises(KeyError):
+                dec.decoded_payload(n)
         # neither PacketID was recorded, so their valid copies still count
         released, by = dec.ingest_block([1, 2], np.array([[5, 6], [7, 8]], np.uint8))
         assert released.tolist() == [2, 3] and by.tolist() == [0, 1]
@@ -553,8 +543,8 @@ class TestDecoderState:
                 assert dec.decoded_payload(n).tolist() == x[n].tolist()
 
     def test_decoders_sharing_tables_stay_apart(self):
-        dist, cdf = robust_soliton(12), uniform_cdf(12)
-        compositions = [draw(pid, 1, cdf, dist).neighbors for pid in range(1, 25)]
+        degrees, cdf = robust_soliton(12), uniform_cdf(12)
+        compositions = [draw(pid, 1, cdf, degrees).neighbors for pid in range(1, 25)]
         buffer = np.random.default_rng(4).integers(0, 256, size=(13, 3), dtype=np.uint8)
         buffer[6] = 0  # padding
         payload = np.array([np.bitwise_xor.reduce(buffer[list(c)], axis=0) for c in compositions])
@@ -570,7 +560,7 @@ class TestDecoderState:
             return [feed(dec, b) for b in blocks], dec
 
         a_want, a_dec = alone(a_blocks)
-        b_want, b_dec = alone(b_blocks)
+        b_want, _ = alone(b_blocks)
         tables = a_dec.tables
         state, equations = tables.state.copy(), tables.equations
         a, b = DecoderState(tables, 3), DecoderState(tables, 3)
@@ -581,9 +571,8 @@ class TestDecoderState:
             if i < len(a_blocks):
                 a_got.append(feed(a, a_blocks[i]))
         assert a_got == a_want and b_got == b_want
-        for dec, want in ((a, a_dec), (b, b_dec)):
-            assert dec.decoded_packets() == want.decoded_packets()
-            for n in dec.decoded_packets():
+        for dec, got in ((a, a_got), (b, b_got)):
+            for n in (n for block in got for n in block[0]):
                 assert dec.decoded_payload(n).tolist() == buffer[n].tolist()
         assert np.array_equal(tables.state, state) and tables.equations == equations
 
@@ -594,27 +583,23 @@ class TestDecoderState:
         assert dec.ingest(3) == []
 
     def test_order_insensitive_for_fixed_set(self):
-        dist = robust_soliton(12)
+        degrees = robust_soliton(12)
         cdf = uniform_cdf(12)
-        compositions = [draw(pid, 1, cdf, dist).neighbors for pid in range(1, 19)]
+        compositions = [draw(pid, 1, cdf, degrees).neighbors for pid in range(1, 19)]
         pids = list(range(1, 19))
         reference = None
         rng = random.Random(5)
         for _ in range(8):
             rng.shuffle(pids)
             dec = decoder(12, compositions)
-            for pid in pids:
-                dec.ingest(pid)
-            decoded = tuple(dec.decoded_packets())
+            decoded = tuple(sorted(n for pid in pids for n in dec.ingest(pid)))
             if reference is None:
                 reference = decoded
             assert decoded == reference
 
     def test_pseudo_decoded_excluded_from_results(self):
         dec = decoder(6, [[1, 2, 5]], pseudo=(1, 2), payload_bytes=4)
-        assert dec.is_decoded(1)
-        assert dec.decoded_packets() == []
-        # padding packets count as known zeros when stripping
+        # padding packets count as known zeros when stripping, and are not released
         got = dec.ingest(1, np.array([9, 9, 9, 9], dtype=np.uint8))
         assert got == [5]
         assert np.array_equal(dec.decoded_payload(5),
@@ -649,8 +634,8 @@ class TestDecoderState:
         for i, c in enumerate(compositions):
             rows[i] = np.bitwise_xor.reduce(buf[c], axis=0)
         dec = decoder(k, compositions, pseudo=(4,), payload_bytes=P)
-        dec.ingest_block(np.arange(1, len(compositions) + 1), rows)
-        assert dec.decoded_packets() == [1, 2, 3, 5, 6]
+        released, _ = dec.ingest_block(np.arange(1, len(compositions) + 1), rows)
+        assert sorted(released.tolist()) == [1, 2, 3, 5, 6]
         for n in range(1, k + 1):
             assert np.array_equal(dec.decoded_payload(n), buf[n]), n
 
@@ -672,17 +657,15 @@ class TestDecoderState:
     def test_monte_carlo_no_loss_baseline(self):
         # frozen floor from a 1000-trial oracle run (full-decode rate 0.474,
         # mean decoded fraction 0.845 at k=16, N=24)
-        dist = robust_soliton(16)
+        degrees = robust_soliton(16)
         cdf = uniform_cdf(16)
         full = 0
         fraction = 0.0
         trials = 300
         for trial in range(trials):
             base = trial * 1000 + 1
-            dec = decoder(16, [draw(base + i, 1, cdf, dist).neighbors for i in range(24)])
-            for pid in range(1, 25):
-                dec.ingest(pid)
-            done = len(dec.decoded_packets())
+            dec = decoder(16, [draw(base + i, 1, cdf, degrees).neighbors for i in range(24)])
+            done = sum(len(dec.ingest(pid)) for pid in range(1, 25))
             full += done == 16
             fraction += done / 16
         assert full / trials >= 0.40
@@ -778,13 +761,15 @@ class TestCounterDecoderAgainstOracle:
         assert per_packet == want
         assert order == [n for got in want for n in got]
         assert len(set(order)) == len(order)  # no packet released twice
-        released = sorted(n for got in want for n in got)
-        assert by_packet.decoded_packets() == by_block.decoded_packets() == released
+        released = sorted(order)
         if payload_bytes is not None:
             assert sorted(payloads) == released
         for n in range(1, k + 1):
-            assert by_block.is_decoded(n) == (n in pseudo or any(n in got for got in want))
-            if by_block.is_decoded(n) and payload_bytes is not None:
+            if n not in pseudo and n not in released:
+                for dec in (by_block, by_packet):
+                    with pytest.raises(KeyError):
+                        dec.decoded_payload(n)
+            elif payload_bytes is not None:
                 assert np.array_equal(by_block.decoded_payload(n), buffer[n])
                 assert np.array_equal(by_packet.decoded_payload(n), buffer[n])
 

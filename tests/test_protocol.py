@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dafstream.errors import ProtocolError
 from dafstream.harness import session_slopes
 from dafstream.protocol import (GOLDEN_BYTES, GOLDEN_HEADER, HEADER_DTYPE, HEADER_LEN,
-                                DafHeader, decode_datagrams, decode_header,
+                                DafHeader, datagram_records, decode_datagrams, decode_header,
                                 decode_packet, encode_datagrams, encode_header,
                                 encode_packet, to_f32)
 from dafstream.windowing import build_schedule
@@ -141,10 +141,17 @@ def sample_rows(n=40, P=8, seed=0):
             rng.integers(0, 256, size=(n, P), dtype=np.uint8))
 
 
+def with_payloads(start, wsize, slope, pid, P, payload):
+    """encode_datagrams, then the payload rows written through datagram_records."""
+    data = encode_datagrams(start, wsize, slope, pid, P)
+    datagram_records(data, P)["payload"] = payload
+    return data
+
+
 class TestDatagrams:
     def test_bytes_equal_packet_by_packet_encoding(self):
         start, wsize, slope, pid, payload = sample_rows()
-        data = encode_datagrams(start, wsize, slope, pid, 8, payload)
+        data = with_payloads(start, wsize, slope, pid, 8, payload)
         expected = b"".join(
             struct_datagram(int(a), int(w), struct_f32(s), int(p), 8, row.tobytes())
             for a, w, s, p, row in zip(start, wsize, slope, pid, payload))
@@ -155,7 +162,7 @@ class TestDatagrams:
 
     def test_round_trip(self):
         start, wsize, slope, pid, payload = sample_rows(P=5)
-        rx = decode_datagrams(encode_datagrams(start, wsize, slope, pid, 5, payload), 5)
+        rx = decode_datagrams(with_payloads(start, wsize, slope, pid, 5, payload), 5)
         assert rx.start_packet.tolist() == start.tolist()
         assert rx.window_packets.tolist() == wsize.tolist()
         assert rx.slope_factor.tolist() == [struct_f32(x) for x in slope]
@@ -219,5 +226,5 @@ class TestUntrustedBytes:
             return
         # what decodes is in range and encodes back to the same bytes
         assert rx.payload.shape == (len(data) // (HEADER_LEN + P), P)
-        assert bytes(encode_datagrams(rx.start_packet, rx.window_packets, rx.slope_factor,
-                                      rx.packet_id, P, rx.payload)) == data
+        assert bytes(with_payloads(rx.start_packet, rx.window_packets, rx.slope_factor,
+                                   rx.packet_id, P, rx.payload)) == data

@@ -14,32 +14,42 @@ def make_csv(rows, header="frame,bytes,type"):
     return header + "\n" + "\n".join(rows) + "\n"
 
 
+@pytest.fixture
+def trace_file(tmp_path):
+    """A function writing CSV text to a file and returning its path."""
+    def write(text):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        return path
+    return write
+
+
 class TestLoadTrace:
-    def test_ceil_arithmetic(self):
-        csv = make_csv(["1,1024,I", "2,2048,P", "3,100,P"])
-        t = load_trace(csv, payload_bytes=1024)
+    def test_ceil_arithmetic(self, trace_file):
+        path = trace_file(make_csv(["1,1024,I", "2,2048,P", "3,100,P"]))
+        t = load_trace(path, payload_bytes=1024)
         assert t.packets_per_frame == (1, 2, 1)
         assert t.total_packets == 4
 
-    def test_malformed_row_reports_line(self):
-        csv = make_csv(["1,1024,I", "2,abc,P"])
+    def test_malformed_row_reports_line(self, trace_file):
+        path = trace_file(make_csv(["1,1024,I", "2,abc,P"]))
         with pytest.raises(TraceParseError, match="line 3"):
-            load_trace(csv, payload_bytes=1024)
+            load_trace(path, payload_bytes=1024)
 
-    def test_empty_trace(self):
+    def test_empty_trace(self, trace_file):
         with pytest.raises(TraceParseError, match="empty"):
-            load_trace("", payload_bytes=1024)
+            load_trace(trace_file(""), payload_bytes=1024)
         with pytest.raises(TraceParseError, match="no frames"):
-            load_trace("frame,bytes,type\n", payload_bytes=1024)
+            load_trace(trace_file("frame,bytes,type\n"), payload_bytes=1024)
 
-    def test_non_monotone_frame_numbers(self):
-        csv = make_csv(["1,100,I", "3,100,P"])
+    def test_non_monotone_frame_numbers(self, trace_file):
+        path = trace_file(make_csv(["1,100,I", "3,100,P"]))
         with pytest.raises(TraceParseError, match="ascend"):
-            load_trace(csv, payload_bytes=1024)
+            load_trace(path, payload_bytes=1024)
 
-    def test_bad_header(self):
+    def test_bad_header(self, trace_file):
         with pytest.raises(TraceParseError, match="header"):
-            load_trace("no,such,header\n1,2,3\n", payload_bytes=1024)
+            load_trace(trace_file("no,such,header\n1,2,3\n"), payload_bytes=1024)
 
     def test_total_matches_independent_summation(self, tmp_path):
         # foreman-like file; k recomputed by summing the file directly
@@ -53,8 +63,8 @@ class TestLoadTrace:
         assert t.num_frames == 300
         assert t.total_packets == expected_k
 
-    def test_zero_byte_frame_still_gets_one_packet(self):
-        t = load_trace(make_csv(["1,0,P"]), payload_bytes=1024)
+    def test_zero_byte_frame_still_gets_one_packet(self, trace_file):
+        t = load_trace(trace_file(make_csv(["1,0,P"])), payload_bytes=1024)
         assert t.packets_per_frame == (1,)
 
     def test_path_with_comma_is_a_path(self, tmp_path):

@@ -17,7 +17,11 @@ interquartile distance and the number of pairs the change won (by the
 metric's "better" direction in BENCHMARK.json), over the pairs whose two
 runs both ended correct. A metric whose change median is worse than the base
 median by more than its "bound" in BENCHMARK.json is marked "worse past its
-bound". It exits 1 if any run fails or ends `"correct": false`.
+bound"; one whose base quartile distance is wider than its bound is marked
+"unresolved", unless every change run is better than every base run; and one
+the change won in at least 9 of every 10 pairs, over at least 10 pairs, with
+medians further apart than the base's quartile distance, is marked "gain
+holds". It exits 1 if any run fails or ends `"correct": false`.
 """
 
 from __future__ import annotations
@@ -92,8 +96,11 @@ def summarize(pairs: list[dict], spec: list[dict]) -> list[dict]:
     and the pairs in which the change was better by the metric's "better"
     direction. A printed row is marked when the change median is worse than
     the base median by more than the metric's "bound" (a share of the base
-    median), if it has one. A pair with a failed or incorrect run on either
-    side is skipped."""
+    median), if it has one; when the base's quartile distance is wider than
+    that bound and the two sides' runs overlap ("unresolved"); and when the
+    change won at least 9/10 of at least 10 pairs by a median gain wider than
+    the base's quartile distance ("gain holds"). A pair with a failed or
+    incorrect run on either side is skipped."""
     good = [p for p in pairs if p["base"]["correct"] and p["change"]["correct"]]
     if len(good) < len(pairs):
         print(f"  {len(pairs) - len(good)} of {len(pairs)} pairs skipped: a run failed")
@@ -115,9 +122,19 @@ def summarize(pairs: list[dict], spec: list[dict]) -> list[dict]:
         rows.append(row)
         worse = -row["relative"] if higher else row["relative"]
         bound = m.get("bound")
-        mark = f"  worse past its bound {bound:.1%}" if bound is not None and worse > bound else ""
+        marks = []
+        if bound is not None and worse > bound:
+            marks.append(f"worse past its bound {bound:.1%}")
+        bases, changes = [b for b, _ in got], [c for _, c in got]
+        apart = min(changes) > max(bases) if higher else max(changes) < min(bases)
+        if bound is not None and row["base_iqr"] > bound * abs(base) and not apart:
+            marks.append("unresolved")
+        gain = change - base if higher else base - change
+        if len(got) >= 10 and row["wins"] >= 0.9 * len(got) and gain > row["base_iqr"]:
+            marks.append("gain holds")
         print(f"  {name:<16} {base:>12.6g} {change:>14.6g} {row['relative']:>+11.2%} "
-              f"{row['base_iqr']:>10.3g} {row['wins']:>6} of {len(got)}{mark}")
+              f"{row['base_iqr']:>10.3g} {row['wins']:>6} of {len(got)}"
+              + "".join(f"  {mark}" for mark in marks))
     return rows
 
 
