@@ -8,11 +8,15 @@ is a SessionCodec, built by the first session on a CodingParams object and
 kept on it. Each session then runs in blocks of consecutive coded packets
 whose datagrams fit in BLOCK_BYTES (session_blocks): the delivered ones
 cross the wire as datagram bytes, the receiver checks every header, and the
-decoder peels the block's PacketIDs in order on the codec's tables.
-A block's bytes are freed before the next block is sent. A native
-packet decoded by the send time of the last coded packet of the last window
-covering its frame counts as in-time; decoded ever, toward the file ratio.
-Warm-up/cool-down padding is excluded from both.
+decoder peels the block's PacketIDs in order on the codec's tables. The
+codec writes the 15-byte header of every PacketID once; a block's headers
+are copied from those bytes, and a received header equal to its PacketID's
+is accepted without decoding its fields. Every block of a session is
+written into a prefix of one datagram buffer, as long as the most
+datagrams any block delivers. A native packet decoded by the send time of
+the last coded packet of the last window covering its frame counts as
+in-time; decoded ever, toward the file ratio. Warm-up/cool-down padding is
+excluded from both.
 """
 
 from __future__ import annotations
@@ -25,14 +29,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelModel, transmit_many
+from .channel import ChannelModel, check_integer, transmit_many
 from .errors import ConfigError, ProtocolError
 # draw, xor_payload, encode_packet and decode_packet are looked up here by
 # the per-layer tracer in bench/tracer.py; sessions use their batch forms.
 from .ltcode import (CodedPacketMeta, DecoderState, InverseCdf, PeelingTables,
                      degree_tables, draw, draw_batch, xor_payload, xor_payloads)
-from .protocol import (HEADER_LEN, DafHeader, Datagrams, datagram_records, decode_datagrams,
-                       decode_packet, encode_datagrams, encode_packet)
+from .protocol import (HEADER_DTYPE, HEADER_LEN, DafHeader, Datagrams, _write_headers,
+                       datagram_records, decode_datagrams, decode_packet, encode_packet,
+                       header_words)
 from .sampling import SamplingPlan, optimize_slopes, slope_density
 from .trace import VideoTrace, downsample, packetize
 from .windowing import CodingParams, Mode, build_schedule, derive_params, wcp_packets
@@ -63,7 +68,8 @@ class SessionCodec:
     once, when it is built, as CSR arrays `indptr` and `neighbors` (row
     PacketID - 1), and keeps no window table after that draw. It also holds
     the peeling tables, the padding packets (`wcp`, and `real` marking the
-    others), the send times, the frame deadlines and each packet's deadline;
+    others), the send times, the frame deadlines, each packet's deadline and
+    `headers`, the 15 wire bytes of every packet's header (row PacketID - 1);
     only the channel's delivery mask and the decode depend on the seed. Its
     arrays are read-only, since SessionResults share them, and it keeps no
     reference to the params.
@@ -92,6 +98,11 @@ class SessionCodec:
         self.peeling = PeelingTables(k, self.indptr, self.neighbors, self.wcp)
         self.real = np.frombuffer(self.peeling.known, dtype=np.uint8)[1:] == 0
         self.send_times = pids * interval
+        # every header checked and packed once, by the one header writer
+        head, entry = np.zeros(self.total_coded, dtype=HEADER_DTYPE), self.entry
+        _write_headers(head, schedule.start_packet[entry], schedule.window_packets[entry],
+                       schedule.slope[entry], pids, trace.payload_bytes)
+        self.headers = head.view(np.uint8).reshape(self.total_coded, HEADER_LEN)
         # a padding frame no window touches (entry 0) takes the last entry's
         # deadline; derive_params rejects a schedule leaving any other frame out
         last = schedule.last_covering_entry(T)[1:] - 1
@@ -100,8 +111,12 @@ class SessionCodec:
         self.packet_deadline = self.frame_deadline[np.repeat(np.arange(1, T + 1),
                                                              trace.packets_per_frame)]
         for a in (self.entry, self.indptr, self.neighbors, self.real, self.send_times,
-                  self.frame_deadline, self.packet_deadline):
+                  self.headers, self.frame_deadline, self.packet_deadline):
             a.flags.writeable = False
+        # what receive compares: the rows of `headers` and the received
+        # datagrams, as header words
+        self._header_words = self.headers.reshape(-1).view(header_words(HEADER_LEN))
+        self._datagram_words = header_words(HEADER_LEN + trace.payload_bytes)
         self.config = {
             "mode": params.mode.value,
             "window_frames": params.window_frames,
@@ -167,34 +182,55 @@ class SessionCodec:
     # -- encoder ----------------------------------------------------------
 
     def send(self, first: int, last: int, delivered: np.ndarray,
-             buffer: np.ndarray | None = None) -> bytearray:
+             buffer: np.ndarray | None = None, out=None) -> bytearray | memoryview:
         """Datagram bytes of the packets among first..last that the channel
         delivers (`delivered` is the session's per-packet mask).
 
-        With a payload buffer, each packet's XOR is written straight into
-        its datagram's payload bytes; without one, the payloads are zeros.
+        The bytes are a new bytearray, or with `out` (a writable buffer of
+        enough bytes) a memoryview of its prefix. Headers are copied from
+        `headers`. With a payload buffer, each packet's XOR is written
+        straight into its datagram's payload bytes; without one they are not
+        written, so they stay as they were: zeros in a new bytearray.
         """
-        sched = self.schedule
         pids = first + np.flatnonzero(delivered[first - 1:last])
-        entry = self.entry[pids - 1]
-        size = self.trace.payload_bytes
-        data = encode_datagrams(sched.start_packet[entry], sched.window_packets[entry],
-                                sched.slope[entry], pids, size)
+        size = HEADER_LEN + self.trace.payload_bytes
+        data = bytearray(len(pids) * size) if out is None else memoryview(out)[:len(pids) * size]
+        rows = np.frombuffer(data, dtype=np.uint8).reshape(len(pids), size)
+        # every PacketID is in 1..N, so "clip" clips nothing and writes unbuffered
+        np.take(self.headers, pids - 1, axis=0, out=rows[:, :HEADER_LEN], mode="clip")
         if buffer is not None:  # the CSR rows of pids
             lo = self.indptr[pids - 1]
             degree = self.indptr[pids] - lo
             indptr = np.zeros(len(pids) + 1, dtype=np.int64)
             np.cumsum(degree, out=indptr[1:])
             neighbors = self.neighbors[np.arange(indptr[-1]) + np.repeat(lo - indptr[:-1], degree)]
-            xor_payloads(indptr, neighbors, buffer, out=datagram_records(data, size)["payload"])
+            xor_payloads(indptr, neighbors, buffer, out=rows[:, HEADER_LEN:])
         return data
 
     # -- decoder ----------------------------------------------------------
 
     def receive(self, data) -> Datagrams:
         """Decode datagram bytes and check every header; the decoder reads
-        the packets' compositions from the codec by their PacketIDs."""
-        rx = decode_datagrams(data, self.trace.payload_bytes)
+        the packets' compositions from the codec by their PacketIDs.
+
+        A header whose 15 bytes equal its PacketID's row of `headers` is
+        one the full checks accept, so its fields are taken from the
+        schedule. If any header differs, every header is decoded and checked
+        (decode_datagrams, check_headers), which accept it or raise
+        ProtocolError with their own message.
+        """
+        P = self.trace.payload_bytes
+        rec = datagram_records(data, P)
+        got = np.frombuffer(data, dtype=self._datagram_words)
+        pid = (got["id"] & 0xFFFFFF).astype(np.int64)
+        # a row of `headers` holds its own PacketID, so an ID outside 1..N,
+        # clipped to row 1 or N, never equals its row
+        want = self._header_words.take(pid - 1, mode="clip")
+        if np.array_equal(want["lo"], got["lo"]) and np.array_equal(want["hi"], got["hi"]):
+            sched, entry = self.schedule, self.entry[pid - 1]
+            return Datagrams(sched.start_packet[entry], sched.window_packets[entry],
+                             sched.slope[entry], pid, P, rec["payload"])
+        rx = decode_datagrams(data, P)
         self.check_headers(rx.start_packet, rx.window_packets, rx.slope_factor, rx.packet_id,
                            rx.payload_bytes)
         return rx
@@ -326,16 +362,20 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
                            payload_bytes=trace.payload_bytes if buffer is not None else None)
     decode_time = np.full(k + 1, np.inf)
 
-    for first, last in session_blocks(N, trace.payload_bytes):
+    blocks = list(session_blocks(N, trace.payload_bytes))
+    # every block's datagrams are written into a prefix of this one buffer,
+    # whose payload bytes stay zero without payloads, as nothing writes them
+    most = max(int(np.count_nonzero(delivered[first - 1:last])) for first, last in blocks)
+    wire = bytearray(most * (HEADER_LEN + trace.payload_bytes))
+    for first, last in blocks:
         if not delivered[first - 1:last].any():
             continue
         # an honest trip through the wire format: only bytes cross
-        data = codec.send(first, last, delivered, buffer)
+        data = codec.send(first, last, delivered, buffer, out=wire)
         rx = codec.receive(data)
         released, by = decoder.ingest_block(rx.packet_id,
                                             rx.payload if buffer is not None else None)
         decode_time[released] = codec.send_times[rx.packet_id[by] - 1]
-        del data, rx  # rx views data; free both before the next send
 
     dt = decode_time[1:]
     decoded = np.isfinite(dt)
@@ -369,32 +409,37 @@ def delay_to_frames(delay_s: float, frame_rate: float) -> int:
 def sweep(trace: VideoTrace, modes, code_rates, delays_s, channels,
           repetitions: int = 20, base_seed: int = 0,
           step_frames: int = 1) -> list[SweepRow]:
-    """Median IDR/FDR per (mode, code rate, delay, channel) grid cell."""
-    # every delay, and the first and last session seeds, checked before any work
-    delays = [(d, delay_to_frames(d, trace.frame_rate)) for d in delays_s]
-    cells = [(m, c, d, ch) for m in modes for c in code_rates
-             for d in delays for ch in channels]
-    if not cells:
-        raise ConfigError("empty sweep grid")
+    """Median IDR/FDR per (mode, code rate, delay, channel) grid cell.
+
+    The repetitions, every delay, every cell's params and the first and last
+    session seeds are checked before the first session runs. The channels
+    of one (mode, code rate, delay) share its params, and so its codec.
+    """
+    check_integer(repetitions, "repetitions per cell")
     if repetitions < 1:
         raise ConfigError(f"need at least one repetition per cell, got {repetitions}")
+    delays = [(d, delay_to_frames(d, trace.frame_rate)) for d in delays_s]
+    cells = [(m, c, d, derive_params(trace, m, delay, step_frames=step_frames, code_rate=c))
+             for m in modes for c in code_rates for d, delay in delays]
+    if not cells or not channels:
+        raise ConfigError("empty sweep grid")
     for ch in channels:
         for seed in (base_seed, base_seed + repetitions - 1):
             ch.for_session(seed)
     rows = []
-    for mode, code_rate, (delay_s, delay), ch in cells:
-        params = derive_params(trace, mode, delay, step_frames=step_frames,
-                               code_rate=code_rate)
-        idrs, fdrs = [], []
-        for rep in range(repetitions):
-            result = run_session(trace, params, ch, base_seed + rep)
-            m = result.metrics()
-            idrs.append(m.idr)
-            fdrs.append(m.fdr)
-        rows.append(SweepRow(mode=Mode.parse(mode).value, code_rate=code_rate,
-                             delay_s=delay_s, channel=ch.describe(),
-                             idr=statistics.median(idrs),
-                             fdr=statistics.median(fdrs)))
+    cells.reverse()
+    while cells:  # a cell's params, with the codec they keep, go once its sessions ran
+        mode, code_rate, delay_s, params = cells.pop()
+        for ch in channels:
+            idrs, fdrs = [], []
+            for rep in range(repetitions):
+                m = run_session(trace, params, ch, base_seed + rep).metrics()
+                idrs.append(m.idr)
+                fdrs.append(m.fdr)
+            rows.append(SweepRow(mode=Mode.parse(mode).value, code_rate=code_rate,
+                                 delay_s=delay_s, channel=ch.describe(),
+                                 idr=statistics.median(idrs),
+                                 fdr=statistics.median(fdrs)))
     return rows
 
 

@@ -449,7 +449,7 @@ class DecoderState:
     def ingest(self, packet_id: int, payload: np.ndarray | None = None) -> list[int]:
         """Absorb one coded packet, a block of one of ingest_block; returns
         every native packet it released, sorted."""
-        rows = None if payload is None else np.asarray(payload, dtype=np.uint8)[None]
+        rows = None if payload is None else np.asarray(payload)[None]
         return self.ingest_block([packet_id], rows)[0].tolist()
 
     def ingest_block(self, packet_ids, rows=None):
@@ -458,24 +458,31 @@ class DecoderState:
         Packet i has PacketID packet_ids[i] and, if the decoder holds
         payloads, the payload rows[i] (otherwise rows is not read); its
         composition is the tables'. Repeated PacketIDs and packets carrying
-        no new information are ignored. A PacketID outside 1..N, or payload
-        rows that are not one of the decoder's size per packet, raise
-        ProtocolError before any PacketID of the block is recorded.
+        no new information are ignored. A PacketID that is not an integer in
+        1..N, or payload rows that are not one uint8 row of the decoder's
+        size per packet, raise ProtocolError before any PacketID of the
+        block is recorded.
 
         Returns (released, by): every native packet released, in decode
         order and sorted within each packet, and the block index of the
         packet whose arrival released it.
         """
         tables = self.tables
-        ids = np.asarray(packet_ids, dtype=np.int64)
+        ids = np.asarray(packet_ids)
         N = tables.total_coded
-        if ids.ndim != 1 or (len(ids) and (ids.min() < 1 or ids.max() > N)):
+        if ids.ndim != 1 or (len(ids) and ids.dtype.kind not in "iu"):  # no float or bool
+            raise ProtocolError(f"PacketIDs need a list of integers, not {ids.dtype} "
+                                f"of shape {ids.shape}")
+        if len(ids) and (ids.min() < 1 or ids.max() > N):
             raise ProtocolError(f"a PacketID outside the session's 1..{N}")
+        ids = ids.astype(np.int64)
         values = self._values
         if values is not None:
-            rows = None if rows is None else np.asarray(rows, dtype=np.uint8)
-            if rows is None or rows.shape != (len(ids), self.payload_bytes):
-                raise ProtocolError(f"need one {self.payload_bytes}-byte payload row per packet")
+            rows = None if rows is None else np.asarray(rows)
+            if rows is None or rows.dtype != np.uint8 or rows.shape != (len(ids),
+                                                                        self.payload_bytes):
+                raise ProtocolError(f"need one {self.payload_bytes}-byte uint8 payload row "
+                                    f"per packet")
             ptr, nbrs = memoryview(tables.indptr), memoryview(tables.neighbors)
 
         one, arrive, equations = tables.one, tables.arrive, tables.equations

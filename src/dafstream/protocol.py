@@ -96,6 +96,16 @@ def _write_headers(head, start_packet, window_packets, slope_factor, packet_id, 
     head["payload_bytes"] = payload_bytes
 
 
+def header_words(itemsize: int) -> np.dtype:
+    """Records of `itemsize` bytes that each start with a header, read as
+    two overlapping little-endian words, "lo" (bytes 0-7) and "hi" (bytes
+    7-14), which two headers share exactly when all 15 bytes are equal, and
+    "id" (bytes 9-12), whose low 24 bits are the PacketID. Nothing is
+    checked."""
+    return np.dtype({"names": ["lo", "hi", "id"], "formats": ["<u8", "<u8", ">u4"],
+                     "offsets": [0, 7, 9], "itemsize": itemsize})
+
+
 def _read_headers(head):
     """The checked fields of HEADER_DTYPE records, as arrays: StartP, WSize,
     SlopeF, PacketID and P."""

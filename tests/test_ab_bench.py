@@ -1,5 +1,7 @@
 import importlib.util
+import json
 import math
+import statistics
 from pathlib import Path
 
 import pytest
@@ -101,3 +103,46 @@ class TestSummarize:
             "setup_s": [],                     # 9 of 10, but 0.001 apart against a 0.045 IQR
             "peak_rss_mb": ["gain holds"]}     # IQR past its bound, yet every run better
         assert marks(pairs[:9])["sessions_per_s"] == []  # fewer than 10 pairs claim nothing
+
+
+class TestOut:
+    @pytest.fixture
+    def fake_runs(self, ab_bench, monkeypatch):
+        """main with no git archive and no bench run: each side's runs give
+        canned metrics (the change 10% faster), counted in `calls`."""
+        calls = []
+
+        def run_bench(tree, workload, seconds, seed):
+            calls.append((tree.name, workload))
+            p50 = 0.010 if tree.name == "base" else 0.009
+            return run(session_p50_s=p50 + 0.0001 * len(calls), sessions_per_s=1 / p50)
+
+        monkeypatch.chdir(TOOL.parents[1])
+        monkeypatch.setattr(ab_bench, "same_benchmark", lambda root, ref: None)
+        monkeypatch.setattr(ab_bench, "extract", lambda root, ref, into: into.mkdir())
+        monkeypatch.setattr(ab_bench, "run_bench", run_bench)
+        return calls
+
+    def test_out_holds_every_run_and_the_summary_rows(self, ab_bench, fake_runs, tmp_path,
+                                                      capsys):
+        out = tmp_path / "ab.json"
+        code = ab_bench.main(["--workload", "readme-300", "--pairs", "2", "--seconds", "1",
+                              "--workdir", str(tmp_path), "--out", str(out)])
+        assert code == 0 and len(fake_runs) == 4
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert (report["base"], report["seconds"], report["seed"]) == ("HEAD", 1.0, 0)
+        pairs = report["workloads"]["readme-300"]["pairs"]
+        assert [sorted(p) for p in pairs] == [["base", "change"]] * 2
+        assert pairs[0]["base"]["metrics"]["session_p50_s"]["value"] == pytest.approx(0.0101)
+        summary = {r["metric"]: r for r in report["workloads"]["readme-300"]["summary"]}
+        assert sorted(summary) == ["session_p50_s", "sessions_per_s"]
+        p50 = summary["session_p50_s"]
+        assert p50["wins"] == 2 and p50["pairs"] == 2
+        assert p50["base"] == pytest.approx(statistics.median([0.0101, 0.0104]))
+        assert "session_p50_s" in capsys.readouterr().out  # still printed as before
+
+    def test_out_in_a_missing_directory_is_refused_before_any_run(self, ab_bench, fake_runs,
+                                                                  tmp_path):
+        with pytest.raises(SystemExit) as exit_:
+            ab_bench.main(["--pairs", "1", "--out", str(tmp_path / "no" / "ab.json")])
+        assert exit_.value.code == 2 and fake_runs == []

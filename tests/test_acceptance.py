@@ -7,6 +7,7 @@ with medians, mirroring the experiment methodology.
 """
 
 import math
+import re
 import statistics
 import time
 from pathlib import Path
@@ -252,18 +253,25 @@ def test_readme_results_table_is_recomputed(readme_point):
     assert readme_results_table() == printed
 
 
-def test_criterion_09a_idr_non_decreasing_in_delay():
+@pytest.fixture(scope="module")
+def delay_sweep():
+    """Median (IDR, FDR) per scheme at code rate 0.85 and 10% loss, at each
+    of 09a's delays (0.5, 1.0, 1.5 and 1.83 s), seeds 0..19."""
+    trace = foreman_like()
+    channel = ChannelModel(kind="single", loss_rate=0.10)
+    return {mode: [median_metrics(trace, mode, 0.85, d, channel)
+                   for d in (0.5, 1.0, 1.5, 1.83)]
+            for mode in TREND_MODES}
+
+
+def test_criterion_09a_idr_non_decreasing_in_delay(delay_sweep):
     # Block is held to IDR == FDR and to DAF's lead, not to monotonicity. At
     # C=0.85 with 10% loss a block receives about 0.9/0.85 = 1.06 times its
     # size, less than the LT code needs, so only blocks in the troughs of the
     # trace decode; a longer delay means fewer, larger blocks that average
     # the troughs away (median blocks decoded 16/50, 6/20, 4/15, 5/12), and
     # nothing in the design makes that trade monotone.
-    trace = foreman_like()
-    channel = ChannelModel(kind="single", loss_rate=0.10)
-    medians = {mode: [median_metrics(trace, mode, 0.85, d, channel)
-                      for d in (0.5, 1.0, 1.5, 1.83)]
-               for mode in TREND_MODES}
+    medians = delay_sweep
     idrs = {mode: [idr for idr, _ in vals] for mode, vals in medians.items()}
     lines = {mode: f"{mode}: " + " ".join(f"{v * 100:.2f}" for v in vals)
              for mode, vals in idrs.items()}
@@ -274,6 +282,28 @@ def test_criterion_09a_idr_non_decreasing_in_delay():
     assert all(daf > block for daf, block in zip(idrs["DAF"], idrs["Block"])), \
         lines["DAF"] + "; " + lines["Block"]
     print("ACCEPTANCE 09a IDR vs delay: PASS (" + " | ".join(lines.values()) + ")")
+
+
+def readme_known_deviations():
+    """README "Known deviations": the Block IDR column of the delay table
+    and DAF's IDR at the same delays, as printed."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Known deviations"):]
+    lines = section.splitlines()
+    first = next(i for i, line in enumerate(lines) if line.strip().startswith("| delay |"))
+    block = []
+    for line in lines[first + 2:]:  # past the header and its rule
+        if not line.strip().startswith("|"):
+            break
+        block.append(line.strip().strip("|").split("|")[-1].strip())
+    daf = re.search(r"\(DAF ([\d.]+), ([\d.]+),\s+([\d.]+), ([\d.]+)%\)", section)
+    return block, [f"{v}%" for v in daf.groups()]
+
+
+def test_readme_known_deviations_are_recomputed(delay_sweep):
+    block, daf = readme_known_deviations()
+    assert block == [f"{idr * 100:.2f}%" for idr, _ in delay_sweep["Block"]]
+    assert daf == [f"{idr * 100:.2f}%" for idr, _ in delay_sweep["DAF"]]
 
 
 def test_criterion_09b_idr_non_increasing_in_code_rate():

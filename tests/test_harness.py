@@ -16,8 +16,8 @@ from dafstream import harness, ltcode
 from dafstream.harness import (CSV_HEADER, Metrics, SessionCodec, delay_to_frames, rows_to_csv,
                                run_session, session_blocks, session_plan, summarize, sweep)
 from dafstream.ltcode import DecoderState, InverseCdf, PeelingTables, xor_payloads
-from dafstream.protocol import (HEADER_LEN, DafHeader, datagram_records, decode_packet,
-                                encode_datagrams, encode_packet)
+from dafstream.protocol import (HEADER_LEN, DafHeader, datagram_records, decode_datagrams,
+                                decode_packet, encode_datagrams, encode_packet)
 from dafstream.trace import (burst_trace, constant_trace, packetize, random_trace,
                              sinusoidal_trace)
 from dafstream.windowing import build_schedule, derive_params, wcp_packets
@@ -36,6 +36,11 @@ def sweep_cell(delay_s, step_frames=1):
                  step_frames=step_frames)
 
 
+def sweep_reps(repetitions):
+    t = constant_trace(60, 6 * 1024, frame_rate=30)
+    return sweep(t, ["DAF-L"], [0.8], [0.4], [lossless()], repetitions=repetitions)
+
+
 def params_with(**kwargs):
     kwargs = {"delay_frames": 24, "step_frames": 1, **kwargs}
     return derive_params(constant_trace(60, 6 * 1024, frame_rate=30), "DAF-L", **kwargs)
@@ -51,8 +56,13 @@ def params_with(**kwargs):
     lambda: sweep_cell(math.nan),
     lambda: sweep_cell(math.inf),
     lambda: sweep_cell(0.4, step_frames=True),
+    lambda: sweep_cell(0.05),  # the second cell's delay is 1 frame, infeasible
+    lambda: sweep_reps(True),
+    lambda: sweep_reps("3"),
+    lambda: sweep_reps(2.0),
 ], ids=["data-rate-nan", "data-rate-inf", "delay-float", "delay-bool", "step-bool",
-        "step-float", "sweep-delay-nan", "sweep-delay-inf", "sweep-step-bool"])
+        "step-float", "sweep-delay-nan", "sweep-delay-inf", "sweep-step-bool",
+        "sweep-later-cell-infeasible", "sweep-reps-bool", "sweep-reps-str", "sweep-reps-float"])
 def test_bad_numbers_are_config_errors_before_any_work(case, monkeypatch):
     def no_session(*args, **kwargs):
         raise AssertionError("a session ran")
@@ -195,6 +205,22 @@ class TestDecoderSideCompositions:
         assert checked == int(delivered.sum())
 
 
+def sent_by_oracle(codec, windows, buffer, delivered, first, last):
+    """What send wrote before it read the plan: draw, XOR (zeros without a
+    payload buffer), then encode every header field by field."""
+    t, sched = codec.trace, codec.schedule
+    pids, entry, indptr, neighbors = encode_block(codec, windows, first, last)
+    sent = np.flatnonzero(delivered[first - 1:last])
+    want = encode_datagrams(sched.start_packet[entry[sent]], sched.window_packets[entry[sent]],
+                            sched.slope[entry[sent]], pids[sent], t.payload_bytes)
+    if buffer is not None and len(sent):
+        rows = [neighbors[indptr[i]:indptr[i + 1]] for i in sent]
+        sent_indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows])))
+        datagram_records(want, t.payload_bytes)["payload"] = xor_payloads(
+            sent_indptr, np.concatenate(rows), buffer)
+    return want
+
+
 class TestSend:
     @pytest.fixture(scope="class")
     def relay(self, workloads):
@@ -207,25 +233,48 @@ class TestSend:
         return codec, packetize(t, inp.payloads), delivered, window_tables(codec, p.step_frames)
 
     def test_datagrams_equal_drawing_and_xoring_each_block(self, relay):
-        # what send wrote before it read the plan: draw, XOR, then encode
         codec, buffer, delivered, windows = relay
         t, N = codec.trace, codec.total_coded
         delivered = delivered.copy()
         delivered[:next(session_blocks(N, t.payload_bytes))[1]] = True  # one whole block
         assert 0.2 < delivered.mean() < 0.9
-        sched = codec.schedule
         for first, last in session_blocks(N, t.payload_bytes):
-            pids, entry, indptr, neighbors = encode_block(codec, windows, first, last)
-            sent = np.flatnonzero(delivered[first - 1:last])
-            rows = [neighbors[indptr[i]:indptr[i + 1]] for i in sent]
-            sent_indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows])))
-            payload = (xor_payloads(sent_indptr, np.concatenate(rows), buffer) if rows
-                       else np.zeros((0, t.payload_bytes), dtype=np.uint8))
-            want = encode_datagrams(sched.start_packet[entry[sent]],
-                                    sched.window_packets[entry[sent]], sched.slope[entry[sent]],
-                                    pids[sent], t.payload_bytes)
-            datagram_records(want, t.payload_bytes)["payload"] = payload
+            want = sent_by_oracle(codec, windows, buffer, delivered, first, last)
             assert codec.send(first, last, delivered, buffer) == want
+            assert codec.send(first, last, delivered) == sent_by_oracle(
+                codec, windows, None, delivered, first, last)
+
+    @pytest.mark.parametrize("name", ["readme-300", "relay-payload-300"])
+    def test_sessions_reuse_one_buffer_and_send_the_oracles_bytes(self, workloads, name,
+                                                                   monkeypatch):
+        # every block of a session is written into a prefix of one buffer;
+        # without payloads its payload bytes stay zero, with them every
+        # delivered row is overwritten, short last block included
+        inp = workloads.build(name, workloads.DEFAULT_SEED)
+        cell = inp.cells[0]
+        codec = session_plan(inp.trace, cell.params)
+        windows = window_tables(codec, cell.params.step_frames)
+        P = inp.trace.payload_bytes
+        buffer = None if inp.payloads is None else packetize(inp.trace, inp.payloads)
+        if buffer is not None:
+            buffer[~codec.real] = 0
+        sent, send = [], SessionCodec.send
+
+        def recorded(self, first, last, delivered, payloads=None, out=None):
+            data = send(self, first, last, delivered, payloads, out)
+            sent.append((first, last, delivered, bytes(data), data.obj))
+            return data
+        monkeypatch.setattr(SessionCodec, "send", recorded)
+        for seed in (0, 1):
+            sent.clear()
+            run_session(inp.trace, cell.params, inp.channel, seed, payloads=inp.payloads)
+            assert [s[:2] for s in sent] == list(session_blocks(codec.total_coded, P))
+            assert len({id(s[4]) for s in sent}) == 1  # one buffer for the whole session
+            assert len(sent[-1][3]) < len(sent[0][3])  # a short last block
+            for first, last, delivered, data, _ in sent:
+                assert data == sent_by_oracle(codec, windows, buffer, delivered, first, last)
+                if buffer is None:
+                    assert not datagram_records(data, P)["payload"].any()
 
     def test_a_block_is_held_once(self, relay):
         # the XOR goes straight into the datagrams; no (n, P) copy is made
@@ -329,7 +378,8 @@ class TestSessionPlan:
         plan = session_plan(t, p)
         peeling = plan.peeling
         for shared in (first.frame_deadline, plan.entry, plan.indptr, plan.neighbors,
-                       plan.send_times, plan.packet_deadline, plan.real, peeling.indptr,
+                       plan.send_times, plan.headers, plan.packet_deadline, plan.real,
+                       peeling.indptr,
                        peeling.neighbors, peeling.state):
             with pytest.raises(ValueError, match="read-only"):
                 shared[1] = 0
@@ -637,6 +687,100 @@ class TestHostileHeaders:
                                      rx.packet_id.tolist()):
             row = codec.neighbors[codec.indptr[pid - 1]:codec.indptr[pid]]
             assert len(row) and np.all((start <= row) & (row < start + wsize))
+
+
+def full_checks(codec, data):
+    """receive before it compared bytes: decode every header, then check it."""
+    rx = decode_datagrams(data, codec.trace.payload_bytes)
+    codec.check_headers(rx.start_packet, rx.window_packets, rx.slope_factor, rx.packet_id,
+                        rx.payload_bytes)
+    return rx
+
+
+def outcome(check, *args):
+    """check's result, or the message of the ProtocolError it raised."""
+    try:
+        return check(*args)
+    except ProtocolError as error:
+        return str(error)
+
+
+class TestReceive:
+    """receive accepts a header by comparing its bytes with the codec's
+    record of that PacketID, and falls back on the full checks."""
+
+    @pytest.fixture(scope="class", params=[("readme-300", "DAF"), ("readme-300", "DAF-L"),
+                                           ("relay-payload-300", "DAF")])
+    def codec(self, request, workloads):
+        name, mode = request.param
+        inp = workloads.build(name, workloads.DEFAULT_SEED)
+        return session_plan(inp.trace, next(c.params for c in inp.cells if c.mode == mode))
+
+    @pytest.mark.parametrize("name", ["readme-300", "relay-payload-300"])
+    def test_headers_are_the_encoders_bytes_and_read_only(self, workloads, name):
+        inp = workloads.build(name, workloads.DEFAULT_SEED)
+        P = inp.trace.payload_bytes
+        for cell in inp.cells:
+            codec = session_plan(inp.trace, cell.params)
+            s, N = codec.schedule, codec.total_coded
+            e = np.searchsorted(s.cum_sent, np.arange(1, N + 1))
+            want = encode_datagrams(s.start_packet[e], s.window_packets[e], s.slope[e],
+                                    np.arange(1, N + 1), P)
+            assert codec.headers.dtype == np.uint8 and codec.headers.shape == (N, HEADER_LEN)
+            assert np.array_equal(codec.headers,
+                                  np.frombuffer(want, np.uint8).reshape(N, -1)[:, :HEADER_LEN])
+            with pytest.raises(ValueError, match="read-only"):
+                codec.headers[0, 0] = 0
+
+    def test_honest_blocks_are_accepted_by_their_bytes(self, codec, monkeypatch):
+        N = codec.total_coded
+        delivered = np.random.default_rng(3).random(N) < 0.8
+        want = [full_checks(codec, codec.send(first, last, delivered))
+                for first, last in session_blocks(N, codec.trace.payload_bytes)]
+
+        def refuse(*args):
+            raise AssertionError("an honest header was decoded field by field")
+        monkeypatch.setattr(harness, "decode_datagrams", refuse)
+        for (first, last), rx in zip(session_blocks(N, codec.trace.payload_bytes), want):
+            got = codec.receive(codec.send(first, last, delivered))
+            for a, b in zip(got, rx):
+                assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
+            assert np.array_equal(np.signbit(got.slope_factor), np.signbit(rx.slope_factor))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_and_rejects_what_the_full_checks_do(self, codec, data):
+        # one to four honest datagrams, some header bytes overwritten (a
+        # byte, SlopeF -0.0, another P or another PacketID), then cut anywhere
+        P, N = codec.trace.payload_bytes, codec.total_coded
+        size = HEADER_LEN + P
+        n = data.draw(st.integers(1, 4))
+        first = data.draw(st.integers(1, N - n + 1))
+        wire = codec.send(first, first + n - 1, np.ones(N, dtype=bool))
+        for _ in range(data.draw(st.integers(0, 3))):
+            at = data.draw(st.integers(0, n - 1)) * size
+            kind = data.draw(st.sampled_from(["byte", "-0.0", "P", "PacketID"]))
+            if kind == "byte":
+                wire[at + data.draw(st.integers(0, HEADER_LEN - 1))] = data.draw(
+                    st.integers(0, 255))
+            elif kind == "-0.0":
+                wire[at + 6:at + 10] = b"\x80\0\0\0"
+            elif kind == "P":
+                wire[at + 13:at + 15] = data.draw(st.sampled_from(
+                    [P - 1, P + 1, 1, 0, 0xFFFF])).to_bytes(2, "big")
+            else:
+                pid = data.draw(st.sampled_from([0, 1, N, N + 1, (1 << 24) - 1, None]))
+                pid = data.draw(st.integers(1, N)) if pid is None else pid
+                wire[at + 10:at + 13] = pid.to_bytes(3, "big")
+        cut = data.draw(st.one_of(st.just(len(wire)), st.integers(0, len(wire))))
+        got, want = outcome(codec.receive, bytes(wire[:cut])), outcome(full_checks, codec,
+                                                                      bytes(wire[:cut]))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(got.slope_factor), np.signbit(want.slope_factor))
 
 
 class TestHeaderRule:

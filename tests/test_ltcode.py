@@ -529,6 +529,27 @@ class TestDecoderState:
         assert released.tolist() == [2, 3] and by.tolist() == [0, 1]
         assert dec.decoded_payload(3).tolist() == [7, 8]
 
+    def test_non_integer_ids_and_non_uint8_rows_rejected_before_recording(self):
+        # a float or bool PacketID would be cast to another packet's, and a
+        # row of other numbers cast, or overflow, into other bytes
+        dec = decoder(4, [[2], [3]], payload_bytes=2)
+        for bad in ([1.5], [1.0, 2.0], [True], np.array([1, 2], dtype=np.float64), ["1"]):
+            with pytest.raises(ProtocolError, match="PacketIDs need a list of integers"):
+                dec.ingest_block(bad, np.zeros((len(bad), 2), np.uint8))
+        for rows in (np.array([[5.0, 6.0], [7.0, 8.0]]), [[5, 6], [7, 8]], [[300, 6], [7, 8]],
+                     np.array([[5, 6], [7, 8]], dtype=np.int8)):
+            with pytest.raises(ProtocolError, match="uint8 payload row"):
+                dec.ingest_block([1, 2], rows)
+        with pytest.raises(ProtocolError, match="uint8 payload row"):
+            dec.ingest(1, np.array([5.0, 6.0]))
+        with pytest.raises(ProtocolError, match="PacketIDs need"):
+            decoder(4, [[2], [3]]).ingest(1.5)
+        # nothing was recorded: the valid block decodes both packets
+        released, by = dec.ingest_block(np.array([1, 2], dtype=np.uint32),
+                                        np.array([[5, 6], [7, 8]], np.uint8))
+        assert released.tolist() == [2, 3] and by.tolist() == [0, 1]
+        assert dec.decoded_payload(2).tolist() == [5, 6]
+
     def test_released_equation_repeated_later_changes_nothing(self):
         x = np.array([[0, 0], [1, 2], [3, 4], [5, 6]], np.uint8)  # row n is packet n
         compositions = [[1], [1, 2], [2, 3]]

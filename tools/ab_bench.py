@@ -21,7 +21,9 @@ bound"; one whose base quartile distance is wider than its bound is marked
 "unresolved", unless every change run is better than every base run; and one
 the change won in at least 9 of every 10 pairs, over at least 10 pairs, with
 medians further apart than the base's quartile distance, is marked "gain
-holds". It exits 1 if any run fails or ends `"correct": false`.
+holds". It exits 1 if any run fails or ends `"correct": false`. With `--out
+FILE` it also writes every run's result and each workload's summary rows
+to FILE as JSON.
 """
 
 from __future__ import annotations
@@ -152,15 +154,20 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--workdir", default=None,
                     help="directory for the base tree (default: the system temp directory)")
+    ap.add_argument("--out", default=None,
+                    help="also write every run and the summary rows to this JSON file")
     args = ap.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         ap.error("need --pairs >= 1 and --seconds > 0")
+    if args.out and not Path(args.out).resolve().parent.is_dir():
+        ap.error(f"--out {args.out}: no such directory")
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     problem = same_benchmark(root, args.base)
     if problem:
         sys.exit(f"ab_bench: {problem}")
 
     correct = True
+    report = {"base": args.base, "seconds": args.seconds, "seed": args.seed, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="ab_bench_", dir=args.workdir) as tmp:
         base_tree = Path(tmp) / "base"
         extract(root, args.base, base_tree)
@@ -180,7 +187,11 @@ def main(argv=None) -> int:
                     print(f"  pair {i + 1} {side:<6} correct={pair[side]['correct']} {values}",
                           flush=True)
                 pairs.append(pair)
-            summarize(pairs, bench["end_to_end"])
+            rows = summarize(pairs, bench["end_to_end"])
+            report["workloads"][workload] = {"pairs": pairs, "summary": rows}
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=1)  # a relative change from a 0 median is NaN
     if not correct:
         print("ab_bench: a run failed or was not correct", file=sys.stderr)
     return 0 if correct else 1
