@@ -33,6 +33,7 @@ class ChannelModel:
             raise ConfigError(f"unknown channel kind {self.kind!r}; expected one of {KINDS}")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ConfigError(f"loss rate {self.loss_rate} outside [0, 1)")
+        check_integer(self.hops, "hop count")
         if self.hops < 1:
             raise ConfigError("hop count must be >= 1")
         if not 0.0 < self.duty <= 1.0:

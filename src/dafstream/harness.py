@@ -33,8 +33,8 @@ from .channel import ChannelModel, check_integer, transmit_many
 from .errors import ConfigError, ProtocolError
 # draw, xor_payload, encode_packet and decode_packet are looked up here by
 # the per-layer tracer in bench/tracer.py; sessions use their batch forms.
-from .ltcode import (CodedPacketMeta, DecoderState, InverseCdf, PeelingTables,
-                     degree_tables, draw, draw_batch, xor_payload, xor_payloads)
+from .ltcode import (CodedPacketMeta, DecoderState, PeelingTables, cdf_tables, degree_tables,
+                     draw, draw_batch, xor_payload, xor_payloads)
 from .protocol import (HEADER_DTYPE, HEADER_LEN, DafHeader, Datagrams, _write_headers,
                        datagram_records, decode_datagrams, decode_packet, encode_packet,
                        header_words)
@@ -130,21 +130,21 @@ class SessionCodec:
             "payload_bytes": trace.payload_bytes,
         }
 
-    def _build_cdf(self, step: int) -> list[InverseCdf]:
-        """Window table of every schedule entry, built in one pass.
+    def _build_cdf(self, step: int) -> list[np.ndarray]:
+        """Window table (cdf_keys) of every schedule entry, built in one pass.
 
         Entries of slope 0 share one uniform table per WSize. A sloped
         window is cut into groups of `step` frames from its first frame, and
         a packet's probability depends on its group's midpoint; windows
         start and end on group boundaries, so each packet's group midpoint
         is found once for the whole trace. Both kinds are built as padded
-        2-D row blocks (InverseCdf.blocks), and each row is summed in order
+        2-D row blocks (cdf_tables), and each row is summed in order
         along its axis, as np.cumsum sums one window.
         """
         sched = self.schedule
         flat = sched.slope == 0.0
         sizes = np.unique(sched.window_packets[flat])
-        uniform = dict(zip(sizes.tolist(), InverseCdf.blocks(
+        uniform = dict(zip(sizes.tolist(), cdf_tables(
             sizes, lambda pick: np.arange(1, sizes[pick[-1]] + 1) / sizes[pick][:, None])))
         tables = [uniform[w] if f else None
                   for w, f in zip(sched.window_packets.tolist(), flat.tolist())]
@@ -175,7 +175,7 @@ class SessionCodec:
                                 slope[pick][:, None])
             return np.add.accumulate(pdf, axis=1)
 
-        for e, table in zip(sloped.tolist(), InverseCdf.blocks(size, cdf_rows)):
+        for e, table in zip(sloped.tolist(), cdf_tables(size, cdf_rows)):
             tables[e] = table
         return tables
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ProtocolError
-from .prng import XorShift64Star, packet_states, xorshift64star_next
+from .prng import next_u53s, packet_states, xorshift64star_next
 
 
 #: The robust-soliton c and delta. PROTOCOL.md fixes them: both ends draw
@@ -25,18 +25,18 @@ SOLITON_DELTA = 0.02
 
 # Sessions do not call it; it keeps its cache for bench/workloads.py.
 @lru_cache(maxsize=4096)
-def robust_soliton(window_packets: int) -> "InverseCdf":
+def robust_soliton(window_packets: int) -> np.ndarray:
     """The robust-soliton table of one window size, degree_tables([window_packets])[0]."""
     return degree_tables([window_packets])[0]
 
 
-def degree_tables(sizes) -> list["InverseCdf"]:
-    """The robust-soliton table (an InverseCdf over degrees 1..size) of every
+def degree_tables(sizes) -> list[np.ndarray]:
+    """The robust-soliton table (cdf_keys over degrees 1..size) of every
     window size in `sizes`, in order."""
     sizes = np.asarray(sizes, dtype=np.int64)
     if len(sizes) and sizes.min() < 1:
         raise ValueError("window must hold at least one packet")
-    return InverseCdf.blocks(sizes, lambda pick: np.cumsum(_soliton_pmf(sizes[pick]), axis=1))
+    return cdf_tables(sizes, lambda pick: np.cumsum(_soliton_pmf(sizes[pick]), axis=1))
 
 
 def _soliton_pmf(ks: np.ndarray) -> np.ndarray:
@@ -91,15 +91,16 @@ _PASS_PACKETS = 2046
 #: to _PASS_CELLS bytes and its joined keys to _PASS_CELLS words.
 _PASS_CELLS = 1 << 21
 
-#: Cells per row block of InverseCdf.blocks.
+#: Cells per row block of cdf_tables.
 TABLE_BLOCK = 1 << 14
 
 _TWO53 = float(1 << 53)
 _KEY_SPAN = (1 << 53) + 1
 
 
-class InverseCdf:
-    """A cumulative distribution over 0..n-1, inverted by 53-bit deviates.
+def cdf_keys(cdf) -> np.ndarray:
+    """The uint64 keys of a cumulative distribution over 0..n-1 (a row of
+    keys per row of a 2-D cdf), inverted by 53-bit deviates.
 
     The CDF is nondecreasing. The deviate u = m * 2**-53 of an integer m
     falls at index bisect_right(cdf, u), which is exactly the number of
@@ -107,56 +108,42 @@ class InverseCdf:
     are clipped to 0..2**53, which keeps them sorted and changes no
     comparison, since m < 2**53. The last key is 2**53 (the CDF's last entry
     counts as exactly 1, whatever its float sum), so every deviate falls
-    inside the table. Only the keys are kept.
+    inside the table.
     """
+    scaled = np.ceil(np.asarray(cdf, dtype=np.float64) * _TWO53)
+    keys = np.clip(scaled, 0.0, _TWO53).astype(np.uint64)
+    keys[..., -1] = 1 << 53
+    return keys
 
-    __slots__ = ("keys",)
 
-    def __init__(self, cdf):
-        scaled = np.ceil(np.asarray(cdf, dtype=np.float64) * _TWO53)
-        self.keys = np.clip(scaled, 0.0, _TWO53).astype(np.uint64)
-        self.keys[..., -1] = 1 << 53
-
-    @classmethod
-    def rows(cls, cdf, sizes) -> list["InverseCdf"]:
-        """One table per row of a 2-D array of CDFs, row r cut to sizes[r]."""
-        all_keys = cls(cdf).keys
-        all_keys[np.arange(len(sizes)), sizes - 1] = 1 << 53
-        tables = []
-        for keys, size in zip(all_keys, sizes.tolist()):
-            table = cls.__new__(cls)
-            table.keys = keys[:size]
-            tables.append(table)
-        return tables
-
-    @classmethod
-    def blocks(cls, sizes, cdf_rows) -> list["InverseCdf"]:
-        """One table per entry of `sizes`, built as padded 2-D row blocks in
-        order of size: cdf_rows(pick) gives the CDF rows of sizes[pick]
-        (ascending), row r read up to sizes[pick][r]. A block's rows times
-        its largest size is at most TABLE_BLOCK cells (at least one row), so
-        the temporaries stay bounded however wide the windows are."""
-        sizes = np.asarray(sizes)
-        order = np.argsort(sizes, kind="stable")
-        s = sizes[order].tolist()
-        tables = [None] * len(s)
-        a = 0
-        while a < len(s):
-            b = min(len(s), a + max(1, TABLE_BLOCK // s[a]))
-            if (b - a) * s[b - 1] > TABLE_BLOCK:  # then this many fit, as sizes ascend
-                b = a + max(1, TABLE_BLOCK // s[b - 1])
-            pick = order[a:b]
-            for i, table in zip(pick.tolist(), cls.rows(cdf_rows(pick), sizes[pick])):
-                tables[i] = table
-            a = b
-        return tables
-
-    def __len__(self) -> int:
-        return len(self.keys)
+def cdf_tables(sizes, cdf_rows) -> list[np.ndarray]:
+    """One read-only key array (cdf_keys) per entry of `sizes`, built as
+    padded 2-D row blocks in order of size: cdf_rows(pick) gives the CDF
+    rows of sizes[pick] (ascending), row r read up to sizes[pick][r], whose
+    key there is set to 2**53. A block's rows times its largest size is at
+    most TABLE_BLOCK cells (at least one row), so the temporaries stay
+    bounded however wide the windows are."""
+    sizes = np.asarray(sizes)
+    order = np.argsort(sizes, kind="stable")
+    s = sizes[order].tolist()
+    tables = [None] * len(s)
+    a = 0
+    while a < len(s):
+        b = min(len(s), a + max(1, TABLE_BLOCK // s[a]))
+        if (b - a) * s[b - 1] > TABLE_BLOCK:  # then this many fit, as sizes ascend
+            b = a + max(1, TABLE_BLOCK // s[b - 1])
+        pick = order[a:b]
+        keys = cdf_keys(cdf_rows(pick))
+        keys[np.arange(b - a), sizes[pick] - 1] = 1 << 53
+        keys.flags.writeable = False
+        for i, row, size in zip(pick.tolist(), keys, s[a:b]):
+            tables[i] = row[:size]
+        a = b
+    return tables
 
 
 class _Tables:
-    """Several InverseCdf tables searched by one np.searchsorted call.
+    """Several key arrays (cdf_keys) searched by one np.searchsorted call.
 
     Table t's keys are offset by t * (2**53 + 1), so the joined keys stay
     sorted and every search lands inside its own table; the offsets fit in
@@ -169,7 +156,7 @@ class _Tables:
         self.sizes = np.fromiter((len(t) for t in tables), dtype=np.int64, count=len(tables))
         self.base = np.cumsum(self.sizes) - self.sizes
         self.offset = np.arange(len(tables), dtype=np.uint64) * np.uint64(_KEY_SPAN)
-        self.keys = np.concatenate([t.keys for t in tables]) + np.repeat(self.offset, self.sizes)
+        self.keys = np.concatenate(tables) + np.repeat(self.offset, self.sizes)
 
     def search(self, which: np.ndarray, m: np.ndarray) -> np.ndarray:
         """The index the 53-bit deviate m[i] falls at in table which[i], for every i."""
@@ -180,7 +167,7 @@ def draw_batch(packet_ids, window_of, windows) -> tuple[np.ndarray, np.ndarray]:
     """Draw the composition of many coded packets at once, as CSR arrays.
 
     Packet i is drawn from `windows[window_of[i]]`, a tuple (start_packet,
-    window table, degree table) of InverseCdf tables: the window table is
+    window table, degree table) of key arrays (cdf_keys): the window table is
     the per-packet sampling CDF over the window, the degree table the
     robust-soliton CDF. Each packet's generator is seeded by its PacketID
     alone; it draws the degree first, clamped to the window size, then
@@ -242,17 +229,18 @@ def _draw_pass(packet_ids, window_of, windows):
     for x, i, left in zip(state.tolist(), active.tolist(), need.tolist()):
         # the few left finish alone, in their rows of chosen; each deviate
         # marks at most one position, so none is drawn past the degree
-        rng, keys = XorShift64Star(x), picked[local[i]][1].keys
+        keys = picked[local[i]][1]
         row = chosen[offset[i]:offset[i] + size[i]]
         while left:
-            row[np.searchsorted(keys, rng.next_u53s(left), side="right")] = True
+            m, x = next_u53s(x, left)
+            row[np.searchsorted(keys, m, side="right")] = True
             left = int(degree[i] - np.count_nonzero(row))
 
     neighbors = np.flatnonzero(chosen) + np.repeat(starts[local] - offset, degree)
     return degree, neighbors
 
 
-def draw(packet_id: int, start_packet: int, window_cdf, degrees: InverseCdf,
+def draw(packet_id: int, start_packet: int, window_cdf, degrees: np.ndarray,
          slope_factor: float = 0.0) -> CodedPacketMeta:
     """Draw one packet's degree and distinct neighbors from its packet-id seed.
 
@@ -260,7 +248,7 @@ def draw(packet_id: int, start_packet: int, window_cdf, degrees: InverseCdf,
     window (floats; the last counts as 1), `degrees` a degree table such as
     robust_soliton's. A batch of one of draw_batch.
     """
-    table = InverseCdf(window_cdf)
+    table = cdf_keys(window_cdf)
     indptr, neighbors = draw_batch([packet_id], [0], [(start_packet, table, degrees)])
     return CodedPacketMeta(packet_id=packet_id, degree=int(indptr[1]),
                            neighbors=tuple(neighbors.tolist()),

@@ -23,41 +23,22 @@ _SM_MIX1 = 0xBF58476D1CE4E5B9
 _SM_MIX2 = 0x94D049BB133111EB
 
 
-class XorShift64Star:
-    """xorshift64* with the standard (12, 25, 27) shifts and Vigna's multiplier."""
-
-    __slots__ = ("state",)
-
-    def __init__(self, seed: int):
-        state = seed & MASK64
-        if state == 0:
-            state = PACKET_SEED_SALT
-        self.state = state
-
-    def next_u64(self) -> int:
-        x = self.state
+def next_u53s(state: int, n: int) -> tuple[np.ndarray, int]:
+    """The next n deviates of one xorshift64* state (a Python int), as
+    53-bit integers m (next_u64() >> 11; the uniform deviate is m * 2**-53),
+    and the state after them."""
+    x, out = state, []
+    for _ in range(n):
         x ^= x >> 12
         x = (x ^ (x << 25)) & MASK64
         x ^= x >> 27
-        self.state = x
-        return (x * _XS_MULT) & MASK64
-
-    def next_u53s(self, n: int) -> np.ndarray:
-        """The next n deviates as 53-bit integers m; the uniform deviate is
-        m * 2**-53."""
-        x, out = self.state, []
-        for _ in range(n):  # next_u64, inlined
-            x ^= x >> 12
-            x = (x ^ (x << 25)) & MASK64
-            x ^= x >> 27
-            out.append(((x * _XS_MULT) & MASK64) >> 11)
-        self.state = x
-        return np.array(out, dtype=np.uint64)
+        out.append(((x * _XS_MULT) & MASK64) >> 11)
+    return np.array(out, dtype=np.uint64), x
 
 
 def packet_states(packet_ids) -> np.ndarray:
     """The seeded xorshift64* state both ends use for each coded packet:
-    XorShift64Star(packet_id ^ PACKET_SEED_SALT)."""
+    packet_id ^ PACKET_SEED_SALT, or PACKET_SEED_SALT where that is zero."""
     states = np.asarray(packet_ids, dtype=np.uint64) ^ np.uint64(PACKET_SEED_SALT)
     states[states == 0] = np.uint64(PACKET_SEED_SALT)
     return states

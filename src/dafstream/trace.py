@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import check_integer
 from .errors import TraceParseError
 
 TRACE_HEADER = ("frame", "bytes", "type")
@@ -33,8 +34,7 @@ class VideoTrace:
     packets_per_frame: tuple[int, ...]
 
     def __post_init__(self):
-        if self.frame_rate < 1 or self.gop_size < 1 or self.payload_bytes < 1:
-            raise ValueError("frame_rate, gop_size and payload_bytes must all be >= 1")
+        _check_params(self.frame_rate, self.gop_size, self.payload_bytes)
         if len(self.frame_bytes) == 0:
             raise ValueError("trace must contain at least one frame")
         if len(self.frame_bytes) != len(self.packets_per_frame):
@@ -47,8 +47,7 @@ class VideoTrace:
     @classmethod
     def from_frame_bytes(cls, frame_bytes, frame_rate, payload_bytes,
                          gop_size: int = 1) -> "VideoTrace":
-        if payload_bytes < 1:
-            raise ValueError("payload_bytes must be >= 1")
+        _check_params(frame_rate, gop_size, payload_bytes)  # before P counts a packet
         sizes = tuple(int(b) for b in frame_bytes)
         s = tuple(max(1, math.ceil(b / payload_bytes)) for b in sizes)
         return cls(frame_rate=float(frame_rate), gop_size=int(gop_size),
@@ -69,13 +68,24 @@ class VideoTrace:
         return np.concatenate(([0], np.cumsum(self.packets_per_frame, dtype=np.int64)))
 
 
+def _check_params(frame_rate, gop_size, payload_bytes):
+    """ConfigError unless gop_size and payload_bytes are integers (a bool is
+    not), ValueError unless all three are >= 1 and frame_rate is finite."""
+    check_integer(gop_size, "GOP size")
+    check_integer(payload_bytes, "payload size")
+    if not (math.isfinite(frame_rate) and frame_rate >= 1 and gop_size >= 1
+            and payload_bytes >= 1):
+        raise ValueError("frame_rate, gop_size and payload_bytes must all be >= 1, "
+                         "and frame_rate finite")
+
+
 def load_trace(path, payload_bytes: int, frame_rate: float = 30.0,
                gop_size: int = 1) -> VideoTrace:
     """Parse a CSV trace file ("frame,bytes,type" header, rows numbered from
     1) at `path`, a str or os.PathLike."""
-    if payload_bytes < 1:
-        raise ValueError("payload_bytes must be >= 1")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    _check_params(frame_rate, gop_size, payload_bytes)
+    # utf-8-sig drops the byte-order mark spreadsheets write first
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         rows = list(csv.reader(fh))
     rows = [(i + 1, row) for i, row in enumerate(rows) if row and any(c.strip() for c in row)]
     if not rows:

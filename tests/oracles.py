@@ -20,7 +20,8 @@ read rows of H with Python floats (`centered_gram` is its H), and
 `transmit` (over `counter_uniform` and `splitmix64`), `packet_rng`,
 `slope_pdf`, `uniform_cdf` and `uniform_matrix` are the scalar and
 per-window forms of the channel, the packet generator, the window CDFs and
-the sampling matrices.
+the sampling matrices; `packet_rng` is written from PROTOCOL.md alone and
+imports no generator code from the package.
 `xor_payloads_oracle` XORs each coded packet's payload alone, for checking
 the package's slot-by-slot XOR kernel.
 `header_rule_oracle` is the receiver's header check as first stated, one
@@ -39,7 +40,7 @@ import numpy as np
 
 from dafstream.harness import SessionCodec, session_blocks
 from dafstream.ltcode import CodedPacketMeta, draw_batch, robust_soliton, xor_payloads
-from dafstream.prng import MASK64, PACKET_SEED_SALT, XorShift64Star
+from dafstream.prng import MASK64, PACKET_SEED_SALT
 from dafstream.protocol import DafHeader, to_f32
 from dafstream.errors import SolverError
 from dafstream.sampling import (SamplingPlan, _check_window, _optimizer_domain, slope_coeffs,
@@ -55,10 +56,23 @@ _SM_MIX1 = 0xBF58476D1CE4E5B9
 _SM_MIX2 = 0x94D049BB133111EB
 
 
-class PacketRng(XorShift64Star):
-    """The packet generator with PROTOCOL.md's float deviates."""
+class PacketRng:
+    """PROTOCOL.md's packet generator, one deviate at a time: xorshift64*
+    with the (12, 25, 27) shifts and multiplier 0x2545F4914F6CDD1D, from a
+    nonzero seed (a zero seed starts at the salt instead)."""
 
-    __slots__ = ()
+    __slots__ = ("state",)
+
+    def __init__(self, seed):
+        self.state = (seed & MASK64) or PACKET_SEED_SALT
+
+    def next_u64(self) -> int:
+        x = self.state
+        x ^= x >> 12
+        x ^= (x << 25) & MASK64
+        x ^= x >> 27
+        self.state = x
+        return (x * 0x2545F4914F6CDD1D) & MASK64
 
     def next_float(self) -> float:
         """Uniform in [0, 1) with 53 bits of precision."""
@@ -67,7 +81,8 @@ class PacketRng(XorShift64Star):
 
 def packet_rng(packet_id):
     """The generator both ends use for a given coded packet, one deviate at
-    a time (prng.packet_states is its array form)."""
+    a time; it shares no code with the package's (prng.packet_states and
+    prng.next_u53s)."""
     return PacketRng(packet_id ^ PACKET_SEED_SALT)
 
 

@@ -109,17 +109,22 @@ class TestOut:
     @pytest.fixture
     def fake_runs(self, ab_bench, monkeypatch):
         """main with no git archive and no bench run: each side's runs give
-        canned metrics (the change 10% faster), counted in `calls`."""
-        calls = []
+        canned metrics (the change 10% faster), counted in `calls`. The base
+        side is the tree `extract` was given, whatever the checkout's name."""
+        calls, base = [], []
+
+        def extract(root, ref, into):
+            base.append(into)
+            into.mkdir()
 
         def run_bench(tree, workload, seconds, seed):
-            calls.append((tree.name, workload))
-            p50 = 0.010 if tree.name == "base" else 0.009
+            calls.append((tree, workload))
+            p50 = 0.010 if tree == base[0] else 0.009
             return run(session_p50_s=p50 + 0.0001 * len(calls), sessions_per_s=1 / p50)
 
         monkeypatch.chdir(TOOL.parents[1])
         monkeypatch.setattr(ab_bench, "same_benchmark", lambda root, ref: None)
-        monkeypatch.setattr(ab_bench, "extract", lambda root, ref, into: into.mkdir())
+        monkeypatch.setattr(ab_bench, "extract", extract)
         monkeypatch.setattr(ab_bench, "run_bench", run_bench)
         return calls
 

@@ -65,6 +65,15 @@ class TestValidation:
                                                              seed=int(seed)),
                                                 np.arange(1, 9), np.zeros(8)))
 
+    def test_hop_count_must_be_an_integer(self):
+        # 1.5 hops ran at delivery probability 0.5 ** 1.5, and True described
+        # itself as chain:hops=True
+        for hops in (1.5, 2.0, True, np.float64(3.0), "2"):
+            with pytest.raises(ConfigError, match="hop count .* not an integer"):
+                ChannelModel(kind="chain", hops=hops, loss_rate=0.5)
+        model = ChannelModel(kind="chain", hops=np.int64(2), loss_rate=0.5)
+        assert model.delivery_prob() == 0.25 and model.describe() == "chain:hops=2:plr=0.5"
+
     def test_session_seed_must_be_an_integer(self):
         t = constant_trace(30, 3000, payload_bytes=1024)
         p = derive_params(t, "DAF-L", 10, code_rate=0.8)

@@ -15,7 +15,7 @@ from dafstream.errors import ConfigError, ProtocolError
 from dafstream import harness, ltcode
 from dafstream.harness import (CSV_HEADER, Metrics, SessionCodec, delay_to_frames, rows_to_csv,
                                run_session, session_blocks, session_plan, summarize, sweep)
-from dafstream.ltcode import DecoderState, InverseCdf, PeelingTables, xor_payloads
+from dafstream.ltcode import DecoderState, PeelingTables, cdf_keys, xor_payloads
 from dafstream.protocol import (HEADER_LEN, DafHeader, datagram_records, decode_datagrams,
                                 decode_packet, encode_datagrams, encode_packet)
 from dafstream.trace import (burst_trace, constant_trace, packetize, random_trace,
@@ -564,7 +564,7 @@ class TestWindowTables:
                 counts = [sum(s[f - 1:min(f + g - 1, end)]) for f in frames]
                 assert sum(counts) == wsize
                 cdf = np.cumsum(slope_pdf(counts, slope))
-            assert np.array_equal(table.keys, InverseCdf(cdf).keys), index
+            assert np.array_equal(table, cdf_keys(cdf)), index
 
     def test_sloped_window_off_the_step_grid_rejected(self):
         # S-LT windows hold a fixed packet count, so they end inside a frame

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from dafstream import ltcode
 from dafstream.errors import ProtocolError
 from dafstream.harness import SessionCodec
-from dafstream.ltcode import (DecoderState, InverseCdf, PeelingTables, degree_tables, draw,
-                              draw_batch, robust_soliton, xor_payload, xor_payloads)
-from dafstream.prng import PACKET_SEED_SALT, XorShift64Star
+from dafstream.ltcode import (DecoderState, PeelingTables, cdf_keys, cdf_tables, degree_tables,
+                              draw, draw_batch, robust_soliton, xor_payload, xor_payloads)
+from dafstream.prng import PACKET_SEED_SALT, next_u53s, packet_states
 from dafstream.protocol import HEADER_LEN, MAX_PACKET_ID, datagram_records
 from dafstream.windowing import build_schedule
 
@@ -23,7 +23,7 @@ from oracles import (degree_cdf, draw_oracle, packet_rng, peeling_oracle, robust
 
 
 def degree_one_table(window):
-    return InverseCdf(np.ones(window))  # the CDF of pmf (1, 0, ..., 0)
+    return cdf_keys(np.ones(window))  # the CDF of pmf (1, 0, ..., 0)
 
 
 def mean_degree(pmf):
@@ -32,7 +32,7 @@ def mean_degree(pmf):
 
 class TestRobustSoliton:
     def test_single_packet_window(self):
-        assert robust_soliton(1).keys.tolist() == [1 << 53]  # degree 1 always
+        assert robust_soliton(1).tolist() == [1 << 53]  # degree 1 always
         assert robust_soliton_oracle(1).tolist() == [1.0]
 
     def test_invalid_parameters(self):
@@ -69,7 +69,7 @@ class TestRobustSoliton:
         pmf, cdf = robust_soliton_oracle(64), uniform_cdf(64)
         n = 20_000
         indptr, _ = draw_batch(np.arange(1, n + 1), np.zeros(n, dtype=np.intp),
-                               [(1, InverseCdf(cdf), robust_soliton(64))])
+                               [(1, cdf_keys(cdf), robust_soliton(64))])
         sample_mean = int(indptr[-1]) / n
         # crude 4-sigma band using the analytic second moment
         second = sum((d + 1) ** 2 * p for d, p in enumerate(pmf))
@@ -78,7 +78,7 @@ class TestRobustSoliton:
 
 
 def soliton_keys(k):
-    return InverseCdf(np.cumsum(robust_soliton_oracle(k))).keys
+    return cdf_keys(np.cumsum(robust_soliton_oracle(k)))
 
 
 class TestDegreeTables:
@@ -89,7 +89,7 @@ class TestDegreeTables:
         tables = degree_tables(sizes)
         for k, table in zip(sizes, tables):
             one = robust_soliton.__wrapped__(k)  # uncached: 2,001 tables are large
-            assert soliton_keys(k).tobytes() == table.keys.tobytes() == one.keys.tobytes(), k
+            assert soliton_keys(k).tobytes() == table.tobytes() == one.tobytes(), k
 
     def test_window_sizes_of_every_bench_cell(self, workloads):
         for name in workloads.SPECS:
@@ -97,12 +97,12 @@ class TestDegreeTables:
             for cell in inp.cells:
                 sizes = np.unique(build_schedule(cell.params, inp.trace).window_packets)
                 for k, table in zip(sizes.tolist(), degree_tables(sizes)):
-                    assert table.keys.tobytes() == soliton_keys(k).tobytes(), (name, cell.mode, k)
+                    assert table.tobytes() == soliton_keys(k).tobytes(), (name, cell.mode, k)
 
     def test_any_order_with_repeats(self):
         sizes = [400, 3, 17, 3, 1, 400, 2]
         for k, table in zip(sizes, degree_tables(sizes)):
-            assert table.keys.tobytes() == robust_soliton(k).keys.tobytes()
+            assert table.tobytes() == robust_soliton(k).tobytes()
         assert degree_tables([]) == []
 
     def test_invalid_size(self):
@@ -125,13 +125,15 @@ class TestDegreeTables:
 
 class TestPacketGenerator:
     def test_next_u53s_is_the_scalar_stream(self):
-        for pid in (1, 2, 1000, MAX_PACKET_ID, PACKET_SEED_SALT):
-            rng, want = XorShift64Star(pid ^ PACKET_SEED_SALT), packet_rng(pid)
+        pids = (1, 2, 1000, MAX_PACKET_ID, PACKET_SEED_SALT)  # the last seeds state 0
+        for pid, state in zip(pids, packet_states(pids).tolist()):
+            want = packet_rng(pid)
+            assert state == want.state
             for n in (0, 1, 7, 100, 3):
-                got = rng.next_u53s(n)
+                got, state = next_u53s(state, n)
                 assert got.dtype == np.uint64
                 assert got.tolist() == [want.next_u64() >> 11 for _ in range(n)]
-            assert rng.state == want.state
+            assert state == want.state
 
 
 class TestDraw:
@@ -163,7 +165,7 @@ class TestDraw:
         w, n = 16, 100_000
         cdf = uniform_cdf(w)
         _, neighbors = draw_batch(np.arange(1, n + 1), np.zeros(n, dtype=np.intp),
-                                  [(1, InverseCdf(cdf), degree_one_table(w))])
+                                  [(1, cdf_keys(cdf), degree_one_table(w))])
         counts = np.bincount(neighbors - 1, minlength=w)
         p = 1.0 / w
         bound = 3 * math.sqrt(n * p * (1 - p))
@@ -186,19 +188,45 @@ class TestInverseCdf:
     def test_last_entry_counts_as_one(self):
         cdf = np.cumsum(robust_soliton_oracle(self.K))
         assert cdf[-1] < 1.0
-        table = InverseCdf(cdf)
-        assert np.searchsorted(table.keys, np.uint64(2**53 - 1), side="right") == self.K - 1
-        assert np.searchsorted(table.keys, np.uint64(0), side="right") == 0
-        assert int(table.keys[-1]) == 2**53
+        keys = cdf_keys(cdf)
+        assert keys.dtype == np.uint64
+        assert np.searchsorted(keys, np.uint64(2**53 - 1), side="right") == self.K - 1
+        assert np.searchsorted(keys, np.uint64(0), side="right") == 0
+        assert int(keys[-1]) == 2**53
 
     def test_padded_rows_end_at_their_size(self):
         short = np.cumsum(robust_soliton_oracle(self.K))
         cdf = np.array([[*short, 1.5, 2.0], np.cumsum(robust_soliton_oracle(5))])
-        tables = InverseCdf.rows(cdf, np.array([self.K, 5]))
+        tables = cdf_tables([self.K, 5], lambda pick: cdf[pick])
         assert [len(t) for t in tables] == [self.K, 5]
         for table, size in zip(tables, (self.K, 5)):
-            assert np.searchsorted(table.keys, np.uint64(2**53 - 1), side="right") == size - 1
-            assert int(table.keys[-1]) == 2**53
+            assert np.searchsorted(table, np.uint64(2**53 - 1), side="right") == size - 1
+            assert int(table[-1]) == 2**53
+
+    def test_every_row_ends_at_its_own_size_with_the_last_key(self):
+        # padded rows read past their size: 0.5 there would give a key below 2**53
+        sizes = [5, 2, 9, 2, 1]
+        tables = cdf_tables(sizes, lambda pick: np.full((len(pick), 9), 0.5))
+        assert [len(t) for t in tables] == sizes
+        for table in tables:
+            assert table.dtype == np.uint64
+            assert int(table[-1]) == 2**53
+            assert np.all(table[:-1] == 2**52)
+
+    def test_tables_are_read_only(self):
+        tables = cdf_tables([3, 4], lambda pick: np.cumsum(np.full((len(pick), 4), 0.25), axis=1))
+        tables += degree_tables([5, 6])
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+    def test_a_cached_table_cannot_be_written(self):
+        want = draw(7, 1, np.arange(1, 9) / 8, robust_soliton(8))
+        assert want.neighbors == (4, 5)
+        with pytest.raises(ValueError):
+            robust_soliton(8)[:] = 0
+        assert robust_soliton(8).tolist() == soliton_keys(8).tolist()
+        assert draw(7, 1, np.arange(1, 9) / 8, robust_soliton(8)) == want
 
 
 def slope_cdf(counts, slope):
@@ -208,7 +236,7 @@ def slope_cdf(counts, slope):
 
 def assert_matches_oracle(packet_ids, window_of, windows):
     """`windows` holds (start packet, window CDF array, degree table size)."""
-    tables = [(start, InverseCdf(cdf), robust_soliton(size)) for start, cdf, size in windows]
+    tables = [(start, cdf_keys(cdf), robust_soliton(size)) for start, cdf, size in windows]
     indptr, neighbors = draw_batch(packet_ids, window_of, tables)
     assert len(indptr) == len(packet_ids) + 1
     for i, (pid, w) in enumerate(zip(packet_ids, window_of)):
@@ -274,7 +302,7 @@ class TestDrawBatch:
         # 2,000 packets of one 60,000-packet window: the chosen-neighbor bitmaps
         # of one 2,000-packet pass alone would be 120 MB
         cdf = uniform_cdf(60_000)
-        windows = [(1, InverseCdf(cdf), robust_soliton(4))]
+        windows = [(1, cdf_keys(cdf), robust_soliton(4))]
         tracemalloc.start()
         try:
             indptr, neighbors = draw_batch(np.arange(1, 2001), np.zeros(2000, dtype=np.intp),
@@ -289,7 +317,7 @@ class TestDrawBatch:
             assert (len(got), tuple(got)) == draw_oracle(pid, 1, cdf.tolist(), degree_cdf(4))
 
     def test_same_packet_same_neighbors_in_any_batch(self):
-        windows = [(1, InverseCdf(uniform_cdf(40)), robust_soliton(40))]
+        windows = [(1, cdf_keys(uniform_cdf(40)), robust_soliton(40))]
         whole = draw_batch(np.arange(1, 1001), np.zeros(1000, dtype=np.intp), windows)
         alone = draw_batch([500], [0], windows)
         assert whole[1][whole[0][499]:whole[0][500]].tolist() == alone[1].tolist()
@@ -354,7 +382,7 @@ class TestXor:
         # a session block of each size (harness.session_blocks), drawn from
         # one 300-packet window, sent into its datagrams' payload fields
         k = 300
-        windows = [(1, InverseCdf(uniform_cdf(k)), robust_soliton(k))]
+        windows = [(1, cdf_keys(uniform_cdf(k)), robust_soliton(k))]
         indptr, neighbors = draw_batch(np.arange(1, n + 1), np.zeros(n, dtype=np.intp), windows)
         buf = np.random.default_rng(n).integers(0, 256, size=(k, P), dtype=np.uint8)
         out = datagram_records(bytearray(n * (HEADER_LEN + P)), P)["payload"]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dafstream.errors import TraceParseError
+from dafstream.errors import ConfigError, TraceParseError
 from dafstream.trace import (VideoTrace, burst_trace, constant_trace,
                              downsample, load_trace, packetize, random_trace)
 
@@ -73,6 +73,50 @@ class TestLoadTrace:
         path.write_text(make_csv(["1,1024,I", "2,2048,P"]))
         for source in (str(path), path):
             assert load_trace(source, payload_bytes=1024).packets_per_frame == (1, 2)
+
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # spreadsheets write UTF-8 CSVs with a leading BOM
+        text = make_csv(["1,1024,I", "2,2048,P", "3,100,P"])
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_trace(marked, payload_bytes=1024) == load_trace(plain, payload_bytes=1024)
+
+    def test_rates_checked_before_the_file_is_read(self, tmp_path):
+        missing = tmp_path / "missing.csv"
+        with pytest.raises(ConfigError, match="payload size"):
+            load_trace(missing, payload_bytes=1024.5)
+        with pytest.raises(ValueError, match="finite"):
+            load_trace(missing, payload_bytes=1024, frame_rate=float("nan"))
+
+
+class TestTraceShape:
+    def test_payload_size_must_be_an_integer(self):
+        # at 1024.5 bytes frame 1 counted 5 packets, but P was stored as 1024,
+        # so packetize wrote its last byte into frame 2's first packet
+        for payload in (1024.5, 1024.0, True, np.float64(64.0)):
+            with pytest.raises(ConfigError, match="payload size .* not an integer"):
+                VideoTrace.from_frame_bytes([5121, 3000], 30.0, payload)
+        t = VideoTrace.from_frame_bytes([5121, 3000], 30.0, np.int64(1024))
+        assert (t.payload_bytes, t.packets_per_frame) == (1024, (6, 3))
+
+    def test_gop_size_must_be_an_integer(self):
+        for gop in (1.5, 2.0, True):
+            with pytest.raises(ConfigError, match="GOP size .* not an integer"):
+                VideoTrace.from_frame_bytes([100], 30.0, 64, gop_size=gop)
+            with pytest.raises(ConfigError, match="GOP size"):
+                VideoTrace(frame_rate=30.0, gop_size=gop, payload_bytes=64,
+                           frame_bytes=(100,), packets_per_frame=(2,))
+
+    def test_frame_rate_must_be_finite(self):
+        for rate in (float("nan"), float("inf"), np.float64("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                VideoTrace.from_frame_bytes([100], rate, 64)
+            with pytest.raises(ValueError, match="finite"):
+                VideoTrace(frame_rate=rate, gop_size=1, payload_bytes=64,
+                           frame_bytes=(100,), packets_per_frame=(2,))
 
 
 class TestPacketize:
