@@ -35,9 +35,8 @@ from .errors import ConfigError, ProtocolError
 # the per-layer tracer in bench/tracer.py; sessions use their batch forms.
 from .ltcode import (CodedPacketMeta, DecoderState, PeelingTables, cdf_tables, degree_tables,
                      draw, draw_batch, xor_payload, xor_payloads)
-from .protocol import (HEADER_DTYPE, HEADER_LEN, DafHeader, Datagrams, _write_headers,
-                       datagram_records, decode_datagrams, decode_packet, encode_packet,
-                       header_words)
+from .protocol import (HEADER_DTYPE, HEADER_LEN, DafHeader, _write_headers, datagram_records,
+                       decode_datagrams, decode_packet, encode_packet, packet_ids)
 from .sampling import SamplingPlan, optimize_slopes, slope_density
 from .trace import VideoTrace, downsample, packetize
 from .windowing import CodingParams, Mode, build_schedule, derive_params, wcp_packets
@@ -113,10 +112,6 @@ class SessionCodec:
         for a in (self.entry, self.indptr, self.neighbors, self.real, self.send_times,
                   self.headers, self.frame_deadline, self.packet_deadline):
             a.flags.writeable = False
-        # what receive compares: the rows of `headers` and the received
-        # datagrams, as header words
-        self._header_words = self.headers.reshape(-1).view(header_words(HEADER_LEN))
-        self._datagram_words = header_words(HEADER_LEN + trace.payload_bytes)
         self.config = {
             "mode": params.mode.value,
             "window_frames": params.window_frames,
@@ -209,31 +204,26 @@ class SessionCodec:
 
     # -- decoder ----------------------------------------------------------
 
-    def receive(self, data) -> Datagrams:
-        """Decode datagram bytes and check every header; the decoder reads
-        the packets' compositions from the codec by their PacketIDs.
+    def receive(self, data) -> tuple[np.ndarray, np.ndarray]:
+        """Check the framing and every header of datagram bytes; returns the
+        PacketIDs and the (n, P) payload rows, which the decoder reads with
+        the packets' compositions from the codec.
 
         A header whose 15 bytes equal its PacketID's row of `headers` is
-        one the full checks accept, so its fields are taken from the
-        schedule. If any header differs, every header is decoded and checked
-        (decode_datagrams, check_headers), which accept it or raise
-        ProtocolError with their own message.
+        one the full checks accept. If any header differs, every header is
+        decoded and checked (decode_datagrams, check_headers), which accept
+        it or raise ProtocolError with their own message.
         """
         P = self.trace.payload_bytes
         rec = datagram_records(data, P)
-        got = np.frombuffer(data, dtype=self._datagram_words)
-        pid = (got["id"] & 0xFFFFFF).astype(np.int64)
+        pid = packet_ids(rec["header"]["packet_id"])
+        rows = np.frombuffer(data, dtype=np.uint8).reshape(len(rec), HEADER_LEN + P)
         # a row of `headers` holds its own PacketID, so an ID outside 1..N,
         # clipped to row 1 or N, never equals its row
-        want = self._header_words.take(pid - 1, mode="clip")
-        if np.array_equal(want["lo"], got["lo"]) and np.array_equal(want["hi"], got["hi"]):
-            sched, entry = self.schedule, self.entry[pid - 1]
-            return Datagrams(sched.start_packet[entry], sched.window_packets[entry],
-                             sched.slope[entry], pid, P, rec["payload"])
-        rx = decode_datagrams(data, P)
-        self.check_headers(rx.start_packet, rx.window_packets, rx.slope_factor, rx.packet_id,
-                           rx.payload_bytes)
-        return rx
+        if not np.array_equal(self.headers.take(pid - 1, axis=0, mode="clip"),
+                              rows[:, :HEADER_LEN]):
+            self.check_headers(*decode_datagrams(data, P), P)
+        return pid, rows[:, HEADER_LEN:]
 
     def check_headers(self, start_packet, window_packets, slope_factor, packet_id,
                       payload_bytes):
@@ -372,10 +362,9 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
             continue
         # an honest trip through the wire format: only bytes cross
         data = codec.send(first, last, delivered, buffer, out=wire)
-        rx = codec.receive(data)
-        released, by = decoder.ingest_block(rx.packet_id,
-                                            rx.payload if buffer is not None else None)
-        decode_time[released] = codec.send_times[rx.packet_id[by] - 1]
+        pids, payload = codec.receive(data)
+        released, by = decoder.ingest_block(pids, payload if buffer is not None else None)
+        decode_time[released] = codec.send_times[pids[by] - 1]
 
     dt = decode_time[1:]
     decoded = np.isfinite(dt)

@@ -13,8 +13,8 @@ A datagram is the header followed by exactly P payload bytes.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +73,9 @@ def check_fields(start_packet, window_packets, slope_factor, packet_id, payload_
 
 @dataclass(frozen=True)
 class DafHeader:
+    """One header. StartP, WSize, PacketID and P must be integers (a bool is
+    not) and every field in range (check_fields), or ProtocolError."""
+
     start_packet: int      # StartP
     window_packets: int    # WSize
     slope_factor: float    # SlopeF (stored at exactly float32 precision)
@@ -80,6 +83,10 @@ class DafHeader:
     payload_bytes: int     # P
 
     def __post_init__(self):
+        for name, value in (("StartP", self.start_packet), ("WSize", self.window_packets),
+                            ("PacketID", self.packet_id), ("P", self.payload_bytes)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ProtocolError(f"{name} {value!r} is not an integer")
         slope = check_fields(self.start_packet, self.window_packets, float(self.slope_factor),
                              self.packet_id, self.payload_bytes)
         object.__setattr__(self, "slope_factor", float(slope))
@@ -96,21 +103,17 @@ def _write_headers(head, start_packet, window_packets, slope_factor, packet_id, 
     head["payload_bytes"] = payload_bytes
 
 
-def header_words(itemsize: int) -> np.dtype:
-    """Records of `itemsize` bytes that each start with a header, read as
-    two overlapping little-endian words, "lo" (bytes 0-7) and "hi" (bytes
-    7-14), which two headers share exactly when all 15 bytes are equal, and
-    "id" (bytes 9-12), whose low 24 bits are the PacketID. Nothing is
-    checked."""
-    return np.dtype({"names": ["lo", "hi", "id"], "formats": ["<u8", "<u8", ">u4"],
-                     "offsets": [0, 7, 9], "itemsize": itemsize})
+def packet_ids(raw) -> np.ndarray:
+    """The PacketIDs of an (n, 3) uint8 array of their big-endian bytes (the
+    "packet_id" field of HEADER_DTYPE records), as int64. Nothing is checked."""
+    pid = raw.astype(np.int64)
+    return (pid[:, 0] << 16) | (pid[:, 1] << 8) | pid[:, 2]
 
 
 def _read_headers(head):
     """The checked fields of HEADER_DTYPE records, as arrays: StartP, WSize,
     SlopeF, PacketID and P."""
-    pid = head["packet_id"].astype(np.int64)
-    packet_id = (pid[:, 0] << 16) | (pid[:, 1] << 8) | pid[:, 2]
+    packet_id = packet_ids(head["packet_id"])
     start = head["start_packet"].astype(np.int64)
     wsize = head["window_packets"].astype(np.int64)
     size = head["payload_bytes"].astype(np.int64)
@@ -148,58 +151,29 @@ def decode_packet(datagram: bytes) -> tuple[DafHeader, bytes]:
     return header, payload
 
 
-class Datagrams(NamedTuple):
-    """Header fields and payloads of a run of datagrams, one row each."""
-
-    start_packet: np.ndarray
-    window_packets: np.ndarray
-    slope_factor: np.ndarray   # float64 holding float32 values
-    packet_id: np.ndarray
-    payload_bytes: int
-    payload: np.ndarray        # (n, P) uint8
-
-
-def _datagram_dtype(payload_bytes: int) -> np.dtype:
-    return np.dtype([("header", HEADER_DTYPE), ("payload", "u1", (payload_bytes,))])
-
-
-def encode_datagrams(start_packet, window_packets, slope_factor, packet_id,
-                     payload_bytes: int) -> bytearray:
-    """Encode n datagrams back to back, each the header and P zero payload
-    bytes, which a caller fills through datagram_records.
-
-    Header fields are equal-length arrays. The records are written straight
-    into the returned buffer.
-    """
-    dtype = _datagram_dtype(payload_bytes)
-    data = bytearray(len(packet_id) * dtype.itemsize)
-    rec = np.frombuffer(data, dtype=dtype)
-    _write_headers(rec["header"], start_packet, window_packets, slope_factor, packet_id,
-                   payload_bytes)
-    return data
-
-
 def datagram_records(data, payload_bytes: int) -> np.ndarray:
     """Back-to-back datagrams of `payload_bytes` bytes each, as records
     ("header", "payload") viewing `data`; writable if `data` is."""
-    dtype = _datagram_dtype(payload_bytes)
+    dtype = np.dtype([("header", HEADER_DTYPE), ("payload", "u1", (payload_bytes,))])
     if len(data) % dtype.itemsize:
         raise ProtocolError(f"framing error: {len(data)} bytes is not a whole number "
                             f"of {dtype.itemsize}-byte datagrams")
     return np.frombuffer(data, dtype=dtype)
 
 
-def decode_datagrams(data, payload_bytes: int) -> Datagrams:
-    """Decode back-to-back datagrams that each carry `payload_bytes` bytes.
+def decode_datagrams(data, payload_bytes: int):
+    """Decode the headers of back-to-back datagrams that each carry
+    `payload_bytes` bytes, as the arrays StartP, WSize, SlopeF (float64
+    holding float32 values) and PacketID.
 
     The fields are checked as arrays by the same check_fields as DafHeader;
     a datagram whose P differs from `payload_bytes` is a framing error.
     """
-    rec = datagram_records(data, payload_bytes)
-    start, wsize, slope, packet_id, size = _read_headers(rec["header"])
+    start, wsize, slope, packet_id, size = _read_headers(
+        datagram_records(data, payload_bytes)["header"])
     _reject(size != payload_bytes, size,
             f"framing error: header says P={{}}, datagram carries {payload_bytes}")
-    return Datagrams(start, wsize, slope, packet_id, payload_bytes, rec["payload"])
+    return start, wsize, slope, packet_id
 
 
 #: Committed reference vector; must never change across releases.

@@ -48,7 +48,11 @@ class VideoTrace:
     def from_frame_bytes(cls, frame_bytes, frame_rate, payload_bytes,
                          gop_size: int = 1) -> "VideoTrace":
         _check_params(frame_rate, gop_size, payload_bytes)  # before P counts a packet
-        sizes = tuple(int(b) for b in frame_bytes)
+        sizes = []
+        for b in frame_bytes:
+            check_integer(b, "frame size")
+            sizes.append(int(b))
+        sizes = tuple(sizes)
         s = tuple(max(1, math.ceil(b / payload_bytes)) for b in sizes)
         return cls(frame_rate=float(frame_rate), gop_size=int(gop_size),
                    payload_bytes=int(payload_bytes), frame_bytes=sizes,
@@ -141,6 +145,7 @@ def packetize(trace: VideoTrace, payloads=None) -> np.ndarray:
 
 def downsample(trace: VideoTrace, factor: int) -> VideoTrace:
     """Merge every `factor` frames into one superframe (packet counts summed)."""
+    check_integer(factor, "downsampling factor")
     if factor < 1:
         raise ValueError("factor must be >= 1")
     if factor == 1:

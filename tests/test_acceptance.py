@@ -34,6 +34,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # Fig. 12/13-analog grids: delay sweep at C=0.85, rate sweep at 1.5 s.
 TREND_MODES = ("DAF", "DAF-L", "S-LT", "Block", "Expand")
+DELAYS_S = (0.5, 1.0, 1.5, 1.83)
 
 
 def foreman_like():
@@ -259,8 +260,7 @@ def delay_sweep():
     of 09a's delays (0.5, 1.0, 1.5 and 1.83 s), seeds 0..19."""
     trace = foreman_like()
     channel = ChannelModel(kind="single", loss_rate=0.10)
-    return {mode: [median_metrics(trace, mode, 0.85, d, channel)
-                   for d in (0.5, 1.0, 1.5, 1.83)]
+    return {mode: [median_metrics(trace, mode, 0.85, d, channel) for d in DELAYS_S]
             for mode in TREND_MODES}
 
 
@@ -285,24 +285,37 @@ def test_criterion_09a_idr_non_decreasing_in_delay(delay_sweep):
 
 
 def readme_known_deviations():
-    """README "Known deviations": the Block IDR column of the delay table
+    """README "Known deviations": the cells of each row of the delay table
     and DAF's IDR at the same delays, as printed."""
     text = README.read_text(encoding="utf-8")
     section = text[text.index("## Known deviations"):]
     lines = section.splitlines()
     first = next(i for i, line in enumerate(lines) if line.strip().startswith("| delay |"))
-    block = []
+    rows = []
     for line in lines[first + 2:]:  # past the header and its rule
         if not line.strip().startswith("|"):
             break
-        block.append(line.strip().strip("|").split("|")[-1].strip())
+        rows.append([cell.strip() for cell in line.strip().strip("|").split("|")])
     daf = re.search(r"\(DAF ([\d.]+), ([\d.]+),\s+([\d.]+), ([\d.]+)%\)", section)
-    return block, [f"{v}%" for v in daf.groups()]
+    return rows, [f"{v}%" for v in daf.groups()]
 
 
 def test_readme_known_deviations_are_recomputed(delay_sweep):
-    block, daf = readme_known_deviations()
-    assert block == [f"{idr * 100:.2f}%" for idr, _ in delay_sweep["Block"]]
+    rows, daf = readme_known_deviations()
+    # delay, blocks, budget per block and blocks whose budget covers their
+    # size at 10% loss come from the schedule alone; the "median blocks
+    # decoded" column is not recomputed
+    trace = foreman_like()
+    table = []
+    for d in DELAYS_S:
+        params = derive_params(trace, "Block", delay_to_frames(d, trace.frame_rate),
+                               step_frames=1, code_rate=0.85)
+        sched = build_schedule(params, trace)
+        budget = np.diff(sched.cum_sent, prepend=0)
+        table.append([f"{d} s", str(len(budget)), str(budget[0]),
+                      str(np.count_nonzero(0.9 * budget >= sched.window_packets))])
+    assert [row[:4] for row in rows] == table
+    assert [row[-1] for row in rows] == [f"{idr * 100:.2f}%" for idr, _ in delay_sweep["Block"]]
     assert daf == [f"{idr * 100:.2f}%" for idr, _ in delay_sweep["DAF"]]
 
 

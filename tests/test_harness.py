@@ -17,13 +17,13 @@ from dafstream.harness import (CSV_HEADER, Metrics, SessionCodec, delay_to_frame
                                run_session, session_blocks, session_plan, summarize, sweep)
 from dafstream.ltcode import DecoderState, PeelingTables, cdf_keys, xor_payloads
 from dafstream.protocol import (HEADER_LEN, DafHeader, datagram_records, decode_datagrams,
-                                decode_packet, encode_datagrams, encode_packet)
+                                decode_packet, encode_packet)
 from dafstream.trace import (burst_trace, constant_trace, packetize, random_trace,
                              sinusoidal_trace)
 from dafstream.windowing import build_schedule, derive_params, wcp_packets
 
 from oracles import (encode_block, header_rule_oracle, iter_coded_packets, minmax_decode_times,
-                     slope_pdf, uniform_cdf, window_tables)
+                     slope_pdf, struct_datagram, uniform_cdf, window_tables)
 
 
 def lossless():
@@ -193,10 +193,10 @@ class TestDecoderSideCompositions:
         for first, last in session_blocks(N, t.payload_bytes):
             pids, _, indptr, neighbors = encode_block(sender, windows, first, last)
             sent = delivered[first - 1:last]
-            rx = receiver.receive(sender.send(first, last, delivered, buffer))
-            assert rx.packet_id.tolist() == pids[sent].tolist()
+            got_pids, payload = receiver.receive(sender.send(first, last, delivered, buffer))
+            assert got_pids.tolist() == pids[sent].tolist()
             rows = [neighbors[indptr[i]:indptr[i + 1]] for i in np.flatnonzero(sent)]
-            for pid, row, got in zip(rx.packet_id.tolist(), rows, rx.payload):
+            for pid, row, got in zip(got_pids.tolist(), rows, payload):
                 # the receiver reads by PacketID the composition the sender drew
                 assert np.array_equal(receiver.neighbors[receiver.indptr[pid - 1]:
                                                          receiver.indptr[pid]], row)
@@ -211,8 +211,10 @@ def sent_by_oracle(codec, windows, buffer, delivered, first, last):
     t, sched = codec.trace, codec.schedule
     pids, entry, indptr, neighbors = encode_block(codec, windows, first, last)
     sent = np.flatnonzero(delivered[first - 1:last])
-    want = encode_datagrams(sched.start_packet[entry[sent]], sched.window_packets[entry[sent]],
-                            sched.slope[entry[sent]], pids[sent], t.payload_bytes)
+    want = bytearray(b"".join(
+        struct_datagram(int(sched.start_packet[e]), int(sched.window_packets[e]),
+                        float(sched.slope[e]), int(pid), t.payload_bytes, bytes(t.payload_bytes))
+        for e, pid in zip(entry[sent], pids[sent])))
     if buffer is not None and len(sent):
         rows = [neighbors[indptr[i]:indptr[i + 1]] for i in sent]
         sent_indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows])))
@@ -410,8 +412,8 @@ class TestPayloadRecovery:
         decoded = []
         for first, last in session_blocks(N, t.payload_bytes):
             if delivered[first - 1:last].any():
-                rx = codec.receive(codec.send(first, last, delivered, buffer))
-                decoded += dec.ingest_block(rx.packet_id, rx.payload)[0].tolist()
+                pids, payload = codec.receive(codec.send(first, last, delivered, buffer))
+                decoded += dec.ingest_block(pids, payload)[0].tolist()
         decoded.sort()
         result = run_session(t, p, inp.channel, seed, payloads=inp.payloads)
         assert decoded == np.flatnonzero(np.isfinite(result.decode_time)).tolist()
@@ -621,11 +623,10 @@ class TestHostileHeaders:
         good = self.entry(codec)
         pids = self.sent(codec)[:2]
         for bad in (good, (2934, 50, 0.0), (2939, 50, 0.5)):
-            data = encode_datagrams([good[0], bad[0]], [good[1], bad[1]],
-                                    [good[2], bad[2]], pids, 1024)
+            data = b"".join(struct_datagram(*fields, pid, 1024, bytes(1024))
+                            for fields, pid in zip((good, bad), pids))
             if bad is good:
-                rx = codec.receive(data)
-                assert rx.packet_id.tolist() == pids
+                assert codec.receive(data)[0].tolist() == pids
             else:
                 with pytest.raises(ProtocolError):
                     codec.receive(data)
@@ -655,14 +656,14 @@ class TestHostileHeaders:
         monkeypatch.setattr(harness, "draw_batch", refuse)
         monkeypatch.setattr(ltcode, "draw_batch", refuse)
         monkeypatch.setattr(ltcode, "_draw_pass", refuse)
-        rx = codec.receive(encode_datagrams([start], [wsize], [1.0], [honest], 1024))
-        assert rx.packet_id.tolist() == [honest]
+        got = codec.receive(struct_datagram(start, wsize, 1.0, honest, 1024, bytes(1024)))
+        assert got[0].tolist() == [honest]
         meta = codec.meta_from_header(DafHeader(start, wsize, 1.0, honest, 1024))
         assert meta.neighbors == tuple(codec.neighbors[codec.indptr[honest - 1]:
                                                        codec.indptr[honest]].tolist())
         for pid in (honest + 1, codec.total_coded + 1, 0):
             with pytest.raises(ProtocolError, match="PacketID"):
-                codec.receive(encode_datagrams([start], [wsize], [1.0], [pid], 1024))
+                codec.receive(struct_datagram(start, wsize, 1.0, pid, 1024, bytes(1024)))
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -678,23 +679,26 @@ class TestHostileHeaders:
             byte = data.draw(st.integers(0, HEADER_LEN - 1))
             wire[row * size + byte] = data.draw(st.integers(0, 255))
         cut = data.draw(st.one_of(st.just(len(wire)), st.integers(0, len(wire))))
+        received = bytes(wire[:cut])
         try:
-            rx = codec.receive(bytes(wire[:cut]))
+            pids, _ = codec.receive(received)
         except ProtocolError:
             return
         # an accepted header names the window its PacketID's composition lies in
-        for start, wsize, pid in zip(rx.start_packet.tolist(), rx.window_packets.tolist(),
-                                     rx.packet_id.tolist()):
+        start, wsize, _, pid = decode_datagrams(received, codec.trace.payload_bytes)
+        assert pids.tolist() == pid.tolist()
+        for start, wsize, pid in zip(start.tolist(), wsize.tolist(), pid.tolist()):
             row = codec.neighbors[codec.indptr[pid - 1]:codec.indptr[pid]]
             assert len(row) and np.all((start <= row) & (row < start + wsize))
 
 
 def full_checks(codec, data):
-    """receive before it compared bytes: decode every header, then check it."""
-    rx = decode_datagrams(data, codec.trace.payload_bytes)
-    codec.check_headers(rx.start_packet, rx.window_packets, rx.slope_factor, rx.packet_id,
-                        rx.payload_bytes)
-    return rx
+    """receive before it compared bytes: decode every header, check it, and
+    return the PacketIDs and payload rows."""
+    P = codec.trace.payload_bytes
+    start, wsize, slope, pid = decode_datagrams(data, P)
+    codec.check_headers(start, wsize, slope, pid, P)
+    return pid, datagram_records(data, P)["payload"]
 
 
 def outcome(check, *args):
@@ -724,11 +728,11 @@ class TestReceive:
             codec = session_plan(inp.trace, cell.params)
             s, N = codec.schedule, codec.total_coded
             e = np.searchsorted(s.cum_sent, np.arange(1, N + 1))
-            want = encode_datagrams(s.start_packet[e], s.window_packets[e], s.slope[e],
-                                    np.arange(1, N + 1), P)
+            want = b"".join(struct_datagram(a, w, f, pid, P) for pid, (a, w, f) in enumerate(
+                zip(s.start_packet[e].tolist(), s.window_packets[e].tolist(),
+                    s.slope[e].tolist()), 1))
             assert codec.headers.dtype == np.uint8 and codec.headers.shape == (N, HEADER_LEN)
-            assert np.array_equal(codec.headers,
-                                  np.frombuffer(want, np.uint8).reshape(N, -1)[:, :HEADER_LEN])
+            assert np.array_equal(codec.headers, np.frombuffer(want, np.uint8).reshape(N, -1))
             with pytest.raises(ValueError, match="read-only"):
                 codec.headers[0, 0] = 0
 
@@ -744,8 +748,7 @@ class TestReceive:
         for (first, last), rx in zip(session_blocks(N, codec.trace.payload_bytes), want):
             got = codec.receive(codec.send(first, last, delivered))
             for a, b in zip(got, rx):
-                assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
-            assert np.array_equal(np.signbit(got.slope_factor), np.signbit(rx.slope_factor))
+                assert np.array_equal(a, b) and a.dtype == b.dtype
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -780,7 +783,6 @@ class TestReceive:
         else:
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
-            assert np.array_equal(np.signbit(got.slope_factor), np.signbit(want.slope_factor))
 
 
 class TestHeaderRule:

@@ -10,8 +10,7 @@ from dafstream.errors import ProtocolError
 from dafstream.harness import session_slopes
 from dafstream.protocol import (GOLDEN_BYTES, GOLDEN_HEADER, HEADER_DTYPE, HEADER_LEN,
                                 DafHeader, datagram_records, decode_datagrams, decode_header,
-                                decode_packet, encode_datagrams, encode_header,
-                                encode_packet, to_f32)
+                                decode_packet, encode_header, encode_packet, to_f32)
 from dafstream.windowing import build_schedule
 
 from oracles import struct_datagram
@@ -29,7 +28,7 @@ valid_headers = st.builds(
 class TestGolden:
     def test_committed_vector(self):
         assert encode_header(GOLDEN_HEADER) == GOLDEN_BYTES
-        assert len(GOLDEN_BYTES) == HEADER_LEN == 15
+        assert len(GOLDEN_BYTES) == HEADER_LEN == HEADER_DTYPE.itemsize == 15
         assert decode_header(GOLDEN_BYTES) == GOLDEN_HEADER
 
     def test_layout_assembled_by_hand(self):
@@ -94,6 +93,20 @@ class TestErrors:
         with pytest.raises(ProtocolError, match="StartP"):
             DafHeader(0, 1, 0.0, 1, 1024)
 
+    def test_integer_fields_must_be_integers(self):
+        # a fractional StartP was encoded truncated, a fractional PacketID
+        # reached the receiver's tables as an index
+        for fields, name in [((1.5, 1, 0.0, 1, 1024), "StartP 1.5"),
+                             ((1, 2.0, 0.0, 1, 1024), "WSize 2.0"),
+                             ((1, 1, 0.0, 7.5, 1024), "PacketID 7.5"),
+                             ((1, 1, 0.0, 1, 1024.0), "P 1024.0"),
+                             ((True, 1, 0.0, 1, 1024), "StartP True"),
+                             ((1, 1, 0.0, 1, "1024"), "P '1024'")]:
+            with pytest.raises(ProtocolError, match=f"^{name} is not an integer$"):
+                DafHeader(*fields)
+        h = DafHeader(np.int64(1), np.uint16(1), np.float32(0.0), np.int32(1), np.int64(1024))
+        assert encode_header(h) == GOLDEN_BYTES
+
     def test_slope_out_of_range_rejected_on_decode(self):
         raw = bytearray(GOLDEN_BYTES)
         raw[6:10] = struct.pack(">f", 1.5)
@@ -141,41 +154,29 @@ def sample_rows(n=40, P=8, seed=0):
             rng.integers(0, 256, size=(n, P), dtype=np.uint8))
 
 
-def with_payloads(start, wsize, slope, pid, P, payload):
-    """encode_datagrams, then the payload rows written through datagram_records."""
-    data = encode_datagrams(start, wsize, slope, pid, P)
-    datagram_records(data, P)["payload"] = payload
-    return data
+def datagrams(start, wsize, slope, pid, P, payload):
+    """struct_datagram of every row, back to back."""
+    return b"".join(struct_datagram(int(a), int(w), struct_f32(s), int(p), P, row.tobytes())
+                    for a, w, s, p, row in zip(start, wsize, slope, pid, payload))
 
 
 class TestDatagrams:
     def test_bytes_equal_packet_by_packet_encoding(self):
         start, wsize, slope, pid, payload = sample_rows()
-        data = with_payloads(start, wsize, slope, pid, 8, payload)
-        expected = b"".join(
-            struct_datagram(int(a), int(w), struct_f32(s), int(p), 8, row.tobytes())
-            for a, w, s, p, row in zip(start, wsize, slope, pid, payload))
-        assert data == expected
-        assert expected == b"".join(
+        assert datagrams(start, wsize, slope, pid, 8, payload) == b"".join(
             encode_packet(DafHeader(int(a), int(w), float(s), int(p), 8), row.tobytes())
             for a, w, s, p, row in zip(start, wsize, slope, pid, payload))
 
     def test_round_trip(self):
         start, wsize, slope, pid, payload = sample_rows(P=5)
-        rx = decode_datagrams(with_payloads(start, wsize, slope, pid, 5, payload), 5)
-        assert rx.start_packet.tolist() == start.tolist()
-        assert rx.window_packets.tolist() == wsize.tolist()
-        assert rx.slope_factor.tolist() == [struct_f32(x) for x in slope]
-        assert rx.packet_id.tolist() == pid.tolist()
-        assert np.array_equal(rx.payload, payload)
-
-    def test_zero_payloads_and_golden(self):
-        data = encode_datagrams([1], [1], [0.0], [1], 1024)
-        assert data == GOLDEN_BYTES + bytes(1024)
-        assert HEADER_DTYPE.itemsize == HEADER_LEN
+        data = datagrams(start, wsize, slope, pid, 5, payload)
+        got = decode_datagrams(data, 5)
+        assert [a.tolist() for a in got] == [start.tolist(), wsize.tolist(),
+                                             [struct_f32(x) for x in slope], pid.tolist()]
+        assert np.array_equal(datagram_records(data, 5)["payload"], payload)
 
     def test_framing_errors(self):
-        data = encode_datagrams([1, 2], [1, 1], [0.0, 0.0], [1, 2], 4)
+        data = datagrams([1, 2], [1, 1], [0.0, 0.0], [1, 2], 4, np.zeros((2, 4), np.uint8))
         with pytest.raises(ProtocolError, match="framing"):
             decode_datagrams(data[:-1], 4)
         with pytest.raises(ProtocolError, match="framing"):
@@ -184,7 +185,7 @@ class TestDatagrams:
             decode_datagrams(GOLDEN_BYTES + bytes(19), 4)  # header says P=1024
 
     def test_fields_checked_as_arrays(self):
-        ok = bytearray(encode_datagrams([1, 2], [1, 1], [0.0, 0.0], [1, 2], 4))
+        ok = datagrams([1, 2], [1, 1], [0.0, 0.0], [1, 2], 4, np.zeros((2, 4), np.uint8))
         bad = bytearray(ok)
         bad[19 + 6:19 + 10] = struct.pack(">f", math.nan)
         with pytest.raises(ProtocolError, match="SlopeF"):
@@ -194,9 +195,7 @@ class TestDatagrams:
         with pytest.raises(ProtocolError, match="WSize"):
             decode_datagrams(bytes(bad), 4)
         with pytest.raises(ProtocolError, match="StartP"):
-            encode_datagrams([0], [1], [0.0], [1], 4)
-        with pytest.raises(ProtocolError, match="PacketID"):
-            encode_datagrams([1], [1], [0.0], [1 << 24], 4)
+            decode_datagrams(ok + struct_datagram(0, 1, 0.0, 3, 4, bytes(4)), 4)
 
 
 @st.composite
@@ -221,10 +220,10 @@ class TestUntrustedBytes:
     def test_decode_gives_datagrams_or_protocol_error(self, case):
         data, P = case
         try:
-            rx = decode_datagrams(data, P)
+            fields = decode_datagrams(data, P)
         except ProtocolError:
             return
         # what decodes is in range and encodes back to the same bytes
-        assert rx.payload.shape == (len(data) // (HEADER_LEN + P), P)
-        assert bytes(with_payloads(rx.start_packet, rx.window_packets, rx.slope_factor,
-                                   rx.packet_id, P, rx.payload)) == data
+        payload = datagram_records(data, P)["payload"]
+        assert payload.shape == (len(data) // (HEADER_LEN + P), P)
+        assert datagrams(*fields, P, payload) == data

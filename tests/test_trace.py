@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,15 @@ class TestTraceShape:
             with pytest.raises(ConfigError, match="GOP size"):
                 VideoTrace(frame_rate=30.0, gop_size=gop, payload_bytes=64,
                            frame_bytes=(100,), packets_per_frame=(2,))
+
+    def test_frame_sizes_must_be_integers(self):
+        # 100.7 bytes was stored as 100, losing a byte of the frame
+        for size in (100.7, 100.0, True, np.float64(64.0)):
+            with pytest.raises(ConfigError, match=re.escape(f"frame size {size!r} is not an integer")):
+                VideoTrace.from_frame_bytes([size, 64], 30, 64)
+        t = VideoTrace.from_frame_bytes([np.int64(100), 64], 30, 64)
+        assert (t.frame_bytes, t.packets_per_frame) == ((100, 64), (2, 1))
+        assert type(t.frame_bytes[0]) is int
 
     def test_frame_rate_must_be_finite(self):
         for rate in (float("nan"), float("inf"), np.float64("nan")):
@@ -223,6 +234,13 @@ class TestDownsample:
         t = random_trace(10, 1, 4, seed=0)
         with pytest.raises(ValueError, match="divide"):
             downsample(t, 3)
+
+    def test_factor_must_be_an_integer(self):
+        t = random_trace(4, 1, 4, seed=0)
+        for factor in (2.0, 1.5, True):
+            with pytest.raises(ConfigError, match=re.escape(f"factor {factor!r} is not an integer")):
+                downsample(t, factor)
+        assert downsample(t, np.int64(2)).num_frames == 2
 
     def test_gop_constraint(self):
         t = constant_trace(12, 1000, gop_size=4)
