@@ -12,11 +12,14 @@ decoder peels the block's PacketIDs in order on the codec's tables. The
 codec writes the 15-byte header of every PacketID once; a block's headers
 are copied from those bytes, and a received header equal to its PacketID's
 is accepted without decoding its fields. Every block of a session is
-written into a prefix of one datagram buffer, as long as the most
-datagrams any block delivers. A native packet decoded by the send time of
-the last coded packet of the last window covering its frame counts as
-in-time; decoded ever, toward the file ratio. Warm-up/cool-down padding is
-excluded from both.
+written into a prefix of one datagram buffer that fits the codec's largest
+block (with payloads, the most datagrams a block delivers). A session that
+ends normally keeps it as the one spare, which the next session takes if
+it runs on the same codec, fits in it and, without payloads, only if no
+payload bytes were written into it; a codec being built drops the spare.
+A native packet decoded by the send time of the last coded packet of the
+last window covering its frame counts as in-time; decoded ever, toward the
+file ratio. Warm-up/cool-down padding is excluded from both.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,6 +49,10 @@ from .windowing import CodingParams, Mode, build_schedule, derive_params, wcp_pa
 #: wire bytes and payload rows held at once; a composition depends only on
 #: its PacketID and window, so the block size changes no result.
 BLOCK_BYTES = 1 << 21
+
+#: At most one datagram buffer kept between sessions, as
+#: (weakref to the SessionCodec it was cut for, bytearray, holds payload bytes).
+_spare: list = []
 
 
 @dataclass(frozen=True)
@@ -75,6 +83,7 @@ class SessionCodec:
     """
 
     def __init__(self, trace: VideoTrace, params: CodingParams):
+        _spare.clear()  # no spare buffer is held while a codec is built
         if trace.payload_bytes > 0xFFFF:
             raise ConfigError("payload size does not fit the wire header")
         schedule = build_schedule(params, trace, slopes=session_slopes(trace, params))
@@ -182,7 +191,8 @@ class SessionCodec:
         delivers (`delivered` is the session's per-packet mask).
 
         The bytes are a new bytearray, or with `out` (a writable buffer of
-        enough bytes) a memoryview of its prefix. Headers are copied from
+        enough bytes) a read-only memoryview of its prefix, so no reader
+        writes into a buffer that later sessions reuse. Headers are copied from
         `headers`. With a payload buffer, each packet's XOR is written
         straight into its datagram's payload bytes; without one they are not
         written, so they stay as they were: zeros in a new bytearray.
@@ -200,7 +210,7 @@ class SessionCodec:
             np.cumsum(degree, out=indptr[1:])
             neighbors = self.neighbors[np.arange(indptr[-1]) + np.repeat(lo - indptr[:-1], degree)]
             xor_payloads(indptr, neighbors, buffer, out=rows[:, HEADER_LEN:])
-        return data
+        return data if out is None else data.toreadonly()
 
     # -- decoder ----------------------------------------------------------
 
@@ -353,10 +363,22 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
     decode_time = np.full(k + 1, np.inf)
 
     blocks = list(session_blocks(N, trace.payload_bytes))
-    # every block's datagrams are written into a prefix of this one buffer,
-    # whose payload bytes stay zero without payloads, as nothing writes them
-    most = max(int(np.count_nonzero(delivered[first - 1:last])) for first, last in blocks)
-    wire = bytearray(most * (HEADER_LEN + trace.payload_bytes))
+    # every block's datagrams are written into a prefix of one buffer: without
+    # payloads it fits the codec's largest block, so it fits every seed; with
+    # them (whose XOR outweighs a zero fill) the most datagrams a block
+    # delivers, as a longer one only adds resident bytes. The last session's
+    # spare is reused if cut for this codec, long enough and, without
+    # payloads, free of payload bytes, as nothing else writes them
+    size = (HEADER_LEN + trace.payload_bytes) * max(
+        last - first + 1 if buffer is None else int(np.count_nonzero(delivered[first - 1:last]))
+        for first, last in blocks)
+    try:  # pop, so that two sessions running at once never share it
+        owner, wire, dirty = _spare.pop()
+    except IndexError:
+        owner = wire = None
+    if owner is None or owner() is not codec or len(wire) < size or (dirty and buffer is None):
+        wire = None  # a spare that does not fit is freed before the new buffer is cut
+        wire = bytearray(size)
     for first, last in blocks:
         if not delivered[first - 1:last].any():
             continue
@@ -365,6 +387,7 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
         pids, payload = codec.receive(data)
         released, by = decoder.ingest_block(pids, payload if buffer is not None else None)
         decode_time[released] = codec.send_times[pids[by] - 1]
+    _spare[:] = [(weakref.ref(codec), wire, buffer is not None)]
 
     dt = decode_time[1:]
     decoded = np.isfinite(dt)

@@ -73,8 +73,9 @@ def check_fields(start_packet, window_packets, slope_factor, packet_id, payload_
 
 @dataclass(frozen=True)
 class DafHeader:
-    """One header. StartP, WSize, PacketID and P must be integers (a bool is
-    not) and every field in range (check_fields), or ProtocolError."""
+    """One header. StartP, WSize, PacketID and P must be integers and SlopeF
+    a real number (a bool is neither), and every field in range
+    (check_fields), or ProtocolError."""
 
     start_packet: int      # StartP
     window_packets: int    # WSize
@@ -87,6 +88,8 @@ class DafHeader:
                             ("PacketID", self.packet_id), ("P", self.payload_bytes)):
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ProtocolError(f"{name} {value!r} is not an integer")
+        if isinstance(self.slope_factor, bool) or not isinstance(self.slope_factor, numbers.Real):
+            raise ProtocolError(f"SlopeF {self.slope_factor!r} is not a real number")
         slope = check_fields(self.start_packet, self.window_packets, float(self.slope_factor),
                              self.packet_id, self.payload_bytes)
         object.__setattr__(self, "slope_factor", float(slope))

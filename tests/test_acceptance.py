@@ -303,18 +303,25 @@ def readme_known_deviations():
 def test_readme_known_deviations_are_recomputed(delay_sweep):
     rows, daf = readme_known_deviations()
     # delay, blocks, budget per block and blocks whose budget covers their
-    # size at 10% loss come from the schedule alone; the "median blocks
-    # decoded" column is not recomputed
+    # size at 10% loss come from the schedule alone; a block counts as
+    # decoded in a session when every packet of its window is
     trace = foreman_like()
+    channel = ChannelModel(kind="single", loss_rate=0.10)
     table = []
     for d in DELAYS_S:
         params = derive_params(trace, "Block", delay_to_frames(d, trace.frame_rate),
                                step_frames=1, code_rate=0.85)
         sched = build_schedule(params, trace)
         budget = np.diff(sched.cum_sent, prepend=0)
+        windows = list(zip(sched.start_packet.tolist(), sched.window_packets.tolist()))
+        decoded = []
+        for seed in SEEDS:
+            finite = np.isfinite(run_session(trace, params, channel, seed).decode_time)
+            decoded.append(sum(bool(finite[s:s + w].all()) for s, w in windows))
         table.append([f"{d} s", str(len(budget)), str(budget[0]),
-                      str(np.count_nonzero(0.9 * budget >= sched.window_packets))])
-    assert [row[:4] for row in rows] == table
+                      str(np.count_nonzero(0.9 * budget >= sched.window_packets)),
+                      f"{statistics.median(decoded):g}"])
+    assert [row[:5] for row in rows] == table
     assert [row[-1] for row in rows] == [f"{idr * 100:.2f}%" for idr, _ in delay_sweep["Block"]]
     assert daf == [f"{idr * 100:.2f}%" for idr, _ in delay_sweep["DAF"]]
 

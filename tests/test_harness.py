@@ -223,6 +223,19 @@ def sent_by_oracle(codec, windows, buffer, delivered, first, last):
     return want
 
 
+def record_sends(monkeypatch):
+    """Record (first, last, delivered, bytes, underlying buffer) of every
+    SessionCodec.send into the returned list."""
+    sent, send = [], SessionCodec.send
+
+    def recorded(self, first, last, delivered, payloads=None, out=None):
+        data = send(self, first, last, delivered, payloads, out)
+        sent.append((first, last, delivered, bytes(data), data.obj))
+        return data
+    monkeypatch.setattr(SessionCodec, "send", recorded)
+    return sent
+
+
 class TestSend:
     @pytest.fixture(scope="class")
     def relay(self, workloads):
@@ -249,8 +262,9 @@ class TestSend:
     @pytest.mark.parametrize("name", ["readme-300", "relay-payload-300"])
     def test_sessions_reuse_one_buffer_and_send_the_oracles_bytes(self, workloads, name,
                                                                    monkeypatch):
-        # every block of a session is written into a prefix of one buffer;
-        # without payloads its payload bytes stay zero, with them every
+        # every block of a session is written into a prefix of one buffer,
+        # and without payloads every session on one codec reuses it; its
+        # payload bytes stay zero without payloads, with them every
         # delivered row is overwritten, short last block included
         inp = workloads.build(name, workloads.DEFAULT_SEED)
         cell = inp.cells[0]
@@ -260,23 +274,94 @@ class TestSend:
         buffer = None if inp.payloads is None else packetize(inp.trace, inp.payloads)
         if buffer is not None:
             buffer[~codec.real] = 0
-        sent, send = [], SessionCodec.send
-
-        def recorded(self, first, last, delivered, payloads=None, out=None):
-            data = send(self, first, last, delivered, payloads, out)
-            sent.append((first, last, delivered, bytes(data), data.obj))
-            return data
-        monkeypatch.setattr(SessionCodec, "send", recorded)
-        for seed in (0, 1):
+        sent, buffers = record_sends(monkeypatch), []
+        for seed in (0, 1, 2):
             sent.clear()
             run_session(inp.trace, cell.params, inp.channel, seed, payloads=inp.payloads)
             assert [s[:2] for s in sent] == list(session_blocks(codec.total_coded, P))
-            assert len({id(s[4]) for s in sent}) == 1  # one buffer for the whole session
             assert len(sent[-1][3]) < len(sent[0][3])  # a short last block
+            assert all(s[4] is sent[0][4] for s in sent)
+            buffers.append(sent[0][4])
+            if seed == 0:  # cut for the largest block, with payloads for the most delivered
+                want = (max(len(s[3]) for s in sent) if buffer is not None
+                        else (sent[0][1] - sent[0][0] + 1) * (HEADER_LEN + P))
+                assert len(buffers[0]) == want
             for first, last, delivered, data, _ in sent:
                 assert data == sent_by_oracle(codec, windows, buffer, delivered, first, last)
                 if buffer is None:
                     assert not datagram_records(data, P)["payload"].any()
+        if buffer is None:
+            assert all(b is buffers[0] for b in buffers)
+
+    def test_a_session_without_payloads_after_one_with_sends_zero_payloads(self, workloads,
+                                                                           monkeypatch):
+        inp = workloads.build("relay-payload-300", workloads.DEFAULT_SEED)
+        params = inp.cells[0].params
+        codec = session_plan(inp.trace, params)
+        # the payload session takes the spare the first one cut for the
+        # largest block and writes payload bytes into it
+        run_session(inp.trace, params, inp.channel, 2)
+        run_session(inp.trace, params, inp.channel, 0, payloads=inp.payloads)
+        sent = record_sends(monkeypatch)
+        run_session(inp.trace, params, inp.channel, 1)
+        windows = window_tables(codec, params.step_frames)
+        for first, last, delivered, data, _ in sent:
+            assert not datagram_records(data, inp.trace.payload_bytes)["payload"].any()
+            assert data == sent_by_oracle(codec, windows, None, delivered, first, last)
+
+    def test_a_codec_never_gets_another_codecs_buffer(self, workloads, monkeypatch):
+        # the spare fits both codecs and holds no payload bytes, so only its
+        # owner decides; and no spare is kept while a codec is built
+        inp = workloads.build("readme-300", workloads.DEFAULT_SEED)
+        params = inp.cells[0].params
+        other_trace = sinusoidal_trace(90, 8000, 4000, 30, payload_bytes=512)
+        other = derive_params(other_trace, "DAF-L", 15, code_rate=0.8)
+        run_session(inp.trace, params, inp.channel, 0)
+        assert harness._spare
+        codec = session_plan(other_trace, other)
+        assert not harness._spare
+        sent = record_sends(monkeypatch)
+        run_session(inp.trace, params, inp.channel, 1)
+        spare = sent[0][4]
+        sent.clear()
+        run_session(other_trace, other, inp.channel, 0)
+        assert sent and all(s[4] is not spare for s in sent)
+        windows = window_tables(codec, other.step_frames)
+        for first, last, delivered, data, _ in sent:
+            assert data == sent_by_oracle(codec, windows, None, delivered, first, last)
+
+    def test_a_session_that_raises_leaves_no_spare(self, workloads, monkeypatch):
+        inp = workloads.build("readme-300", workloads.DEFAULT_SEED)
+        params = inp.cells[0].params
+        codec = session_plan(inp.trace, params)
+        run_session(inp.trace, params, inp.channel, 1)
+        send = SessionCodec.send
+
+        def corrupted(self, first, last, delivered, payloads=None, out=None):
+            data = send(self, first, last, delivered, payloads, out)
+            out[0] ^= 1  # StartP of the first datagram
+            out[HEADER_LEN] = 0xFF  # and one of its payload bytes, which no later send writes
+            return data
+        with monkeypatch.context() as patched:
+            patched.setattr(SessionCodec, "send", corrupted)
+            with pytest.raises(ProtocolError):
+                run_session(inp.trace, params, inp.channel, 0)
+        sent = record_sends(monkeypatch)
+        run_session(inp.trace, params, inp.channel, 0)
+        windows = window_tables(codec, params.step_frames)
+        for first, last, delivered, data, _ in sent:
+            assert data == sent_by_oracle(codec, windows, None, delivered, first, last)
+
+    def test_send_into_a_buffer_returns_a_read_only_view(self, relay):
+        codec, buffer, delivered, _ = relay
+        first, last = next(session_blocks(codec.total_coded, codec.trace.payload_bytes))
+        out = bytearray(harness.BLOCK_BYTES)
+        data = codec.send(first, last, delivered, buffer, out=out)
+        assert data.readonly and data.obj is out
+        assert data == codec.send(first, last, delivered, buffer)
+        with pytest.raises(TypeError):
+            data[0] = 0
+        assert not codec.receive(data)[1].flags.writeable
 
     def test_a_block_is_held_once(self, relay):
         # the XOR goes straight into the datagrams; no (n, P) copy is made

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -106,6 +107,15 @@ class TestErrors:
                 DafHeader(*fields)
         h = DafHeader(np.int64(1), np.uint16(1), np.float32(0.0), np.int32(1), np.int64(1024))
         assert encode_header(h) == GOLDEN_BYTES
+
+    def test_slope_must_be_a_real_number(self):
+        # float() turned the string '0.5' into slope 0.5 and True into 1.0
+        for slope in ("0.5", b"0.5", True, np.True_, 1j, None):
+            with pytest.raises(ProtocolError,
+                               match=f"^SlopeF {re.escape(repr(slope))} is not a real number$"):
+                DafHeader(1, 1, slope, 1, 1024)
+        for slope in (0.5, np.float32(0.5), np.float64(0.5), 1, np.int64(-1)):
+            assert DafHeader(1, 1, slope, 1, 1024).slope_factor == float(slope)
 
     def test_slope_out_of_range_rejected_on_decode(self):
         raw = bytearray(GOLDEN_BYTES)
