@@ -12,11 +12,11 @@ decoder peels the block's PacketIDs in order on the codec's tables. The
 codec writes the 15-byte header of every PacketID once; a block's headers
 are copied from those bytes, and a received header equal to its PacketID's
 is accepted without decoding its fields. Every block of a session is
-written into a prefix of one datagram buffer that fits the codec's largest
-block (with payloads, the most datagrams a block delivers). A session that
-ends normally keeps it as the one spare, which the next session takes if
-it runs on the same codec, fits in it and, without payloads, only if no
-payload bytes were written into it; a codec being built drops the spare.
+written into a prefix of one datagram buffer. Without payloads it fits the
+codec's first, largest block, and a session that ends normally keeps it as
+the one spare, freed with its codec, for the next such session on that
+codec; with payloads it fits the most datagrams a block delivers and is
+not kept. A codec being built drops the spare.
 A native packet decoded by the send time of the last coded packet of the
 last window covering its frame counts as in-time; decoded ever, toward the
 file ratio. Warm-up/cool-down padding is excluded from both.
@@ -50,9 +50,8 @@ from .windowing import CodingParams, Mode, build_schedule, derive_params, wcp_pa
 #: its PacketID and window, so the block size changes no result.
 BLOCK_BYTES = 1 << 21
 
-#: At most one datagram buffer kept between sessions, as
-#: (weakref to the SessionCodec it was cut for, bytearray, holds payload bytes).
-_spare: list = []
+#: At most one datagram buffer kept between sessions: SessionCodec -> bytearray.
+_spare = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -364,30 +363,25 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
 
     blocks = list(session_blocks(N, trace.payload_bytes))
     # every block's datagrams are written into a prefix of one buffer: without
-    # payloads it fits the codec's largest block, so it fits every seed; with
-    # them (whose XOR outweighs a zero fill) the most datagrams a block
-    # delivers, as a longer one only adds resident bytes. The last session's
-    # spare is reused if cut for this codec, long enough and, without
-    # payloads, free of payload bytes, as nothing else writes them
-    size = (HEADER_LEN + trace.payload_bytes) * max(
-        last - first + 1 if buffer is None else int(np.count_nonzero(delivered[first - 1:last]))
-        for first, last in blocks)
-    try:  # pop, so that two sessions running at once never share it
-        owner, wire, dirty = _spare.pop()
-    except IndexError:
-        owner = wire = None
-    if owner is None or owner() is not codec or len(wire) < size or (dirty and buffer is None):
-        wire = None  # a spare that does not fit is freed before the new buffer is cut
-        wire = bytearray(size)
+    # payloads this codec's spare (popped, so no two sessions share it) or one
+    # cut for the first, largest block; with them, whose XOR outweighs a zero
+    # fill, a new one for the most datagrams a block delivers, not kept
+    wire = None if buffer is not None else _spare.pop(codec, None)
+    _spare.clear()  # any other spare is freed before a buffer is cut
+    if wire is None:
+        wire = bytearray((HEADER_LEN + trace.payload_bytes) * (
+            blocks[0][1] if buffer is None else
+            max(int(np.count_nonzero(delivered[first - 1:last])) for first, last in blocks)))
     for first, last in blocks:
         if not delivered[first - 1:last].any():
             continue
         # an honest trip through the wire format: only bytes cross
         data = codec.send(first, last, delivered, buffer, out=wire)
         pids, payload = codec.receive(data)
-        released, by = decoder.ingest_block(pids, payload if buffer is not None else None)
+        released, by = decoder.ingest_block(pids, payload)
         decode_time[released] = codec.send_times[pids[by] - 1]
-    _spare[:] = [(weakref.ref(codec), wire, buffer is not None)]
+    if buffer is None:
+        _spare[codec] = wire
 
     dt = decode_time[1:]
     decoded = np.isfinite(dt)

@@ -427,8 +427,9 @@ class DecoderState:
         self._kept = {}  # per waiting equation: its payload row, as bytes
 
     def decoded_payload(self, packet: int) -> np.ndarray | None:
-        """Recovered bytes; zeros for pseudo-decoded packets."""
-        if not self._decoded[packet]:
+        """Recovered bytes; zeros for pseudo-decoded packets. KeyError for a
+        packet outside 1..k or not decoded."""
+        if not (0 < packet < len(self._decoded) and self._decoded[packet]):
             raise KeyError(f"packet {packet} not decoded")
         values = self._values
         return None if values is None else np.frombuffer(  # fresh, the caller's to write

@@ -77,11 +77,6 @@ class AspProfile:
         v = v / v.mean()
         return float(np.mean((v - v.mean()) ** 2))
 
-    def objective(self) -> float:
-        """Sum of squared deviations from the stable-range mean (unnormalized)."""
-        v = self.stable_values()
-        return float(np.sum((v - v.mean()) ** 2))
-
 
 def _check_window(trace: VideoTrace, window: int):
     if not 1 <= window <= trace.num_frames:
@@ -187,10 +182,6 @@ class SamplingPlan:
 
     def asp(self) -> AspProfile:
         return asp_from_matrix(self.matrix, self.domain_trace, self.window)
-
-    @property
-    def objective(self) -> float:
-        return self.asp().objective()
 
 
 def short_trace(num_frames: int, window: int) -> str | None:

@@ -161,6 +161,11 @@ def stable_objective(P, window):
     return float(((stable - stable.mean()) ** 2).sum())
 
 
+def plan_objective(plan):
+    """ASP objective of an optimizer's plan, on its own (possibly downsampled) domain."""
+    return stable_objective(plan.asp().values, plan.window)
+
+
 def simplex_grid(dim, resolution):
     """All probability vectors of length `dim` on a grid of given spacing."""
     steps = int(round(1.0 / resolution))

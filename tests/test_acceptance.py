@@ -26,7 +26,7 @@ from dafstream.trace import (burst_trace, constant_trace, random_trace,
 from dafstream.windowing import build_schedule, derive_params, wcp_packets
 
 from oracles import (direct_asp_from_slopes, in_time_oracle, iter_coded_packets,
-                     perframe_grid_oracle, slope_grid_oracle)
+                     perframe_grid_oracle, plan_objective, slope_grid_oracle)
 
 SEEDS = range(20)
 
@@ -90,11 +90,11 @@ def test_criterion_02_optimizers_match_oracles():
     worst_frame = worst_slope = 0.0
     for i, (T, W) in enumerate(cases):
         trace = random_trace(T, 1, 5, seed=100 + i, payload_bytes=64)
-        j_frame = optimize_per_frame(trace, W).objective
+        j_frame = plan_objective(optimize_per_frame(trace, W))
         _, oracle_frame = perframe_grid_oracle(trace, W)
         worst_frame = max(worst_frame, abs(j_frame - oracle_frame))
         assert j_frame == pytest.approx(oracle_frame, abs=1e-6), (T, W, i)
-        j_slope = optimize_slopes(trace, W).objective
+        j_slope = plan_objective(optimize_slopes(trace, W))
         _, oracle_slope = slope_grid_oracle(trace, W)
         worst_slope = max(worst_slope, abs(j_slope - oracle_slope))
         assert j_slope == pytest.approx(oracle_slope, abs=1e-6), (T, W, i)

@@ -352,6 +352,23 @@ class TestSend:
         for first, last, delivered, data, _ in sent:
             assert data == sent_by_oracle(codec, windows, None, delivered, first, last)
 
+    def test_the_spare_is_freed_with_its_codec(self):
+        t = sinusoidal_trace(90, 8000, 4000, 30)
+        params = derive_params(t, "DAF-L", 15, code_rate=0.8)
+        run_session(t, params, ChannelModel(kind="single", loss_rate=0.1), 0)
+        assert len(harness._spare) == 1
+        del params
+        gc.collect()
+        assert not harness._spare
+
+    def test_a_payload_session_keeps_no_spare(self, workloads):
+        inp = workloads.build("relay-payload-300", workloads.DEFAULT_SEED)
+        params = inp.cells[0].params
+        run_session(inp.trace, params, inp.channel, 2)
+        assert harness._spare
+        run_session(inp.trace, params, inp.channel, 0, payloads=inp.payloads)
+        assert not harness._spare
+
     def test_send_into_a_buffer_returns_a_read_only_view(self, relay):
         codec, buffer, delivered, _ = relay
         first, last = next(session_blocks(codec.total_coded, codec.trace.payload_bytes))

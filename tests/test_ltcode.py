@@ -672,6 +672,14 @@ class TestDecoderState:
         got[:] = 0xFF
         assert dec.decoded_payload(1).tolist() == [1, 2, 3, 4, 5]
 
+    def test_decoded_payload_of_a_packet_outside_the_session_is_a_key_error(self):
+        # -1 must not wrap round to packet k, nor a huge number raise IndexError
+        dec = decoder(2, [[1], [2]], payload_bytes=2)
+        dec.ingest_block([1, 2], np.array([[1, 2], [3, 4]], np.uint8))
+        for bad in (-1, -3, 0, 3, 10**9):
+            with pytest.raises(KeyError, match=f"packet {bad} not decoded"):
+                dec.decoded_payload(bad)
+
     def test_odd_payload_size_from_strided_datagram_records(self):
         # P = 1023 is not a multiple of 8; rows view the datagrams' payload field
         P, k = 1023, 6
