@@ -8,7 +8,9 @@ is a SessionCodec, built by the first session on a CodingParams object and
 kept on it. Each session then runs in blocks of consecutive coded packets
 whose datagrams fit in BLOCK_BYTES (session_blocks): the delivered ones
 cross the wire as datagram bytes, the receiver checks every header, and the
-decoder peels the block's PacketIDs in order on the codec's tables. The
+decoder peels the block's PacketIDs in order on the codec's tables, noting
+for each native packet the arrival that released it. Decode times are read
+from that record once, after the last block. The
 codec writes the 15-byte header of every PacketID once; a block's headers
 are copied from those bytes, and a received header equal to its PacketID's
 is accepted without decoding its fields. Every block of a session is
@@ -359,7 +361,6 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
 
     decoder = DecoderState(codec.peeling,
                            payload_bytes=trace.payload_bytes if buffer is not None else None)
-    decode_time = np.full(k + 1, np.inf)
 
     blocks = list(session_blocks(N, trace.payload_bytes))
     # every block's datagrams are written into a prefix of one buffer: without
@@ -377,11 +378,14 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
             continue
         # an honest trip through the wire format: only bytes cross
         data = codec.send(first, last, delivered, buffer, out=wire)
-        pids, payload = codec.receive(data)
-        released, by = decoder.ingest_block(pids, payload)
-        decode_time[released] = codec.send_times[pids[by] - 1]
+        decoder.ingest_block(*codec.receive(data))
     if buffer is None:
         _spare[codec] = wire
+    # each packet decodes at the send time of the arrival that released it
+    rows = decoder.release_rows()
+    hit = rows >= 0
+    decode_time = np.full(k + 1, np.inf)
+    decode_time[hit] = codec.send_times[rows[hit]]
 
     dt = decode_time[1:]
     decoded = np.isfinite(dt)

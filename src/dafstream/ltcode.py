@@ -2,7 +2,8 @@
 
 Everything a coded packet needs beyond its payload is reproducible from the
 header: the PRNG is seeded by PacketID alone, the degree is drawn first and
-the neighbors second, so encoder and decoder always agree.
+the neighbors second, so encoder and decoder always agree. The decoder
+records, per native packet, the arrival that released it.
 """
 
 from __future__ import annotations
@@ -406,30 +407,37 @@ class DecoderState:
     every equation holding nat, arrived or not, stays up to date (the
     ripple); one that falls below 2 * ONE has arrived and is down to one
     unknown, or none if another release solved it first, and is queued. f
-    itself lands on 2 * ONE, out of the queue for good. Releases are logged
-    flat with the index of the arrival that caused them, and sorted once
-    per block; decoded flags are set once per block.
+    itself lands on 2 * ONE, out of the queue for good.
+
+    The decoder's output is one record per native packet: the row
+    (PacketID - 1) of the arrival whose ripple released it, -1 until then
+    and always -1 at index 0 and on padding (release_rows). A packet is
+    decoded when it is padding or its record is set.
 
     With payloads, a value is a Python int (bytes read little-endian; 0
     while unknown and on padding); a waiting equation keeps its row as bytes,
     and a packet released through it is that row XOR its neighbors' nonzero
-    values (its own is still 0, and is skipped). Padding starts out decoded
-    and is not reported.
+    values (its own is still 0, and is skipped).
     """
 
     def __init__(self, tables: PeelingTables, payload_bytes: int | None = None):
         self.tables = tables
         self.payload_bytes = payload_bytes
-        self._decoded = bytearray(tables.known)
-        self._known = np.frombuffer(self._decoded, dtype=np.uint8)  # same memory
+        self._record = [-1] * (tables.total_packets + 1)
         self._values = None if payload_bytes is None else [0] * (tables.total_packets + 1)
         self._state = tables.state.tolist()
         self._kept = {}  # per waiting equation: its payload row, as bytes
 
+    def release_rows(self) -> np.ndarray:
+        """int64 per native packet 0..k: the row (PacketID - 1) of the
+        arrival that released it, or -1 (never yet, index 0 and padding)."""
+        return np.array(self._record, dtype=np.int64)
+
     def decoded_payload(self, packet: int) -> np.ndarray | None:
         """Recovered bytes; zeros for pseudo-decoded packets. KeyError for a
         packet outside 1..k or not decoded."""
-        if not (0 < packet < len(self._decoded) and self._decoded[packet]):
+        if not (0 < packet < len(self._record)
+                and (self._record[packet] >= 0 or self.tables.known[packet])):
             raise KeyError(f"packet {packet} not decoded")
         values = self._values
         return None if values is None else np.frombuffer(  # fresh, the caller's to write
@@ -437,12 +445,14 @@ class DecoderState:
 
     def ingest(self, packet_id: int, payload: np.ndarray | None = None) -> list[int]:
         """Absorb one coded packet, a block of one of ingest_block; returns
-        every native packet it released, sorted."""
-        rows = None if payload is None else np.asarray(payload)[None]
-        return self.ingest_block([packet_id], rows)[0].tolist()
+        every native packet whose record it set, sorted."""
+        before = self._record.copy()
+        self.ingest_block([packet_id], None if payload is None else np.asarray(payload)[None])
+        return [n for n, (a, b) in enumerate(zip(before, self._record)) if a != b]
 
-    def ingest_block(self, packet_ids, rows=None):
-        """Absorb a block of coded packets, in order.
+    def ingest_block(self, packet_ids, rows=None) -> None:
+        """Absorb a block of coded packets, in order, recording the row
+        (PacketID - 1) of the arrival that releases each native packet.
 
         Packet i has PacketID packet_ids[i] and, if the decoder holds
         payloads, the payload rows[i] (otherwise rows is not read); its
@@ -451,10 +461,6 @@ class DecoderState:
         1..N, or payload rows that are not one uint8 row of the decoder's
         size per packet, raise ProtocolError before any PacketID of the
         block is recorded.
-
-        Returns (released, by): every native packet released, in decode
-        order and sorted within each packet, and the block index of the
-        packet whose arrival released it.
         """
         tables = self.tables
         ids = np.asarray(packet_ids)
@@ -464,29 +470,32 @@ class DecoderState:
                                 f"of shape {ids.shape}")
         if len(ids) and (ids.min() < 1 or ids.max() > N):
             raise ProtocolError(f"a PacketID outside the session's 1..{N}")
-        ids = ids.astype(np.int64)
+        arrivals = ids.astype(np.int64) - 1  # rows, PacketID - 1
         values = self._values
-        if values is not None:
+        payloads = values is not None
+        if payloads:
             rows = None if rows is None else np.asarray(rows)
             if rows is None or rows.dtype != np.uint8 or rows.shape != (len(ids),
                                                                         self.payload_bytes):
                 raise ProtocolError(f"need one {self.payload_bytes}-byte uint8 payload row "
                                     f"per packet")
             ptr, nbrs = memoryview(tables.indptr), memoryview(tables.neighbors)
+            # an arrival's payload is the row of its first occurrence; a repeat is ignored
+            unique, first = np.unique(arrivals, return_index=True)
+            at = dict(zip(unique.tolist(), first.tolist()))
 
         one, arrive, equations = tables.one, tables.arrive, tables.equations
         two, three = 2 * one, 3 * one
-        state, kept = self._state, self._kept
-        released, by = [], []
-        for i, e in enumerate((ids - 1).tolist()):
+        state, kept, record = self._state, self._kept, self._record
+        for e in arrivals.tolist():
             v = state[e]
             if v < arrive:  # a repeat
                 continue
             v = state[e] = v - arrive
             if v < one:  # redundant
                 continue
-            if values is not None:  # a copy, so the caller may reuse its rows
-                kept[e] = rows[i].tobytes()
+            if payloads:  # a copy, so the caller may reuse its rows
+                kept[e] = rows[at[e]].tobytes()
             if v >= two:  # waits for the ripple
                 continue
             queue = [e]
@@ -496,9 +505,8 @@ class DecoderState:
                 if nat < 0:  # its last unknown was released since it was queued
                     continue
                 state[f] = three + nat  # its own step below leaves it at 2 * ONE, unqueued
-                released.append(nat)
-                by.append(i)
-                if values is not None:
+                record[nat] = e
+                if payloads:
                     x = int.from_bytes(kept.pop(f), "little")
                     for m in nbrs[ptr[f]:ptr[f + 1]]:
                         w = values[m]
@@ -511,7 +519,3 @@ class DecoderState:
                     if v < two:
                         queue.append(g)
         self._kept = {g: row for g, row in kept.items() if state[g] >= one}  # drop the solved
-        released, by = np.array(released, dtype=np.int64), np.array(by, dtype=np.int64)
-        self._known[released] = 1
-        order = np.lexsort((released, by))
-        return released[order], by[order]

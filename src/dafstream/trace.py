@@ -39,6 +39,9 @@ class VideoTrace:
             raise ValueError("trace must contain at least one frame")
         if len(self.frame_bytes) != len(self.packets_per_frame):
             raise ValueError("frame_bytes and packets_per_frame lengths differ")
+        for s, b in zip(self.packets_per_frame, self.frame_bytes):
+            check_integer(s, "packet count")
+            check_integer(b, "frame size")
         if any(s < 1 for s in self.packets_per_frame):
             raise ValueError("every frame must hold at least one packet")
         if any(b < 0 for b in self.frame_bytes):
@@ -135,11 +138,12 @@ def packetize(trace: VideoTrace, payloads=None) -> np.ndarray:
         if len(payloads) != trace.num_frames:
             raise ValueError(f"expected {trace.num_frames} frame payloads, got {len(payloads)}")
         starts = (trace.packet_offsets()[:-1] * P).tolist()
+        view = memoryview(buf)
         for t, (blob, at, expected) in enumerate(zip(payloads, starts, trace.frame_bytes)):
             if len(blob) != expected:
                 raise ValueError(f"frame {t + 1}: payload is {len(blob)} bytes, "
                                  f"trace says {expected}")
-            buf[at:at + expected] = np.frombuffer(blob, dtype=np.uint8)
+            view[at:at + expected] = memoryview(blob).cast("B")
     return buf.reshape(trace.total_packets, P)
 
 

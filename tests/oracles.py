@@ -6,7 +6,9 @@ shares no solver path with the package's optimizers. `draw_oracle` is the
 packet draw exactly as PROTOCOL.md states it, one packet and one deviate at
 a time, for checking the package's batch draw. `peeling_oracle` is the
 peeling decoder kept as sets of unknown neighbors, one packet at a time, for
-checking the package's counter decoder; `minmax_decode_times` gives the
+checking the package's counter decoder, and `block_releases` rebuilds, from
+the decoder's per-packet record, the per-block event log the oracle gives;
+`minmax_decode_times` gives the
 arrival that releases each packet as a min-max fixpoint, solved in time
 order rather than arrival order, for checking whole sessions. `iter_coded_packets` lists every coded
 packet a session's encoder would send (from `window_tables`, the draw
@@ -484,6 +486,23 @@ def peeling_oracle(total_packets, packets, pseudo_decoded=(), payload_bytes=None
                     queue.append((entry[0].pop(), entry[1]))
         got.sort()
     return released, payloads
+
+
+def block_releases(dec, ids, rows=None):
+    """Feed one block to the DecoderState `dec` and return (released, by)
+    as int64 arrays: the packets whose record the block set, each with the
+    first index in `ids` of its releasing PacketID, ordered by that index,
+    then by packet. A rejected block raises what ingest_block raises."""
+    before = dec.release_rows()
+    dec.ingest_block(ids, rows)
+    after = dec.release_rows()
+    released = np.flatnonzero(after != before)
+    first = {}
+    for i, pid in enumerate(np.asarray(ids).tolist()):
+        first.setdefault(pid, i)
+    by = np.array([first[r + 1] for r in after[released].tolist()], dtype=np.int64)
+    order = np.lexsort((released, by))
+    return released[order], by[order]
 
 
 def minmax_decode_times(equations, known=()):

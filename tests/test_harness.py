@@ -22,8 +22,8 @@ from dafstream.trace import (burst_trace, constant_trace, packetize, random_trac
                              sinusoidal_trace)
 from dafstream.windowing import build_schedule, derive_params, wcp_packets
 
-from oracles import (encode_block, header_rule_oracle, iter_coded_packets, minmax_decode_times,
-                     slope_pdf, struct_datagram, uniform_cdf, window_tables)
+from oracles import (block_releases, encode_block, header_rule_oracle, iter_coded_packets,
+                     minmax_decode_times, slope_pdf, struct_datagram, uniform_cdf, window_tables)
 
 
 def lossless():
@@ -515,7 +515,7 @@ class TestPayloadRecovery:
         for first, last in session_blocks(N, t.payload_bytes):
             if delivered[first - 1:last].any():
                 pids, payload = codec.receive(codec.send(first, last, delivered, buffer))
-                decoded += dec.ingest_block(pids, payload)[0].tolist()
+                decoded += block_releases(dec, pids, payload)[0].tolist()
         decoded.sort()
         result = run_session(t, p, inp.channel, seed, payloads=inp.payloads)
         assert decoded == np.flatnonzero(np.isfinite(result.decode_time)).tolist()
@@ -524,17 +524,23 @@ class TestPayloadRecovery:
             assert np.array_equal(dec.decoded_payload(q), buffer[q - 1]), q
 
 
-def fixpoint_decode_times(t, p, channel, seed):
-    """The decode time of every packet of session `seed`, from
-    minmax_decode_times over the equations it delivers, and how many packets
-    some chain releases."""
+def fixpoint_arrivals(t, p, channel, seed):
+    """minmax_decode_times over the equations session `seed` delivers: the
+    PacketID that releases each packet some chain releases."""
     plan = session_plan(t, p)
     indptr, neighbors = plan.indptr.tolist(), plan.neighbors.tolist()
     N = plan.total_coded
     delivered = transmit_many(channel.for_session(seed), np.arange(1, N + 1), plan.send_times)
-    arrival = minmax_decode_times(
+    return minmax_decode_times(
         [(pid, neighbors[indptr[pid - 1]:indptr[pid]])
          for pid in (np.flatnonzero(delivered) + 1).tolist()], plan.wcp)
+
+
+def fixpoint_decode_times(t, p, channel, seed):
+    """The decode time of every packet of session `seed`, from
+    fixpoint_arrivals, and how many packets some chain releases."""
+    plan = session_plan(t, p)
+    arrival = fixpoint_arrivals(t, p, channel, seed)
     want = np.full(t.total_packets + 1, np.inf)
     for n, pid in arrival.items():
         want[n] = plan.send_times[pid - 1]
@@ -555,6 +561,30 @@ class TestDecodeTimesAgainstFixpoint:
             want, released = fixpoint_decode_times(t, p, inp.channel, seed)
             assert 0 < released < t.total_packets - len(wcp) + 1
             assert np.array_equal(result.decode_time, want), seed
+
+    @pytest.mark.parametrize("name", ["readme-300", "long-daf-1800", "relay-payload-300"])
+    def test_release_rows_are_the_minmax_fixpoint(self, workloads, name):
+        # run_session's block loop, keeping the decoder to read its record
+        inp = workloads.build(name, workloads.DEFAULT_SEED)
+        t, seed = inp.trace, 1
+        p = next(c.params for c in inp.cells if c.mode == "DAF")
+        codec = session_plan(t, p)
+        buffer = None
+        if inp.payloads is not None:
+            buffer = packetize(t, inp.payloads)
+            buffer[~codec.real] = 0
+        N = codec.total_coded
+        delivered = transmit_many(inp.channel.for_session(seed), np.arange(1, N + 1),
+                                  codec.send_times)
+        dec = DecoderState(codec.peeling, None if buffer is None else t.payload_bytes)
+        for first, last in session_blocks(N, t.payload_bytes):
+            if delivered[first - 1:last].any():
+                dec.ingest_block(*codec.receive(codec.send(first, last, delivered, buffer)))
+        want = np.full(t.total_packets + 1, -1)
+        for n, pid in fixpoint_arrivals(t, p, inp.channel, seed).items():
+            want[n] = pid - 1
+        assert np.array_equal(dec.release_rows(), want)
+        assert 0 < np.count_nonzero(want >= 0) < t.total_packets
 
 
 @st.composite

@@ -18,8 +18,9 @@ from dafstream.prng import PACKET_SEED_SALT, next_u53s, packet_states
 from dafstream.protocol import HEADER_LEN, MAX_PACKET_ID, datagram_records
 from dafstream.windowing import build_schedule
 
-from oracles import (degree_cdf, draw_oracle, packet_rng, peeling_oracle, robust_soliton_oracle,
-                     slope_pdf, uniform_cdf, window_tables, xor_payloads_oracle)
+from oracles import (block_releases, degree_cdf, draw_oracle, packet_rng, peeling_oracle,
+                     robust_soliton_oracle, slope_pdf, uniform_cdf, window_tables,
+                     xor_payloads_oracle)
 
 
 def degree_one_table(window):
@@ -535,7 +536,7 @@ class TestDecoderState:
         dec = decoder(3, [[1], [2, 3]])
         assert dec.ingest(1) == [1]
         assert dec.ingest(1) == []
-        released, by = dec.ingest_block([2, 2, 1])
+        released, by = block_releases(dec, [2, 2, 1])
         assert released.tolist() == []
         with pytest.raises(KeyError):
             dec.decoded_payload(2)
@@ -553,7 +554,7 @@ class TestDecoderState:
             with pytest.raises(KeyError):
                 dec.decoded_payload(n)
         # neither PacketID was recorded, so their valid copies still count
-        released, by = dec.ingest_block([1, 2], np.array([[5, 6], [7, 8]], np.uint8))
+        released, by = block_releases(dec, [1, 2], np.array([[5, 6], [7, 8]], np.uint8))
         assert released.tolist() == [2, 3] and by.tolist() == [0, 1]
         assert dec.decoded_payload(3).tolist() == [7, 8]
 
@@ -573,8 +574,8 @@ class TestDecoderState:
         with pytest.raises(ProtocolError, match="PacketIDs need"):
             decoder(4, [[2], [3]]).ingest(1.5)
         # nothing was recorded: the valid block decodes both packets
-        released, by = dec.ingest_block(np.array([1, 2], dtype=np.uint32),
-                                        np.array([[5, 6], [7, 8]], np.uint8))
+        released, by = block_releases(dec, np.array([1, 2], dtype=np.uint32),
+                                      np.array([[5, 6], [7, 8]], np.uint8))
         assert released.tolist() == [2, 3] and by.tolist() == [0, 1]
         assert dec.decoded_payload(2).tolist() == [5, 6]
 
@@ -583,10 +584,10 @@ class TestDecoderState:
         compositions = [[1], [1, 2], [2, 3]]
         rows = np.array([x[1], x[1] ^ x[2], x[2] ^ x[3]])
         dec = decoder(3, compositions, payload_bytes=2)
-        released, by = dec.ingest_block([1, 2, 3], rows)
+        released, by = block_releases(dec, [1, 2, 3], rows)
         assert released.tolist() == [1, 2, 3] and by.tolist() == [0, 1, 2]
         for pid in (1, 2, 3):  # each a released equation, now with a wrong payload
-            released, by = dec.ingest_block([pid, pid], np.full((2, 2), 0xEE, np.uint8))
+            released, by = block_releases(dec, [pid, pid], np.full((2, 2), 0xEE, np.uint8))
             assert released.tolist() == [] and by.tolist() == []
             for n in (1, 2, 3):
                 assert dec.decoded_payload(n).tolist() == x[n].tolist()
@@ -602,7 +603,7 @@ class TestDecoderState:
 
         def feed(dec, block):
             ids = np.array(block)
-            return [a.tolist() for a in dec.ingest_block(ids, payload[ids - 1])]
+            return [a.tolist() for a in block_releases(dec, ids, payload[ids - 1])]
 
         def alone(blocks):
             dec = decoder(12, compositions, pseudo=(6,), payload_bytes=3)
@@ -659,9 +660,9 @@ class TestDecoderState:
         x = np.array([[0, 0, 0], [1, 2, 3], [4, 5, 6]], np.uint8)  # row n is packet n
         dec = decoder(2, [[1, 2], [2]], payload_bytes=3)
         rows = (x[1] ^ x[2])[None]
-        assert dec.ingest_block([1], rows)[0].tolist() == []  # waits for packet 2
+        assert block_releases(dec, [1], rows)[0].tolist() == []  # waits for packet 2
         rows[:] = 0
-        assert dec.ingest_block([2], x[2][None])[0].tolist() == [1, 2]
+        assert block_releases(dec, [2], x[2][None])[0].tolist() == [1, 2]
         assert dec.decoded_payload(1).tolist() == [1, 2, 3]
 
     def test_decoded_payload_is_the_callers_own_copy(self):
@@ -691,7 +692,7 @@ class TestDecoderState:
         for i, c in enumerate(compositions):
             rows[i] = np.bitwise_xor.reduce(buf[c], axis=0)
         dec = decoder(k, compositions, pseudo=(4,), payload_bytes=P)
-        released, _ = dec.ingest_block(np.arange(1, len(compositions) + 1), rows)
+        released, _ = block_releases(dec, np.arange(1, len(compositions) + 1), rows)
         assert sorted(released.tolist()) == [1, 2, 3, 5, 6]
         for n in range(1, k + 1):
             assert np.array_equal(dec.decoded_payload(n), buf[n]), n
@@ -801,10 +802,12 @@ class TestCounterDecoderAgainstOracle:
                        if draw(st.booleans()) else None)
             if hostile is not None:
                 # rejected whole: no PacketID of it is recorded, nothing decodes
+                record = by_block.release_rows()
                 with pytest.raises(ProtocolError):
                     by_block.ingest_block(*hostile)
+                assert np.array_equal(by_block.release_rows(), record)
             ids, rows = block
-            released, by = by_block.ingest_block(ids, rows)
+            released, by = block_releases(by_block, ids, rows)
             got = [[] for _ in ids]
             for n, i in zip(released.tolist(), by.tolist()):
                 got[i].append(n)
@@ -816,6 +819,12 @@ class TestCounterDecoderAgainstOracle:
                 packets.append((pid, table[pid - 1], payload))
         want, payloads = peeling_oracle(k, packets, pseudo, payload_bytes)
         assert per_packet == want
+        # the record holds the row of the PacketID whose arrival released each packet
+        record = np.full(k + 1, -1)
+        for (pid, _, _), got in zip(packets, want):
+            record[got] = pid - 1
+        for dec in (by_block, by_packet):
+            assert np.array_equal(dec.release_rows(), record)
         assert order == [n for got in want for n in got]
         assert len(set(order)) == len(order)  # no packet released twice
         released = sorted(order)
@@ -834,5 +843,58 @@ class TestCounterDecoderAgainstOracle:
         dec = decoder(4, [[2], [3]])
         with pytest.raises(ProtocolError):
             dec.ingest_block([1, 2, 3])  # PacketID 3 is outside 1..2
-        released, by = dec.ingest_block([1, 2])
+        released, by = block_releases(dec, [1, 2])
         assert released.tolist() == [2, 3] and by.tolist() == [0, 1]
+
+
+class TestReleaseRecord:
+    def test_record_holds_the_releasing_row(self):
+        dec = decoder(4, [[1, 2], [3], [2]])
+        assert dec.ingest_block([1, 2]) is None
+        assert dec.release_rows().tolist() == [-1, -1, -1, 1, -1]
+        dec.ingest_block([3])  # releases 2, whose ripple releases 1
+        rows = dec.release_rows()
+        assert rows.dtype == np.int64 and rows.tolist() == [-1, 2, 2, 1, -1]
+        rows[1] = 7  # a copy, the caller's own
+        assert dec.release_rows()[1] == 2
+
+    def test_repeated_packet_id_changes_no_record(self):
+        # within a block the first copy releases, across blocks the repeat is ignored
+        dec = decoder(3, [[1], [1, 2], [3]])
+        dec.ingest_block([2, 1, 1, 2])
+        assert dec.release_rows().tolist() == [-1, 0, 0, -1]
+        for block in ([1], [2, 2], [1, 2, 1]):
+            dec.ingest_block(block)
+            assert dec.release_rows().tolist() == [-1, 0, 0, -1]
+        assert dec.ingest(1) == [] and dec.ingest(3) == [3]
+        assert dec.release_rows().tolist() == [-1, 0, 0, 2]
+
+    def test_repeat_within_a_block_keeps_the_first_payload(self):
+        x = np.array([[0, 0], [1, 2], [3, 4]], np.uint8)  # row n is packet n
+        dec = decoder(2, [[1, 2], [2]], payload_bytes=2)
+        rows = np.array([x[1] ^ x[2], [0xEE, 0xEE], x[2]], np.uint8)
+        dec.ingest_block([1, 1, 2], rows)
+        assert dec.release_rows().tolist() == [-1, 1, 1]
+        assert [dec.decoded_payload(n).tolist() for n in (1, 2)] == [[1, 2], [3, 4]]
+
+    def test_rejected_block_leaves_the_record(self):
+        dec = decoder(4, [[2], [2, 3], [4]], payload_bytes=1)
+        dec.ingest_block([1], np.zeros((1, 1), np.uint8))
+        want = dec.release_rows()
+        for ids, rows in (([2, 3, 4], np.zeros((3, 1), np.uint8)),
+                          ([2, 3], np.zeros((1, 1), np.uint8)),
+                          ([2.0, 3.0], np.zeros((2, 1), np.uint8)),
+                          ([2, 3], np.zeros((2, 1), np.int16))):
+            with pytest.raises(ProtocolError):
+                dec.ingest_block(ids, rows)
+            assert np.array_equal(dec.release_rows(), want)
+        dec.ingest_block([2, 3], np.zeros((2, 1), np.uint8))
+        assert dec.release_rows().tolist() == [-1, -1, 0, 1, 2]
+
+    def test_index_zero_and_padding_stay_unset(self):
+        dec = decoder(5, [[1, 2], [2, 3, 4], [5], [1, 2, 3, 4, 5]], pseudo=(1, 3))
+        dec.ingest_block([1, 2, 3, 4])
+        rows = dec.release_rows()
+        assert rows.tolist() == [-1, -1, 0, -1, 1, 2]
+        for n in (1, 3):  # padding is decoded from the start, and never released
+            assert dec.decoded_payload(n) is None

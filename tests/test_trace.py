@@ -121,6 +121,25 @@ class TestTraceShape:
         assert (t.frame_bytes, t.packets_per_frame) == ((100, 64), (2, 1))
         assert type(t.frame_bytes[0]) is int
 
+    def test_direct_packet_counts_must_be_integers(self):
+        # (1.5,) * 60 counted 90.0 packets while packet_offsets ended at 60
+        for count in (1.5, 2.0, True, np.float64(2.0)):
+            with pytest.raises(ConfigError, match=re.escape(f"packet count {count!r} is not")):
+                VideoTrace(frame_rate=30.0, gop_size=1, payload_bytes=64,
+                           frame_bytes=(100, 64), packets_per_frame=(count, 1))
+        with pytest.raises(ConfigError, match="packet count 1.5 is not an integer"):
+            VideoTrace(frame_rate=30.0, gop_size=1, payload_bytes=64,
+                       frame_bytes=(96,) * 60, packets_per_frame=(1.5,) * 60)
+        t = VideoTrace(frame_rate=30.0, gop_size=1, payload_bytes=64,
+                       frame_bytes=(100, 64), packets_per_frame=(np.int64(2), 1))
+        assert t.total_packets == 3 == t.packet_offsets()[-1]
+
+    def test_direct_frame_sizes_must_be_integers(self):
+        for size in (100.7, 100.0, True, np.float64(64.0)):
+            with pytest.raises(ConfigError, match=re.escape(f"frame size {size!r} is not")):
+                VideoTrace(frame_rate=30.0, gop_size=1, payload_bytes=64,
+                           frame_bytes=(64, size), packets_per_frame=(1, 2))
+
     def test_frame_rate_must_be_finite(self):
         for rate in (float("nan"), float("inf"), np.float64("nan")):
             with pytest.raises(ValueError, match="finite"):
@@ -144,6 +163,14 @@ class TestPacketize:
         buf = packetize(t, [payload])
         assert buf.shape == (2, 1024)
         assert buf.tobytes() == payload
+
+    def test_any_contiguous_bytes_like(self):
+        t = VideoTrace.from_frame_bytes([5, 3], 30, 4)
+        want = b"abcde\x00\x00\x00xyz\x00"
+        for kind in (bytes, bytearray, lambda b: np.frombuffer(b, dtype=np.uint8).copy()):
+            assert packetize(t, [kind(b"abcde"), kind(b"xyz")]).tobytes() == want
+        with pytest.raises(ValueError, match="frame 2: payload is 2 bytes, trace says 3"):
+            packetize(t, [b"abcde", np.zeros(2, np.uint8)])
 
     def test_synthetic_mode_zeros(self):
         t = constant_trace(5, 3000, payload_bytes=1024)
