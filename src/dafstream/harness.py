@@ -7,13 +7,13 @@ of all N coded packets, the peeling tables built from them, the deadlines)
 is a SessionCodec, built by the first session on a CodingParams object and
 kept on it. Each session then runs in blocks of consecutive coded packets
 whose datagrams fit in BLOCK_BYTES (session_blocks): the delivered ones
-cross the wire as datagram bytes, the receiver checks every header, and the
-decoder peels the block's PacketIDs in order on the codec's tables, noting
-for each native packet the arrival that released it. Decode times are read
-from that record once, after the last block. The
-codec writes the 15-byte header of every PacketID once; a block's headers
-are copied from those bytes, and a received header equal to its PacketID's
-is accepted without decoding its fields. Every block of a session is
+cross the wire as datagram bytes, and the decoder peels the block's
+PacketIDs in order on the codec's tables, noting for each native packet the
+arrival that released it. Decode times are read from that record once,
+after the last block. The codec writes the 15-byte header of every
+PacketID once; a block's headers are copied from those bytes, and the
+receiver accepts a header exactly when it is its PacketID's, byte for byte,
+without decoding its fields. Every block of a session is
 written into a prefix of one datagram buffer. Without payloads it fits the
 codec's first, largest block, and a session that ends normally keeps it as
 the one spare, freed with its codec, for the next such session on that
@@ -42,7 +42,7 @@ from .errors import ConfigError, ProtocolError
 from .ltcode import (CodedPacketMeta, DecoderState, PeelingTables, cdf_tables, degree_tables,
                      draw, draw_batch, xor_payload, xor_payloads)
 from .protocol import (HEADER_DTYPE, HEADER_LEN, DafHeader, _write_headers, datagram_records,
-                       decode_datagrams, decode_packet, encode_packet, packet_ids)
+                       decode_header, decode_packet, encode_header, encode_packet, packet_ids)
 from .sampling import SamplingPlan, optimize_slopes, slope_density
 from .trace import VideoTrace, downsample, packetize
 from .windowing import CodingParams, Mode, build_schedule, derive_params, wcp_packets
@@ -71,10 +71,10 @@ class SessionCodec:
     shared verbatim by encoder and decoder.
 
     Both ends hold the trace, the step and the window schedule. A coded
-    packet's composition depends only on its PacketID and the entry that
-    sends it, `entry[PacketID - 1]`, so the codec draws all N compositions
-    once, when it is built, as CSR arrays `indptr` and `neighbors` (row
-    PacketID - 1), and keeps no window table after that draw. It also holds
+    packet's composition depends only on its PacketID and the schedule
+    entry that sends it, so the codec draws all N compositions once, when
+    it is built, as CSR arrays `indptr` and `neighbors` (row PacketID - 1),
+    and keeps no window table after that draw. It also holds
     the peeling tables, the padding packets (`wcp`, and `real` marking the
     others), the send times, the frame deadlines, each packet's deadline and
     `headers`, the 15 wire bytes of every packet's header (row PacketID - 1);
@@ -91,7 +91,7 @@ class SessionCodec:
         self.trace, self.schedule = trace, schedule
         self.total_coded = int(schedule.cum_sent[-1])
         pids = np.arange(1, self.total_coded + 1)
-        self.entry = np.searchsorted(schedule.cum_sent, pids)
+        entry = np.searchsorted(schedule.cum_sent, pids)
         # draw_batch inputs per entry: (StartP, window table, degree table),
         # freed as soon as the one draw is done
         sizes, size_of = np.unique(schedule.window_packets, return_inverse=True)
@@ -99,7 +99,7 @@ class SessionCodec:
         windows = [(start, table, degrees[i]) for start, i, table
                    in zip(schedule.start_packet.tolist(), size_of.tolist(),
                           self._build_cdf(params.step_frames))]
-        self.indptr, self.neighbors = draw_batch(pids, self.entry, windows)
+        self.indptr, self.neighbors = draw_batch(pids, entry, windows)
         del windows
         T, k = trace.num_frames, trace.total_packets
         interval = params.send_interval_s(trace)
@@ -108,7 +108,7 @@ class SessionCodec:
         self.real = np.frombuffer(self.peeling.known, dtype=np.uint8)[1:] == 0
         self.send_times = pids * interval
         # every header checked and packed once, by the one header writer
-        head, entry = np.zeros(self.total_coded, dtype=HEADER_DTYPE), self.entry
+        head = np.zeros(self.total_coded, dtype=HEADER_DTYPE)
         _write_headers(head, schedule.start_packet[entry], schedule.window_packets[entry],
                        schedule.slope[entry], pids, trace.payload_bytes)
         self.headers = head.view(np.uint8).reshape(self.total_coded, HEADER_LEN)
@@ -119,7 +119,7 @@ class SessionCodec:
         self.frame_deadline[1:] = schedule.cum_sent[last] * interval
         self.packet_deadline = self.frame_deadline[np.repeat(np.arange(1, T + 1),
                                                              trace.packets_per_frame)]
-        for a in (self.entry, self.indptr, self.neighbors, self.real, self.send_times,
+        for a in (self.indptr, self.neighbors, self.real, self.send_times,
                   self.headers, self.frame_deadline, self.packet_deadline):
             a.flags.writeable = False
         self.config = {
@@ -220,10 +220,8 @@ class SessionCodec:
         PacketIDs and the (n, P) payload rows, which the decoder reads with
         the packets' compositions from the codec.
 
-        A header whose 15 bytes equal its PacketID's row of `headers` is
-        one the full checks accept. If any header differs, every header is
-        decoded and checked (decode_datagrams, check_headers), which accept
-        it or raise ProtocolError with their own message.
+        A header is accepted exactly when its 15 bytes are its PacketID's
+        row of `headers`; the first that is not is refused (_refuse).
         """
         P = self.trace.payload_bytes
         rec = datagram_records(data, P)
@@ -231,46 +229,35 @@ class SessionCodec:
         rows = np.frombuffer(data, dtype=np.uint8).reshape(len(rec), HEADER_LEN + P)
         # a row of `headers` holds its own PacketID, so an ID outside 1..N,
         # clipped to row 1 or N, never equals its row
-        if not np.array_equal(self.headers.take(pid - 1, axis=0, mode="clip"),
-                              rows[:, :HEADER_LEN]):
-            self.check_headers(*decode_datagrams(data, P), P)
+        want, got = self.headers.take(pid - 1, axis=0, mode="clip"), rows[:, :HEADER_LEN]
+        if not np.array_equal(want, got):
+            self._refuse(got[np.argmax(np.any(want != got, axis=1))].tobytes())
         return pid, rows[:, HEADER_LEN:]
 
-    def check_headers(self, start_packet, window_packets, slope_factor, packet_id,
-                      payload_bytes):
-        """Check header fields against the schedule.
-
-        P must be the session's payload size, PacketID a packet in 1..N, and
-        (StartP, WSize, SlopeF) the fields of the entry that sends it;
-        anything else raises ProtocolError.
-        """
-        start = np.asarray(start_packet, dtype=np.int64)
-        wsize = np.asarray(window_packets, dtype=np.int64)
-        pid = np.asarray(packet_id, dtype=np.int64)
-        if np.any(np.asarray(payload_bytes) != self.trace.payload_bytes):
-            raise ProtocolError(f"P {payload_bytes} is not the session's "
-                                f"{self.trace.payload_bytes}-byte payload")
-        outside = (pid < 1) | (pid > self.total_coded)
-        if np.any(outside):
-            raise ProtocolError(f"PacketID {pid[outside][0]} outside the session's "
-                                f"1..{self.total_coded}")
-        sched, entry = self.schedule, self.entry[pid - 1]
-        stray = (sched.start_packet[entry] != start) | (sched.window_packets[entry] != wsize)
-        if np.any(stray):
-            i = int(np.argmax(stray))
-            raise ProtocolError(f"PacketID {pid[i]} is not sent through the window at "
-                                f"StartP {start[i]}, WSize {wsize[i]}")
-        wrong = sched.slope[entry] != slope_factor
-        if np.any(wrong):
-            i = int(np.argmax(wrong))
-            raise ProtocolError(f"SlopeF {np.asarray(slope_factor)[i]} is not the slope of "
-                                f"the window at StartP {start[i]}")
+    def _refuse(self, raw: bytes):
+        """Raise the ProtocolError of a header that is not its PacketID's
+        record, for the first rule it breaks: a field out of range, P, a
+        PacketID outside 1..N, the window, then SlopeF."""
+        h, P, N = decode_header(raw), self.trace.payload_bytes, self.total_coded
+        if h.payload_bytes != P:
+            raise ProtocolError(f"P {h.payload_bytes} is not the session's {P}-byte payload")
+        if not 1 <= h.packet_id <= N:
+            raise ProtocolError(f"PacketID {h.packet_id} outside the session's 1..{N}")
+        s, e = self.schedule, int(np.searchsorted(self.schedule.cum_sent, h.packet_id))
+        if (h.start_packet, h.window_packets) != (s.start_packet[e], s.window_packets[e]):
+            raise ProtocolError(f"PacketID {h.packet_id} is not sent through the window at "
+                                f"StartP {h.start_packet}, WSize {h.window_packets}")
+        # every other field is the record's, so SlopeF's bytes differ: another
+        # value, or -0.0 for a window of slope 0.0
+        raise ProtocolError(f"SlopeF {h.slope_factor} is not the slope of the window at "
+                            f"StartP {h.start_packet}")
 
     def meta_from_header(self, header: DafHeader) -> CodedPacketMeta:
-        """Decoder-side composition of one packet."""
-        pid = header.packet_id
-        self.check_headers([header.start_packet], [header.window_packets],
-                           [header.slope_factor], [pid], header.payload_bytes)
+        """Decoder-side composition of one packet, whose header must be its
+        PacketID's record, as in receive."""
+        pid, raw = header.packet_id, encode_header(header)
+        if raw != self.headers[min(max(pid, 1), self.total_coded) - 1].tobytes():
+            self._refuse(raw)
         neighbors = self.neighbors[self.indptr[pid - 1]:self.indptr[pid]]
         return CodedPacketMeta(packet_id=pid, degree=len(neighbors),
                                neighbors=tuple(neighbors.tolist()),

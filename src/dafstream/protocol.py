@@ -164,21 +164,6 @@ def datagram_records(data, payload_bytes: int) -> np.ndarray:
     return np.frombuffer(data, dtype=dtype)
 
 
-def decode_datagrams(data, payload_bytes: int):
-    """Decode the headers of back-to-back datagrams that each carry
-    `payload_bytes` bytes, as the arrays StartP, WSize, SlopeF (float64
-    holding float32 values) and PacketID.
-
-    The fields are checked as arrays by the same check_fields as DafHeader;
-    a datagram whose P differs from `payload_bytes` is a framing error.
-    """
-    start, wsize, slope, packet_id, size = _read_headers(
-        datagram_records(data, payload_bytes)["header"])
-    _reject(size != payload_bytes, size,
-            f"framing error: header says P={{}}, datagram carries {payload_bytes}")
-    return start, wsize, slope, packet_id
-
-
 #: Committed reference vector; must never change across releases.
 GOLDEN_HEADER = DafHeader(start_packet=1, window_packets=1, slope_factor=0.0,
                           packet_id=1, payload_bytes=1024)

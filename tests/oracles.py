@@ -18,7 +18,10 @@ them. `FrameIndex`, `schedule_oracle`, `last_covering_oracle`,
 per-entry lookups and loops the package's array forms replaced,
 `slope_solve_oracle` is the slope solve before it centered in place and
 read rows of H with Python floats (`centered_gram` is its H), and
-`struct_datagram` packs the wire header field by field with `struct`.
+`struct_datagram` packs the wire header field by field with `struct`;
+`header_record` packs with it the header an honest sender writes for a
+PacketID, and `decode_datagrams` is the batch header reader the receiver
+used before it compared each header's bytes with that record.
 `transmit` (over `counter_uniform` and `splitmix64`), `packet_rng`,
 `slope_pdf`, `uniform_cdf` and `uniform_matrix` are the scalar and
 per-window forms of the channel, the packet generator, the window CDFs and
@@ -43,8 +46,8 @@ import numpy as np
 from dafstream.harness import SessionCodec, session_blocks
 from dafstream.ltcode import CodedPacketMeta, draw_batch, robust_soliton, xor_payloads
 from dafstream.prng import MASK64, PACKET_SEED_SALT
-from dafstream.protocol import DafHeader, to_f32
-from dafstream.errors import SolverError
+from dafstream.protocol import DafHeader, _read_headers, datagram_records, to_f32
+from dafstream.errors import ProtocolError, SolverError
 from dafstream.sampling import (SamplingPlan, _check_window, _optimizer_domain, slope_coeffs,
                                 slope_density, slope_matrix)
 from dafstream.windowing import Mode
@@ -792,3 +795,31 @@ def struct_datagram(start_packet, window_packets, slope_factor, packet_id,
     """A datagram packed field by field as PROTOCOL.md lays it out."""
     return (struct.pack(">IHf", start_packet, window_packets, slope_factor)
             + packet_id.to_bytes(3, "big") + struct.pack(">H", payload_bytes) + bytes(payload))
+
+
+def header_record(schedule, payload_bytes, packet_id):
+    """The 15 header bytes an honest sender writes for `packet_id`, packed
+    from the fields of the window that sends it; None outside 1..N."""
+    cum_sent = schedule.cum_sent.tolist()
+    if not 1 <= packet_id <= cum_sent[-1]:
+        return None
+    e = bisect_left(cum_sent, packet_id)
+    return struct_datagram(int(schedule.start_packet[e]), int(schedule.window_packets[e]),
+                           float(schedule.slope[e]), packet_id, payload_bytes)
+
+
+def decode_datagrams(data, payload_bytes: int):
+    """Decode the headers of back-to-back datagrams that each carry
+    `payload_bytes` bytes, as the arrays StartP, WSize, SlopeF (float64
+    holding float32 values) and PacketID.
+
+    The fields are checked as arrays by the same check_fields as DafHeader;
+    a datagram whose P differs from `payload_bytes` is a framing error.
+    """
+    start, wsize, slope, packet_id, size = _read_headers(
+        datagram_records(data, payload_bytes)["header"])
+    bad = size != payload_bytes
+    if np.any(bad):
+        raise ProtocolError(f"framing error: header says P={size[bad][0]}, "
+                            f"datagram carries {payload_bytes}")
+    return start, wsize, slope, packet_id

@@ -16,14 +16,15 @@ from dafstream import harness, ltcode
 from dafstream.harness import (CSV_HEADER, Metrics, SessionCodec, delay_to_frames, rows_to_csv,
                                run_session, session_blocks, session_plan, summarize, sweep)
 from dafstream.ltcode import DecoderState, PeelingTables, cdf_keys, xor_payloads
-from dafstream.protocol import (HEADER_LEN, DafHeader, datagram_records, decode_datagrams,
+from dafstream.protocol import (HEADER_LEN, DafHeader, datagram_records, decode_header,
                                 decode_packet, encode_packet)
 from dafstream.trace import (burst_trace, constant_trace, packetize, random_trace,
                              sinusoidal_trace)
 from dafstream.windowing import build_schedule, derive_params, wcp_packets
 
-from oracles import (block_releases, encode_block, header_rule_oracle, iter_coded_packets,
-                     minmax_decode_times, slope_pdf, struct_datagram, uniform_cdf, window_tables)
+from oracles import (block_releases, decode_datagrams, encode_block, header_record,
+                     header_rule_oracle, iter_coded_packets, minmax_decode_times, slope_pdf,
+                     struct_datagram, uniform_cdf, window_tables)
 
 
 def lossless():
@@ -481,7 +482,7 @@ class TestSessionPlan:
         assert first.frame_deadline is second.frame_deadline
         plan = session_plan(t, p)
         peeling = plan.peeling
-        for shared in (first.frame_deadline, plan.entry, plan.indptr, plan.neighbors,
+        for shared in (first.frame_deadline, plan.indptr, plan.neighbors,
                        plan.send_times, plan.headers, plan.packet_deadline, plan.real,
                        peeling.indptr,
                        peeling.neighbors, peeling.state):
@@ -719,6 +720,12 @@ class TestHostileHeaders:
         assert inp.trace.total_packets == 2934
         return codec
 
+    @pytest.fixture(scope="class")
+    def flat(self, workloads):
+        """DAF-L on the same trace: every window has slope 0.0."""
+        inp = workloads.build("readme-300", workloads.DEFAULT_SEED)
+        return SessionCodec(inp.trace, next(c.params for c in inp.cells if c.mode == "DAF-L"))
+
     def entry(self, codec):
         """(StartP, WSize, SlopeF) of entry 41."""
         s = codec.schedule
@@ -823,14 +830,71 @@ class TestHostileHeaders:
             row = codec.neighbors[codec.indptr[pid - 1]:codec.indptr[pid]]
             assert len(row) and np.all((start <= row) & (row < start + wsize))
 
+    def test_negative_zero_slope_refused(self, flat):
+        # -0.0 equals 0.0 as a number, but it is not the bytes a sender writes
+        start, wsize, slope = self.entry(flat)
+        pid = self.sent(flat)[0]
+        assert slope == 0.0
+        honest = struct_datagram(start, wsize, 0.0, pid, 1024, bytes(1024))
+        assert flat.receive(honest)[0].tolist() == [pid]
+        with pytest.raises(ProtocolError, match=f"SlopeF -0.0 is not the slope of the window "
+                                                f"at StartP {start}"):
+            flat.receive(struct_datagram(start, wsize, -0.0, pid, 1024, bytes(1024)))
+        with pytest.raises(ProtocolError, match="SlopeF -0.0 is not the slope"):
+            flat.meta_from_header(DafHeader(start, wsize, -0.0, pid, 1024))
 
-def full_checks(codec, data):
-    """receive before it compared bytes: decode every header, check it, and
-    return the PacketIDs and payload rows."""
-    P = codec.trace.payload_bytes
-    start, wsize, slope, pid = decode_datagrams(data, P)
-    codec.check_headers(start, wsize, slope, pid, P)
-    return pid, datagram_records(data, P)["payload"]
+    @pytest.mark.parametrize("which", ["codec", "flat"])
+    def test_receive_and_meta_from_header_refuse_alike(self, request, which):
+        codec = request.getfixturevalue(which)
+        start, wsize, slope = self.entry(codec)
+        pid, N = self.sent(codec)[0], codec.total_coded
+        hostile = {"WSize 0 outside": (start, 0, slope, pid, 1024),
+                   "SlopeF nan outside": (start, wsize, math.nan, pid, 1024),
+                   "P 512 is not the session's": (start, wsize, slope, pid, 512),
+                   f"PacketID {N + 1} outside the session's": (start, wsize, slope, N + 1, 1024),
+                   "PacketID 0 outside the session's": (start, wsize, slope, 0, 1024),
+                   f"PacketID {pid} is not sent through the window at StartP {start + 1}":
+                       (start + 1, wsize, slope, pid, 1024),
+                   "SlopeF 0.25 is not the slope": (start, wsize, 0.25, pid, 1024),
+                   "SlopeF -0.0 is not the slope": (start, wsize, -0.0, pid, 1024)}
+        for message, fields in hostile.items():
+            raw = struct_datagram(*fields)
+            got = outcome(codec.receive, raw + bytes(1024))
+            assert got.startswith(message), (got, message)
+            assert outcome(lambda: codec.meta_from_header(decode_header(raw))) == got
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_bytes_give_packets_or_protocol_error(self, codec, data):
+        # any bytes of any length, or whole datagrams whose headers are
+        # honest, honest but for some bytes, or random
+        P, N = codec.trace.payload_bytes, codec.total_coded
+        size = HEADER_LEN + P
+        if data.draw(st.booleans()):
+            wire = data.draw(st.binary(max_size=3 * size))
+        else:
+            wire = b""
+            for _ in range(data.draw(st.integers(0, 3))):
+                kind = data.draw(st.sampled_from(["honest", "bytes", "random"]))
+                if kind == "random":
+                    head = bytearray(data.draw(st.binary(min_size=HEADER_LEN,
+                                                         max_size=HEADER_LEN)))
+                else:
+                    head = bytearray(codec.headers[data.draw(st.integers(0, N - 1))].tobytes())
+                for _ in range(data.draw(st.integers(1, 3)) if kind == "bytes" else 0):
+                    head[data.draw(st.integers(0, HEADER_LEN - 1))] = data.draw(
+                        st.integers(0, 255))
+                wire += bytes(head) + bytes([data.draw(st.integers(0, 255))]) * P
+        try:
+            pids, rows = codec.receive(wire)
+        except ProtocolError:
+            return
+        # what is accepted is whole datagrams, each header its PacketID's record
+        assert len(wire) == len(pids) * size and rows.shape == (len(pids), P)
+        for i, pid in enumerate(pids.tolist()):
+            assert 1 <= pid <= N
+            assert wire[i * size:i * size + HEADER_LEN] == codec.headers[pid - 1].tobytes()
+            assert rows[i].tobytes() == wire[i * size + HEADER_LEN:(i + 1) * size]
 
 
 def outcome(check, *args):
@@ -842,8 +906,8 @@ def outcome(check, *args):
 
 
 class TestReceive:
-    """receive accepts a header by comparing its bytes with the codec's
-    record of that PacketID, and falls back on the full checks."""
+    """receive accepts a block exactly when each header's 15 bytes are the
+    record of its PacketID, and refuses the first header that is not."""
 
     @pytest.fixture(scope="class", params=[("readme-300", "DAF"), ("readme-300", "DAF-L"),
                                            ("relay-payload-300", "DAF")])
@@ -858,29 +922,26 @@ class TestReceive:
         P = inp.trace.payload_bytes
         for cell in inp.cells:
             codec = session_plan(inp.trace, cell.params)
-            s, N = codec.schedule, codec.total_coded
-            e = np.searchsorted(s.cum_sent, np.arange(1, N + 1))
-            want = b"".join(struct_datagram(a, w, f, pid, P) for pid, (a, w, f) in enumerate(
-                zip(s.start_packet[e].tolist(), s.window_packets[e].tolist(),
-                    s.slope[e].tolist()), 1))
+            N = codec.total_coded
+            want = b"".join(header_record(codec.schedule, P, pid) for pid in range(1, N + 1))
             assert codec.headers.dtype == np.uint8 and codec.headers.shape == (N, HEADER_LEN)
             assert np.array_equal(codec.headers, np.frombuffer(want, np.uint8).reshape(N, -1))
             with pytest.raises(ValueError, match="read-only"):
                 codec.headers[0, 0] = 0
 
     def test_honest_blocks_are_accepted_by_their_bytes(self, codec, monkeypatch):
-        N = codec.total_coded
+        N, P = codec.total_coded, codec.trace.payload_bytes
         delivered = np.random.default_rng(3).random(N) < 0.8
-        want = [full_checks(codec, codec.send(first, last, delivered))
-                for first, last in session_blocks(N, codec.trace.payload_bytes)]
 
         def refuse(*args):
-            raise AssertionError("an honest header was decoded field by field")
-        monkeypatch.setattr(harness, "decode_datagrams", refuse)
-        for (first, last), rx in zip(session_blocks(N, codec.trace.payload_bytes), want):
-            got = codec.receive(codec.send(first, last, delivered))
-            for a, b in zip(got, rx):
-                assert np.array_equal(a, b) and a.dtype == b.dtype
+            raise AssertionError("an honest header was refused")
+        monkeypatch.setattr(SessionCodec, "_refuse", refuse)
+        for first, last in session_blocks(N, P):
+            data = codec.send(first, last, delivered)
+            pids, rows = codec.receive(data)
+            assert pids.dtype == np.int64 and rows.dtype == np.uint8
+            assert pids.tolist() == (first + np.flatnonzero(delivered[first - 1:last])).tolist()
+            assert np.array_equal(rows, datagram_records(data, P)["payload"])
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -908,18 +969,25 @@ class TestReceive:
                 pid = data.draw(st.integers(1, N)) if pid is None else pid
                 wire[at + 10:at + 13] = pid.to_bytes(3, "big")
         cut = data.draw(st.one_of(st.just(len(wire)), st.integers(0, len(wire))))
-        got, want = outcome(codec.receive, bytes(wire[:cut])), outcome(full_checks, codec,
-                                                                      bytes(wire[:cut]))
-        if isinstance(want, str):
-            assert got == want
+        received = bytes(wire[:cut])
+        # accepted exactly when whole datagrams arrive, each header packed
+        # field by field from the window that sends its PacketID
+        heads = [received[at:at + HEADER_LEN] for at in range(0, cut, size)]
+        pids = [int.from_bytes(head[10:13], "big") for head in heads]
+        if cut % size or any(head != header_record(codec.schedule, P, pid)
+                             for head, pid in zip(heads, pids)):
+            with pytest.raises(ProtocolError):
+                codec.receive(received)
         else:
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
+            got, rows = codec.receive(received)
+            assert got.tolist() == pids
+            assert rows.tobytes() == b"".join(received[at + HEADER_LEN:at + size]
+                                              for at in range(0, cut, size))
 
 
 class TestHeaderRule:
-    """check_headers finds a header's entry by its PacketID alone; it must
-    reject exactly the headers the (StartP, WSize) lookup rule rejects."""
+    """meta_from_header finds a header's record by its PacketID alone; it
+    must reject exactly the headers the (StartP, WSize) lookup rule rejects."""
 
     @pytest.fixture(scope="class", params=[("relay-payload-300", "DAF"),
                                            ("readme-300", "Expand")])  # Expand shares StartP
@@ -932,13 +1000,13 @@ class TestHeaderRule:
     @settings(max_examples=300, deadline=None)
     def test_rejects_exactly_what_the_lookup_rule_rejects(self, codec, data):
         # honest headers with fields taken from another entry, moved by one
-        # (SlopeF by one float32 step), or a PacketID of a neighbouring window
+        # (SlopeF by one float32 step, + 0.0 keeping it off -0.0, which the
+        # lookup rule takes for 0.0), or a PacketID of a neighbouring window
         s, N, P = codec.schedule, codec.total_coded, codec.trace.payload_bytes
         entries = len(s.start_packet)
-        headers = []
         for _ in range(data.draw(st.integers(1, 3))):
             pid = data.draw(st.integers(1, N))
-            e = int(codec.entry[pid - 1])
+            e = int(np.searchsorted(s.cum_sent, pid))
             header = [int(s.start_packet[e]), int(s.window_packets[e]), float(s.slope[e]), pid, P]
             for _ in range(data.draw(st.integers(0, 2))):
                 field = data.draw(st.integers(0, 4))
@@ -952,17 +1020,15 @@ class TestHeaderRule:
                     header[field] = column[data.draw(st.integers(0, entries - 1))].item()
                 elif field == 2:  # the next float32 SlopeF
                     header[2] = np.nextafter(np.float32(header[2]),
-                                             np.float32(shift * np.inf)).item()
+                                             np.float32(shift * np.inf)).item() + 0.0
                 else:
                     header[field] += shift
-            headers.append(header)
-        accepted = all(header_rule_oracle(s, P, *h) for h in headers)
-        try:
-            codec.check_headers(*(list(column) for column in zip(*headers)))
-        except ProtocolError:
-            assert not accepted, headers
-        else:
-            assert accepted, headers
+            try:
+                codec.meta_from_header(DafHeader(*header))
+            except ProtocolError:
+                assert not header_rule_oracle(s, P, *header), header
+            else:
+                assert header_rule_oracle(s, P, *header), header
 
 
 class TestSweep:

@@ -335,8 +335,9 @@ class TestDrawBatch:
             codec = SessionCodec(inp.trace, p)
             windows = window_tables(codec, p.step_frames)
             with mock.patch.object(ltcode, "_LOCKSTEP_MIN", lockstep_min):
-                indptr, neighbors = draw_batch(np.arange(1, codec.total_coded + 1),
-                                               codec.entry, windows)
+                pids = np.arange(1, codec.total_coded + 1)
+                indptr, neighbors = draw_batch(pids, np.searchsorted(codec.schedule.cum_sent,
+                                                                     pids), windows)
             assert np.array_equal(indptr, codec.indptr), (name, mode)
             assert np.array_equal(neighbors, codec.neighbors), (name, mode)
 

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from dafstream.errors import ProtocolError
 from dafstream.harness import session_slopes
 from dafstream.protocol import (GOLDEN_BYTES, GOLDEN_HEADER, HEADER_DTYPE, HEADER_LEN,
-                                DafHeader, datagram_records, decode_datagrams, decode_header,
+                                DafHeader, datagram_records, decode_header,
                                 decode_packet, encode_header, encode_packet, to_f32)
 from dafstream.windowing import build_schedule
 
-from oracles import struct_datagram
+from oracles import decode_datagrams, struct_datagram
 
 valid_headers = st.builds(
     DafHeader,

@@ -172,11 +172,19 @@ class TestPacketize:
         with pytest.raises(ValueError, match="frame 2: payload is 2 bytes, trace says 3"):
             packetize(t, [b"abcde", np.zeros(2, np.uint8)])
 
-    def test_synthetic_mode_zeros(self):
-        t = constant_trace(5, 3000, payload_bytes=1024)
-        buf = packetize(t, None)
-        assert buf.shape == (t.total_packets, 1024)
-        assert not buf.any()
+    def test_payload_measured_in_bytes_not_items(self):
+        t = VideoTrace.from_frame_bytes([4, 3], 30, 4)
+        two = np.array([0x6162, 0x6364], dtype=">u2")  # 2 items, 4 bytes
+        assert packetize(t, [two, b"xyz"]).tobytes() == b"abcdxyz\x00"
+        with pytest.raises(ValueError, match="frame 1: payload is 8 bytes, trace says 4"):
+            packetize(t, [np.zeros(4, np.uint16), b"xyz"])
+
+    def test_payload_must_be_a_contiguous_buffer(self):
+        t = VideoTrace.from_frame_bytes([4, 3], 30, 4)
+        with pytest.raises(ValueError, match="frame 1: payload is not C-contiguous"):
+            packetize(t, [np.arange(8, dtype=np.uint8)[::2], b"xyz"])
+        with pytest.raises(ValueError, match="frame 2: a str is not a buffer"):
+            packetize(t, [b"abcd", "xyz"])
 
     def test_length_mismatch(self):
         t = VideoTrace.from_frame_bytes([100], 30, 1024)
