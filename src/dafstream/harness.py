@@ -5,20 +5,22 @@ leaves at n * P / R seconds) and pushes every packet through the erasure
 channel. What does not depend on the seed (the schedule, the compositions
 of all N coded packets, the peeling tables built from them, the deadlines)
 is a SessionCodec, built by the first session on a CodingParams object and
-kept on it. Each session then runs in blocks of consecutive coded packets
-whose datagrams fit in BLOCK_BYTES (session_blocks): the delivered ones
-cross the wire as datagram bytes, and the decoder peels the block's
-PacketIDs in order on the codec's tables, noting for each native packet the
-arrival that released it. Decode times are read from that record once,
-after the last block. The codec writes the 15-byte header of every
-PacketID once; a block's headers are copied from those bytes, and the
-receiver accepts a header exactly when it is its PacketID's, byte for byte,
-without decoding its fields. Every block of a session is
-written into a prefix of one datagram buffer. Without payloads it fits the
-codec's first, largest block, and a session that ends normally keeps it as
-the one spare, freed with its codec, for the next such session on that
-codec; with payloads it fits the most datagrams a block delivers and is
-not kept. A codec being built drops the spare.
+kept on it. The params carry the trace derive_params validated them for: a
+session on a trace not equal to it is refused before any codec is built,
+and one on an equal twin runs on the params' codec. Each session then runs
+in blocks of consecutive coded packets whose datagrams fit in BLOCK_BYTES
+(session_blocks): the delivered ones cross the wire as datagram bytes,
+and the decoder peels the block's PacketIDs in order on the codec's
+tables, noting for each native packet the arrival that released it. Decode
+times are read from that record once, after the last block. The codec
+writes the 15-byte header of every PacketID once; a block's headers are
+copied from those bytes, and the receiver accepts a header exactly when it
+is its PacketID's, byte for byte, without decoding its fields. Every block
+of a session is written into a prefix of one datagram buffer. Without
+payloads it fits the codec's first, largest block, and a session that ends
+normally keeps it as the one spare, freed with its codec, for the next such
+session on that codec; with payloads it fits the most datagrams a block
+delivers and is not kept. A codec being built drops the spare.
 A native packet decoded by the send time of the last coded packet of the
 last window covering its frame counts as in-time; decoded ever, toward the
 file ratio. Warm-up/cool-down padding is excluded from both.
@@ -67,8 +69,8 @@ class Metrics:
 
 
 class SessionCodec:
-    """The seed-invariant part of a session on one trace and CodingParams,
-    shared verbatim by encoder and decoder.
+    """The seed-invariant part of a session on one CodingParams and the
+    trace they carry, shared verbatim by encoder and decoder.
 
     Both ends hold the trace, the step and the window schedule. A coded
     packet's composition depends only on its PacketID and the schedule
@@ -83,11 +85,10 @@ class SessionCodec:
     reference to the params.
     """
 
-    def __init__(self, trace: VideoTrace, params: CodingParams):
+    def __init__(self, params: CodingParams):
         _spare.clear()  # no spare buffer is held while a codec is built
-        if trace.payload_bytes > 0xFFFF:
-            raise ConfigError("payload size does not fit the wire header")
-        schedule = build_schedule(params, trace, slopes=session_slopes(trace, params))
+        trace = params.trace
+        schedule = build_schedule(params, slopes=session_slopes(params))
         self.trace, self.schedule = trace, schedule
         self.total_coded = int(schedule.cum_sent[-1])
         pids = np.arange(1, self.total_coded + 1)
@@ -102,8 +103,8 @@ class SessionCodec:
         self.indptr, self.neighbors = draw_batch(pids, entry, windows)
         del windows
         T, k = trace.num_frames, trace.total_packets
-        interval = params.send_interval_s(trace)
-        self.wcp = wcp_packets(params, trace)
+        interval = params.send_interval_s()
+        self.wcp = wcp_packets(params)
         self.peeling = PeelingTables(k, self.indptr, self.neighbors, self.wcp)
         self.real = np.frombuffer(self.peeling.known, dtype=np.uint8)[1:] == 0
         self.send_times = pids * interval
@@ -144,7 +145,9 @@ class SessionCodec:
         start and end on group boundaries, so each packet's group midpoint
         is found once for the whole trace. Both kinds are built as padded
         2-D row blocks (cdf_tables), and each row is summed in order
-        along its axis, as np.cumsum sums one window.
+        along its axis, as np.cumsum sums one window. Only DAF slopes its
+        windows: derive_params admits them only inside the trace and on the
+        step grid, and the slope solve clips to [-1, 1].
         """
         sched = self.schedule
         flat = sched.slope == 0.0
@@ -157,20 +160,12 @@ class SessionCodec:
         if not len(sloped):
             return tables
         slope = sched.slope[sloped]
-        if not np.all(np.abs(slope) <= 1.0):
-            raise ValueError("slope factor outside [-1, 1]")
         first, size = sched.start_packet[sloped], sched.window_packets[sloped]
         k = self.trace.total_packets
-        if np.any(first + size - 1 > k):
-            raise ValueError("window runs past the trace")
         # packets through the end of each packet's group, and the group's size
         ends = downsample(self.trace, step).packet_offsets()[1:]
         group = np.diff(ends, prepend=0)
-        end = np.repeat(ends, group)
-        if np.any(end[first + size - 2] != first + size - 1) or np.any(
-                (first > 1) & (end[first - 2] != first - 1)):
-            raise ValueError("window does not start and end on step boundaries")
-        mid = end - np.repeat(group, group) / 2.0
+        mid = np.repeat(ends - group / 2.0, group)
 
         def cdf_rows(pick):
             start, n = first[pick][:, None], size[pick]
@@ -279,11 +274,11 @@ def cached_slope_plan(trace: VideoTrace, window: int, step: int) -> SamplingPlan
     return optimize_slopes(trace, window, step)
 
 
-def session_slopes(trace: VideoTrace, params: CodingParams) -> np.ndarray | None:
+def session_slopes(params: CodingParams) -> np.ndarray | None:
     """Slope factors per schedule entry; only the DAF mode optimizes them."""
     if params.mode is not Mode.DAF:
         return None
-    plan = cached_slope_plan(trace, params.window_frames, params.step_frames)
+    plan = cached_slope_plan(params.trace, params.window_frames, params.step_frames)
     return plan.slopes
 
 
@@ -313,16 +308,16 @@ class SessionResult:
         return head + self.decode_time.tobytes() + self.frame_deadline.tobytes()
 
 
-def session_plan(trace: VideoTrace, params: CodingParams) -> SessionCodec:
-    """The codec of `params` on `trace`, built by the first session that asks.
+def session_plan(params: CodingParams) -> SessionCodec:
+    """The codec of `params`, built by the first session that asks.
 
-    It is kept on the params object itself, for the last trace asked for, so
-    it lives as long as that object: an equal params object from another
-    derive_params call builds its own.
+    It is kept on the params object itself, so it lives as long as that
+    object: an equal params object from another derive_params call builds
+    its own.
     """
     codec = params.__dict__.get("_session_plan")
-    if codec is None or codec.trace is not trace:
-        codec = SessionCodec(trace, params)
+    if codec is None:
+        codec = SessionCodec(params)
         object.__setattr__(params, "_session_plan", codec)  # CodingParams is frozen
     return codec
 
@@ -335,9 +330,12 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
     structure-only (all-zero packets), which decodes identically. Only DAF
     optimizes its slope factors; every other mode's are zero. The
     seed-invariant work is done once per params object (session_plan).
+    `trace` must be the one the params were derived for, or equal to it.
     """
-    eff_channel = channel.for_session(seed)  # checks the seed first
-    codec = session_plan(trace, params)
+    if trace != params.trace:
+        raise ConfigError("the trace is not the one these coding parameters were derived for")
+    eff_channel = channel.for_session(seed)  # checks the seed
+    codec = session_plan(params)
     k, N = trace.total_packets, codec.total_coded
     buffer = None
     if payloads is not None:

@@ -113,17 +113,6 @@ def packet_ids(raw) -> np.ndarray:
     return (pid[:, 0] << 16) | (pid[:, 1] << 8) | pid[:, 2]
 
 
-def _read_headers(head):
-    """The checked fields of HEADER_DTYPE records, as arrays: StartP, WSize,
-    SlopeF, PacketID and P."""
-    packet_id = packet_ids(head["packet_id"])
-    start = head["start_packet"].astype(np.int64)
-    wsize = head["window_packets"].astype(np.int64)
-    size = head["payload_bytes"].astype(np.int64)
-    slope = check_fields(start, wsize, head["slope_factor"], packet_id, size)
-    return start, wsize, slope, packet_id, size
-
-
 def encode_header(header: DafHeader) -> bytes:
     head = np.zeros(1, dtype=HEADER_DTYPE)
     _write_headers(head, [header.start_packet], [header.window_packets],
@@ -134,8 +123,8 @@ def encode_header(header: DafHeader) -> bytes:
 def decode_header(data: bytes) -> DafHeader:
     if len(data) < HEADER_LEN:
         raise ProtocolError(f"truncated header: {len(data)} bytes, need {HEADER_LEN}")
-    fields = _read_headers(np.frombuffer(data, dtype=HEADER_DTYPE, count=1))
-    return DafHeader(*(field.item() for field in fields))
+    start, wsize, slope, pid, size = np.frombuffer(data, dtype=HEADER_DTYPE, count=1).item()
+    return DafHeader(start, wsize, slope, int.from_bytes(pid, "big"), size)
 
 
 def encode_packet(header: DafHeader, payload: bytes) -> bytes:

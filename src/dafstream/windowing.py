@@ -3,12 +3,14 @@
 All time quantities are in frames unless a name says otherwise. The window
 advances by the step every entry; budgets are fractional per step and
 accumulate so the long-run send rate is exactly the configured data rate.
+A CodingParams carries the trace derive_params validated it for, and every
+schedule, padding set and send interval is read from that pair alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -37,8 +39,10 @@ class Mode(str, Enum):
 
 @dataclass(frozen=True)
 class CodingParams:
-    """Derived coding parameters for one session."""
+    """Derived coding parameters for one session, on the trace they were
+    derived for (compared, not printed)."""
 
+    trace: VideoTrace = field(repr=False)
     mode: Mode
     data_rate: float        # bytes/second
     code_rate: float        # native/coded packet ratio actually realized
@@ -59,9 +63,9 @@ class CodingParams:
         elif self.window_frames + self.step_frames > self.delay_frames:
             raise ConfigError("sliding window requires window + step <= delay")
 
-    def send_interval_s(self, trace: VideoTrace) -> float:
+    def send_interval_s(self) -> float:
         """Seconds between consecutive coded packets."""
-        return trace.payload_bytes / self.data_rate
+        return self.trace.payload_bytes / self.data_rate
 
 
 def derive_params(trace: VideoTrace, mode, delay_frames: int, step_frames: int = 1,
@@ -70,11 +74,12 @@ def derive_params(trace: VideoTrace, mode, delay_frames: int, step_frames: int =
     """Choose the maximal feasible window and fill in all derived quantities.
 
     Exactly one of code_rate / data_rate must be given; the other is derived
-    through code_rate = k / N. A window wider than the header's WSize field
-    holds, warm-up and cool-down padding covering every frame, a schedule
-    leaving a frame outside the padding in no window, a DAF trace shorter
-    than two windows (the slope solve's domain), a delay or step that is no
-    integer, or a data rate that is not finite, is a ConfigError.
+    through code_rate = k / N. A payload or a window wider than the header's
+    P or WSize field holds, warm-up and cool-down padding covering every
+    frame, a schedule leaving a frame outside the padding in no window, a
+    DAF trace shorter than two windows (the slope solve's domain), a delay
+    or step that is no integer, or a data rate that is not finite, is a
+    ConfigError.
     """
     mode = Mode.parse(mode) if not isinstance(mode, Mode) else mode
     check_integer(delay_frames, "delay in frames")
@@ -83,6 +88,8 @@ def derive_params(trace: VideoTrace, mode, delay_frames: int, step_frames: int =
         raise ConfigError("give exactly one of code_rate or data_rate")
     if step_frames < 1:
         raise ConfigError("step must be >= 1 frame")
+    if trace.payload_bytes > 0xFFFF:
+        raise ConfigError(f"payload size {trace.payload_bytes} does not fit the wire header")
     if step_frames % trace.gop_size != 0:
         raise ConfigError(f"step {step_frames} is not a multiple of the GOP size {trace.gop_size}")
     T = trace.num_frames
@@ -128,16 +135,16 @@ def derive_params(trace: VideoTrace, mode, delay_frames: int, step_frames: int =
         offsets = trace.packet_offsets()
         fixed = int(np.min(offsets[window:] - offsets[:T - window + 1]))
 
-    params = CodingParams(mode=mode, data_rate=R, code_rate=k / total,
+    params = CodingParams(trace=trace, mode=mode, data_rate=R, code_rate=k / total,
                           delay_frames=delay_frames, step_frames=step,
                           window_frames=window, coded_per_step=coded_per_step,
                           num_steps=num_steps, total_coded=total,
                           fixed_window_packets=fixed)
-    schedule = build_schedule(params, trace)
+    schedule = build_schedule(params)
     widest = int(schedule.window_packets.max())
     if widest > MAX_WSIZE:
         raise ConfigError(f"widest window holds {widest} packets, over WSize's {MAX_WSIZE}")
-    warm, cool = wcp_frames(params, trace)
+    warm, cool = wcp_frames(params)
     if len(warm) + len(cool) >= T:
         raise ConfigError(f"the warm-up and cool-down padding ({len(warm)} frames each) "
                           f"covers all {T} frames, so no packet is measured")
@@ -182,8 +189,7 @@ class WindowSchedule:
         return last
 
 
-def build_schedule(params: CodingParams, trace: VideoTrace,
-                   slopes=None) -> WindowSchedule:
+def build_schedule(params: CodingParams, slopes=None) -> WindowSchedule:
     """Lay out every window entry with its packet range and coded budget.
 
     `slopes` gives one slope factor per entry (sliding-window order); absent
@@ -191,8 +197,8 @@ def build_schedule(params: CodingParams, trace: VideoTrace,
     exactly as the header carries them. Entry m sends coded packets up to
     floor(m * coded_per_step), and the last entry up to the total.
     """
-    offsets = trace.packet_offsets()
-    T = trace.num_frames
+    offsets = params.trace.packet_offsets()
+    T = params.trace.num_frames
     W = params.window_frames
     step = params.step_frames
 
@@ -224,18 +230,18 @@ def build_schedule(params: CodingParams, trace: VideoTrace,
                           slope=slope, cum_sent=cum_sent)
 
 
-def wcp_frames(params: CodingParams, trace: VideoTrace) -> tuple[frozenset, frozenset]:
+def wcp_frames(params: CodingParams) -> tuple[frozenset, frozenset]:
     """Warm-up and cool-down frames: covered by fewer than W/step windows."""
-    T = trace.num_frames
+    T = params.trace.num_frames
     n = params.window_frames - params.step_frames
     warm = frozenset(range(1, n + 1))
     cool = frozenset(range(T - n + 1, T + 1))
     return warm, cool
 
 
-def wcp_packets(params: CodingParams, trace: VideoTrace) -> frozenset:
+def wcp_packets(params: CodingParams) -> frozenset:
     """Packet numbers inside the warm-up/cool-down periods."""
-    warm, cool = wcp_frames(params, trace)
-    offsets = trace.packet_offsets()
+    warm, cool = wcp_frames(params)
+    offsets = params.trace.packet_offsets()
     return (frozenset(range(1, offsets[len(warm)] + 1))
             | frozenset(range(offsets[-1 - len(cool)] + 1, offsets[-1] + 1)))

@@ -46,7 +46,7 @@ import numpy as np
 from dafstream.harness import SessionCodec, session_blocks
 from dafstream.ltcode import CodedPacketMeta, draw_batch, robust_soliton, xor_payloads
 from dafstream.prng import MASK64, PACKET_SEED_SALT
-from dafstream.protocol import DafHeader, _read_headers, datagram_records, to_f32
+from dafstream.protocol import DafHeader, check_fields, datagram_records, packet_ids, to_f32
 from dafstream.errors import ProtocolError, SolverError
 from dafstream.sampling import (SamplingPlan, _check_window, _optimizer_domain, slope_coeffs,
                                 slope_density, slope_matrix)
@@ -572,9 +572,10 @@ def encode_block(codec, windows, first, last):
     return (pids, entry, *draw_batch(pids, entry, windows))
 
 
-def iter_coded_packets(trace, params, buffer=None, codec=None):
+def iter_coded_packets(params, buffer=None, codec=None):
     """Yield (header, meta, payload) for every coded packet of a session."""
-    codec = codec or SessionCodec(trace, params)
+    codec = codec or SessionCodec(params)
+    trace = params.trace
     sched = codec.schedule
     total = int(sched.cum_sent[-1])
     windows = window_tables(codec, params.step_frames)
@@ -649,9 +650,10 @@ class FrameIndex:
             raise ValueError(f"frame {frame} outside 1..{self.trace.num_frames}")
 
 
-def schedule_oracle(params, trace, slopes=None):
+def schedule_oracle(params, slopes=None):
     """Every window entry laid out one at a time through FrameIndex, as a
     dict of per-entry lists keyed by COLUMNS."""
+    trace = params.trace
     index = FrameIndex(trace)
     T = trace.num_frames
     W = params.window_frames
@@ -816,8 +818,12 @@ def decode_datagrams(data, payload_bytes: int):
     The fields are checked as arrays by the same check_fields as DafHeader;
     a datagram whose P differs from `payload_bytes` is a framing error.
     """
-    start, wsize, slope, packet_id, size = _read_headers(
-        datagram_records(data, payload_bytes)["header"])
+    head = datagram_records(data, payload_bytes)["header"]
+    packet_id = packet_ids(head["packet_id"])
+    start = head["start_packet"].astype(np.int64)
+    wsize = head["window_packets"].astype(np.int64)
+    size = head["payload_bytes"].astype(np.int64)
+    slope = check_fields(start, wsize, head["slope_factor"], packet_id, size)
     bad = size != payload_bytes
     if np.any(bad):
         raise ProtocolError(f"framing error: header says P={size[bad][0]}, "

@@ -160,9 +160,9 @@ def test_criterion_06_session_determinism():
     trace = constant_trace(600, 7 * 1024, frame_rate=30, payload_bytes=1024)
     params = derive_params(trace, "DAF", 30, code_rate=0.42)
     assert params.total_coded == 10_000
-    codec = SessionCodec(trace, params)
+    codec = SessionCodec(params)
     checked = 0
-    for header, meta, _ in iter_coded_packets(trace, params, codec=codec):
+    for header, meta, _ in iter_coded_packets(params, codec=codec):
         rx_meta = codec.meta_from_header(decode_header(encode_header(header)))
         assert rx_meta.degree == meta.degree
         assert rx_meta.neighbors == meta.neighbors
@@ -196,10 +196,10 @@ def test_criterion_07_lossless_decode():
     m = result.metrics()
     assert m.fdr == 1.0, f"FDR {m.fdr:.4f} < 100%"
 
-    schedule = build_schedule(params, trace)
-    equations = [meta.neighbors for _, meta, _ in iter_coded_packets(trace, params)]
+    schedule = build_schedule(params)
+    equations = [meta.neighbors for _, meta, _ in iter_coded_packets(params)]
     bound = in_time_oracle(trace, schedule, equations,
-                           wcp_packets(params, trace))
+                           wcp_packets(params))
     frame_of = np.repeat(np.arange(1, trace.num_frames + 1),
                          trace.packets_per_frame)
     in_time = {p for p in range(1, trace.total_packets + 1)
@@ -311,7 +311,7 @@ def test_readme_known_deviations_are_recomputed(delay_sweep):
     for d in DELAYS_S:
         params = derive_params(trace, "Block", delay_to_frames(d, trace.frame_rate),
                                step_frames=1, code_rate=0.85)
-        sched = build_schedule(params, trace)
+        sched = build_schedule(params)
         budget = np.diff(sched.cum_sent, prepend=0)
         windows = list(zip(sched.start_packet.tolist(), sched.window_packets.tolist()))
         decoded = []

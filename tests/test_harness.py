@@ -20,7 +20,7 @@ from dafstream.protocol import (HEADER_LEN, DafHeader, datagram_records, decode_
                                 decode_packet, encode_packet)
 from dafstream.trace import (burst_trace, constant_trace, packetize, random_trace,
                              sinusoidal_trace)
-from dafstream.windowing import build_schedule, derive_params, wcp_packets
+from dafstream.windowing import Mode, build_schedule, derive_params, wcp_packets
 
 from oracles import (block_releases, decode_datagrams, encode_block, header_record,
                      header_rule_oracle, iter_coded_packets, minmax_decode_times, slope_pdf,
@@ -61,9 +61,12 @@ def params_with(**kwargs):
     lambda: sweep_reps(True),
     lambda: sweep_reps("3"),
     lambda: sweep_reps(2.0),
+    lambda: sweep(constant_trace(60, 65536, payload_bytes=65536), ["DAF-L"], [0.8], [0.8],
+                  [lossless()], repetitions=1),  # P over the header's 16 bits
 ], ids=["data-rate-nan", "data-rate-inf", "delay-float", "delay-bool", "step-bool",
         "step-float", "sweep-delay-nan", "sweep-delay-inf", "sweep-step-bool",
-        "sweep-later-cell-infeasible", "sweep-reps-bool", "sweep-reps-str", "sweep-reps-float"])
+        "sweep-later-cell-infeasible", "sweep-reps-bool", "sweep-reps-str", "sweep-reps-float",
+        "sweep-payload-too-wide"])
 def test_bad_numbers_are_config_errors_before_any_work(case, monkeypatch):
     def no_session(*args, **kwargs):
         raise AssertionError("a session ran")
@@ -138,7 +141,7 @@ class TestRunSession:
         t = constant_trace(90, 4 * 1024, frame_rate=30)
         p = derive_params(t, "DAF-L", 30, code_rate=0.6)
         r = run_session(t, p, lossless(), 0)
-        wcp = wcp_packets(p, t)
+        wcp = wcp_packets(p)
         assert r.wcp == wcp
         assert r.in_time + r.late + r.never == t.total_packets - len(wcp)
 
@@ -147,9 +150,9 @@ class TestEncoderDecoderAgreement:
     def test_meta_reconstruction_round_trip(self):
         t = sinusoidal_trace(60, 6000, 3000, 20, frame_rate=30)
         p = derive_params(t, "DAF", 10, code_rate=0.8)
-        codec = SessionCodec(t, p)
+        codec = SessionCodec(p)
         count = 0
-        for header, meta, _ in iter_coded_packets(t, p, codec=codec):
+        for header, meta, _ in iter_coded_packets(p, codec=codec):
             rx = codec.meta_from_header(header)
             assert rx == meta
             count += 1
@@ -162,14 +165,14 @@ class TestEncoderDecoderAgreement:
                     for n in t.frame_bytes]
         p = derive_params(t, "DAF", 10, code_rate=0.5)
         buffer = packetize(t, payloads)
-        wcp = wcp_packets(p, t)
+        wcp = wcp_packets(p)
         for q in wcp:
             buffer[q - 1] = 0
-        codec = SessionCodec(t, p)
+        codec = SessionCodec(p)
         dec = DecoderState(PeelingTables(t.total_packets, codec.indptr, codec.neighbors, wcp),
                            payload_bytes=64)
         decoded = []
-        for header, meta, payload in iter_coded_packets(t, p, buffer=buffer, codec=codec):
+        for header, meta, payload in iter_coded_packets(p, buffer=buffer, codec=codec):
             h2, pl2 = decode_packet(encode_packet(header, payload.tobytes()))
             assert codec.meta_from_header(h2) == meta
             decoded += dec.ingest(h2.packet_id, np.frombuffer(pl2, dtype=np.uint8))
@@ -182,12 +185,12 @@ class TestDecoderSideCompositions:
     def test_receiver_csr_equals_sender_csr_on_lossy_relay(self, workloads):
         inp = workloads.build("relay-payload-300", workloads.DEFAULT_SEED)
         t, p = inp.trace, inp.cells[0].params
-        sender = SessionCodec(t, p)
-        receiver = SessionCodec(t, p)  # its own schedule, tables and caches
+        sender = SessionCodec(p)
+        receiver = SessionCodec(p)  # its own schedule, tables and caches
         buffer = packetize(t, inp.payloads)
         N = p.total_coded
         delivered = transmit_many(inp.channel, np.arange(1, N + 1),
-                                  np.arange(1, N + 1) * p.send_interval_s(t))
+                                  np.arange(1, N + 1) * p.send_interval_s())
         assert 0.2 < delivered.mean() < 0.9
         windows = window_tables(sender, p.step_frames)
         checked = 0
@@ -244,8 +247,8 @@ class TestSend:
         t, p = inp.trace, inp.cells[0].params
         N = p.total_coded
         delivered = transmit_many(inp.channel, np.arange(1, N + 1),
-                                  np.arange(1, N + 1) * p.send_interval_s(t))
-        codec = SessionCodec(t, p)
+                                  np.arange(1, N + 1) * p.send_interval_s())
+        codec = SessionCodec(p)
         return codec, packetize(t, inp.payloads), delivered, window_tables(codec, p.step_frames)
 
     def test_datagrams_equal_drawing_and_xoring_each_block(self, relay):
@@ -269,7 +272,7 @@ class TestSend:
         # delivered row is overwritten, short last block included
         inp = workloads.build(name, workloads.DEFAULT_SEED)
         cell = inp.cells[0]
-        codec = session_plan(inp.trace, cell.params)
+        codec = session_plan(cell.params)
         windows = window_tables(codec, cell.params.step_frames)
         P = inp.trace.payload_bytes
         buffer = None if inp.payloads is None else packetize(inp.trace, inp.payloads)
@@ -298,7 +301,7 @@ class TestSend:
                                                                            monkeypatch):
         inp = workloads.build("relay-payload-300", workloads.DEFAULT_SEED)
         params = inp.cells[0].params
-        codec = session_plan(inp.trace, params)
+        codec = session_plan(params)
         # the payload session takes the spare the first one cut for the
         # largest block and writes payload bytes into it
         run_session(inp.trace, params, inp.channel, 2)
@@ -319,7 +322,7 @@ class TestSend:
         other = derive_params(other_trace, "DAF-L", 15, code_rate=0.8)
         run_session(inp.trace, params, inp.channel, 0)
         assert harness._spare
-        codec = session_plan(other_trace, other)
+        codec = session_plan(other)
         assert not harness._spare
         sent = record_sends(monkeypatch)
         run_session(inp.trace, params, inp.channel, 1)
@@ -334,7 +337,7 @@ class TestSend:
     def test_a_session_that_raises_leaves_no_spare(self, workloads, monkeypatch):
         inp = workloads.build("readme-300", workloads.DEFAULT_SEED)
         params = inp.cells[0].params
-        codec = session_plan(inp.trace, params)
+        codec = session_plan(params)
         run_session(inp.trace, params, inp.channel, 1)
         send = SessionCodec.send
 
@@ -431,30 +434,47 @@ class TestSessionPlan:
     def test_window_tables_are_dropped_after_the_draw(self):
         # no session reads them again; the CSR compositions are a third of their size
         t, params = self.cell()
-        codec = session_plan(t, params())
+        codec = session_plan(params())
         assert not hasattr(codec, "windows") and len(codec.neighbors) > 0
 
     def test_equal_params_objects_build_their_own_plans(self):
         t, params = self.cell()
         p, q = params(), params()
         assert p == q and p is not q
-        assert session_plan(t, p) is not session_plan(t, q)
-        assert session_plan(t, p) is session_plan(t, p)
+        assert session_plan(p) is not session_plan(q)
+        assert session_plan(p) is session_plan(p)
 
-    def test_another_trace_gets_another_plan(self):
+    def test_an_equal_twin_trace_shares_the_plan(self):
         t, params = self.cell()
         p = params()
-        plan = session_plan(t, p)
+        plan = session_plan(p)
         twin = sinusoidal_trace(90, 8000, 4000, 30, frame_rate=30)
-        assert session_plan(twin, p) is not plan
-        assert session_plan(twin, p).trace is twin
+        assert twin == t and twin is not t
+        ch = ChannelModel(kind="single", loss_rate=0.1)
+        got = run_session(twin, p, ch, 0)
+        assert session_plan(p) is plan and plan.trace is t
+        assert got.canonical_bytes() == run_session(t, params(), ch, 0).canonical_bytes()
+
+    @pytest.mark.parametrize("mode", [m.value for m in Mode])
+    def test_a_foreign_trace_is_refused_before_any_codec(self, workloads, mode):
+        # these ran on the foreman trace's params: silently with other frame
+        # sizes, or failing deep in the codec build on a shorter trace
+        inp = workloads.build("readme-300", workloads.DEFAULT_SEED)
+        p = workloads.params_for(inp.spec, inp.trace, mode)
+        foreign = {"other frame sizes": constant_trace(300, 100 * 1024),
+                   "shorter": constant_trace(30, 1024),
+                   "other frame rate": replace(inp.trace, frame_rate=25.0)}
+        for what, trace in foreign.items():
+            with pytest.raises(ConfigError, match="not the one these coding parameters"):
+                run_session(trace, p, inp.channel, 0)
+            assert "_session_plan" not in p.__dict__, what
 
     def test_plan_dies_with_its_params(self):
         # no reference cycle: reference counting alone frees the plan
         t, params = self.cell()
         p = params()
         result = run_session(t, p, ChannelModel(kind="single", loss_rate=0.1), 0)
-        plan = weakref.ref(session_plan(t, p))
+        plan = weakref.ref(session_plan(p))
         gc.disable()
         try:
             assert plan() is not None
@@ -480,7 +500,7 @@ class TestSessionPlan:
         ch = ChannelModel(kind="single", loss_rate=0.1)
         first, second = run_session(t, p, ch, 0), run_session(t, p, ch, 1)
         assert first.frame_deadline is second.frame_deadline
-        plan = session_plan(t, p)
+        plan = session_plan(p)
         peeling = plan.peeling
         for shared in (first.frame_deadline, plan.indptr, plan.neighbors,
                        plan.send_times, plan.headers, plan.packet_deadline, plan.real,
@@ -502,14 +522,14 @@ class TestPayloadRecovery:
         inp = workloads.build("relay-payload-300", workloads.DEFAULT_SEED)
         t = inp.trace
         p = next(c.params for c in inp.cells if c.mode == mode)
-        wcp = wcp_packets(p, t)
+        wcp = wcp_packets(p)
         buffer = packetize(t, inp.payloads)
         buffer[np.array(sorted(wcp)) - 1] = 0
         N = p.total_coded
         delivered = transmit_many(replace(inp.channel, seed=inp.channel.seed + seed),
                                   np.arange(1, N + 1),
-                                  np.arange(1, N + 1, dtype=np.float64) * p.send_interval_s(t))
-        codec = SessionCodec(t, p)
+                                  np.arange(1, N + 1, dtype=np.float64) * p.send_interval_s())
+        codec = SessionCodec(p)
         dec = DecoderState(PeelingTables(t.total_packets, codec.indptr, codec.neighbors, wcp),
                            payload_bytes=t.payload_bytes)
         decoded = []
@@ -528,7 +548,7 @@ class TestPayloadRecovery:
 def fixpoint_arrivals(t, p, channel, seed):
     """minmax_decode_times over the equations session `seed` delivers: the
     PacketID that releases each packet some chain releases."""
-    plan = session_plan(t, p)
+    plan = session_plan(p)
     indptr, neighbors = plan.indptr.tolist(), plan.neighbors.tolist()
     N = plan.total_coded
     delivered = transmit_many(channel.for_session(seed), np.arange(1, N + 1), plan.send_times)
@@ -540,7 +560,7 @@ def fixpoint_arrivals(t, p, channel, seed):
 def fixpoint_decode_times(t, p, channel, seed):
     """The decode time of every packet of session `seed`, from
     fixpoint_arrivals, and how many packets some chain releases."""
-    plan = session_plan(t, p)
+    plan = session_plan(p)
     arrival = fixpoint_arrivals(t, p, channel, seed)
     want = np.full(t.total_packets + 1, np.inf)
     for n, pid in arrival.items():
@@ -556,7 +576,7 @@ class TestDecodeTimesAgainstFixpoint:
         inp = workloads.build(name, workloads.DEFAULT_SEED)
         t = inp.trace
         p = next(c.params for c in inp.cells if c.mode == "DAF")
-        wcp = session_plan(t, p).wcp
+        wcp = session_plan(p).wcp
         for seed in range(3):
             result = run_session(t, p, inp.channel, seed, payloads=inp.payloads)
             want, released = fixpoint_decode_times(t, p, inp.channel, seed)
@@ -569,7 +589,7 @@ class TestDecodeTimesAgainstFixpoint:
         inp = workloads.build(name, workloads.DEFAULT_SEED)
         t, seed = inp.trace, 1
         p = next(c.params for c in inp.cells if c.mode == "DAF")
-        codec = session_plan(t, p)
+        codec = session_plan(p)
         buffer = None
         if inp.payloads is not None:
             buffer = packetize(t, inp.payloads)
@@ -678,12 +698,12 @@ class TestWindowTables:
         # the per-entry build did; some slopes are 0 and share uniform tables
         t = random_trace(60, 1, 9, seed=3, payload_bytes=64)
         p = derive_params(t, mode, 24, step_frames=step, code_rate=0.7)
-        count = len(build_schedule(p, t).start_frame)
+        count = len(build_schedule(p).start_frame)
         slopes = np.random.default_rng(step).uniform(-1, 1, size=count)
         slopes[::4] = 0.0
         slopes[1::7] = 1.0
         with mock.patch.object(harness, "session_slopes", return_value=slopes):
-            codec = SessionCodec(t, p)
+            codec = SessionCodec(p)
         s = t.packets_per_frame
         sched = codec.schedule
         for index, (first, end, start_packet, wsize, slope, (start, table, _)) in enumerate(
@@ -701,22 +721,13 @@ class TestWindowTables:
                 cdf = np.cumsum(slope_pdf(counts, slope))
             assert np.array_equal(table, cdf_keys(cdf)), index
 
-    def test_sloped_window_off_the_step_grid_rejected(self):
-        # S-LT windows hold a fixed packet count, so they end inside a frame
-        t = random_trace(60, 1, 9, seed=3, payload_bytes=64)
-        p = derive_params(t, "S-LT", 24, code_rate=0.7)
-        slopes = np.full(len(build_schedule(p, t).start_frame), 0.5)
-        with mock.patch.object(harness, "session_slopes", return_value=slopes), \
-                pytest.raises(ValueError, match="step boundar"):
-            SessionCodec(t, p)
-
 
 class TestHostileHeaders:
     @pytest.fixture(scope="class")
     def codec(self, workloads):
         inp = workloads.build("readme-300", workloads.DEFAULT_SEED)
         cell = next(c for c in inp.cells if c.mode == "DAF")
-        codec = SessionCodec(inp.trace, cell.params)
+        codec = SessionCodec(cell.params)
         assert inp.trace.total_packets == 2934
         return codec
 
@@ -724,7 +735,7 @@ class TestHostileHeaders:
     def flat(self, workloads):
         """DAF-L on the same trace: every window has slope 0.0."""
         inp = workloads.build("readme-300", workloads.DEFAULT_SEED)
-        return SessionCodec(inp.trace, next(c.params for c in inp.cells if c.mode == "DAF-L"))
+        return SessionCodec(next(c.params for c in inp.cells if c.mode == "DAF-L"))
 
     def entry(self, codec):
         """(StartP, WSize, SlopeF) of entry 41."""
@@ -914,14 +925,14 @@ class TestReceive:
     def codec(self, request, workloads):
         name, mode = request.param
         inp = workloads.build(name, workloads.DEFAULT_SEED)
-        return session_plan(inp.trace, next(c.params for c in inp.cells if c.mode == mode))
+        return session_plan(next(c.params for c in inp.cells if c.mode == mode))
 
     @pytest.mark.parametrize("name", ["readme-300", "relay-payload-300"])
     def test_headers_are_the_encoders_bytes_and_read_only(self, workloads, name):
         inp = workloads.build(name, workloads.DEFAULT_SEED)
         P = inp.trace.payload_bytes
         for cell in inp.cells:
-            codec = session_plan(inp.trace, cell.params)
+            codec = session_plan(cell.params)
             N = codec.total_coded
             want = b"".join(header_record(codec.schedule, P, pid) for pid in range(1, N + 1))
             assert codec.headers.dtype == np.uint8 and codec.headers.shape == (N, HEADER_LEN)
@@ -994,7 +1005,7 @@ class TestHeaderRule:
     def codec(self, request, workloads):
         name, mode = request.param
         inp = workloads.build(name, workloads.DEFAULT_SEED)
-        return session_plan(inp.trace, next(c.params for c in inp.cells if c.mode == mode))
+        return session_plan(next(c.params for c in inp.cells if c.mode == mode))
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)

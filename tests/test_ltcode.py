@@ -96,7 +96,7 @@ class TestDegreeTables:
         for name in workloads.SPECS:
             inp = workloads.build(name, workloads.DEFAULT_SEED)
             for cell in inp.cells:
-                sizes = np.unique(build_schedule(cell.params, inp.trace).window_packets)
+                sizes = np.unique(build_schedule(cell.params).window_packets)
                 for k, table in zip(sizes.tolist(), degree_tables(sizes)):
                     assert table.tobytes() == soliton_keys(k).tobytes(), (name, cell.mode, k)
 
@@ -332,7 +332,7 @@ class TestDrawBatch:
         for name, mode in [*cells, ("relay-payload-300", "DAF")]:
             inp = workloads.build(name, workloads.DEFAULT_SEED)
             p = next(c.params for c in inp.cells if c.mode == mode)
-            codec = SessionCodec(inp.trace, p)
+            codec = SessionCodec(p)
             windows = window_tables(codec, p.step_frames)
             with mock.patch.object(ltcode, "_LOCKSTEP_MIN", lockstep_min):
                 pids = np.arange(1, codec.total_coded + 1)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dafstream import protocol
 from dafstream.errors import ProtocolError
 from dafstream.harness import session_slopes
 from dafstream.protocol import (GOLDEN_BYTES, GOLDEN_HEADER, HEADER_DTYPE, HEADER_LEN,
@@ -129,6 +130,18 @@ class TestErrors:
         with pytest.raises(ProtocolError, match="SlopeF"):
             decode_header(bytes(raw))
 
+    def test_decode_checks_the_fields_once(self, monkeypatch):
+        # the header is built straight from its record; DafHeader checks it
+        calls = []
+        check = protocol.check_fields
+
+        def counted(*fields):
+            calls.append(fields)
+            return check(*fields)
+        monkeypatch.setattr(protocol, "check_fields", counted)
+        assert decode_header(GOLDEN_BYTES) == GOLDEN_HEADER
+        assert len(calls) == 1
+
 
 def struct_f32(x):
     return struct.unpack(">f", struct.pack(">f", x))[0]
@@ -138,8 +151,8 @@ class TestFloat32:
     def test_matches_struct_on_long_schedule(self, workloads):
         inp = workloads.build("long-daf-1800", workloads.DEFAULT_SEED)
         params = inp.cells[0].params
-        slopes = session_slopes(inp.trace, params)
-        schedule = build_schedule(params, inp.trace, slopes=slopes)
+        slopes = session_slopes(params)
+        schedule = build_schedule(params, slopes=slopes)
         want = [struct_f32(float(a)) for a in slopes]
         assert to_f32(slopes).tolist() == want
         assert schedule.slope.tolist() == want

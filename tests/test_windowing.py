@@ -3,7 +3,8 @@ import pytest
 
 from dafstream.errors import ConfigError
 from dafstream.harness import session_slopes
-from dafstream.trace import (VideoTrace, constant_trace, random_trace,
+from dafstream.protocol import to_f32
+from dafstream.trace import (VideoTrace, constant_trace, downsample, random_trace,
                              sinusoidal_trace)
 from dafstream.windowing import (Mode, build_schedule, derive_params,
                                  wcp_frames, wcp_packets)
@@ -52,6 +53,23 @@ class TestDeriveParams:
         with pytest.raises(ConfigError, match="infeasible"):
             derive_params(t, "DAF", 9, step_frames=5, code_rate=0.8)
 
+    def test_payload_wider_than_the_p_field_rejected(self):
+        # P is a 16-bit header field; 65,535 bytes still fit
+        with pytest.raises(ConfigError, match="payload size 65536 does not fit"):
+            derive_params(constant_trace(60, 65536, payload_bytes=65536), "DAF-L", 24,
+                          code_rate=0.8)
+        p = derive_params(constant_trace(60, 65535, payload_bytes=65535), "DAF-L", 24,
+                          code_rate=0.8)
+        assert p.trace.payload_bytes == 65535
+
+    def test_params_carry_their_trace(self):
+        # compared with the other fields, left out of repr
+        t = uniform_trace(60)
+        p = derive_params(t, "DAF-L", 24, code_rate=0.8)
+        assert p.trace is t and "trace" not in repr(p)
+        assert p == derive_params(uniform_trace(60), "DAF-L", 24, code_rate=0.8)
+        assert p != derive_params(uniform_trace(60, fps=25), "DAF-L", 24, code_rate=0.8)
+
     def test_gop_multiple_enforced(self):
         t = uniform_trace(30, gop=3)
         with pytest.raises(ConfigError, match="GOP"):
@@ -90,8 +108,8 @@ class TestDeriveParams:
             derive_params(t, "S-LT", 12, step_frames=5, code_rate=0.8)
         # at step 1 only cool-down padding is left out, which is allowed
         p = derive_params(t, "S-LT", 12, step_frames=1, code_rate=0.8)
-        warm, cool = wcp_frames(p, t)
-        last = build_schedule(p, t).last_covering_entry(120)
+        warm, cool = wcp_frames(p)
+        last = build_schedule(p).last_covering_entry(120)
         assert np.all(last[len(warm) + 1:121 - len(cool)] > 0)
         assert not np.all(last[1:] > 0)
 
@@ -108,7 +126,7 @@ class TestDeriveParams:
             t = uniform_trace(40)
             window = 20 - 20 % step
             p = derive_params(t, "DAF", window + step, step_frames=step, code_rate=0.8)
-            assert p.window_frames == window and session_slopes(t, p) is not None
+            assert p.window_frames == window and session_slopes(p) is not None
             with pytest.raises(ConfigError, match="DAF needs"):
                 derive_params(t, "DAF", window + 2 * step, step_frames=step, code_rate=0.8)
 
@@ -121,7 +139,7 @@ class TestDeriveParams:
             derive_params(short, mode, 30, code_rate=0.74)
         t = sinusoidal_trace(57, 9500, 5500, 100, first_frame_bytes=25000)
         p = derive_params(t, mode, 30, code_rate=0.74)
-        warm, cool = wcp_frames(p, t)
+        warm, cool = wcp_frames(p)
         assert p.window_frames == 29 and len(warm) + len(cool) == 56
 
     def test_slt_fixed_window_is_minimum(self):
@@ -145,7 +163,7 @@ class TestSchedule:
         t = uniform_trace(6)
         p = derive_params(t, "DAF-L", 4, step_frames=2, code_rate=1.0)
         assert p.window_frames == 2
-        sched = build_schedule(p, t)
+        sched = build_schedule(p)
         assert sched.start_frame.tolist() == [1, 3, 5]
         assert sched.start_packet.tolist() == [1, 3, 5]
         assert sched.window_packets.tolist() == [2, 2, 2]
@@ -154,7 +172,7 @@ class TestSchedule:
         t = uniform_trace(8, packets=2)
         p = derive_params(t, "Expand", 5, step_frames=1, code_rate=1.0)
         assert p.window_frames == 4
-        sched = build_schedule(p, t)
+        sched = build_schedule(p)
         assert len(sched.start_frame) == 8
         starts = sched.start_packet.tolist()
         sizes = sched.window_packets.tolist()
@@ -169,7 +187,7 @@ class TestSchedule:
         p = derive_params(t, "S-LT", 10, code_rate=0.9)
         assert p.window_frames == 9
         assert p.fixed_window_packets == 24
-        sched = build_schedule(p, t)
+        sched = build_schedule(p)
         idx = FrameIndex(t)
         for start_frame, end_frame, start_packet, wsize in zip(
                 sched.start_frame.tolist(), sched.end_frame.tolist(),
@@ -188,14 +206,14 @@ class TestSchedule:
         for mode in ("DAF-L", "S-LT", "Block", "Expand"):
             t = random_trace(60, 1, 6, seed=11)
             p = derive_params(t, mode, 12, code_rate=0.8)
-            sched = build_schedule(p, t)
+            sched = build_schedule(p)
             assert sched.cum_sent[-1] == p.total_coded
             assert np.diff(sched.cum_sent, prepend=0).sum() == p.total_coded
 
     def test_fractional_budgets_accumulate_by_floor(self):
         t = uniform_trace(60, packets=3)
         p = derive_params(t, "DAF-L", 12, code_rate=0.77)
-        sched = build_schedule(p, t)
+        sched = build_schedule(p)
         budget = np.diff(sched.cum_sent, prepend=0)
         for index, cum in enumerate(sched.cum_sent[:-1].tolist(), start=1):
             assert cum == int(index * p.coded_per_step)
@@ -204,12 +222,12 @@ class TestSchedule:
     def test_coverage_counts(self):
         t = random_trace(60, 1, 5, seed=2)
         p = derive_params(t, "DAF-L", 12, step_frames=2, code_rate=0.8)
-        sched = build_schedule(p, t)
+        sched = build_schedule(p)
         counts = [0] * (t.num_frames + 1)
         for first, end in zip(sched.start_frame.tolist(), sched.end_frame.tolist()):
             for f in range(first, end + 1):
                 counts[f] += 1
-        warm, cool = wcp_frames(p, t)
+        warm, cool = wcp_frames(p)
         full = p.window_frames // p.step_frames
         for f in range(1, t.num_frames + 1):
             if f in warm or f in cool:
@@ -222,8 +240,8 @@ class TestSchedule:
         block = derive_params(t, "Block", 24, step_frames=12, code_rate=0.8)
         sliding = derive_params(t, "DAF-L", 24, step_frames=12, code_rate=0.8)
         assert block.window_frames == sliding.window_frames == 12
-        bs = build_schedule(block, t)
-        ss = build_schedule(sliding, t)
+        bs = build_schedule(block)
+        ss = build_schedule(sliding)
         for a, b in zip(rows(bs), rows(ss)):
             assert a == b
 
@@ -231,20 +249,20 @@ class TestSchedule:
         t = uniform_trace(12)
         p = derive_params(t, "DAF", 4, step_frames=1, code_rate=1.0)
         value = 0.1234567890123  # not representable in float32
-        sched = build_schedule(p, t, slopes=[value] * len(
-            build_schedule(p, t).start_frame))
+        sched = build_schedule(p, slopes=[value] * len(
+            build_schedule(p).start_frame))
         import struct
         expected = struct.unpack(">f", struct.pack(">f", value))[0]
         assert sched.slope[0] == expected
 
 
-def assert_matches_oracle(sched, params, trace, slopes):
-    want = schedule_oracle(params, trace, slopes)
+def assert_matches_oracle(sched, params, slopes):
+    want = schedule_oracle(params, slopes)
     for c in COLUMNS:
         column = getattr(sched, c)
         assert column.dtype == (np.float64 if c == "slope" else np.int64), c
         assert column.tolist() == want[c], c
-    T = trace.num_frames
+    T = params.trace.num_frames
     assert np.array_equal(sched.last_covering_entry(T), last_covering_oracle(sched, T))
 
 
@@ -254,9 +272,9 @@ class TestColumnarSchedule:
         for name in ("readme-300", "long-daf-1800", "relay-payload-300"):
             inp = workloads.build(name, workloads.DEFAULT_SEED)
             for cell in inp.cells:
-                slopes = session_slopes(inp.trace, cell.params)
-                sched = build_schedule(cell.params, inp.trace, slopes=slopes)
-                assert_matches_oracle(sched, cell.params, inp.trace, slopes)
+                slopes = session_slopes(cell.params)
+                sched = build_schedule(cell.params, slopes=slopes)
+                assert_matches_oracle(sched, cell.params, slopes)
                 cells += 1
         assert cells == 8
 
@@ -264,31 +282,51 @@ class TestColumnarSchedule:
         # fixed-size S-LT windows leave some frames that no entry touches
         rng = np.random.default_rng(4)
         checked = 0
-        for p, t in mode_step_delay_grid():
-            count = len(build_schedule(p, t).start_frame)
+        for p in mode_step_delay_grid():
+            count = len(build_schedule(p).start_frame)
             # a short slope list leaves the last entries at 0
             slopes = rng.uniform(-1, 1, size=int(rng.integers(count // 2, count + 1)))
             for given in (None, slopes):
-                assert_matches_oracle(build_schedule(p, t, slopes=given), p, t, given)
+                assert_matches_oracle(build_schedule(p, slopes=given), p, given)
             checked += 1
         assert checked >= 60
+
+    def test_sloped_windows_lie_in_the_trace_on_the_step_grid(self):
+        # the window CDF build relies on this for every schedule derive_params
+        # admits: only DAF slopes its windows, each inside the trace, starting
+        # and ending on a step boundary, with float32 slopes in [-1, 1]
+        sloped = 0
+        for p in mode_step_delay_grid():
+            slopes = session_slopes(p)
+            if p.mode is not Mode.DAF:
+                assert slopes is None
+                continue
+            s = build_schedule(p, slopes=slopes)
+            last = s.start_packet + s.window_packets - 1
+            assert np.all(last <= p.trace.total_packets)
+            grid = downsample(p.trace, p.step_frames).packet_offsets()
+            assert np.all(np.isin(s.start_packet - 1, grid)) and np.all(np.isin(last, grid))
+            assert np.array_equal(s.slope, to_f32(slopes))
+            assert np.all(np.abs(s.slope) <= 1.0)
+            sloped += bool(np.any(s.slope))
+        assert sloped >= 16
 
     def test_start_and_size_name_one_entry(self, workloads):
         # so a header's PacketID alone finds the entry its (StartP, WSize) names
         cells = list(mode_step_delay_grid())
         for name in ("readme-300", "long-daf-1800", "relay-payload-300"):
             inp = workloads.build(name, workloads.DEFAULT_SEED)
-            cells += [(cell.params, inp.trace) for cell in inp.cells]
-        for p, t in cells:
-            s = build_schedule(p, t)
+            cells += [cell.params for cell in inp.cells]
+        for p in cells:
+            s = build_schedule(p)
             keys = set(zip(s.start_packet.tolist(), s.window_packets.tolist()))
             assert len(keys) == len(s.start_packet), (p.mode, p.step_frames, p.delay_frames)
         assert len(cells) >= 68
 
 
 def mode_step_delay_grid():
-    """(params, trace) of every feasible cell of two random traces, every
-    mode, steps 1, 2, 5 and delays 12, 24, 40 frames."""
+    """The params of every feasible cell of two random traces, every mode,
+    steps 1, 2, 5 and delays 12, 24, 40 frames."""
     for seed in range(2):
         t = random_trace(120, 1, 9, seed=seed)
         for mode in Mode:
@@ -298,7 +336,7 @@ def mode_step_delay_grid():
                         p = derive_params(t, mode, delay, step_frames=step, code_rate=0.8)
                     except ConfigError:
                         continue
-                    yield p, t
+                    yield p
 
 
 class TestWcp:
@@ -306,31 +344,31 @@ class TestWcp:
         t = uniform_trace(300)
         p = derive_params(t, "DAF-L", 21, step_frames=1, code_rate=0.8)
         assert p.window_frames == 20
-        warm, cool = wcp_frames(p, t)
+        warm, cool = wcp_frames(p)
         assert warm == frozenset(range(1, 20))
         assert cool == frozenset(range(282, 301))
 
     def test_block_mode_empty(self):
         t = uniform_trace(60)
         p = derive_params(t, "Block", 24, step_frames=1, code_rate=0.8)
-        warm, cool = wcp_frames(p, t)
+        warm, cool = wcp_frames(p)
         assert warm == cool == frozenset()
 
     def test_step_five(self):
         t = uniform_trace(300)
         p = derive_params(t, "DAF-L", 25, step_frames=5, code_rate=0.8)
         assert p.window_frames == 20
-        warm, cool = wcp_frames(p, t)
+        warm, cool = wcp_frames(p)
         assert warm == frozenset(range(1, 16))
         assert cool == frozenset(range(286, 301))
 
     def test_wcp_packets_match_frames(self):
         t = random_trace(30, 1, 4, seed=9)
         p = derive_params(t, "DAF-L", 8, step_frames=2, code_rate=0.8)
-        warm, cool = wcp_frames(p, t)
+        warm, cool = wcp_frames(p)
         idx = FrameIndex(t)
         expected = set()
         for f in warm | cool:
             first = idx.first_packet(f)
             expected.update(range(first, first + t.packets_per_frame[f - 1]))
-        assert wcp_packets(p, t) == expected
+        assert wcp_packets(p) == expected
