@@ -20,7 +20,12 @@ of a session is written into a prefix of one datagram buffer. Without
 payloads it fits the codec's first, largest block, and a session that ends
 normally keeps it as the one spare, freed with its codec, for the next such
 session on that codec; with payloads it fits the most datagrams a block
-delivers and is not kept. A codec being built drops the spare.
+delivers and is not kept. An LT packet's payload depends only on its
+composition and the source bytes, so the first payload session on a codec
+XORs every PacketID's payload once into a read-only image (payload_image),
+kept, freed with its codec, while later sessions pass equal payloads; a
+block's payload bytes are copied from it as its headers are. A codec being
+built drops the spare and the image.
 A native packet decoded by the send time of the last coded packet of the
 last window covering its frame counts as in-time; decoded ever, toward the
 file ratio. Warm-up/cool-down padding is excluded from both.
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import statistics
 import weakref
 from dataclasses import dataclass
@@ -46,7 +52,7 @@ from .ltcode import (CodedPacketMeta, DecoderState, PeelingTables, cdf_tables, d
 from .protocol import (HEADER_DTYPE, HEADER_LEN, DafHeader, _write_headers, datagram_records,
                        decode_header, decode_packet, encode_header, encode_packet, packet_ids)
 from .sampling import SamplingPlan, optimize_slopes, slope_density
-from .trace import VideoTrace, downsample, packetize
+from .trace import VideoTrace, check_payloads, downsample, packetize
 from .windowing import CodingParams, Mode, build_schedule, derive_params, wcp_packets
 
 #: Datagram bytes per block of a session (at least one datagram). Bounds the
@@ -54,8 +60,16 @@ from .windowing import CodingParams, Mode, build_schedule, derive_params, wcp_pa
 #: its PacketID and window, so the block size changes no result.
 BLOCK_BYTES = 1 << 21
 
+#: Payload bytes per np.take in SessionCodec.send, which writes the strided
+#: payload columns through a copy of the rows it takes; chunks bound that copy.
+TAKE_BYTES = 1 << 17
+
 #: At most one datagram buffer kept between sessions: SessionCodec -> bytearray.
 _spare = weakref.WeakKeyDictionary()
+
+#: At most one coded-payload image kept between sessions: SessionCodec ->
+#: (the payloads it was built from, as a tuple of bytes; the image).
+_image = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -86,7 +100,8 @@ class SessionCodec:
     """
 
     def __init__(self, params: CodingParams):
-        _spare.clear()  # no spare buffer is held while a codec is built
+        _spare.clear()  # no spare buffer or payload image is held while a codec is built
+        _image.clear()
         trace = params.trace
         schedule = build_schedule(params, slopes=session_slopes(params))
         self.trace, self.schedule = trace, schedule
@@ -182,30 +197,29 @@ class SessionCodec:
     # -- encoder ----------------------------------------------------------
 
     def send(self, first: int, last: int, delivered: np.ndarray,
-             buffer: np.ndarray | None = None, out=None) -> bytearray | memoryview:
+             image: np.ndarray | None = None, out=None) -> bytearray | memoryview:
         """Datagram bytes of the packets among first..last that the channel
         delivers (`delivered` is the session's per-packet mask).
 
         The bytes are a new bytearray, or with `out` (a writable buffer of
         enough bytes) a read-only memoryview of its prefix, so no reader
         writes into a buffer that later sessions reuse. Headers are copied from
-        `headers`. With a payload buffer, each packet's XOR is written
-        straight into its datagram's payload bytes; without one they are not
-        written, so they stay as they were: zeros in a new bytearray.
+        `headers`, and with a coded-payload image (payload_image) each
+        packet's payload from its row, TAKE_BYTES of rows at a time; without
+        one they are not written, so they stay as they were: zeros in a new
+        bytearray.
         """
         pids = first + np.flatnonzero(delivered[first - 1:last])
         size = HEADER_LEN + self.trace.payload_bytes
         data = bytearray(len(pids) * size) if out is None else memoryview(out)[:len(pids) * size]
         rows = np.frombuffer(data, dtype=np.uint8).reshape(len(pids), size)
-        # every PacketID is in 1..N, so "clip" clips nothing and writes unbuffered
+        # every PacketID is in 1..N, so "clip" clips nothing
         np.take(self.headers, pids - 1, axis=0, out=rows[:, :HEADER_LEN], mode="clip")
-        if buffer is not None:  # the CSR rows of pids
-            lo = self.indptr[pids - 1]
-            degree = self.indptr[pids] - lo
-            indptr = np.zeros(len(pids) + 1, dtype=np.int64)
-            np.cumsum(degree, out=indptr[1:])
-            neighbors = self.neighbors[np.arange(indptr[-1]) + np.repeat(lo - indptr[:-1], degree)]
-            xor_payloads(indptr, neighbors, buffer, out=rows[:, HEADER_LEN:])
+        if image is not None:
+            c = max(1, TAKE_BYTES // self.trace.payload_bytes)
+            for a in range(0, len(pids), c):
+                np.take(image, pids[a:a + c] - 1, axis=0, out=rows[a:a + c, HEADER_LEN:],
+                        mode="clip")
         return data if out is None else data.toreadonly()
 
     # -- decoder ----------------------------------------------------------
@@ -259,6 +273,37 @@ class SessionCodec:
                                start_packet=header.start_packet,
                                window_packets=header.window_packets,
                                slope_factor=header.slope_factor)
+
+
+def payload_image(codec: SessionCodec, payloads) -> np.ndarray:
+    """The coded-payload image of `codec` for frame payloads run_session has
+    checked: row PacketID - 1 is that packet's XOR payload, a read-only
+    (N, P) uint8 array.
+
+    The image is built from packetize, padding zeroed, with one xor_payloads
+    over the codec's whole CSR, and kept, as the process's one image (freed
+    with its codec), with a snapshot of the payloads, tuple(bytes(p) for p
+    in payloads): a copy of a mutable buffer, so one edited in place since
+    misses, and the object itself for bytes, so an equal list of the same
+    bytes objects hits on identity alone.
+    """
+    snapshot = tuple(bytes(p) for p in payloads)
+    held = _image.get(codec)
+    if held is not None and held[0] == snapshot:
+        return held[1]
+    _image.clear()  # an old image is freed before a new one is built
+    source = packetize(codec.trace, snapshot)
+    source[~codec.real] = 0  # padding periods carry no data
+    # the image is its own anonymous mapping, unmapped when it is freed: a
+    # freed malloc block this large would raise glibc's mmap threshold to its
+    # size, and the sources and datagram buffers cut after it would then be
+    # kept in the heap (relay-payload-300 peak RSS +1.9 MB)
+    N, P = codec.total_coded, codec.trace.payload_bytes
+    image = np.frombuffer(mmap.mmap(-1, N * P), dtype=np.uint8).reshape(N, P)
+    xor_payloads(codec.indptr, codec.neighbors, source, out=image)
+    image.flags.writeable = False
+    _image[codec] = (snapshot, image)
+    return image
 
 
 def session_blocks(total_coded: int, payload_bytes: int):
@@ -326,45 +371,47 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
                 seed: int, payloads=None) -> SessionResult:
     """Encode, transmit and decode one full session.
 
-    `payloads` may carry real frame bytes; without them the session is
-    structure-only (all-zero packets), which decodes identically. Only DAF
-    optimizes its slope factors; every other mode's are zero. The
-    seed-invariant work is done once per params object (session_plan).
-    `trace` must be the one the params were derived for, or equal to it.
+    `payloads` may carry real frame bytes, one C-contiguous buffer of the
+    trace's byte count per frame, checked before any work (ValueError, as
+    in packetize); without them the session is structure-only (all-zero
+    packets), which decodes identically. Only DAF optimizes its slope
+    factors; every other mode's are zero. The seed-invariant work is done
+    once per params object (session_plan), and the coded payloads once per
+    codec and payloads (payload_image). `trace` must be the one the params
+    were derived for, or equal to it.
     """
     if trace != params.trace:
         raise ConfigError("the trace is not the one these coding parameters were derived for")
     eff_channel = channel.for_session(seed)  # checks the seed
+    if payloads is not None:
+        check_payloads(trace, payloads)
     codec = session_plan(params)
     k, N = trace.total_packets, codec.total_coded
-    buffer = None
-    if payloads is not None:
-        buffer = packetize(trace, payloads)
-        buffer[~codec.real] = 0  # padding periods carry no data
+    image = None if payloads is None else payload_image(codec, payloads)
 
     delivered = transmit_many(eff_channel, np.arange(1, N + 1), codec.send_times)
 
     decoder = DecoderState(codec.peeling,
-                           payload_bytes=trace.payload_bytes if buffer is not None else None)
+                           payload_bytes=trace.payload_bytes if image is not None else None)
 
     blocks = list(session_blocks(N, trace.payload_bytes))
     # every block's datagrams are written into a prefix of one buffer: without
     # payloads this codec's spare (popped, so no two sessions share it) or one
-    # cut for the first, largest block; with them, whose XOR outweighs a zero
-    # fill, a new one for the most datagrams a block delivers, not kept
-    wire = None if buffer is not None else _spare.pop(codec, None)
+    # cut for the first, largest block; with them, a new one for the most
+    # datagrams a block delivers, not kept
+    wire = None if image is not None else _spare.pop(codec, None)
     _spare.clear()  # any other spare is freed before a buffer is cut
     if wire is None:
         wire = bytearray((HEADER_LEN + trace.payload_bytes) * (
-            blocks[0][1] if buffer is None else
+            blocks[0][1] if image is None else
             max(int(np.count_nonzero(delivered[first - 1:last])) for first, last in blocks)))
     for first, last in blocks:
         if not delivered[first - 1:last].any():
             continue
         # an honest trip through the wire format: only bytes cross
-        data = codec.send(first, last, delivered, buffer, out=wire)
+        data = codec.send(first, last, delivered, image, out=wire)
         decoder.ingest_block(*codec.receive(data))
-    if buffer is None:
+    if image is None:
         _spare[codec] = wire
     # each packet decodes at the send time of the arrival that released it
     rows = decoder.release_rows()

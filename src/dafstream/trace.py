@@ -123,30 +123,36 @@ def load_trace(path, payload_bytes: int, frame_rate: float = 30.0,
     return VideoTrace.from_frame_bytes(sizes, frame_rate, payload_bytes, gop_size)
 
 
-def packetize(trace: VideoTrace, payloads) -> np.ndarray:
-    """Split frame payloads into P-byte packets, zero-padding the last one.
-
-    Each frame's payload, a C-contiguous buffer of the trace's byte count,
-    is copied once, straight to its first packet's row. Returns a
-    (total_packets, payload_bytes) uint8 array; packet number n is row n-1.
-    """
-    P = trace.payload_bytes
-    buf = np.zeros(trace.total_packets * P, dtype=np.uint8)
+def check_payloads(trace: VideoTrace, payloads):
+    """ValueError unless `payloads` holds one C-contiguous buffer of the
+    trace's byte count per frame."""
     if len(payloads) != trace.num_frames:
         raise ValueError(f"expected {trace.num_frames} frame payloads, got {len(payloads)}")
-    starts = (trace.packet_offsets()[:-1] * P).tolist()
-    out = memoryview(buf)
-    for t, (blob, at, expected) in enumerate(zip(payloads, starts, trace.frame_bytes)):
+    for t, (blob, expected) in enumerate(zip(payloads, trace.frame_bytes), start=1):
         try:
             view = memoryview(blob)
         except TypeError:
-            raise ValueError(f"frame {t + 1}: a {type(blob).__name__} is not a buffer") from None
+            raise ValueError(f"frame {t}: a {type(blob).__name__} is not a buffer") from None
         if not view.c_contiguous:
-            raise ValueError(f"frame {t + 1}: payload is not C-contiguous")
+            raise ValueError(f"frame {t}: payload is not C-contiguous")
         if view.nbytes != expected:
-            raise ValueError(f"frame {t + 1}: payload is {view.nbytes} bytes, "
-                             f"trace says {expected}")
-        out[at:at + expected] = view.cast("B")
+            raise ValueError(f"frame {t}: payload is {view.nbytes} bytes, trace says {expected}")
+
+
+def packetize(trace: VideoTrace, payloads) -> np.ndarray:
+    """Split frame payloads into P-byte packets, zero-padding the last one.
+
+    Each frame's payload (see check_payloads) is copied once, straight to
+    its first packet's row. Returns a (total_packets, payload_bytes) uint8
+    array; packet number n is row n-1.
+    """
+    check_payloads(trace, payloads)
+    P = trace.payload_bytes
+    buf = np.zeros(trace.total_packets * P, dtype=np.uint8)
+    out = memoryview(buf)
+    for blob, at in zip(payloads, (trace.packet_offsets()[:-1] * P).tolist()):
+        view = memoryview(blob).cast("B")
+        out[at:at + view.nbytes] = view
     return buf.reshape(trace.total_packets, P)
 
 

@@ -186,8 +186,9 @@ class TestDecoderSideCompositions:
         inp = workloads.build("relay-payload-300", workloads.DEFAULT_SEED)
         t, p = inp.trace, inp.cells[0].params
         sender = SessionCodec(p)
+        image = harness.payload_image(sender, inp.payloads)
         receiver = SessionCodec(p)  # its own schedule, tables and caches
-        buffer = packetize(t, inp.payloads)
+        buffer = source_of(sender, inp.payloads)
         N = p.total_coded
         delivered = transmit_many(inp.channel, np.arange(1, N + 1),
                                   np.arange(1, N + 1) * p.send_interval_s())
@@ -197,7 +198,7 @@ class TestDecoderSideCompositions:
         for first, last in session_blocks(N, t.payload_bytes):
             pids, _, indptr, neighbors = encode_block(sender, windows, first, last)
             sent = delivered[first - 1:last]
-            got_pids, payload = receiver.receive(sender.send(first, last, delivered, buffer))
+            got_pids, payload = receiver.receive(sender.send(first, last, delivered, image))
             assert got_pids.tolist() == pids[sent].tolist()
             rows = [neighbors[indptr[i]:indptr[i + 1]] for i in np.flatnonzero(sent)]
             for pid, row, got in zip(got_pids.tolist(), rows, payload):
@@ -207,6 +208,13 @@ class TestDecoderSideCompositions:
                 assert np.array_equal(np.bitwise_xor.reduce(buffer[row - 1]), got)
             checked += len(rows)
         assert checked == int(delivered.sum())
+
+
+def source_of(codec, payloads):
+    """The native packets a session on `codec` encodes: packetize, padding zeroed."""
+    buffer = packetize(codec.trace, payloads)
+    buffer[~codec.real] = 0
+    return buffer
 
 
 def sent_by_oracle(codec, windows, buffer, delivered, first, last):
@@ -232,8 +240,8 @@ def record_sends(monkeypatch):
     SessionCodec.send into the returned list."""
     sent, send = [], SessionCodec.send
 
-    def recorded(self, first, last, delivered, payloads=None, out=None):
-        data = send(self, first, last, delivered, payloads, out)
+    def recorded(self, first, last, delivered, image=None, out=None):
+        data = send(self, first, last, delivered, image, out)
         sent.append((first, last, delivered, bytes(data), data.obj))
         return data
     monkeypatch.setattr(SessionCodec, "send", recorded)
@@ -244,22 +252,23 @@ class TestSend:
     @pytest.fixture(scope="class")
     def relay(self, workloads):
         inp = workloads.build("relay-payload-300", workloads.DEFAULT_SEED)
-        t, p = inp.trace, inp.cells[0].params
+        p = inp.cells[0].params
         N = p.total_coded
         delivered = transmit_many(inp.channel, np.arange(1, N + 1),
                                   np.arange(1, N + 1) * p.send_interval_s())
         codec = SessionCodec(p)
-        return codec, packetize(t, inp.payloads), delivered, window_tables(codec, p.step_frames)
+        return (codec, source_of(codec, inp.payloads), harness.payload_image(codec, inp.payloads),
+                delivered, window_tables(codec, p.step_frames))
 
     def test_datagrams_equal_drawing_and_xoring_each_block(self, relay):
-        codec, buffer, delivered, windows = relay
+        codec, buffer, image, delivered, windows = relay
         t, N = codec.trace, codec.total_coded
         delivered = delivered.copy()
         delivered[:next(session_blocks(N, t.payload_bytes))[1]] = True  # one whole block
         assert 0.2 < delivered.mean() < 0.9
         for first, last in session_blocks(N, t.payload_bytes):
             want = sent_by_oracle(codec, windows, buffer, delivered, first, last)
-            assert codec.send(first, last, delivered, buffer) == want
+            assert codec.send(first, last, delivered, image) == want
             assert codec.send(first, last, delivered) == sent_by_oracle(
                 codec, windows, None, delivered, first, last)
 
@@ -275,9 +284,7 @@ class TestSend:
         codec = session_plan(cell.params)
         windows = window_tables(codec, cell.params.step_frames)
         P = inp.trace.payload_bytes
-        buffer = None if inp.payloads is None else packetize(inp.trace, inp.payloads)
-        if buffer is not None:
-            buffer[~codec.real] = 0
+        buffer = None if inp.payloads is None else source_of(codec, inp.payloads)
         sent, buffers = record_sends(monkeypatch), []
         for seed in (0, 1, 2):
             sent.clear()
@@ -302,12 +309,14 @@ class TestSend:
         inp = workloads.build("relay-payload-300", workloads.DEFAULT_SEED)
         params = inp.cells[0].params
         codec = session_plan(params)
-        # the payload session takes the spare the first one cut for the
-        # largest block and writes payload bytes into it
+        # the payload session drops the spare the first one kept and leaves
+        # its image on the codec, which the next session without payloads
+        # must not read
         run_session(inp.trace, params, inp.channel, 2)
         run_session(inp.trace, params, inp.channel, 0, payloads=inp.payloads)
         sent = record_sends(monkeypatch)
         run_session(inp.trace, params, inp.channel, 1)
+        assert codec in harness._image
         windows = window_tables(codec, params.step_frames)
         for first, last, delivered, data, _ in sent:
             assert not datagram_records(data, inp.trace.payload_bytes)["payload"].any()
@@ -341,8 +350,8 @@ class TestSend:
         run_session(inp.trace, params, inp.channel, 1)
         send = SessionCodec.send
 
-        def corrupted(self, first, last, delivered, payloads=None, out=None):
-            data = send(self, first, last, delivered, payloads, out)
+        def corrupted(self, first, last, delivered, image=None, out=None):
+            data = send(self, first, last, delivered, image, out)
             out[0] ^= 1  # StartP of the first datagram
             out[HEADER_LEN] = 0xFF  # and one of its payload bytes, which no later send writes
             return data
@@ -374,31 +383,97 @@ class TestSend:
         assert not harness._spare
 
     def test_send_into_a_buffer_returns_a_read_only_view(self, relay):
-        codec, buffer, delivered, _ = relay
+        codec, _, image, delivered, _ = relay
         first, last = next(session_blocks(codec.total_coded, codec.trace.payload_bytes))
         out = bytearray(harness.BLOCK_BYTES)
-        data = codec.send(first, last, delivered, buffer, out=out)
+        data = codec.send(first, last, delivered, image, out=out)
         assert data.readonly and data.obj is out
-        assert data == codec.send(first, last, delivered, buffer)
+        assert data == codec.send(first, last, delivered, image)
         with pytest.raises(TypeError):
             data[0] = 0
         assert not codec.receive(data)[1].flags.writeable
 
     def test_a_block_is_held_once(self, relay):
-        # the XOR goes straight into the datagrams; no (n, P) copy is made
-        codec, buffer, _, _ = relay
+        # the image's rows go into the datagrams a chunk at a time; no (n, P)
+        # copy is made
+        codec, _, image, _, _ = relay
         first, last = next(session_blocks(codec.total_coded, codec.trace.payload_bytes))
         everything = np.ones(codec.total_coded, dtype=bool)
-        codec.send(first, last, everything, buffer)
+        codec.send(first, last, everything, image)
         tracemalloc.start()
         try:
-            data = codec.send(first, last, everything, buffer)
+            data = codec.send(first, last, everything, image)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         size = HEADER_LEN + codec.trace.payload_bytes
         assert len(data) == harness.BLOCK_BYTES // size * size  # a full block
         assert peak < 1.5 * len(data)
+
+
+class TestPayloadImage:
+    # every check_sends compares each recorded datagram with one drawn,
+    # XORed and encoded from that session's own source
+    @pytest.fixture
+    def relay(self, workloads):
+        inp = workloads.build("relay-payload-300", workloads.DEFAULT_SEED)
+        params = inp.cells[0].params
+        return inp, params, session_plan(params)
+
+    def check_sends(self, sent, codec, buffer, step):
+        windows = window_tables(codec, step)
+        assert sent
+        for first, last, delivered, data, _ in sent:
+            assert data == sent_by_oracle(codec, windows, buffer, delivered, first, last)
+
+    def test_alternated_payload_sets_each_send_their_own_bytes(self, relay, workloads,
+                                                               monkeypatch):
+        inp, params, codec = relay
+        other = workloads.make_payloads(inp.trace, 7)
+        sent = record_sends(monkeypatch)
+        for seed, payloads in enumerate([inp.payloads, other, inp.payloads]):
+            sent.clear()
+            run_session(inp.trace, params, inp.channel, seed, payloads=payloads)
+            self.check_sends(sent, codec, source_of(codec, payloads), params.step_frames)
+            image = harness._image[codec][1]
+            assert not image.flags.writeable
+
+    def test_payloads_edited_in_place_are_sent_anew(self, relay, monkeypatch):
+        inp, params, codec = relay
+        payloads = [bytearray(p) for p in inp.payloads]
+        run_session(inp.trace, params, inp.channel, 0, payloads=payloads)
+        before = source_of(codec, payloads)
+        for frame in payloads:
+            if len(frame):
+                frame[0] ^= 0xFF
+        sent = record_sends(monkeypatch)
+        run_session(inp.trace, params, inp.channel, 0, payloads=payloads)
+        after = source_of(codec, payloads)
+        assert not np.array_equal(before, after)
+        self.check_sends(sent, codec, after, params.step_frames)
+
+    def test_no_image_is_held_while_a_codec_is_built(self, relay, monkeypatch):
+        inp, params, codec = relay
+        run_session(inp.trace, params, inp.channel, 0, payloads=inp.payloads)
+        assert codec in harness._image
+        held = []
+        build_schedule = harness.build_schedule
+
+        def watched(*args, **kwargs):
+            held.append(len(harness._image))
+            return build_schedule(*args, **kwargs)
+        monkeypatch.setattr(harness, "build_schedule", watched)
+        session_plan(derive_params(inp.trace, "DAF-L", 15, code_rate=0.8))
+        assert held == [0] and not harness._image
+
+    def test_the_image_is_freed_with_its_codec(self, workloads):
+        inp = workloads.build("relay-payload-300", workloads.DEFAULT_SEED)
+        params = derive_params(inp.trace, "DAF", 15, code_rate=0.8)
+        run_session(inp.trace, params, inp.channel, 0, payloads=inp.payloads)
+        assert len(harness._image) == 1
+        del params
+        gc.collect()
+        assert not harness._image
 
 
 class TestSessionPlan:
@@ -430,6 +505,56 @@ class TestSessionPlan:
         assert calls == []
         run_session(t, params(), ch, 1)  # a new params object draws again
         assert calls == ["build_schedule", "_build_cdf", "draw_batch", "PeelingTables"]
+
+    def test_second_payload_session_packetizes_and_xors_nothing(self, workloads, monkeypatch):
+        inp = workloads.build("relay-payload-300", workloads.DEFAULT_SEED)
+        params = inp.cells[0].params
+        run_session(inp.trace, params, inp.channel, 0, payloads=inp.payloads)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(harness, "packetize", counted("packetize", harness.packetize))
+        monkeypatch.setattr(harness, "xor_payloads",
+                            counted("xor_payloads", harness.xor_payloads))
+        for seed in (1, 2):
+            run_session(inp.trace, params, inp.channel, seed, payloads=list(inp.payloads))
+        assert calls == []
+        fresh = workloads.params_for(inp.spec, inp.trace, inp.cells[0].mode)
+        run_session(inp.trace, fresh, inp.channel, 1, payloads=inp.payloads)
+        assert calls == ["packetize", "xor_payloads"]
+
+    @pytest.mark.parametrize("bad, message", [
+        (lambda p: p[:-1], "expected 300 frame payloads, got 299"),
+        (lambda p: p[:4] + [p[4] + b"x"] + p[5:], "frame 5: payload is [0-9]+ bytes, trace says"),
+        (lambda p: p[:-1] + [p[-1].decode("latin-1")], "frame 300: a str is not a buffer"),
+        (lambda p: [np.frombuffer(p[0] * 2, dtype=np.uint8)[::2]] + p[1:],
+         "frame 1: payload is not C-contiguous"),
+    ], ids=["count", "length", "not-a-buffer", "not-contiguous"])
+    def test_bad_payloads_are_refused_before_any_work(self, workloads, monkeypatch, bad,
+                                                      message):
+        inp = workloads.build("relay-payload-300", workloads.DEFAULT_SEED)
+        params = workloads.params_for(inp.spec, inp.trace, "DAF")
+        calls = []
+
+        class Counted(SessionCodec):
+            def __init__(self, params):
+                calls.append("SessionCodec")
+                super().__init__(params)
+
+        def transmit(*args):
+            calls.append("transmit_many")
+            return transmit_many(*args)
+        monkeypatch.setattr(harness, "SessionCodec", Counted)
+        monkeypatch.setattr(harness, "transmit_many", transmit)
+        with pytest.raises(ValueError, match=message):
+            run_session(inp.trace, params, inp.channel, 0, payloads=bad(list(inp.payloads)))
+        assert calls == []
+        run_session(inp.trace, params, inp.channel, 0, payloads=inp.payloads)
+        assert calls == ["SessionCodec", "transmit_many"]
 
     def test_window_tables_are_dropped_after_the_draw(self):
         # no session reads them again; the CSR compositions are a third of their size
@@ -530,12 +655,13 @@ class TestPayloadRecovery:
                                   np.arange(1, N + 1),
                                   np.arange(1, N + 1, dtype=np.float64) * p.send_interval_s())
         codec = SessionCodec(p)
+        image = harness.payload_image(codec, inp.payloads)
         dec = DecoderState(PeelingTables(t.total_packets, codec.indptr, codec.neighbors, wcp),
                            payload_bytes=t.payload_bytes)
         decoded = []
         for first, last in session_blocks(N, t.payload_bytes):
             if delivered[first - 1:last].any():
-                pids, payload = codec.receive(codec.send(first, last, delivered, buffer))
+                pids, payload = codec.receive(codec.send(first, last, delivered, image))
                 decoded += block_releases(dec, pids, payload)[0].tolist()
         decoded.sort()
         result = run_session(t, p, inp.channel, seed, payloads=inp.payloads)
@@ -590,17 +716,14 @@ class TestDecodeTimesAgainstFixpoint:
         t, seed = inp.trace, 1
         p = next(c.params for c in inp.cells if c.mode == "DAF")
         codec = session_plan(p)
-        buffer = None
-        if inp.payloads is not None:
-            buffer = packetize(t, inp.payloads)
-            buffer[~codec.real] = 0
+        image = None if inp.payloads is None else harness.payload_image(codec, inp.payloads)
         N = codec.total_coded
         delivered = transmit_many(inp.channel.for_session(seed), np.arange(1, N + 1),
                                   codec.send_times)
-        dec = DecoderState(codec.peeling, None if buffer is None else t.payload_bytes)
+        dec = DecoderState(codec.peeling, None if image is None else t.payload_bytes)
         for first, last in session_blocks(N, t.payload_bytes):
             if delivered[first - 1:last].any():
-                dec.ingest_block(*codec.receive(codec.send(first, last, delivered, buffer)))
+                dec.ingest_block(*codec.receive(codec.send(first, last, delivered, image)))
         want = np.full(t.total_packets + 1, -1)
         for n, pid in fixpoint_arrivals(t, p, inp.channel, seed).items():
             want[n] = pid - 1
