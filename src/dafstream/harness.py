@@ -22,10 +22,11 @@ normally keeps it as the one spare, freed with its codec, for the next such
 session on that codec; with payloads it fits the most datagrams a block
 delivers and is not kept. An LT packet's payload depends only on its
 composition and the source bytes, so the first payload session on a codec
-XORs every PacketID's payload once into a read-only image (payload_image),
-kept, freed with its codec, while later sessions pass equal payloads; a
-block's payload bytes are copied from it as its headers are. A codec being
-built drops the spare and the image.
+writes every PacketID's whole datagram, header and XOR payload, once into a
+read-only image (payload_image), kept, freed with its codec, while later
+sessions pass equal payloads; a block's datagrams are then copied whole from
+it, where without payloads only their headers are. A codec being built
+drops the spare and the image.
 A native packet decoded by the send time of the last coded packet of the
 last window covering its frame counts as in-time; decoded ever, toward the
 file ratio. Warm-up/cool-down padding is excluded from both.
@@ -60,14 +61,10 @@ from .windowing import CodingParams, Mode, build_schedule, derive_params, wcp_pa
 #: its PacketID and window, so the block size changes no result.
 BLOCK_BYTES = 1 << 21
 
-#: Payload bytes per np.take in SessionCodec.send, which writes the strided
-#: payload columns through a copy of the rows it takes; chunks bound that copy.
-TAKE_BYTES = 1 << 17
-
 #: At most one datagram buffer kept between sessions: SessionCodec -> bytearray.
 _spare = weakref.WeakKeyDictionary()
 
-#: At most one coded-payload image kept between sessions: SessionCodec ->
+#: At most one datagram image kept between sessions: SessionCodec ->
 #: (the payloads it was built from, as a tuple of bytes; the image).
 _image = weakref.WeakKeyDictionary()
 
@@ -196,31 +193,26 @@ class SessionCodec:
 
     # -- encoder ----------------------------------------------------------
 
-    def send(self, first: int, last: int, delivered: np.ndarray,
-             image: np.ndarray | None = None, out=None) -> bytearray | memoryview:
+    def send(self, first: int, last: int, delivered: np.ndarray, out,
+             image: np.ndarray | None = None) -> memoryview:
         """Datagram bytes of the packets among first..last that the channel
-        delivers (`delivered` is the session's per-packet mask).
+        delivers (`delivered` is the session's per-packet mask), written into
+        a prefix of `out`, a writable buffer of enough bytes, and returned as
+        a read-only view of it, so no reader writes into a buffer that later
+        sessions reuse.
 
-        The bytes are a new bytearray, or with `out` (a writable buffer of
-        enough bytes) a read-only memoryview of its prefix, so no reader
-        writes into a buffer that later sessions reuse. Headers are copied from
-        `headers`, and with a coded-payload image (payload_image) each
-        packet's payload from its row, TAKE_BYTES of rows at a time; without
-        one they are not written, so they stay as they were: zeros in a new
-        bytearray.
+        With a datagram image (payload_image) each datagram is its row,
+        copied whole; without one only the header, from `headers`, so the
+        payload bytes stay as they were in `out`.
         """
         pids = first + np.flatnonzero(delivered[first - 1:last])
+        source = self.headers if image is None else image
         size = HEADER_LEN + self.trace.payload_bytes
-        data = bytearray(len(pids) * size) if out is None else memoryview(out)[:len(pids) * size]
+        data = memoryview(out)[:len(pids) * size]
         rows = np.frombuffer(data, dtype=np.uint8).reshape(len(pids), size)
         # every PacketID is in 1..N, so "clip" clips nothing
-        np.take(self.headers, pids - 1, axis=0, out=rows[:, :HEADER_LEN], mode="clip")
-        if image is not None:
-            c = max(1, TAKE_BYTES // self.trace.payload_bytes)
-            for a in range(0, len(pids), c):
-                np.take(image, pids[a:a + c] - 1, axis=0, out=rows[a:a + c, HEADER_LEN:],
-                        mode="clip")
-        return data if out is None else data.toreadonly()
+        np.take(source, pids - 1, axis=0, out=rows[:, :source.shape[1]], mode="clip")
+        return data.toreadonly()
 
     # -- decoder ----------------------------------------------------------
 
@@ -276,16 +268,17 @@ class SessionCodec:
 
 
 def payload_image(codec: SessionCodec, payloads) -> np.ndarray:
-    """The coded-payload image of `codec` for frame payloads run_session has
-    checked: row PacketID - 1 is that packet's XOR payload, a read-only
-    (N, P) uint8 array.
+    """The datagram image of `codec` for frame payloads run_session has
+    checked: row PacketID - 1 is that packet's whole datagram, its header
+    from `headers` then its XOR payload, a read-only (N, HEADER_LEN + P)
+    uint8 array.
 
-    The image is built from packetize, padding zeroed, with one xor_payloads
-    over the codec's whole CSR, and kept, as the process's one image (freed
-    with its codec), with a snapshot of the payloads, tuple(bytes(p) for p
-    in payloads): a copy of a mutable buffer, so one edited in place since
-    misses, and the object itself for bytes, so an equal list of the same
-    bytes objects hits on identity alone.
+    The payload columns are written by one xor_payloads over the codec's
+    whole CSR, from packetize with padding zeroed. The image is kept, as the
+    process's one image (freed with its codec), with a snapshot of the
+    payloads, tuple(bytes(p) for p in payloads): a copy of a mutable buffer,
+    so one edited in place since misses, and the object itself for bytes,
+    so an equal list of the same bytes objects hits on identity alone.
     """
     snapshot = tuple(bytes(p) for p in payloads)
     held = _image.get(codec)
@@ -298,9 +291,10 @@ def payload_image(codec: SessionCodec, payloads) -> np.ndarray:
     # freed malloc block this large would raise glibc's mmap threshold to its
     # size, and the sources and datagram buffers cut after it would then be
     # kept in the heap (relay-payload-300 peak RSS +1.9 MB)
-    N, P = codec.total_coded, codec.trace.payload_bytes
-    image = np.frombuffer(mmap.mmap(-1, N * P), dtype=np.uint8).reshape(N, P)
-    xor_payloads(codec.indptr, codec.neighbors, source, out=image)
+    N, size = codec.total_coded, HEADER_LEN + codec.trace.payload_bytes
+    image = np.frombuffer(mmap.mmap(-1, N * size), dtype=np.uint8).reshape(N, size)
+    image[:, :HEADER_LEN] = codec.headers
+    xor_payloads(codec.indptr, codec.neighbors, source, out=image[:, HEADER_LEN:])
     image.flags.writeable = False
     _image[codec] = (snapshot, image)
     return image
@@ -376,7 +370,7 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
     in packetize); without them the session is structure-only (all-zero
     packets), which decodes identically. Only DAF optimizes its slope
     factors; every other mode's are zero. The seed-invariant work is done
-    once per params object (session_plan), and the coded payloads once per
+    once per params object (session_plan), and the datagrams once per
     codec and payloads (payload_image). `trace` must be the one the params
     were derived for, or equal to it.
     """
@@ -409,7 +403,7 @@ def run_session(trace: VideoTrace, params: CodingParams, channel: ChannelModel,
         if not delivered[first - 1:last].any():
             continue
         # an honest trip through the wire format: only bytes cross
-        data = codec.send(first, last, delivered, image, out=wire)
+        data = codec.send(first, last, delivered, wire, image)
         decoder.ingest_block(*codec.receive(data))
     if image is None:
         _spare[codec] = wire

@@ -261,10 +261,6 @@ def draw(packet_id: int, start_packet: int, window_cdf, degrees: np.ndarray,
 #: c = max(1, _XOR_BYTES // P) packets of P bytes.
 _XOR_BYTES = 1 << 17
 
-#: At or below this many packets still XORing, a chunk of xor_payloads
-#: finishes each alone.
-_XOR_STRAGGLERS = 4
-
 
 def xor_payloads(indptr, neighbors, buffer: np.ndarray, out: np.ndarray | None = None):
     """XOR payload of every packet of a CSR batch, one row per packet.
@@ -275,17 +271,16 @@ def xor_payloads(indptr, neighbors, buffer: np.ndarray, out: np.ndarray | None =
     `out`, an (n, P) uint8 array that may be a strided view (a new one if
     None), which is returned.
 
-    Packets go in chunks of c (see _XOR_BYTES), each sorted widest first.
-    A chunk gathers every packet's first neighbor row into an accumulator.
-    Then slot s = 1, 2, ... gathers the s-th neighbor rows of the packets
-    of degree above s, a prefix after the sort, and XORs them in place; once
-    _XOR_STRAGGLERS or fewer are left, each finishes alone, reducing its
-    rest c rows at a time. The accumulator is scattered back in packet
-    order. XOR is associative and commutative, so the order changes no
-    byte. Besides `out`, the call holds at most (2c + 1) * P bytes of rows
-    (the accumulator, one slot's rows and a straggler's reduced row), 16
-    bytes per neighbor and 64 per packet of indices, and 16 KiB of
-    interpreter objects.
+    The packets are sorted widest first once, then go in chunks of c (see
+    _XOR_BYTES). A chunk gathers every packet's first neighbor row into an
+    accumulator. Then slot s = 1, 2, ... up to the chunk's widest degree
+    gathers the s-th neighbor rows of the packets of degree above s, a
+    prefix after the sort, and XORs them in place. The accumulator is
+    scattered back in packet order. XOR is associative and commutative, so
+    the order changes no byte. Besides `out`, the call holds at most
+    2c * P bytes of rows (the accumulator and one slot's rows), 16 bytes
+    per neighbor and 64 per packet of indices, and 16 KiB of interpreter
+    objects.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     idx = np.asarray(neighbors, dtype=np.intp) - 1
@@ -305,26 +300,19 @@ def xor_payloads(indptr, neighbors, buffer: np.ndarray, out: np.ndarray | None =
     c = max(1, _XOR_BYTES // max(P, 1))
     acc = np.empty((min(n, c), words.shape[1]), dtype=words.dtype)
     rows = np.empty_like(acc)
+    order = np.argsort(-degree, kind="stable")
+    degree, first = degree[order], indptr[order]
     # every index is checked above; mode "clip" lets np.take write to out unbuffered
     for a in range(0, n, c):
-        order = np.argsort(-degree[a:a + c], kind="stable")
-        deg, first = degree[a:a + c][order], indptr[a:a + c][order]
-        m = len(order)
-        np.take(words, idx[first], axis=0, out=acc[:m], mode="clip")
-        # slots 1 .. top - 1 hold more than _XOR_STRAGGLERS packets each
-        top = int(deg[_XOR_STRAGGLERS]) if m > _XOR_STRAGGLERS else 1
-        wide = np.searchsorted(-deg, -np.arange(1, top), side="left")
+        deg, start = degree[a:a + c], first[a:a + c]
+        m = len(deg)
+        np.take(words, idx[start], axis=0, out=acc[:m], mode="clip")
+        wide = np.searchsorted(-deg, -np.arange(1, deg[0]), side="left")
         for s, w in enumerate(wide.tolist(), start=1):
             got = rows[:w]
-            np.take(words, idx[first[:w] + s], axis=0, out=got, mode="clip")
+            np.take(words, idx[start[:w] + s], axis=0, out=got, mode="clip")
             acc[:w] ^= got
-        for j, (start, end) in enumerate(zip(first[:_XOR_STRAGGLERS].tolist(),
-                                             (first + deg)[:_XOR_STRAGGLERS].tolist())):
-            for lo in range(start + top, end, len(rows)):
-                got = rows[:end - lo]
-                np.take(words, idx[lo:lo + len(got)], axis=0, out=got, mode="clip")
-                acc[j] ^= np.bitwise_xor.reduce(got, axis=0)
-        out[a + order] = acc[:m].view(np.uint8)
+        out[order[a:a + c]] = acc[:m].view(np.uint8)
     return out
 
 

@@ -24,7 +24,7 @@ from dafstream.windowing import Mode, build_schedule, derive_params, wcp_packets
 
 from oracles import (block_releases, decode_datagrams, encode_block, header_record,
                      header_rule_oracle, iter_coded_packets, minmax_decode_times, slope_pdf,
-                     struct_datagram, uniform_cdf, window_tables)
+                     struct_datagram, uniform_cdf, window_tables, xor_payloads_oracle)
 
 
 def lossless():
@@ -198,7 +198,7 @@ class TestDecoderSideCompositions:
         for first, last in session_blocks(N, t.payload_bytes):
             pids, _, indptr, neighbors = encode_block(sender, windows, first, last)
             sent = delivered[first - 1:last]
-            got_pids, payload = receiver.receive(sender.send(first, last, delivered, image))
+            got_pids, payload = receiver.receive(send_block(sender, first, last, delivered, image))
             assert got_pids.tolist() == pids[sent].tolist()
             rows = [neighbors[indptr[i]:indptr[i + 1]] for i in np.flatnonzero(sent)]
             for pid, row, got in zip(got_pids.tolist(), rows, payload):
@@ -235,13 +235,19 @@ def sent_by_oracle(codec, windows, buffer, delivered, first, last):
     return want
 
 
+def send_block(codec, first, last, delivered, image=None):
+    """codec.send into a new zeroed buffer of the block's size."""
+    out = bytearray((last - first + 1) * (HEADER_LEN + codec.trace.payload_bytes))
+    return codec.send(first, last, delivered, out, image)
+
+
 def record_sends(monkeypatch):
     """Record (first, last, delivered, bytes, underlying buffer) of every
     SessionCodec.send into the returned list."""
     sent, send = [], SessionCodec.send
 
-    def recorded(self, first, last, delivered, image=None, out=None):
-        data = send(self, first, last, delivered, image, out)
+    def recorded(self, first, last, delivered, out, image=None):
+        data = send(self, first, last, delivered, out, image)
         sent.append((first, last, delivered, bytes(data), data.obj))
         return data
     monkeypatch.setattr(SessionCodec, "send", recorded)
@@ -268,8 +274,8 @@ class TestSend:
         assert 0.2 < delivered.mean() < 0.9
         for first, last in session_blocks(N, t.payload_bytes):
             want = sent_by_oracle(codec, windows, buffer, delivered, first, last)
-            assert codec.send(first, last, delivered, image) == want
-            assert codec.send(first, last, delivered) == sent_by_oracle(
+            assert send_block(codec, first, last, delivered, image) == want
+            assert send_block(codec, first, last, delivered) == sent_by_oracle(
                 codec, windows, None, delivered, first, last)
 
     @pytest.mark.parametrize("name", ["readme-300", "relay-payload-300"])
@@ -350,8 +356,8 @@ class TestSend:
         run_session(inp.trace, params, inp.channel, 1)
         send = SessionCodec.send
 
-        def corrupted(self, first, last, delivered, image=None, out=None):
-            data = send(self, first, last, delivered, image, out)
+        def corrupted(self, first, last, delivered, out, image=None):
+            data = send(self, first, last, delivered, out, image)
             out[0] ^= 1  # StartP of the first datagram
             out[HEADER_LEN] = 0xFF  # and one of its payload bytes, which no later send writes
             return data
@@ -386,23 +392,23 @@ class TestSend:
         codec, _, image, delivered, _ = relay
         first, last = next(session_blocks(codec.total_coded, codec.trace.payload_bytes))
         out = bytearray(harness.BLOCK_BYTES)
-        data = codec.send(first, last, delivered, image, out=out)
+        data = codec.send(first, last, delivered, out, image)
         assert data.readonly and data.obj is out
-        assert data == codec.send(first, last, delivered, image)
+        assert data == send_block(codec, first, last, delivered, image)
         with pytest.raises(TypeError):
             data[0] = 0
         assert not codec.receive(data)[1].flags.writeable
 
     def test_a_block_is_held_once(self, relay):
-        # the image's rows go into the datagrams a chunk at a time; no (n, P)
-        # copy is made
+        # the image's rows go straight into the datagram buffer; no copy of
+        # the block is made
         codec, _, image, _, _ = relay
         first, last = next(session_blocks(codec.total_coded, codec.trace.payload_bytes))
         everything = np.ones(codec.total_coded, dtype=bool)
-        codec.send(first, last, everything, image)
+        send_block(codec, first, last, everything, image)
         tracemalloc.start()
         try:
-            data = codec.send(first, last, everything, image)
+            data = send_block(codec, first, last, everything, image)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -425,6 +431,18 @@ class TestPayloadImage:
         assert sent
         for first, last, delivered, data, _ in sent:
             assert data == sent_by_oracle(codec, windows, buffer, delivered, first, last)
+
+    def test_rows_are_whole_datagrams_in_a_read_only_image(self, relay):
+        # row PacketID - 1: the codec's header bytes, then the XOR payload
+        inp, _, codec = relay
+        image = harness.payload_image(codec, inp.payloads)
+        N, P = codec.total_coded, inp.trace.payload_bytes
+        assert image.dtype == np.uint8 and image.shape == (N, HEADER_LEN + P)
+        with pytest.raises(ValueError, match="read-only"):
+            image[0, 0] = 0
+        assert np.array_equal(image[:, :HEADER_LEN], codec.headers)
+        want = xor_payloads_oracle(codec.indptr, codec.neighbors, source_of(codec, inp.payloads))
+        assert np.array_equal(image[:, HEADER_LEN:], want)
 
     def test_alternated_payload_sets_each_send_their_own_bytes(self, relay, workloads,
                                                                monkeypatch):
@@ -661,7 +679,7 @@ class TestPayloadRecovery:
         decoded = []
         for first, last in session_blocks(N, t.payload_bytes):
             if delivered[first - 1:last].any():
-                pids, payload = codec.receive(codec.send(first, last, delivered, image))
+                pids, payload = codec.receive(send_block(codec, first, last, delivered, image))
                 decoded += block_releases(dec, pids, payload)[0].tolist()
         decoded.sort()
         result = run_session(t, p, inp.channel, seed, payloads=inp.payloads)
@@ -723,7 +741,7 @@ class TestDecodeTimesAgainstFixpoint:
         dec = DecoderState(codec.peeling, None if image is None else t.payload_bytes)
         for first, last in session_blocks(N, t.payload_bytes):
             if delivered[first - 1:last].any():
-                dec.ingest_block(*codec.receive(codec.send(first, last, delivered, image)))
+                dec.ingest_block(*codec.receive(send_block(codec, first, last, delivered, image)))
         want = np.full(t.total_packets + 1, -1)
         for n, pid in fixpoint_arrivals(t, p, inp.channel, seed).items():
             want[n] = pid - 1
@@ -946,7 +964,8 @@ class TestHostileHeaders:
         size = HEADER_LEN + codec.trace.payload_bytes
         n = data.draw(st.integers(1, 4))
         first = data.draw(st.integers(1, codec.total_coded - n + 1))
-        wire = codec.send(first, first + n - 1, np.ones(codec.total_coded, dtype=bool))
+        wire = bytearray(n * size)
+        codec.send(first, first + n - 1, np.ones(codec.total_coded, dtype=bool), wire)
         for _ in range(data.draw(st.integers(0, 6))):
             row = data.draw(st.integers(0, n - 1))
             byte = data.draw(st.integers(0, HEADER_LEN - 1))
@@ -1071,7 +1090,7 @@ class TestReceive:
             raise AssertionError("an honest header was refused")
         monkeypatch.setattr(SessionCodec, "_refuse", refuse)
         for first, last in session_blocks(N, P):
-            data = codec.send(first, last, delivered)
+            data = send_block(codec, first, last, delivered)
             pids, rows = codec.receive(data)
             assert pids.dtype == np.int64 and rows.dtype == np.uint8
             assert pids.tolist() == (first + np.flatnonzero(delivered[first - 1:last])).tolist()
@@ -1086,7 +1105,8 @@ class TestReceive:
         size = HEADER_LEN + P
         n = data.draw(st.integers(1, 4))
         first = data.draw(st.integers(1, N - n + 1))
-        wire = codec.send(first, first + n - 1, np.ones(N, dtype=bool))
+        wire = bytearray(n * size)
+        codec.send(first, first + n - 1, np.ones(N, dtype=bool), wire)
         for _ in range(data.draw(st.integers(0, 3))):
             at = data.draw(st.integers(0, n - 1)) * size
             kind = data.draw(st.sampled_from(["byte", "-0.0", "P", "PacketID"]))
