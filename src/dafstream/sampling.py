@@ -140,10 +140,22 @@ def asp_from_matrix(A, trace: VideoTrace, window: int) -> AspProfile:
                       packets_per_frame=trace.packets_per_frame)
 
 
+def _slope_band(trace: VideoTrace, window: int):
+    """The affine ASP coefficients as a band: (V, d2).
+
+    V[t0, i] is d1[t0 + i, t0], the tilt coefficient of frame t0 + i in
+    window t0, from the w[t0] packets of the window and the pkt of them in
+    frames t0..t; d2[t] is the band sum of 1/w over the windows covering
+    frame t.
+    """
+    s, t, w, pkt = _window_grid(trace, window)
+    V = (2.0 * pkt - s[t]) / w ** 2 - 1.0 / w
+    return V, band_sum(np.broadcast_to(1.0 / w, t.shape), trace.num_frames)
+
+
 @dataclass(frozen=True)
 class SlopeCoefficients:
-    """Affine decomposition of the ASP as a function of the slope vector,
-    the slope solve's inputs.
+    """Affine decomposition of the ASP as a function of the slope vector.
 
     P(t) = d1[t] . slopes + d2[t], where d1[t, i] is nonzero only for the
     windows covering frame t. Depends on the trace and window only.
@@ -154,17 +166,13 @@ class SlopeCoefficients:
 
 
 def slope_coeffs(trace: VideoTrace, window: int) -> SlopeCoefficients:
-    """The affine ASP coefficients of every window of `window` frames.
-
-    Frame t (0-based) of window t0 gets d1[t, t0] from the w[t0] packets
-    of the window and the pkt of them in frames t0..t, and d2[t] is the
-    band sum of 1/w over the windows covering frame t.
-    """
+    """The affine ASP coefficients of every window of `window` frames, with
+    the band of `_slope_band` scattered into a dense d1."""
     _check_window(trace, window)
-    s, t, w, pkt = _window_grid(trace, window)
-    d1 = np.zeros((trace.num_frames, len(w)))
-    d1[t, t - np.arange(window)] = (2.0 * pkt - s[t]) / w ** 2 - 1.0 / w
-    d2 = band_sum(np.broadcast_to(1.0 / w, t.shape), trace.num_frames)
+    V, d2 = _slope_band(trace, window)
+    t0 = np.arange(len(V))[:, None]
+    d1 = np.zeros((trace.num_frames, len(V)))
+    d1[t0 + np.arange(window), t0] = V
     return SlopeCoefficients(d1=d1, d2=d2)
 
 
@@ -285,23 +293,56 @@ def optimize_slopes(trace: VideoTrace, window: int, step: int = 1) -> SamplingPl
     until the objective change per sweep falls below _SLOPE_TOL.
     """
     ds, w = _optimizer_domain(trace, window, step)
-    slopes, sweeps = _solve_slopes(ds, w)  # its d1 and H are freed on return
+    slopes, sweeps = _solve_slopes(ds, w)  # its dense H is freed on return
     return SamplingPlan(slope_matrix(ds, w, slopes), ds, w, sweeps, slopes)
+
+
+def _slope_system(ds: VideoTrace, w: int):
+    """(H, b, c0) of the slope solve's objective a.H.a + 2 b.a + c0: the
+    stable rows Dc of d1 and ec of d2, each centered over the m stable
+    frames, give H = Dc.T Dc, b = Dc.T ec and c0 = ec.ec.
+
+    H is built from the band V of d1 restricted to the stable frames, never
+    from a dense d1: H = G - u u.T / m, where u[j] sums column j of the
+    stable d1 and G[j, j + o] (o < w) sums the products of windows j and
+    j + o over the frames they share. b[j] = sum_i V[j, i] ec[j + i] -
+    (u[j] / m) sum(ec). Every sum adds its terms in ascending frame order,
+    one at a time, from 0.0 (sum(ec) too), and each G[j, j + o] is written to
+    both triangles, so H is symmetric bit for bit.
+    """
+    V, d2 = _slope_band(ds, w)
+    rows = len(V)
+    stable = slice(w - 1, ds.num_frames - w + 1)
+    m = float(stable.stop - stable.start)
+    frame = np.arange(rows)[:, None] + np.arange(w)
+    V[(frame < stable.start) | (frame >= stable.stop)] = 0.0
+    e = d2[stable]
+    ec = e - e.mean()
+    ec_at = np.zeros(ds.num_frames)
+    ec_at[stable] = ec
+
+    u = np.zeros(rows)
+    Ve = np.zeros(rows)
+    for i in range(w):
+        u += V[:, i]
+        Ve += V[:, i] * ec_at[i:i + rows]
+    H = np.outer(u, u)
+    H /= -m
+    flat = H.reshape(-1)  # a view; diagonal o starts at o (upper) and o * rows (lower)
+    for o in range(w):
+        g = np.zeros(rows - o)
+        for i in range(o, w):
+            g += V[:rows - o, i] * V[o:, i - o]
+        flat[o::rows + 1][:rows - o] += g
+        if o:
+            flat[o * rows::rows + 1][:rows - o] += g
+    b = Ve - u / m * float(np.cumsum(ec)[-1])
+    return H, b, float(ec @ ec)
 
 
 def _solve_slopes(ds: VideoTrace, w: int) -> tuple[np.ndarray, int]:
     """optimize_slopes' factors on its domain, and the sweeps that found them."""
-    coeffs = slope_coeffs(ds, w)
-    T = ds.num_frames
-    stable = slice(w - 1, T - w + 1)
-    Dc = coeffs.d1[stable]  # centered in place: coeffs is this solve's own
-    Dc -= Dc.mean(axis=0, keepdims=True)
-    e = coeffs.d2[stable]
-    ec = e - e.mean()
-
-    H = Dc.T @ Dc
-    b = Dc.T @ ec
-    c0 = float(ec @ ec)
+    H, b, c0 = _slope_system(ds, w)
     rows = len(b)
     # the sweep's scalars are Python floats: the same IEEE double arithmetic
     # as numpy float64 scalars, without their per-operation overhead. It
@@ -313,8 +354,8 @@ def _solve_slopes(ds: VideoTrace, w: int) -> tuple[np.ndarray, int]:
     delta = np.empty(())
     delta_at = memoryview(delta)
     step_r = np.empty(rows)
-    # syrk mirrors the triangle of Dc.T @ Dc, so row j is column j bit for bit;
-    # a coordinate with no curvature never moves
+    # H is symmetric bit for bit, so row j is column j; a coordinate with no
+    # curvature never moves
     coords = [(j, h_j, b_j, d_j) for j, (h_j, b_j, d_j)
               in enumerate(zip(H, b.tolist(), np.diag(H).tolist())) if not d_j < 1e-30]
 

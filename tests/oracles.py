@@ -16,8 +16,9 @@ inputs a codec keeps only while it draws), for checks that need all of
 them. `FrameIndex`, `schedule_oracle`, `last_covering_oracle`,
 `slope_coeffs_oracle` and `slope_matrix_oracle` are the per-frame and
 per-entry lookups and loops the package's array forms replaced,
-`slope_solve_oracle` is the slope solve before it centered in place and
-read rows of H with Python floats (`centered_gram` is its H), and
+`slope_solve_oracle` is the slope solve with H and b built entry by entry
+in Python floats and the sweep reading columns of H with numpy scalars
+(`centered_gram` is H by its dense definition, Dc.T @ Dc), and
 `struct_datagram` packs the wire header field by field with `struct`;
 `header_record` packs with it the header an honest sender writes for a
 PacketID, and `decode_datagrams` is the batch header reader the receiver
@@ -722,7 +723,8 @@ def slope_coeffs_oracle(trace, window):
 
 
 def centered_gram(trace, window, step=1):
-    """H = Dc.T @ Dc of the slope solve, with Dc formed as in slope_solve_oracle."""
+    """H = Dc.T @ Dc of the slope solve by its definition: Dc is the stable
+    rows of the dense d1, each column centered over the stable frames."""
     ds, w = _optimizer_domain(trace, window, step)
     D = slope_coeffs(ds, w).d1[w - 1:ds.num_frames - w + 1]
     Dc = D - D.mean(axis=0, keepdims=True)
@@ -730,24 +732,45 @@ def centered_gram(trace, window, step=1):
 
 
 def slope_solve_oracle(trace, window, step=1, tol=1e-10, max_iter=100_000):
-    """sampling.optimize_slopes with the centered stable slice of d1 formed
-    as a new array; the package centers it in place. It reads column j of H
-    and keeps its scalars as numpy float64, so it is also the reference for
-    the package's sweep, which reads row j of the symmetric H and keeps its
-    scalars as Python floats."""
+    """sampling.optimize_slopes with H and b built entry by entry in Python
+    floats from the columns of slope_coeffs_oracle's d1, by the formula and
+    the summation order sampling._slope_system documents: H = G - u u.T / m
+    and b = d1.T ec - (u / m) sum(ec), every sum over the stable frames in
+    ascending order from 0.0. It reads column j of H and keeps its scalars
+    as numpy float64, so it is also the reference for the package's sweep,
+    which reads row j of H and keeps its scalars as Python floats."""
     ds, w = _optimizer_domain(trace, window, step)
-    coeffs = slope_coeffs(ds, w)
+    d1, d2 = slope_coeffs_oracle(ds, w)
     T = ds.num_frames
-    stable = slice(w - 1, T - w + 1)
-    D = coeffs.d1[stable]
-    e = coeffs.d2[stable]
-    Dc = D - D.mean(axis=0, keepdims=True)
+    lo, hi = w - 1, T - w + 1
+    m = float(hi - lo)
+    e = d2[lo:hi]
     ec = e - e.mean()
+    rows = T - w + 1
+    first = [max(j, lo) for j in range(rows)]  # the first stable frame of window j
+    cols = [d1[first[j]:min(j + w, hi), j].tolist() for j in range(rows)]
 
-    H = Dc.T @ Dc
-    b = Dc.T @ ec
+    def total(terms):
+        acc = 0.0
+        for x in terms:
+            acc += x
+        return acc
+
+    u = [total(col) for col in cols]
+    ec_at = ec.tolist()
+    ec_sum = total(ec_at)
+    H = np.multiply.outer(u, u) / -m
+    b = np.empty(rows)
+    for j in range(rows):
+        dot = total(x * ec_at[first[j] + n - lo] for n, x in enumerate(cols[j]))
+        b[j] = dot - u[j] / m * ec_sum
+        for k in range(j, min(j + w, rows)):  # G[j, k] over frames first[k]..j + w - 1
+            g = total(cols[j][f - first[j]] * cols[k][f - first[k]]
+                      for f in range(first[k], min(j + w, hi)))
+            H[j, k] += g
+            if k != j:
+                H[k, j] += g
     c0 = float(ec @ ec)
-    rows = coeffs.d1.shape[1]
     a = np.zeros(rows)
     r = np.zeros(rows)  # H @ a, maintained incrementally
     diag = np.diag(H).copy()

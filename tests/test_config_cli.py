@@ -169,11 +169,14 @@ class TestCli:
             assert "error: config key 'dt_frames': cannot parse 'one'" in capsys.readouterr().err
 
     def test_optimize_matches_golden_csv(self, tmp_path, capsys):
-        # the README example config; the CSV and the three stderr variance
-        # lines are compared byte for byte
-        out = tmp_path / "asp.csv"
-        assert main(["optimize", "-c", str(DATA / "readme.cfg"), "--out", str(out)]) == 0
+        # the README example config; the CSV, the slope plan (float64 slopes
+        # at 9 decimals) and the three stderr variance lines are compared
+        # byte for byte
+        out, plan = tmp_path / "asp.csv", tmp_path / "plan.csv"
+        assert main(["optimize", "-c", str(DATA / "readme.cfg"), "--out", str(out),
+                     "--plan-out", str(plan)]) == 0
         assert out.read_bytes() == (DATA / "readme_optimize.csv").read_bytes()
+        assert plan.read_bytes() == (DATA / "readme_plan.csv").read_bytes()
         assert capsys.readouterr().err == (DATA / "readme_optimize.stderr").read_text()
 
     def test_optimize_command(self, cfg_path, tmp_path, capsys):

@@ -1,4 +1,6 @@
+import hashlib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dafstream import sampling
+from dafstream.config import load_config, params_from_config, trace_from_config
 from dafstream.errors import SolverError
+from dafstream.protocol import to_f32
 from dafstream.sampling import (asp_from_matrix, band_sum, optimize_per_frame,
                                 optimize_slopes, slope_coeffs, slope_matrix)
 from dafstream.trace import (VideoTrace, burst_trace, constant_trace,
@@ -17,6 +21,8 @@ from oracles import (centered_gram, direct_asp_from_matrix,
                      slope_coeffs_oracle, slope_grid_oracle,
                      slope_matrix_oracle, slope_pdf, slope_solve_oracle,
                      stable_objective, uniform_matrix)
+
+DATA = Path(__file__).parent / "data"
 
 
 def total_mass(prof):
@@ -331,9 +337,20 @@ class TestOptimizeSlopes:
             oracle = slope_solve_oracle(t, W, step)
             assert np.array_equal(plan.slopes, oracle.slopes), (t.num_frames, W, step)
             assert plan.iterations == oracle.iterations
-            # the package's sweep reads row j for column j
-            H = centered_gram(t, W, step)
+
+    def test_gram_matrix_is_the_dense_definition(self, workloads):
+        # H from the band and one rank-one term is Dc.T @ Dc to rounding, and
+        # symmetric bit for bit: the sweep reads row j for column j
+        cases = [(t, W, 1) for t, W in window_cases(workloads)[:3]]
+        for seed in range(3):
+            t = random_trace(40, 1, 9, seed=seed)
+            cases += [(t, 2, 1), (t, 5, 1), (t, 9, 1), (t, 20, 1), (t, 8, 2)]
+        for t, W, step in cases:
+            ds, w = sampling._optimizer_domain(t, W, step)
+            H, _, _ = sampling._slope_system(ds, w)
+            dense = centered_gram(t, W, step)
             assert np.array_equal(H, H.T), (t.num_frames, W, step)
+            assert np.abs(H - dense).max() <= 1e-12 * np.abs(dense).max(), (t.num_frames, W, step)
 
     @given(short_traces())
     @settings(max_examples=60, deadline=None)
@@ -361,9 +378,41 @@ class TestOptimizeSlopes:
             affine = co.d1 @ plan.slopes + co.d2
             assert np.allclose(plan.asp().values, affine, rtol=0, atol=1e-12), (t.num_frames, W)
 
+    def test_float32_slopes_pinned(self, workloads):
+        # sha256 of the SlopeF values (float32, as the wire carries them) of
+        # the bench traces at their DAF window and of tests/data/readme.cfg,
+        # fixed when H was Dc.T @ Dc from BLAS: they must not move with the
+        # order H and b are summed in
+        pinned = {
+            "readme-300": "6163987eec7a4c0937f6acc91f007d208b4877ea4ed2aed9bda17956d07ac2d0",
+            "long-daf-1800": "bb7ec610aad39aeb899a9664624fd59c10afa4dd8366e3ad696408a46f1ee1c9",
+            "relay-payload-300":
+                "fe5082d6ff0f8aa0f06195c79141ceb8b71e9bc37ba0b2e354fe0cfefb3ab27b",
+        }
+        cases = {name: (t, W, 1) for name, (t, W) in zip(pinned, window_cases(workloads))}
+        cfg = load_config(str(DATA / "readme.cfg"))
+        trace = trace_from_config(cfg)
+        params = params_from_config(cfg, trace)
+        cases["readme.cfg"] = (trace, params.window_frames, params.step_frames)
+        pinned["readme.cfg"] = pinned["readme-300"]  # the same trace and window
+        for name, (t, W, step) in cases.items():
+            slopes = optimize_slopes(t, W, step).slopes
+            assert hashlib.sha256(to_f32(slopes).tobytes()).hexdigest() == pinned[name], name
+
+    def test_long_daf_memory(self, workloads):
+        # 1,800 frames at W=23: the dense H (24.1 MiB) and (windows x W)
+        # bands, no T x windows d1 beside it
+        t = workloads.build("long-daf-1800", workloads.DEFAULT_SEED).trace
+        tracemalloc.start()
+        try:
+            optimize_slopes(t, 23)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30 * 2**20
+
     def test_long_trace_memory(self):
-        # 900 frames at W=23: d1 and H are dense, but the stable slice of d1
-        # is centered in place rather than copied
+        # 900 frames at W=23: H is dense, but d1 is only ever a band
         t = sinusoidal_trace(900, 9500, 5500, 100, first_frame_bytes=25000)
         tracemalloc.start()
         try:
